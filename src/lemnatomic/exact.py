@@ -24,9 +24,17 @@ proper divisors (with Lambda_1 := X for the zero torsion value) leaves
 Lambda_beta.
 
 Fraction reduction strategy: intermediate numerators and denominators stay in
-Z[i][s]; after each addition step the pair is certified coprime by a gcd
-computation modulo a small split prime whenever that certificate applies, and
-otherwise reduced by a subresultant polynomial remainder sequence over Z[i].
+Z[i][s], and after each addition step the pair is divided by its gcd, found
+by a multi-modular algorithm (Brown).  Each prime p = 1 (mod 4) from a fixed
+sequence gives two images F_p[s] (i -> +-sqrt(-1) mod p) in which a plain
+Euclidean gcd runs; images where a leading coefficient vanishes are skipped,
+images of too high a degree are dropped, and the rest, scaled by the gcd of
+the two leading coefficients, are joined by CRT until the lift is stable.  A
+gcd of degree 0 in any admissible image certifies the pair coprime.
+Otherwise the primitive part of the lift is accepted only once it divides
+both numerator and denominator exactly over Z[i]; with the degree bound from
+the admissible images this certifies it as the gcd, so no coefficient bound
+is assumed.
 """
 
 from __future__ import annotations
@@ -39,12 +47,14 @@ from functools import reduce
 from math import lcm
 from typing import Optional
 
-from .errors import InputError, InternalInconsistency, NotDivisible
+from .errors import InputError, InternalInconsistency
 from .gaussint import (
     GaussInt,
     I,
     ONE,
     ZERO,
+    _is_rational_prime,
+    _sqrt_minus_one,
     as_gauss,
     exact_div,
     factor,
@@ -266,98 +276,162 @@ def _zi_scale(p: PolyZi, s: GaussInt) -> PolyZi:
     return PolyZi.make([c * s for c in p.coeffs])
 
 
-def _pseudo_rem(a: PolyZi, b: PolyZi) -> PolyZi:
-    """prem(a, b): lc(b)^(deg a - deg b + 1) * a reduced by b, fraction-free."""
-    da, db = a.degree(), b.degree()
-    lead = b.leading()
-    r = list(a.coeffs)
-    for _ in range(da - db + 1):
-        if len(r) - 1 < db or not r:
-            r = [c * lead for c in r]
-            continue
-        top = r[-1]
-        r = [c * lead for c in r[:-1]]
-        shift = len(r) - db
-        for k in range(db):
-            r[shift + k] = r[shift + k] - top * b.coeffs[k]
-        while r and r[-1].is_zero():
-            r.pop()
-    return PolyZi.make(r)
+# Brown's modular gcd (J. ACM 18, 1971) over Z[i].  For a rational prime
+# p = 1 (mod 4), Z[i]/p is F_p x F_p through i -> iota and i -> -iota with
+# iota^2 = -1 (mod p).  With gamma = gcd(lc a, lc b), gamma * (monic gcd) in
+# an image is the image of (gamma / lc g) * g for the primitive gcd g, as long
+# as the image has the smallest gcd degree; in an image that keeps lc a and
+# lc b that degree is at least deg g.  So a primitive h of that degree that
+# divides a and b exactly over Z[i] is g up to a unit.
+#
+# The sequence starts with the primes p = 1 (mod 4) just below 2^62, each with
+# its iota; most reductions need one or two of them.
+_GCD_PRIMES = tuple(
+    (p, _sqrt_minus_one(p))
+    for p in (
+        4611686018427387817,
+        4611686018427387761,
+        4611686018427387737,
+        4611686018427387733,
+        4611686018427387709,
+        4611686018427387701,
+        4611686018427387617,
+        4611686018427387461,
+    )
+)
 
 
-def _prs_gcd(a: PolyZi, b: PolyZi) -> PolyZi:
-    """Primitive gcd by a subresultant remainder sequence."""
-    if a.is_zero():
-        return _zi_primitive(b)
-    if b.is_zero():
-        return _zi_primitive(a)
-    f, g = _zi_primitive(a), _zi_primitive(b)
-    if f.degree() < g.degree():
-        f, g = g, f
-    # Collins' subresultant PRS: divide prem(f, g) by lead*h^delta, where lead
-    # and h trail one step behind (both start at 1, so the first step divides
-    # by nothing). The recurrence keeps every division exact over Z[i].
-    lead = ONE
-    h = ONE
+def _split_primes():
+    """_GCD_PRIMES, then the next primes p = 1 (mod 4) below them, with iota."""
+    yield from _GCD_PRIMES
+    n = _GCD_PRIMES[-1][0]
     while True:
-        delta = f.degree() - g.degree()
-        r = _pseudo_rem(f, g)
-        if r.is_zero():
-            return _zi_primitive(g)
-        if r.degree() == 0:
-            return PolyZi.make([ONE])
-        divisor = lead * h**delta
-        r = PolyZi.make([exact_div(c, divisor) for c in r.coeffs])
-        f, g = g, r
-        lead = f.leading()
-        if delta > 1:
-            h = exact_div(lead**delta, h ** (delta - 1))
-        elif delta == 1:
-            h = lead
-        # delta == 0 leaves h unchanged
+        n -= 4
+        if _is_rational_prime(n):
+            yield n, _sqrt_minus_one(n)
 
 
-_MOD_CHECK_PRIMES = (GaussInt(3, 2), GaussInt(4, 1), GaussInt(5, 2))
-_mod_fields: list = []
-_mod_lock = threading.Lock()
+def _mod_image(p: PolyZi, prime: int, iota: int) -> list:
+    return [(c.re + c.im * iota) % prime for c in p.coeffs]
 
 
-def _mod_check_fields():
-    if not _mod_fields:
-        from .gfq import residue_field
+def _euclid_mod(a: list, b: list, prime: int) -> list:
+    """Monic gcd of two nonzero ascending coefficient lists over F_prime."""
+    while b:
+        inv = pow(b[-1], -1, prime)
+        b = [c * inv % prime for c in b]
+        low, db = b[:-1], len(b) - 1
+        a = list(a)
+        while len(a) > db:
+            q = a.pop()
+            if q:
+                s = len(a) - db
+                a[s:] = [(x - q * y) % prime for x, y in zip(a[s:], low)]
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, a
+    return a
 
-        with _mod_lock:
-            if not _mod_fields:
-                _mod_fields.extend(residue_field(pi) for pi in _MOD_CHECK_PRIMES)
-    return _mod_fields
+
+def _zi_quotient(f: PolyZi, g: PolyZi) -> Optional[PolyZi]:
+    """f / g when g divides f exactly over Z[i], else None.
+
+    Fraction-free long division: each quotient coefficient is a division by
+    lc(g) in Z[i], exact whenever g is primitive and divides f over Q(i)
+    (Gauss's lemma).
+    """
+    dg = g.degree()
+    if f.degree() < dg:
+        return f if f.is_zero() else None
+    rem_re = [c.re for c in f.coeffs]
+    rem_im = [c.im for c in f.coeffs]
+    g_re = [c.re for c in g.coeffs[:-1]]
+    g_im = [c.im for c in g.coeffs[:-1]]
+    lead = g.leading()
+    norm = lead.norm()
+    quotient = [ZERO] * (len(rem_re) - dg)
+    for k in range(len(quotient) - 1, -1, -1):
+        xr, xi = rem_re.pop(), rem_im.pop()
+        # (xr + xi i) / (lr + li i) = (xr + xi i)(lr - li i) / norm
+        qr, rr = divmod(xr * lead.re + xi * lead.im, norm)
+        qi, ri = divmod(xi * lead.re - xr * lead.im, norm)
+        if rr or ri:
+            return None
+        if qr or qi:
+            quotient[k] = GaussInt(qr, qi)
+            rem_re[k:] = [x - qr * yr + qi * yi for x, yr, yi in zip(rem_re[k:], g_re, g_im)]
+            rem_im[k:] = [x - qr * yi - qi * yr for x, yr, yi in zip(rem_im[k:], g_re, g_im)]
+    if any(rem_re) or any(rem_im):
+        return None
+    return PolyZi(tuple(quotient))
 
 
-def _certified_coprime(a: PolyZi, b: PolyZi) -> bool:
-    """True when gcd(a, b) = 1 is certified modulo a split prime that does not
-    divide lc(a); False means unknown."""
-    from .gfq import _pgcd, reduce_poly
+def _zi_gcd_cofactors(a: PolyZi, b: PolyZi) -> tuple:
+    """(g, a/g, b/g) for the primitive gcd g of a and b, up to a unit.
 
-    lead = a.leading()
-    for field in _mod_check_fields():
-        if field.reduce_gauss(lead) == field.zero():
+    A zero input gives the primitive part of the other one (zero for two
+    zeros); a nonzero constant input gives g = 1.
+    """
+    if a.is_zero() or b.is_zero():
+        g = _zi_primitive(b if a.is_zero() else a)
+        if g.is_zero():
+            return g, a, b
+        return g, _zi_quotient(a, g), _zi_quotient(b, g)
+    if a.degree() == 0 or b.degree() == 0:
+        return _ZI_ONE, a, b
+    leads = (a.leading(), b.leading())
+    gamma = gauss_gcd(*leads)
+    degree = min(a.degree(), b.degree()) + 1  # above every image's gcd degree
+    lift: list = []  # re, im, re, im, ... of gamma * monic gcd, symmetric mod modulus
+    modulus = 1
+    for prime, iota in _split_primes():
+        roots = (iota, prime - iota)
+        if any((c.re + c.im * r) % prime == 0 for c in leads for r in roots):
             continue
-        fa = reduce_poly(a, field)
-        fb = reduce_poly(b, field)
-        if fb.is_zero():
+        images = []
+        for r in roots:
+            g = _euclid_mod(_mod_image(a, prime, r), _mod_image(b, prime, r), prime)
+            if len(g) == 1:
+                return _ZI_ONE, a, b
+            images.append(g)
+        low = min(len(g) for g in images) - 1
+        if low < degree:  # every prime joined so far was unlucky
+            degree, lift, modulus = low, [], 1
+        if any(len(g) - 1 != degree for g in images):
             continue
-        g = _pgcd(field, fa.coeffs, fb.coeffs)
-        if len(g) == 1:
-            return True
-        return False  # a nontrivial modular gcd: run the real reduction
-    return False
-
-
-def _exact_zi_divide_any(a: PolyZi, g: PolyZi) -> PolyZi:
-    """a / g for a known divisor g (not necessarily monic), exact over Z[i]."""
-    q, r = _qdivmod(PolyQ.from_zi(a), PolyQ.from_zi(g))
-    if not r.is_zero():
-        raise NotDivisible(f"{g} does not divide {a}")
-    return q.to_zi()
+        # gamma * (monic gcd) in each image; u = re + im iota, v = re - im iota
+        plus, minus = (
+            [c * ((gamma.re + gamma.im * r) % prime) % prime for c in g]
+            for g, r in zip(images, roots)
+        )
+        halve, halve_iota = pow(2, -1, prime), pow(2 * iota, -1, prime)
+        residues = []
+        for u, v in zip(plus, minus):
+            residues.append((u + v) * halve % prime)
+            residues.append((u - v) * halve_iota % prime)
+        half = prime // 2
+        if not lift:
+            lift = [x - prime if x > half else x for x in residues]
+            modulus = prime
+            continue
+        # Garner step: lift + modulus * t with t symmetric mod prime keeps the
+        # lift symmetric mod modulus * prime
+        inverse = pow(modulus % prime, -1, prime)
+        stable = True
+        for k, x in enumerate(residues):
+            t = (x - lift[k]) * inverse % prime
+            if t:
+                lift[k] += modulus * (t - prime if t > half else t)
+                stable = False
+        modulus *= prime
+        if not stable:
+            continue
+        h = _zi_primitive(PolyZi(tuple(map(GaussInt, lift[0::2], lift[1::2]))))
+        qa = _zi_quotient(a, h)
+        qb = _zi_quotient(b, h) if qa is not None else None
+        if qb is not None:
+            return h, qa, qb
+    raise AssertionError("unreachable: the prime sequence is infinite")
 
 
 def _reduce_zi_fraction(num: PolyZi, den: PolyZi) -> tuple:
@@ -371,15 +445,8 @@ def _reduce_zi_fraction(num: PolyZi, den: PolyZi) -> tuple:
     if not joint.is_unit():
         num = PolyZi.make([exact_div(c, joint) for c in num.coeffs])
         den = PolyZi.make([exact_div(c, joint) for c in den.coeffs])
-    if den.degree() > 0 and num.degree() > 0 and not _certified_coprime(num, den):
-        g = _prs_gcd(num, den)
-        if g.degree() > 0:
-            num = _exact_zi_divide_any(num, g)
-            den = _exact_zi_divide_any(den, g)
-            joint = _joint_content(num, den)
-            if not joint.is_unit():
-                num = PolyZi.make([exact_div(c, joint) for c in num.coeffs])
-                den = PolyZi.make([exact_div(c, joint) for c in den.coeffs])
+    # the gcd is primitive, so by Gauss's lemma the cofactors keep joint content one
+    _, num, den = _zi_gcd_cofactors(num, den)
     unit = _unit_to_first_quadrant(den.leading())
     if unit != ONE:
         num = _zi_scale(num, unit)
@@ -409,13 +476,13 @@ def _unit_to_first_quadrant(lead: GaussInt) -> GaussInt:
 
 
 def _qgcd(a: PolyQ, b: PolyQ) -> PolyQ:
-    """Monic gcd over Q(i), computed through the Z[i] remainder sequence."""
+    """Monic gcd over Q(i), computed through the modular gcd over Z[i]."""
     if a.is_zero() and b.is_zero():
         return _PQ_ZERO
     if a.is_zero() or b.is_zero():
         nz = b if a.is_zero() else a
         return nz * nz.leading().inverse()
-    g = _prs_gcd(_integralize(a), _integralize(b))
+    g = _zi_gcd_cofactors(_integralize(a), _integralize(b))[0]
     gq = PolyQ.from_zi(g)
     return gq * gq.leading().inverse()
 

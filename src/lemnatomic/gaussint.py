@@ -15,7 +15,7 @@ from __future__ import annotations
 import re as _re
 from dataclasses import dataclass
 from math import gcd as _int_gcd, isqrt
-from typing import Iterator, Union
+from typing import Iterator
 
 from .errors import InputError, NotOdd, ParseError
 
@@ -91,7 +91,9 @@ class GaussInt:
         return f"GaussInt({self.re}, {self.im})"
 
 
-GaussIntLike = Union[GaussInt, int]
+# A PEP 604 union, not typing.Union: typing caches its unions process-wide,
+# which would keep this module alive across a re-import.
+GaussIntLike = GaussInt | int
 
 ZERO = GaussInt(0, 0)
 ONE = GaussInt(1, 0)

@@ -1,16 +1,17 @@
 """Exact polynomials over Z[i].
 
 Dense ascending-coefficient polynomials with GaussInt entries: ring
-arithmetic, formal derivative, evaluation, exact division by a monic
-divisor, a fraction-free resultant/discriminant, and the JSON form
-{"coeffs": ["a+bi", ...]} used by CLI commands and cache files.
+arithmetic (products by Kronecker substitution), formal derivative,
+evaluation, exact division by a monic divisor, a fraction-free
+resultant/discriminant, and the JSON form {"coeffs": ["a+bi", ...]} used by
+CLI commands and cache files.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Union
 
 from .errors import InputError, NotDivisible, ParseError
 from .gaussint import GaussInt, GaussIntLike, ZERO, ONE, as_gauss, exact_div, format_gauss, parse_gauss
@@ -67,13 +68,25 @@ class PolyZi:
             return PolyZi(_trim([c * scalar for c in self.coeffs]))
         if self.is_zero() or other.is_zero():
             return PolyZi(())
-        out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return PolyZi(_trim(out))
+        # Kronecker substitution: a polynomial becomes its value at 2^width,
+        # so one big-integer product gives every coefficient at once.  With
+        # (ar + ai i)(br + bi i) = ar br - ai bi + ((ar + ai)(br + bi) - ar br - ai bi) i
+        # three products cover the real and imaginary parts.  Each part of a
+        # product coefficient is a sum of 2 * min(len) terms below
+        # max|a| * max|b|; one more bit holds its sign.
+        a, b = self.coeffs, other.coeffs
+        bits_a = max(max(abs(c.re).bit_length(), abs(c.im).bit_length()) for c in a)
+        bits_b = max(max(abs(c.re).bit_length(), abs(c.im).bit_length()) for c in b)
+        nbytes = (bits_a + bits_b + min(len(a), len(b)).bit_length() + 2 + 7) // 8
+        ar, ai = _pack([c.re for c in a], nbytes), _pack([c.im for c in a], nbytes)
+        br, bi = _pack([c.re for c in b], nbytes), _pack([c.im for c in b], nbytes)
+        rr = ar * br
+        ii = ai * bi
+        mixed = (ar + ai) * (br + bi) - rr - ii
+        n = len(a) + len(b) - 1
+        return PolyZi(
+            tuple(map(GaussInt, _unpack(rr - ii, n, nbytes), _unpack(mixed, n, nbytes)))
+        )
 
     __rmul__ = __mul__
 
@@ -102,6 +115,25 @@ class PolyZi:
                 mono = "X" if k == 1 else f"X^{k}"
                 parts.append(mono if lit == "1" else f"({lit})*{mono}")
         return " + ".join(parts)
+
+
+def _pack(values: list[int], nbytes: int) -> int:
+    """sum(v_k * 2^(8 nbytes k)) for signed v_k with |v_k| < 2^(8 nbytes - 1)."""
+    half = 1 << (8 * nbytes - 1)
+    biased = b"".join((v + half).to_bytes(nbytes, "little") for v in values)
+    return int.from_bytes(biased, "little") - _half_slots(len(values), nbytes)
+
+
+def _unpack(packed: int, count: int, nbytes: int) -> Iterator[int]:
+    """The signed slots v_0 .. v_(count-1) of a value built as by _pack."""
+    half = 1 << (8 * nbytes - 1)
+    view = memoryview((packed + _half_slots(count, nbytes)).to_bytes(count * nbytes, "little"))
+    return (int.from_bytes(view[k : k + nbytes], "little") - half for k in range(0, count * nbytes, nbytes))
+
+
+def _half_slots(count: int, nbytes: int) -> int:
+    """2^(8 nbytes - 1) in each of count slots of nbytes bytes."""
+    return int.from_bytes((bytes(nbytes - 1) + b"\x80") * count, "little")
 
 
 X = PolyZi.make([0, 1])

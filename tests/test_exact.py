@@ -1,22 +1,29 @@
 """Exact symbolic pipeline: the sl function field, multiplication maps,
 all-torsion polynomials, and lemnatomic polynomials by divisor recovery."""
 
+import time
+
 import pytest
 from mpmath import mp, mpc, mpf
 
 from conftest import CORPUS_ALL_TORSION, CORPUS_BETAS, gi, sparse_poly
+from lemnatomic import exact
 from lemnatomic.errors import InputError, InternalInconsistency
 from lemnatomic.exact import (
+    _GCD_PRIMES,
     LemnatomicRecord,
     PolyQ,
     SlFieldElement,
+    _euclid_mod,
+    _mod_image,
+    _zi_gcd_cofactors,
     all_torsion_poly,
     divisors_up_to_units,
     lemnatomic_exact,
     mult_map,
     record_checksum,
 )
-from lemnatomic.gaussint import GaussInt
+from lemnatomic.gaussint import UNITS, _is_rational_prime
 from lemnatomic.lemniscate import _sl_raw, big_complex, sl_eval, torsion_values
 from lemnatomic.residue import phi_norm
 from lemnatomic.zipoly import PolyZi, exact_divide, poly
@@ -85,6 +92,63 @@ class TestSlFieldElement:
         for _ in range(4):
             out = out.subst_is()
         assert out == a
+
+
+def assert_gcd(a: PolyZi, b: PolyZi, want: PolyZi) -> None:
+    """The modular gcd of a and b is want up to a unit, with exact cofactors."""
+    g, qa, qb = _zi_gcd_cofactors(a, b)
+    assert any(g == want * u for u in UNITS), f"gcd {g}, want {want}"
+    if not g.is_zero():
+        assert g * qa == a and g * qb == b
+
+
+class TestModularGcd:
+    def test_stored_primes_split_with_square_roots_of_minus_one(self):
+        assert len(_GCD_PRIMES) >= 2
+        for p, iota in _GCD_PRIMES:
+            assert p % 4 == 1 and _is_rational_prime(p)
+            assert (iota * iota + 1) % p == 0
+
+    def test_planted_factor_with_content(self):
+        # content (1+i)*3 on the planted factor, leading coefficient -4+3i
+        primitive = poly([gi("1+i"), 7, gi("-2i"), gi("-4+3i")])
+        planted = primitive * gi("3+3i")
+        a = planted * poly([gi("2-i"), 0, gi("5+i")]) * gi("2+i")
+        b = planted * poly([3, gi("-1+4i"), 1, gi("-2")]) * 5
+        assert_gcd(a, b, primitive)
+        assert_gcd(b, a, primitive)
+
+    def test_coprime_pair(self):
+        a = poly([gi("i"), 1]) * poly([-2, 1]) * poly([gi("1+i"), 3])
+        b = poly([gi("-i"), 1]) * poly([2, 1]) * poly([-3, 1])
+        assert_gcd(a, b, poly([1]))
+
+    def test_zero_and_constant_inputs(self):
+        b = poly([gi("2+2i"), 0, gi("2+2i")])  # content 2+2i
+        assert_gcd(poly([]), b, poly([1, 0, 1]))
+        assert_gcd(b, poly([]), poly([1, 0, 1]))
+        assert_gcd(poly([]), poly([]), poly([]))
+        assert_gcd(poly([6]), b, poly([1]))
+        assert_gcd(b, poly([gi("3-i")]), poly([1]))
+
+    def test_prime_dividing_a_leading_coefficient_is_skipped(self):
+        # modulo the first prime the common factor p*X + 1 becomes 1, so an
+        # image there would wrongly certify the pair coprime
+        p = _GCD_PRIMES[0][0]
+        common = poly([1, p])
+        assert_gcd(common * poly([2, 1]), common * poly([3, 1]), common)
+
+    def test_unlucky_prime_is_discarded(self, monkeypatch):
+        common = poly([gi("2+i"), gi("1-3i"), gi("3+2i")])
+        a = common * poly([5, 1])
+        b = common * poly([0, 1])
+        # 5 = 1 (mod 4) with 2^2 = -1 (mod 5); modulo 5 both X + 5 and X become
+        # X, so the gcd degree jumps by one in both images
+        for root in (2, 3):
+            image = _euclid_mod(_mod_image(a, 5, root), _mod_image(b, 5, root), 5)
+            assert len(image) - 1 == common.degree() + 1
+        monkeypatch.setattr(exact, "_GCD_PRIMES", ((5, 2),) + _GCD_PRIMES)
+        assert_gcd(a, b, common)
 
 
 class TestMultMap:
@@ -224,6 +288,19 @@ class TestLemnatomicExact:
             lemnatomic_exact(gi("i"))
         with pytest.raises(InputError):
             lemnatomic_exact(gi("2"))
+
+
+def test_exact_route_reaches_norm_269():
+    """beta = 13 (N = 169) and 13+10i (N = 269) by the exact route match the
+    numeric route's checksums, under a minute."""
+    want = {
+        "13": "3fa4d746b17eeaeddadb473ee47deb91e17f09ab3798e066581e4e7c38c09a95",
+        "13+10i": "21b247eb2901d6c1a832fe5b4f7b31075aa9300070640a383bf66985bff6fc98",
+    }
+    t0 = time.perf_counter()
+    for b, checksum in want.items():
+        assert lemnatomic_exact(gi(b)).checksum == checksum
+    assert time.perf_counter() - t0 < 60.0
 
 
 class TestLemnatomicRecord:

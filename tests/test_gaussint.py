@@ -2,9 +2,14 @@
 normalization, parsing. Examples are fixed oracles; property tests run on a
 seeded RNG so failures reproduce."""
 
+import gc
+import importlib.util
+import weakref
+
 import pytest
 
 from conftest import gi
+from lemnatomic import gaussint
 from lemnatomic.errors import InputError, NotOdd, ParseError
 from lemnatomic.gaussint import (
     GaussInt,
@@ -264,3 +269,16 @@ class TestExactDiv:
     def test_inexact_rejected(self):
         with pytest.raises(InputError):
             exact_div(gi("5"), gi("3"))
+
+
+def test_a_second_copy_of_the_module_is_freed():
+    """Nothing process-wide keeps a copy of the module alive once it is
+    dropped, so re-importing the package does not leak the old one."""
+    spec = importlib.util.spec_from_file_location(gaussint.__name__, gaussint.__file__)
+    copy = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(copy)
+    assert copy.GaussInt is not GaussInt
+    alive = weakref.ref(copy.GaussInt)
+    del copy
+    gc.collect()
+    assert alive() is None

@@ -59,6 +59,66 @@ class TestArithmetic:
             assert lhs == rhs
 
 
+def schoolbook_mul(f: PolyZi, g: PolyZi) -> PolyZi:
+    """Reference product: every coefficient pair multiplied in Z[i]."""
+    if f.is_zero() or g.is_zero():
+        return PolyZi.make([])
+    out = [GaussInt(0, 0)] * (len(f.coeffs) + len(g.coeffs) - 1)
+    for j, a in enumerate(f.coeffs):
+        for k, b in enumerate(g.coeffs):
+            out[j + k] = out[j + k] + a * b
+    return PolyZi.make(out)
+
+
+class TestKroneckerMultiply:
+    """PolyZi.__mul__ packs coefficients into big integers; the schoolbook
+    product above is the reference."""
+
+    @staticmethod
+    def random_pair(rng):
+        def one():
+            length = rng.choice([0, 1, 1, 2, 3, rng.randint(4, 40)])
+            bits = rng.choice([1, 3, 30, 64, 200, 333])
+            return PolyZi.make(
+                [GaussInt(rng.randint(-(2**bits), 2**bits), rng.randint(-(2**bits), 2**bits)) for _ in range(length)]
+            )
+
+        return one(), one()
+
+    def test_matches_schoolbook_random(self, rng):
+        for _ in range(300):
+            f, g = self.random_pair(rng)
+            assert f * g == schoolbook_mul(f, g)
+
+    def test_edge_cases(self):
+        big = 2**250 + 12345
+        cases = [
+            (poly([]), poly([1, 2, 3])),
+            (poly([gi("3-4i")]), poly([gi("-1+i"), 0, 5])),
+            (poly([GaussInt(-big, big)]), poly([GaussInt(big, -1), GaussInt(-big, -big)])),
+            (poly([GaussInt(-big, big)] * 50), poly([GaussInt(big - 7, -big)])),
+            (poly([gi("-1-i")] * 64), poly([gi("-1-i")] * 64)),
+            (poly([0, 0, 0, gi("-i")]), poly([0, gi("-7")])),
+        ]
+        for f, g in cases:
+            assert f * g == schoolbook_mul(f, g)
+            assert g * f == schoolbook_mul(g, f)
+
+    def test_slots_at_their_extremes(self):
+        # Constant-coefficient factors put every product coefficient at the
+        # largest magnitude the slot width must hold, with both signs; the
+        # product of two length-n constant runs is c*d times 1, 2, .., n, .., 1.
+        for bits in (1, 7, 8, 9, 62, 200):
+            m = 2**bits - 1
+            for length in (1, 2, 3, 4, 127, 128, 255, 256):
+                ramp = [min(k + 1, 2 * length - 1 - k) for k in range(2 * length - 1)]
+                for c, d in (((m, m), (m, -m)), ((m, m), (-m, -m)), ((m, m), (m, m)), ((-m, 0), (0, m))):
+                    f = PolyZi.make([GaussInt(*c)] * length)
+                    g = PolyZi.make([GaussInt(*d)] * length)
+                    cd = GaussInt(*c) * GaussInt(*d)
+                    assert f * g == PolyZi.make([cd * r for r in ramp])
+
+
 class TestDiscriminant:
     def test_quadratic_examples(self):
         assert discriminant(poly([1, 0, 1])) == gi("-4")
