@@ -15,9 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import InputError
-from .exact import lemnatomic_exact
+from .exact import _check_beta, lemnatomic_exact
 from .gaussint import (
     GaussInt,
     GaussPrime,
@@ -200,7 +201,9 @@ class DensityReport:
 # -- scans ---------------------------------------------------------------------
 
 
+@lru_cache(maxsize=8)
 def _check_scan_poly(h: PolyZi) -> GaussInt:
+    """disc(h) after validating h; memoised, since every report on h needs it."""
     if not h.is_monic():
         raise InputError("scan polynomial must be monic")
     if h.degree() < 1:
@@ -295,8 +298,7 @@ def prop2_evidence(g: PolyZi, beta, bound: int, normalization: str = "primary") 
     the irreducibility criterion's hypothesis is met at this bound."""
     if normalization not in ("primary", "raw"):
         raise InputError(f"unknown normalization {normalization!r}")
-    rec = lemnatomic_exact(beta)
-    beta = rec.beta
+    beta = _check_beta(beta)
     ring = residue_ring(beta)
     group = unit_group(ring)
     disc = _check_scan_poly(g)

@@ -7,11 +7,18 @@ meaning x + y*iota with iota^2 = -1; reduction of a+bi is then coefficientwise.
 
 Field elements are plain ints in [0, p) for degree 1 and int pairs for
 degree 2, so equality is structural and hashing is free.
+
+The path is chosen from the field's degree alone.  Over a split prime the
+polynomial work runs on the int coefficient lists directly: Euclid for gcd
+and squarefree, and the Frobenius X^q mod f as a square-and-multiply on
+Kronecker-packed ints (_PackedModulus).  Over an inert prime it runs on the
+pairs through ResidueField, one field operation per coefficient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import lshift
 from typing import Union
 
 from .errors import InputError
@@ -171,22 +178,115 @@ class PolyFq:
 def reduce_poly(f: PolyZi, pi) -> PolyFq:
     """Coefficientwise reduction of f through Z[i] -> Z[i]/(pi)."""
     field = pi if isinstance(pi, ResidueField) else residue_field(pi)
+    if field.degree == 1:
+        p, i = field.p, field.i_image
+        return PolyFq.make(field, [(c.re + c.im * i) % p for c in f.coeffs])
     return PolyFq.make(field, [field.reduce_gauss(c) for c in f.coeffs])
 
 
-def _padd(F: ResidueField, a: tuple, b: tuple) -> tuple:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for k, c in enumerate(b):
-        out[k] = F.add(out[k], c)
-    while out and F.is_zero(out[-1]):
-        out.pop()
-    return tuple(out)
+# -- split primes: int lists over F_p -------------------------------------------
+#
+# For degree 1 the coefficients are already ints in [0, p), so these helpers
+# work on them directly instead of calling ResidueField once per coefficient.
 
 
-def _pneg(F: ResidueField, a: tuple) -> tuple:
-    return tuple(F.neg(c) for c in a)
+def _int_trim(cs: list) -> list:
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def _int_gcd(p: int, a: tuple, b: tuple) -> tuple:
+    """Monic gcd over F_p by Euclid; a and b trimmed, not both zero."""
+    a, b = list(a), list(b)
+    while b:
+        inv = pow(b[-1], -1, p)
+        b = [c * inv % p for c in b]
+        low, db = b[:-1], len(b) - 1
+        while len(a) > db:
+            q = a.pop()
+            if q:
+                s = len(a) - db
+                a[s:] = [(x - q * y) % p for x, y in zip(a[s:], low)]
+        a, b = b, _int_trim(a)
+    inv = pow(a[-1], -1, p)
+    return tuple(c * inv % p for c in a)
+
+
+class _PackedModulus:
+    """Arithmetic modulo a monic f of degree n >= 1 over F_p, Kronecker-packed.
+
+    A polynomial of degree < n with coefficients in [0, p) is one int holding
+    coefficient k in bits [k*w, (k+1)*w), so a product is one big-int
+    multiply.  Its n - 1 high slots are folded back from the top down: the
+    value h read off slot n + k (mod p) is cleared by adding h times the
+    k-th packed row X^k * (X^n mod f), a shift of one row computed once per
+    (f, p).  A slot then holds at most n products from the multiply plus
+    n - 1 row terms, each below p^2, so w = bit length of (2n - 1)(p - 1)^2
+    never lets a slot carry into the next, whatever the size of p.  Only the
+    n low slots are reduced mod p afterwards.
+    """
+
+    __slots__ = ("p", "n", "width", "mask", "low", "slots", "tail", "rows")
+
+    def __init__(self, p: int, f: tuple):
+        n = len(f) - 1
+        w = ((2 * n - 1) * (p - 1) ** 2).bit_length()
+        self.p, self.n, self.width = p, n, w
+        self.mask = (1 << w) - 1
+        self.low = (1 << (n * w)) - 1
+        self.slots = range(0, n * w, w)
+        self.tail = sum(map(lshift, [-c % p for c in f[:-1]], self.slots))  # X^n mod f
+        self.rows = [(k * w, self.tail << ((k - n) * w)) for k in range(2 * n - 2, n - 1, -1)]
+
+    def _normal(self, x: int) -> int:
+        """Packed x with every one of its n slots taken mod p."""
+        mask, p = self.mask, self.p
+        return sum(((x >> s & mask) % p) << s for s in self.slots)
+
+    def _reduce(self, x: int) -> int:
+        """A packed product (up to 2n - 1 slots) to packed x mod f."""
+        mask, p = self.mask, self.p
+        for s, row in self.rows:
+            h = (x >> s & mask) % p
+            if h:
+                x += h * row
+        return self._normal(x & self.low)
+
+    def _times_x(self, x: int) -> int:
+        x <<= self.width
+        top = x >> (self.n * self.width)
+        return self._normal((x & self.low) + top * self.tail) if top else x
+
+    def pow_mod(self, a: tuple, e: int) -> tuple:
+        """a^e mod f by square-and-multiply from the top bit of e.
+
+        a is reduced mod f, or is X.  For a = X the multiply is a shift, and
+        the leading bits of e whose value stays below n give the starting
+        monomial without any product.
+        """
+        bits = format(e, "b")
+        if a == (0, 1):
+            j = min(len(bits), (self.n - 1).bit_length())
+            if e >> (len(bits) - j) >= self.n:
+                j -= 1
+            x = 1 << ((e >> (len(bits) - j)) * self.width)
+            bits, step = bits[j:], self._times_x
+        else:
+            x, base = 1, sum(map(lshift, a, self.slots))
+
+            def step(y: int) -> int:
+                return self._reduce(y * base)
+
+        for bit in bits:
+            x = self._reduce(x * x)
+            if bit == "1":
+                x = step(x)
+        mask = self.mask
+        return tuple(_int_trim([x >> s & mask for s in self.slots]))
+
+
+# -- inert primes: pairs through ResidueField ------------------------------------
 
 
 def _pmul(F: ResidueField, a: tuple, b: tuple) -> tuple:
@@ -248,19 +348,6 @@ def _pgcd(F: ResidueField, a: tuple, b: tuple) -> tuple:
     return _pmonic(F, a)
 
 
-def _x_power_mod(F: ResidueField, e: int, f: tuple) -> tuple:
-    """X^e mod f by square-and-multiply; f nonzero."""
-    result = _pmod(F, (F.one(),), f)
-    base = _pmod(F, (F.zero(), F.one()), f)
-    while e:
-        if e & 1:
-            result = _pmod(F, _pmul(F, result, base), f)
-        e >>= 1
-        if e:
-            base = _pmod(F, _pmul(F, base, base), f)
-    return result
-
-
 def _ppow_mod(F: ResidueField, a: tuple, e: int, f: tuple) -> tuple:
     result = _pmod(F, (F.one(),), f)
     base = _pmod(F, a, f)
@@ -271,86 +358,6 @@ def _ppow_mod(F: ResidueField, a: tuple, e: int, f: tuple) -> tuple:
         if e:
             base = _pmod(F, _pmul(F, base, base), f)
     return result
-
-
-def poly_gcd(f: PolyFq, g: PolyFq) -> PolyFq:
-    """Monic gcd via Euclid."""
-    if f.field is not g.field and f.field != g.field:
-        raise InputError("gcd of polynomials over different fields")
-    if f.is_zero() and g.is_zero():
-        raise InputError("gcd(0, 0) is undefined")
-    return PolyFq(field=f.field, coeffs=_pgcd(f.field, f.coeffs, g.coeffs))
-
-
-def squarefree(f: PolyFq) -> bool:
-    """True iff gcd(f, f') is constant."""
-    if f.is_zero():
-        raise InputError("squarefree test of the zero polynomial")
-    F = f.field
-    d = _pderiv(F, f.coeffs)
-    if not d:
-        # constant: vacuously squarefree; nonconstant with zero derivative is a p-th power
-        return f.degree() <= 0
-    return len(_pgcd(F, f.coeffs, d)) == 1
-
-
-def splits_completely(f: PolyFq) -> bool:
-    """True iff f is squarefree and a product of linear factors: X^q = X (mod f)."""
-    if f.is_zero() or f.degree() < 1:
-        raise InputError("splits_completely requires a nonconstant polynomial")
-    if not f.is_monic():
-        raise InputError("splits_completely requires a monic polynomial")
-    if not squarefree(f):
-        return False
-    F = f.field
-    frob = _x_power_mod(F, F.size, f.coeffs)
-    x_mod = _pmod(F, (F.zero(), F.one()), f.coeffs)
-    return frob == x_mod
-
-
-def has_root(f: PolyFq) -> bool:
-    """True iff f has a root in the field: deg gcd(X^q - X, f) >= 1."""
-    if f.is_zero():
-        raise InputError("has_root of the zero polynomial")
-    F = f.field
-    if f.degree() < 1:
-        return False
-    frob = _x_power_mod(F, F.size, f.coeffs)
-    diff = _padd(F, frob, _pneg(F, (F.zero(), F.one())))
-    g = _pgcd(F, f.coeffs, diff)
-    return len(g) - 1 >= 1
-
-
-def factor_degrees(f: PolyFq) -> tuple:
-    """Degrees of the irreducible factors of squarefree monic f, nondecreasing.
-
-    Distinct-degree factorization: the degree-d part of f is gcd(f, X^(q^d) - X).
-    """
-    if f.is_zero() or not f.is_monic():
-        raise InputError("factor_degrees requires a monic polynomial")
-    if not squarefree(f):
-        raise InputError("factor_degrees requires a squarefree polynomial")
-    F = f.field
-    q = F.size
-    rem = f.coeffs
-    degrees: list[int] = []
-    h = _pmod(F, (F.zero(), F.one()), rem)
-    d = 0
-    while len(rem) - 1 > 0:
-        d += 1
-        if (len(rem) - 1) < 2 * d:
-            # remainder is irreducible
-            degrees.append(len(rem) - 1)
-            break
-        h = _ppow_mod(F, h, q, rem)
-        g = _pgcd(F, rem, _padd(F, h, _pneg(F, (F.zero(), F.one()))))
-        if len(g) - 1 > 0:
-            part = len(g) - 1
-            degrees.extend([d] * (part // d))
-            rem = _pmonic(F, _pmod_quotient(F, rem, g))
-            h = _pmod(F, h, rem)
-    degrees.sort()
-    return tuple(degrees)
 
 
 def _pmod_quotient(F: ResidueField, a: tuple, b: tuple) -> tuple:
@@ -375,3 +382,108 @@ def _pmod_quotient(F: ResidueField, a: tuple, b: tuple) -> tuple:
     while out and F.is_zero(out[-1]):
         out.pop()
     return tuple(out)
+
+
+# -- either kind: the path follows field.degree -----------------------------------
+
+
+def _gcd(F: ResidueField, a: tuple, b: tuple) -> tuple:
+    return _int_gcd(F.p, a, b) if F.degree == 1 else _pgcd(F, a, b)
+
+
+def _frobenius(F: ResidueField, f: tuple, a: tuple | None = None) -> tuple:
+    """a^q mod monic f of degree >= 1, with q = |F| and a = X by default."""
+    a = (F.zero(), F.one()) if a is None else a
+    if F.degree == 1:
+        return _PackedModulus(F.p, f).pow_mod(a, F.size)
+    return _ppow_mod(F, a, F.size, f)
+
+
+def _minus_x(F: ResidueField, a: tuple) -> tuple:
+    """a - X."""
+    out = list(a) + [F.zero()] * (2 - len(a))
+    out[1] = F.sub(out[1], F.one())
+    while out and F.is_zero(out[-1]):
+        out.pop()
+    return tuple(out)
+
+
+def poly_gcd(f: PolyFq, g: PolyFq) -> PolyFq:
+    """Monic gcd via Euclid."""
+    if f.field is not g.field and f.field != g.field:
+        raise InputError("gcd of polynomials over different fields")
+    if f.is_zero() and g.is_zero():
+        raise InputError("gcd(0, 0) is undefined")
+    return PolyFq(field=f.field, coeffs=_gcd(f.field, f.coeffs, g.coeffs))
+
+
+def squarefree(f: PolyFq) -> bool:
+    """True iff gcd(f, f') is constant."""
+    if f.is_zero():
+        raise InputError("squarefree test of the zero polynomial")
+    F = f.field
+    if F.degree == 1:
+        d = _int_trim([k * c % F.p for k, c in enumerate(f.coeffs)][1:])
+    else:
+        d = _pderiv(F, f.coeffs)
+    if not d:
+        # constant: vacuously squarefree; nonconstant with zero derivative is a p-th power
+        return f.degree() <= 0
+    return len(_gcd(F, f.coeffs, d)) == 1
+
+
+def splits_completely(f: PolyFq) -> bool:
+    """True iff f is squarefree and a product of linear factors: X^q = X (mod f).
+
+    X^q - X is the product of X - a over the whole field, each factor once,
+    so f divides it exactly when f splits into distinct linear factors; no
+    separate squarefree test is needed.
+    """
+    if f.is_zero() or f.degree() < 1:
+        raise InputError("splits_completely requires a nonconstant polynomial")
+    if not f.is_monic():
+        raise InputError("splits_completely requires a monic polynomial")
+    F = f.field
+    return _frobenius(F, f.coeffs) == _pmod(F, (F.zero(), F.one()), f.coeffs)
+
+
+def has_root(f: PolyFq) -> bool:
+    """True iff f has a root in the field: deg gcd(X^q - X, f) >= 1."""
+    if f.is_zero():
+        raise InputError("has_root of the zero polynomial")
+    F = f.field
+    if f.degree() < 1:
+        return False
+    monic = _pmonic(F, f.coeffs)
+    return len(_gcd(F, monic, _minus_x(F, _frobenius(F, monic)))) > 1
+
+
+def factor_degrees(f: PolyFq) -> tuple:
+    """Degrees of the irreducible factors of squarefree monic f, nondecreasing.
+
+    Distinct-degree factorization: the degree-d part of f is gcd(f, X^(q^d) - X).
+    """
+    if f.is_zero() or not f.is_monic():
+        raise InputError("factor_degrees requires a monic polynomial")
+    if not squarefree(f):
+        raise InputError("factor_degrees requires a squarefree polynomial")
+    F = f.field
+    rem = f.coeffs
+    degrees: list[int] = []
+    h = _pmod(F, (F.zero(), F.one()), rem)
+    d = 0
+    while len(rem) - 1 > 0:
+        d += 1
+        if (len(rem) - 1) < 2 * d:
+            # remainder is irreducible
+            degrees.append(len(rem) - 1)
+            break
+        h = _frobenius(F, rem, h)
+        g = _gcd(F, rem, _minus_x(F, h))
+        if len(g) - 1 > 0:
+            part = len(g) - 1
+            degrees.extend([d] * (part // d))
+            rem = _pmonic(F, _pmod_quotient(F, rem, g))
+            h = _pmod(F, h, rem)
+    degrees.sort()
+    return tuple(degrees)

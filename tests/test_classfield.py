@@ -2,12 +2,14 @@
 sweeps, Frobenius-orbit checks, irreducibility-criterion evidence, the
 congruence-obstruction witness search, and density reports."""
 
+import hashlib
 import json
 from math import isqrt
 
 import pytest
 
 from conftest import gi
+from lemnatomic import classfield
 from lemnatomic.classfield import (
     DensityReport,
     Prop1Report,
@@ -24,7 +26,7 @@ from lemnatomic.classfield import (
 )
 from lemnatomic.errors import InputError
 from lemnatomic.exact import lemnatomic_exact
-from lemnatomic.gaussint import GaussInt, divides, primes_up_to_norm
+from lemnatomic.gaussint import GaussInt, divides, format_gauss, primes_up_to_norm
 from lemnatomic.gfq import factor_degrees, reduce_poly, splits_completely
 from lemnatomic.residue import class_of, phi_norm, residue_ring, unit_group
 from lemnatomic.zipoly import poly
@@ -213,6 +215,19 @@ class TestProp2Evidence:
         assert small.subgroup_order <= large.subgroup_order
         assert large.subgroup_order % small.subgroup_order == 0
 
+    def test_beta_normalized_without_the_exact_route(self, monkeypatch):
+        want = prop2_evidence(X_SQ_MINUS_2, gi("3"), 300).to_json_dict()
+        assert want["beta"] == format_gauss(lemnatomic_exact(gi("3")).beta) == "-3"
+
+        def refuse(beta):
+            raise AssertionError("prop2_evidence built the lemnatomic polynomial of beta")
+
+        monkeypatch.setattr(classfield, "lemnatomic_exact", refuse)
+        assert prop2_evidence(X_SQ_MINUS_2, gi("3"), 300).to_json_dict() == want
+        for bad in ("2", "1+i", "-6+2i", "1", "-i", "0"):
+            with pytest.raises(InputError):
+                prop2_evidence(X_SQ_MINUS_2, gi(bad), 300)
+
     def test_json_dict_shape(self):
         d = prop2_evidence(poly([0, 1]), gi("-3"), 100).to_json_dict()
         assert set(d) == {
@@ -313,3 +328,47 @@ class TestDensityReport:
         d = density_report(X_MINUS_1, 200).to_json_dict()
         assert set(d) == {"poly", "bound", "count_P", "count_all_odd", "ratio", "expected"}
         json.dumps(d, sort_keys=True)
+
+
+class TestSharedScanSetup:
+    def test_discriminant_computed_once_per_polynomial(self, monkeypatch):
+        g = poly([3, 0, 1])
+        seen = []
+        real = classfield.discriminant
+        monkeypatch.setattr(classfield, "discriminant", lambda h: seen.append(h) or real(h))
+        classfield._check_scan_poly.cache_clear()
+        splitting_primes(g, 200)
+        density_report(g, 200)
+        theorem_search(g, 200)
+        prop2_evidence(g, gi("-3"), 200)
+        semisplit_primes(g, 200)
+        assert seen == [g]
+
+
+# SHA-256 of each report's sorted-key JSON on Lambda_{-3-4i} (degree 20) at
+# norm bound 2000, recorded from the per-coefficient scans before the packed
+# split-prime kernel replaced them.
+DEGREE_20_DIGESTS = {
+    "verify_prop1": "43582403fba7d4d136cde90ec3b1312dd7cb836ed99350d09c9b50d4be83ee5d",
+    "splitting_primes": "54bbe3b1202527998248ce96bbf4137528f01bbf47ac9c9f25ce9713c1cc8740",
+    "density_report": "526ea5befa3f5dc14466c8ea1b376b1ae90d680fe8bf04c559ca4fbde7aef369",
+    "theorem_search": "c02e48047364e3db6e05f1845e2f357f3879cde9eef587134df18ee791bc0b82",
+    "prop2_evidence": "422bbc80c7d7b2ed9054ddcb781a20b01f128ddc6e2c45201ec866db5d277d3e",
+}
+
+
+def test_degree_20_reports_unchanged():
+    beta = gi("-3-4i")
+    h = lam("-3-4i")
+    reports = {
+        "verify_prop1": verify_prop1(beta, 2000),
+        "splitting_primes": splitting_primes(h, 2000),
+        "density_report": density_report(h, 2000),
+        "theorem_search": theorem_search(h, 2000),
+        "prop2_evidence": prop2_evidence(h, beta, 2000),
+    }
+    digests = {
+        name: hashlib.sha256(json.dumps(report.to_json_dict(), sort_keys=True).encode("ascii")).hexdigest()
+        for name, report in reports.items()
+    }
+    assert digests == DEGREE_20_DIGESTS

@@ -213,6 +213,14 @@ class TestPrimesUpToNorm:
     def test_empty_below_ramified(self):
         assert primes_up_to_norm(2) == []
 
+    def test_each_call_gets_its_own_list(self):
+        first = primes_up_to_norm(50)
+        want = list(first)
+        first.clear()
+        again = primes_up_to_norm(50)
+        assert again == want and again is not first
+        assert primes_up_to_norm(50, odd_only=False)[0].kind == "ramified"
+
     def test_count_against_rational_sieve(self):
         bound = 10**4
         sieve = [True] * (bound + 1)

@@ -4,9 +4,11 @@ import pytest
 
 from conftest import gi
 from lemnatomic.errors import InputError
-from lemnatomic.gaussint import GaussInt, primes_up_to_norm
+from lemnatomic.exact import lemnatomic_exact
+from lemnatomic.gaussint import GaussInt, _split_prime_above, divides, primes_up_to_norm
 from lemnatomic.gfq import (
     PolyFq,
+    _PackedModulus,
     factor_degrees,
     has_root,
     poly_gcd,
@@ -15,7 +17,13 @@ from lemnatomic.gfq import (
     splits_completely,
     squarefree,
 )
+from lemnatomic.residue import class_of, residue_ring, unit_group
 from lemnatomic.zipoly import PolyZi, poly
+
+# split primes p = 1 mod 4: small, near the scan bound 3e4, and above 2^61
+SMALL_SPLIT = (5, 13, 17, 29)
+MID_SPLIT = (29989, 30013)
+BIG_SPLIT = (4611686018427387817,)
 
 
 def rand_zipoly(rng, max_deg=5, span=9):
@@ -126,9 +134,11 @@ class TestSplitsCompletely:
     def test_matches_brute_force_small_fields(self, rng):
         primes = [p for p in primes_up_to_norm(169) if p.norm <= 169]
         for pi in primes:
-            for _ in range(8):
-                f = rand_zipoly(rng, 4)
-                fbar = reduce_poly(f, pi.value)
+            cases = [reduce_poly(rand_zipoly(rng, 4), pi.value) for _ in range(8)]
+            field = residue_field(pi.value)
+            if field.degree == 1:
+                cases.extend(planted_cases(field, rng, 3))
+            for fbar in cases:
                 if fbar.is_zero() or fbar.degree() < 1 or not fbar.is_monic():
                     continue
                 roots = brute_roots(fbar)
@@ -140,6 +150,26 @@ def tuple_key(e):
     return e if isinstance(e, tuple) else (e,)
 
 
+def planted(field, roots) -> PolyFq:
+    """prod (X - r) over the field, multiplied out one factor at a time."""
+    coeffs = [field.one()]
+    for r in roots:
+        shifted = [field.zero()] + coeffs
+        for k, c in enumerate(coeffs):
+            shifted[k] = field.sub(shifted[k], field.mul(r, c))
+        coeffs = shifted
+    return PolyFq.make(field, coeffs)
+
+
+def planted_cases(field, rng, count):
+    """Products of linear factors at a split prime: distinct roots (these
+    split completely) and roots with one repeated (these do not)."""
+    for _ in range(count):
+        roots = rng.sample(range(field.p), rng.randint(1, min(6, field.p)))
+        yield planted(field, roots)
+        yield planted(field, roots + [roots[0]])
+
+
 class TestHasRoot:
     def test_examples(self):
         assert has_root(reduce_poly(poly([-2, 0, 1]), gi("-3")))
@@ -148,9 +178,16 @@ class TestHasRoot:
 
     def test_matches_brute_force(self, rng):
         for pi in primes_up_to_norm(169):
-            for _ in range(8):
-                f = rand_zipoly(rng, 4)
-                fbar = reduce_poly(f, pi.value)
+            cases = [reduce_poly(rand_zipoly(rng, 4), pi.value) for _ in range(8)]
+            field = residue_field(pi.value)
+            if field.degree == 1:
+                # a planted root times a random factor, and random sextics
+                cases.extend(
+                    PolyFq.make(field, ref_mul(g.coeffs, reduce_poly(rand_zipoly(rng, 4), pi.value).coeffs, field.p))
+                    for g in planted_cases(field, rng, 2)
+                )
+                cases.extend(reduce_poly(rand_zipoly(rng, 6), pi.value) for _ in range(4))
+            for fbar in cases:
                 if fbar.is_zero():
                     continue
                 assert has_root(fbar) == bool(brute_roots(fbar))
@@ -177,3 +214,140 @@ class TestFactorDegrees:
                 if not squarefree(fbar):
                     continue
                 assert sum(factor_degrees(fbar)) == fbar.degree()
+
+
+# -- the packed split-prime kernel against a per-element schoolbook -------------
+
+
+def ref_mul(a, b, p):
+    out = [0] * max(0, len(a) + len(b) - 1)
+    for j, x in enumerate(a):
+        for k, y in enumerate(b):
+            out[j + k] = (out[j + k] + x * y) % p
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def ref_mod(a, f, p):
+    """a mod monic f, one coefficient at a time."""
+    r = list(a)
+    n = len(f) - 1
+    while len(r) > n:
+        q = r.pop()
+        for k in range(n):
+            r[len(r) - n + k] = (r[len(r) - n + k] - q * f[k]) % p
+    while r and not r[-1]:
+        r.pop()
+    return tuple(r)
+
+
+def ref_pow_mod(a, e, f, p):
+    """a^e mod f, right to left over the bits of e."""
+    result, base = ref_mod((1,), f, p), ref_mod(a, f, p)
+    while e:
+        if e & 1:
+            result = ref_mod(ref_mul(result, base, p), f, p)
+        base = ref_mod(ref_mul(base, base, p), f, p)
+        e >>= 1
+    return result
+
+
+def rand_monic(rng, p, degree):
+    return tuple(rng.randrange(p) for _ in range(degree)) + (1,)
+
+
+class TestPackedKernel:
+    @pytest.mark.parametrize("p", SMALL_SPLIT + MID_SPLIT + BIG_SPLIT)
+    def test_x_power_matches_schoolbook(self, rng, p):
+        for degree in range(1, 21):
+            f = rand_monic(rng, p, degree)
+            kernel = _PackedModulus(p, f)
+            for e in (0, 1, degree - 1, degree, 2 * degree, p, rng.randrange(p * p)):
+                assert kernel.pow_mod((0, 1), e) == ref_pow_mod((0, 1), e, f, p), (p, f, e)
+
+    @pytest.mark.parametrize("p", SMALL_SPLIT + MID_SPLIT + BIG_SPLIT)
+    def test_general_base_matches_schoolbook(self, rng, p):
+        for degree in range(1, 21):
+            f = rand_monic(rng, p, degree)
+            a = ref_mod(tuple(rng.randrange(p) for _ in range(degree)), f, p)
+            for e in (0, 1, 2, p):
+                assert _PackedModulus(p, f).pow_mod(a, e) == ref_pow_mod(a, e, f, p), (p, f, a, e)
+
+    @pytest.mark.parametrize("p", SMALL_SPLIT + MID_SPLIT + BIG_SPLIT)
+    def test_slots_at_their_largest(self, p):
+        # every coefficient p - 1 in the base and in X^n mod f drives the
+        # products and the folded rows towards the (2n - 1)(p - 1)^2 bound
+        for degree in range(1, 21):
+            f = (1,) * (degree + 1)
+            a = (p - 1,) * degree
+            for e in (2, 3, p):
+                assert _PackedModulus(p, f).pow_mod(a, e) == ref_pow_mod(a, e, f, p), (p, degree, e)
+
+    def test_f_equal_to_x(self):
+        kernel = _PackedModulus(13, (0, 1))
+        assert kernel.pow_mod((0, 1), 0) == (1,)
+        assert kernel.pow_mod((0, 1), 13) == ()
+        f = reduce_poly(poly([0, 1]), gi("3+2i"))
+        assert splits_completely(f) and has_root(f) and factor_degrees(f) == (1,)
+
+    @pytest.mark.parametrize("p", SMALL_SPLIT + BIG_SPLIT)
+    def test_degree_one(self, rng, p):
+        for _ in range(5):
+            c, e = rng.randrange(p), rng.randrange(p)
+            # X = c mod X - c
+            assert _PackedModulus(p, (-c % p, 1)).pow_mod((0, 1), e) == ref_mod((pow(c, e, p),), (-c % p, 1), p)
+        assert _PackedModulus(p, (0, 1)).pow_mod((0, 1), 0) == (1,)
+
+    def test_degree_at_least_p(self, rng):
+        field = residue_field(gi("-1+2i"))  # F_5
+        for _ in range(20):
+            f = PolyFq.make(field, rand_monic(rng, 5, 20))
+            assert _PackedModulus(5, f.coeffs).pow_mod((0, 1), 5) == (0, 0, 0, 0, 0, 1)
+            assert not splits_completely(f)
+            assert has_root(f) == bool(brute_roots(f))
+        every_root_four_times = planted(field, list(range(5)) * 4)
+        assert every_root_four_times.degree() == 20
+        assert has_root(every_root_four_times)
+        assert not splits_completely(every_root_four_times)
+        assert not squarefree(every_root_four_times)
+        assert splits_completely(planted(field, range(5)))
+
+    @pytest.mark.parametrize("p", SMALL_SPLIT + MID_SPLIT)
+    def test_repeated_root(self, p):
+        field = residue_field(_split_prime_above(p))
+        f = planted(field, [1, 1, 2])
+        assert has_root(f)
+        assert not squarefree(f)
+        assert not splits_completely(f)
+        assert splits_completely(planted(field, [1, 2]))
+
+    def test_above_two_to_the_61(self, rng):
+        p = BIG_SPLIT[0]
+        field = residue_field(_split_prime_above(p))
+        assert field.degree == 1 and field.p == p
+        roots = [rng.randrange(p) for _ in range(8)]
+        assert splits_completely(planted(field, roots))
+        assert not splits_completely(planted(field, roots + [roots[3]]))
+        assert factor_degrees(planted(field, roots)) == (1,) * 8
+        # X^2 - r for a non-residue r has no root
+        non_residue = next(r for r in range(2, 100) if pow(r, (p - 1) // 2, p) == p - 1)
+        assert not has_root(PolyFq.make(field, (p - non_residue, 0, 1)))
+        assert factor_degrees(PolyFq.make(field, (p - non_residue, 0, 1))) == (2,)
+
+    def test_factor_degrees_of_the_degree_20_lemnatomic(self):
+        # every factor of Lambda_beta mod pi has the degree of the class of
+        # pi in (Z[i]/beta)^*, at split and at inert primes
+        beta = gi("-3-4i")
+        h = lemnatomic_exact(beta).coefficients
+        group = unit_group(residue_ring(beta))
+        seen = set()
+        for pi in primes_up_to_norm(400):
+            if divides(pi.value, beta):
+                continue
+            order = group.element_order(class_of(pi.value, group.ring, "primary"))
+            assert factor_degrees(reduce_poly(h, pi)) == (order,) * (20 // order), pi
+            seen.add((pi.kind, order))
+        # the orders reached: every divisor of 20 at split primes, four of them at inert ones
+        assert {order for kind, order in seen if kind == "split"} == {1, 2, 4, 5, 10, 20}
+        assert {order for kind, order in seen if kind == "inert"} == {4, 5, 10, 20}
