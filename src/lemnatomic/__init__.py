@@ -2,10 +2,11 @@
 
 Two independent pipelines compute the lemnatomic polynomial Lambda_beta for
 odd non-unit beta in Z[i]: an arbitrary-precision numeric route through the
-lemniscatic function sl, and an exact symbolic route through the function
-field Q(i)(sl).  On top of them sit verification engines for separability
-modulo odd primes, the prime-splitting irreducibility criterion, and the
-congruence obstruction with its witness search.
+lemniscatic function sl, and an exact symbolic route through the
+multiplication maps of sl over Z[i][sl].  On top of them sit verification
+engines for separability modulo odd primes, the prime-splitting
+irreducibility criterion, and the congruence obstruction with its witness
+search.
 """
 
 from .errors import (
@@ -54,7 +55,6 @@ from .gfq import (
 from .lemniscate import NumericReport, lemniscate_constant, lemnatomic_numeric, sl_eval, torsion_points
 from .exact import (
     LemnatomicRecord,
-    SlFieldElement,
     all_torsion_poly,
     divisors_up_to_units,
     lemnatomic_exact,
@@ -102,7 +102,6 @@ __all__ = [
     "ResidueField",
     "ResidueRing",
     "RoundingUnstable",
-    "SlFieldElement",
     "SplittingReport",
     "TheoremReport",
     "UnitGroup",

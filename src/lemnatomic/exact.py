@@ -1,18 +1,21 @@
 """Exact pipeline for lemnatomic polynomials.
 
 sl(beta z) is computed as an element of the function field
-Q(i)(s)[c] / (c^2 - (1 - s^4)), where s stands for sl(z) and c for sl'(z):
-integer multiples by symbolic application of the addition law
+Q(i)(s)[c] / (c^2 - (1 - s^4)), where s stands for sl(z) and c for sl'(z).
+By Gauss's lemma the chain never leaves Z[i][s]: the field is represented by
+graded pairs, a numerator that is a polynomial in s or c times one, over a
+plain polynomial denominator.  Integer multiples come from symbolic
+application of the addition law
 
     sl(u+v) = (sl u sl'v + sl v sl'u) / (1 + sl^2 u sl^2 v),
 
 the factor i by the substitution s -> i s (sl(iz) = i sl(z),
 sl'(iz) = sl'(z)), and beta = m + ni by one further addition.  Derivative
 bookkeeping goes through the derivation D(s) = c, D(c) = -2 s^3 with
-sl'(beta z) = D(sl(beta z)) / beta.  Every element in the chain is graded:
-it is either a rational function of s alone or c times one, so the c-part of
-sl(beta z) vanishing for odd beta is enforced structurally.  The finished map
-N/B is verified against the first integral of the defining equation,
+sl'(beta z) = D(sl(beta z)) / beta.  Since every element in the chain is
+graded, the c-part of sl(beta z) vanishing for odd beta is enforced
+structurally.  The finished map N/B is verified against the first integral
+of the defining equation,
 
     (1 - s^4) * (N' B - N B')^2 = beta^2 * (B^4 - N^4)   (odd beta),
 
@@ -40,11 +43,8 @@ is assumed.
 from __future__ import annotations
 
 import hashlib
-import threading
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import reduce
-from math import lcm
+from functools import lru_cache
 from typing import Optional
 
 from .errors import InputError, InternalInconsistency
@@ -66,9 +66,6 @@ from .residue import phi_norm
 from .zipoly import PolyZi, exact_divide
 
 __all__ = [
-    "GaussRat",
-    "PolyQ",
-    "SlFieldElement",
     "LemnatomicRecord",
     "divisors_up_to_units",
     "mult_map",
@@ -78,196 +75,25 @@ __all__ = [
 ]
 
 
-# -- Gaussian rationals -------------------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class GaussRat:
-    """Element of Q(i) as a pair of exact rationals."""
-
-    re: Fraction
-    im: Fraction
-
-    @staticmethod
-    def make(x) -> "GaussRat":
-        if isinstance(x, GaussRat):
-            return x
-        if isinstance(x, GaussInt):
-            return GaussRat(Fraction(x.re), Fraction(x.im))
-        if isinstance(x, (int, Fraction)):
-            return GaussRat(Fraction(x), Fraction(0))
-        raise InputError(f"cannot interpret {x!r} as a Gaussian rational")
-
-    def is_zero(self) -> bool:
-        return not self.re and not self.im
-
-    def __add__(self, other: "GaussRat") -> "GaussRat":
-        return GaussRat(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "GaussRat") -> "GaussRat":
-        return GaussRat(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> "GaussRat":
-        return GaussRat(-self.re, -self.im)
-
-    def __mul__(self, other: "GaussRat") -> "GaussRat":
-        return GaussRat(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def inverse(self) -> "GaussRat":
-        n = self.re * self.re + self.im * self.im
-        if not n:
-            raise InputError("division by zero in Q(i)")
-        return GaussRat(self.re / n, -self.im / n)
-
-    def __truediv__(self, other: "GaussRat") -> "GaussRat":
-        return self * other.inverse()
-
-    def to_gauss(self) -> GaussInt:
-        if self.re.denominator != 1 or self.im.denominator != 1:
-            raise InternalInconsistency(f"{self} is not a Gaussian integer")
-        return GaussInt(int(self.re), int(self.im))
-
-
-_QZERO = GaussRat(Fraction(0), Fraction(0))
-_QONE = GaussRat(Fraction(1), Fraction(0))
-_QI = GaussRat(Fraction(0), Fraction(1))
-
-
-# -- polynomials over Q(i) ----------------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class PolyQ:
-    """Polynomial over Q(i); coefficients ascending, leading nonzero."""
-
-    coeffs: tuple
-
-    @staticmethod
-    def make(coeffs) -> "PolyQ":
-        cs = [GaussRat.make(c) for c in coeffs]
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        return PolyQ(tuple(cs))
-
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def leading(self) -> GaussRat:
-        if self.is_zero():
-            raise InputError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def __add__(self, other: "PolyQ") -> "PolyQ":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] = out[k] + c
-        return PolyQ.make(out)
-
-    def __neg__(self) -> "PolyQ":
-        return PolyQ(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "PolyQ") -> "PolyQ":
-        return self + (-other)
-
-    def __mul__(self, other) -> "PolyQ":
-        if isinstance(other, (GaussRat, GaussInt, int, Fraction)):
-            q = GaussRat.make(other)
-            if q.is_zero():
-                return _PQ_ZERO
-            return PolyQ(tuple(c * q for c in self.coeffs))
-        if self.is_zero() or other.is_zero():
-            return _PQ_ZERO
-        out = [_QZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for j, x in enumerate(self.coeffs):
-            if x.is_zero():
-                continue
-            for k, y in enumerate(other.coeffs):
-                out[j + k] = out[j + k] + x * y
-        return PolyQ.make(out)
-
-    def derivative(self) -> "PolyQ":
-        return PolyQ.make(
-            [c * GaussRat.make(k) for k, c in enumerate(self.coeffs)][1:]
-        )
-
-    def subst_is(self) -> "PolyQ":
-        """s -> i*s: coefficient of s^k picks up i^k."""
-        out = []
-        ipow = _QONE
-        for c in self.coeffs:
-            out.append(c * ipow)
-            ipow = ipow * _QI
-        return PolyQ.make(out)
-
-    def to_zi(self) -> PolyZi:
-        return PolyZi.make([c.to_gauss() for c in self.coeffs])
-
-    @staticmethod
-    def from_zi(p: PolyZi) -> "PolyQ":
-        return PolyQ.make(list(p.coeffs))
-
-
-_PQ_ZERO = PolyQ(())
-_PQ_ONE = PolyQ((GaussRat.make(1),))
-_PQ_S = PolyQ((GaussRat.make(0), GaussRat.make(1)))
-# W = 1 - s^4, the square of c
-_PQ_W = PolyQ.make([1, 0, 0, 0, -1])
-
-
-def _qdivmod(a: PolyQ, b: PolyQ) -> tuple:
-    if b.is_zero():
-        raise InputError("polynomial division by zero")
-    inv = b.leading().inverse()
-    r = list(a.coeffs)
-    db = b.degree()
-    q = [_QZERO] * max(0, len(r) - db)
-    while len(r) - 1 >= db and r:
-        if r[-1].is_zero():
-            r.pop()
-            continue
-        f = r[-1] * inv
-        shift = len(r) - 1 - db
-        q[shift] = f
-        for k, c in enumerate(b.coeffs):
-            r[shift + k] = r[shift + k] - f * c
-        while r and r[-1].is_zero():
-            r.pop()
-    return PolyQ.make(q), PolyQ.make(r)
-
-
-def _exact_q_divide(a: PolyQ, b: PolyQ) -> PolyQ:
-    q, r = _qdivmod(a, b)
-    if not r.is_zero():
-        raise InternalInconsistency("inexact division in Q(i)[s]")
-    return q
-
-
 # -- gcd over Z[i][s] ---------------------------------------------------------
 
 
-def _zi_content(p: PolyZi) -> GaussInt:
+def _zi_content(*polys: PolyZi) -> GaussInt:
+    """Gcd of the coefficients of all polys; ONE if it is a unit or all are zero."""
     content = ZERO
-    for c in p.coeffs:
-        if c.is_zero():
-            continue
-        content = c if content.is_zero() else gauss_gcd(content, c)
-        if content.is_unit():
-            return ONE
+    for p in polys:
+        for c in p.coeffs:
+            if c.is_zero():
+                continue
+            content = c if content.is_zero() else gauss_gcd(content, c)
+            if content.is_unit():
+                return ONE
     return content if not content.is_zero() else ONE
 
 
 def _zi_primitive(p: PolyZi) -> PolyZi:
     g = _zi_content(p)
-    if g == ONE or g.is_zero():
+    if g == ONE:
         return p
     return PolyZi.make([exact_div(c, g) for c in p.coeffs])
 
@@ -441,8 +267,8 @@ def _reduce_zi_fraction(num: PolyZi, den: PolyZi) -> tuple:
         raise InputError("zero denominator")
     if num.is_zero():
         return num, PolyZi.make([ONE])
-    joint = _joint_content(num, den)
-    if not joint.is_unit():
+    joint = _zi_content(num, den)
+    if joint != ONE:
         num = PolyZi.make([exact_div(c, joint) for c in num.coeffs])
         den = PolyZi.make([exact_div(c, joint) for c in den.coeffs])
     # the gcd is primitive, so by Gauss's lemma the cofactors keep joint content one
@@ -454,18 +280,6 @@ def _reduce_zi_fraction(num: PolyZi, den: PolyZi) -> tuple:
     return num, den
 
 
-def _joint_content(a: PolyZi, b: PolyZi) -> GaussInt:
-    content = ZERO
-    for p in (a, b):
-        for c in p.coeffs:
-            if c.is_zero():
-                continue
-            content = c if content.is_zero() else gauss_gcd(content, c)
-            if content.is_unit():
-                return ONE
-    return content if not content.is_zero() else ONE
-
-
 def _unit_to_first_quadrant(lead: GaussInt) -> GaussInt:
     unit = ONE
     cur = lead
@@ -473,142 +287,6 @@ def _unit_to_first_quadrant(lead: GaussInt) -> GaussInt:
         unit = unit * I
         cur = lead * unit
     return unit
-
-
-def _qgcd(a: PolyQ, b: PolyQ) -> PolyQ:
-    """Monic gcd over Q(i), computed through the modular gcd over Z[i]."""
-    if a.is_zero() and b.is_zero():
-        return _PQ_ZERO
-    if a.is_zero() or b.is_zero():
-        nz = b if a.is_zero() else a
-        return nz * nz.leading().inverse()
-    g = _zi_gcd_cofactors(_integralize(a), _integralize(b))[0]
-    gq = PolyQ.from_zi(g)
-    return gq * gq.leading().inverse()
-
-
-def _integralize(p: PolyQ) -> PolyZi:
-    dens: list[int] = []
-    for c in p.coeffs:
-        dens.append(c.re.denominator)
-        dens.append(c.im.denominator)
-    scale = GaussRat.make(reduce(lcm, dens, 1))
-    return (p * scale).to_zi()
-
-
-# -- the function field Q(i)(s)[c] / (c^2 - W) --------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class SlFieldElement:
-    """(p + q*c) / d with p, q, d in Q(i)[s], modulo c^2 = 1 - s^4.
-
-    Kept normalized: gcd(p, q, d) removed, coefficients scaled to Gaussian
-    integers of content one, and d's leading coefficient in the first
-    quadrant, so equal elements have equal representations.
-    """
-
-    p: PolyQ
-    q: PolyQ
-    d: PolyQ
-
-    @staticmethod
-    def make(p: PolyQ, q: PolyQ, d: PolyQ) -> "SlFieldElement":
-        if d.is_zero():
-            raise InputError("zero denominator in the sl function field")
-        if p.is_zero() and q.is_zero():
-            return _SL_ZERO
-        g = _qgcd(_qgcd(p, q), d)
-        if g.degree() > 0:
-            p = _exact_q_divide(p, g)
-            q = _exact_q_divide(q, g)
-            d = _exact_q_divide(d, g)
-        dens: list[int] = []
-        for poly in (p, q, d):
-            for c in poly.coeffs:
-                dens.append(c.re.denominator)
-                dens.append(c.im.denominator)
-        scale = GaussRat.make(reduce(lcm, dens, 1))
-        p, q, d = p * scale, q * scale, d * scale
-        content = ZERO
-        for poly in (p, q, d):
-            for c in poly.coeffs:
-                gc = c.to_gauss()
-                if gc.is_zero():
-                    continue
-                content = gc if content.is_zero() else gauss_gcd(content, gc)
-        if not content.is_zero() and not content.is_unit():
-            inv = GaussRat.make(content).inverse()
-            p, q, d = p * inv, q * inv, d * inv
-        unit = _unit_to_first_quadrant(d.leading().to_gauss())
-        if unit != ONE:
-            u = GaussRat.make(unit)
-            p, q, d = p * u, q * u, d * u
-        return SlFieldElement(p=p, q=q, d=d)
-
-    def is_zero(self) -> bool:
-        return self.p.is_zero() and self.q.is_zero()
-
-    def __add__(self, other: "SlFieldElement") -> "SlFieldElement":
-        return SlFieldElement.make(
-            self.p * other.d + other.p * self.d,
-            self.q * other.d + other.q * self.d,
-            self.d * other.d,
-        )
-
-    def __neg__(self) -> "SlFieldElement":
-        return SlFieldElement(p=-self.p, q=-self.q, d=self.d)
-
-    def __sub__(self, other: "SlFieldElement") -> "SlFieldElement":
-        return self + (-other)
-
-    def __mul__(self, other) -> "SlFieldElement":
-        if isinstance(other, (GaussRat, GaussInt, int, Fraction)):
-            s = GaussRat.make(other)
-            return SlFieldElement.make(self.p * s, self.q * s, self.d)
-        return SlFieldElement.make(
-            self.p * other.p + self.q * other.q * _PQ_W,
-            self.p * other.q + self.q * other.p,
-            self.d * other.d,
-        )
-
-    def inverse(self) -> "SlFieldElement":
-        if self.is_zero():
-            raise InputError("inverse of zero in the sl function field")
-        norm = self.p * self.p - self.q * self.q * _PQ_W
-        if norm.is_zero():
-            raise InternalInconsistency("zero divisor in the sl function field")
-        return SlFieldElement.make(self.p * self.d, -(self.q * self.d), norm)
-
-    def __truediv__(self, other: "SlFieldElement") -> "SlFieldElement":
-        return self * other.inverse()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SlFieldElement):
-            return NotImplemented
-        return (
-            self.p * other.d == other.p * self.d
-            and self.q * other.d == other.q * self.d
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.q, self.d))
-
-    def subst_is(self) -> "SlFieldElement":
-        """The image under s -> i*s, c -> c."""
-        return SlFieldElement.make(self.p.subst_is(), self.q.subst_is(), self.d.subst_is())
-
-    def derivation(self) -> "SlFieldElement":
-        """d/dz through D(s) = c, D(c) = -2 s^3."""
-        p, q, d = self.p, self.q, self.d
-        ps, qs, ds = p.derivative(), q.derivative(), d.derivative()
-        two_s3 = PolyQ.make([0, 0, 0, 2])
-        plain = (qs * _PQ_W - two_s3 * q) * d - q * ds * _PQ_W
-        with_c = ps * d - p * ds
-        return SlFieldElement.make(plain, with_c, d * d)
-
-
-_SL_ZERO = SlFieldElement(p=_PQ_ZERO, q=_PQ_ZERO, d=_PQ_ONE)
 
 
 # -- the multiplication-map chain over Z[i][s] --------------------------------
@@ -698,24 +376,18 @@ def _pair_sum(pa: _Pair, pb: _Pair, total: GaussInt) -> _Pair:
     return _Pair(a=n, b=d_poly, c=_derivative_over(n, d_poly, total))
 
 
-_pair_lock = threading.Lock()
-_int_pair_cache: dict[int, _Pair] = {}
-
-
+# The exact ladder leaves 11 entries here, 18 with beta = 13, 13+10i, 17 and
+# -19 added, so no workload evicts and sl(11 z) built for -11 is still there
+# when 11-2i needs it.
+@lru_cache(maxsize=128)
 def _integer_pair(n: int) -> _Pair:
     """Chain pair for sl(n z), n >= 1."""
     if n == 1:
         return _PAIR_ONE
-    with _pair_lock:
-        cached = _int_pair_cache.get(n)
-    if cached is not None:
-        return cached
     half = _integer_pair(n // 2)
     result = _pair_sum(half, half, as_gauss(2 * (n // 2)))
     if n % 2:
         result = _pair_sum(result, _PAIR_ONE, as_gauss(n))
-    with _pair_lock:
-        _int_pair_cache[n] = result
     return result
 
 
@@ -816,8 +488,10 @@ def _verify_addition_law_c(beta: GaussInt, result: _Pair) -> None:
         )
 
 
-def mult_map(beta) -> SlFieldElement:
-    """sl(beta z) as an element of Q(i)(s)[c]/(c^2 - (1-s^4)).
+def mult_map(beta) -> tuple:
+    """sl(beta z) as the reduced graded pair ((N, parity), B) over Z[i][s]:
+    sl(beta z) = N(s) c^parity / B(s) in Q(i)(s)[c]/(c^2 - (1-s^4)), with
+    N/B in lowest terms.
 
     For odd beta the c-part must vanish (enforced by the grading) and the
     numerator degree must be N(beta).  The finished chain is verified two
@@ -841,16 +515,10 @@ def mult_map(beta) -> SlFieldElement:
             )
     _verify_first_integral(num, den, beta)
     _verify_addition_law_c(beta, pair)
-    if num[1] == 0:
-        return SlFieldElement(p=PolyQ.from_zi(num[0]), q=_PQ_ZERO, d=PolyQ.from_zi(den))
-    return SlFieldElement(p=_PQ_ZERO, q=PolyQ.from_zi(num[0]), d=PolyQ.from_zi(den))
+    return num, den
 
 
 # -- all-torsion and lemnatomic polynomials -----------------------------------
-
-
-_torsion_lock = threading.Lock()
-_torsion_cache: dict[GaussInt, PolyZi] = {}
 
 
 def _check_beta(beta) -> GaussInt:
@@ -865,33 +533,21 @@ def _check_beta(beta) -> GaussInt:
 def all_torsion_poly(beta) -> PolyZi:
     """T_beta: monic, degree N(beta), roots are all beta-torsion sl values."""
     beta = _check_beta(beta)
-    with _torsion_lock:
-        cached = _torsion_cache.get(beta)
-    if cached is not None:
-        return cached
-    e = mult_map(beta)
-    num = e.p
+    (num, _), _ = mult_map(beta)
     n = beta.norm()
-    ints = [c.to_gauss() for c in num.coeffs]
-    content = ZERO
-    for c in ints:
-        if c.is_zero():
-            continue
-        content = c if content.is_zero() else gauss_gcd(content, c)
-    lead_unit = exact_div(ints[-1], content)
+    content = _zi_content(num)
+    lead_unit = exact_div(num.leading(), content)
     if not lead_unit.is_unit():
         raise InternalInconsistency(
             "all-torsion numerator is not a unit times a monic integer polynomial"
         )
-    t = PolyZi.make([exact_div(exact_div(c, content), lead_unit) for c in ints])
+    t = PolyZi.make([exact_div(exact_div(c, content), lead_unit) for c in num.coeffs])
     if t.degree() != n:
         raise InternalInconsistency(f"T_{beta} has degree {t.degree()} != N(beta) = {n}")
     if not t.is_monic():
         raise InternalInconsistency(f"T_{beta} is not monic after normalization")
     if t[0] != ZERO:
         raise InternalInconsistency(f"T_{beta}(0) != 0")
-    with _torsion_lock:
-        _torsion_cache[beta] = t
     return t
 
 
@@ -955,26 +611,19 @@ def record_checksum(beta: GaussInt, poly: PolyZi) -> str:
     return hashlib.sha256(payload.encode("ascii")).hexdigest()
 
 
-_exact_lock = threading.Lock()
-_exact_cache: dict[GaussInt, PolyZi] = {}
-
-
+# Keyed by the primary beta from _check_beta, so associates share one entry.
+# The exact ladder (N(beta) up to 125) leaves 8 entries, Lambda_1 included,
+# and 16 with beta = 13, 13+10i, 17 and -19 added, so no workload evicts.
+@lru_cache(maxsize=64)
 def _lemnatomic_poly(beta: GaussInt) -> PolyZi:
     """Lambda_beta for primary beta, with Lambda_1 := X."""
     if beta == ONE:
         return PolyZi.make([ZERO, ONE])
-    with _exact_lock:
-        cached = _exact_cache.get(beta)
-    if cached is not None:
-        return cached
-    t = all_torsion_poly(beta)
-    quotient = t
+    quotient = all_torsion_poly(beta)
     for d in divisors_up_to_units(beta):
         if d == beta:
             continue
         quotient = exact_divide(quotient, _lemnatomic_poly(d))
-    with _exact_lock:
-        _exact_cache[beta] = quotient
     return quotient
 
 

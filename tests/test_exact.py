@@ -1,5 +1,6 @@
-"""Exact symbolic pipeline: the sl function field, multiplication maps,
-all-torsion polynomials, and lemnatomic polynomials by divisor recovery."""
+"""Exact symbolic pipeline: graded arithmetic in the sl function field,
+multiplication maps, all-torsion polynomials, and lemnatomic polynomials by
+divisor recovery."""
 
 import time
 
@@ -12,9 +13,11 @@ from lemnatomic.errors import InputError, InternalInconsistency
 from lemnatomic.exact import (
     _GCD_PRIMES,
     LemnatomicRecord,
-    PolyQ,
-    SlFieldElement,
     _euclid_mod,
+    _g_add,
+    _g_deriv,
+    _g_mul,
+    _g_subst_is,
     _mod_image,
     _zi_gcd_cofactors,
     all_torsion_poly,
@@ -23,75 +26,60 @@ from lemnatomic.exact import (
     mult_map,
     record_checksum,
 )
-from lemnatomic.gaussint import UNITS, _is_rational_prime
+from lemnatomic.gaussint import UNITS, GaussInt, _is_rational_prime, factor, primary_normalize
 from lemnatomic.lemniscate import _sl_raw, big_complex, sl_eval, torsion_values
 from lemnatomic.residue import phi_norm
 from lemnatomic.zipoly import PolyZi, exact_divide, poly
 
-S = PolyQ.make([0, 1])
-ZERO_Q = PolyQ.make([])
-ONE_Q = PolyQ.make([1])
+S = poly([0, 1])
+ONE_POLY = poly([1])
+W = poly([1, 0, 0, 0, -1])
 
 
-def field_elem(p, q, d):
-    return SlFieldElement.make(PolyQ.make(p), PolyQ.make(q), PolyQ.make(d))
-
-
-def eval_polyq(f: PolyQ, z: mpc) -> mpc:
+def eval_poly(f: PolyZi, z: mpc) -> mpc:
     acc = mpc(0)
     for c in reversed(f.coeffs):
-        acc = acc * z + mpc(
-            mpf(c.re.numerator) / c.re.denominator, mpf(c.im.numerator) / c.im.denominator
-        )
+        acc = acc * z + mpc(c.re, c.im)
     return acc
 
 
-def eval_field_elem(e: SlFieldElement, s: mpc, c: mpc) -> mpc:
-    return (eval_polyq(e.p, s) + eval_polyq(e.q, s) * c) / eval_polyq(e.d, s)
+def random_graded(rng, parity: int):
+    coeffs = [GaussInt(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(rng.randint(1, 6))]
+    return (poly(coeffs + [GaussInt(rng.randint(1, 9), rng.randint(-9, 9))]), parity)
 
 
-class TestSlFieldElement:
-    def test_field_axioms_sampled(self):
-        a = field_elem([0, 1], [2], [1, 0, 3])
-        b = field_elem([gi("1+i")], [0, 1], [1])
-        c = field_elem([1, 1], [0, 0, 2], [0, 0, 0, 1, 1])
-        assert (a + b) + c == a + (b + c)
-        assert a * b == b * a
-        assert a * (b + c) == a * b + a * c
-        assert (a - a).is_zero()
-        assert a * a.inverse() == field_elem([1], [0], [1])
-        assert (a / b) * b == a
-
-    def test_c_squared_collapses(self):
-        c_elem = field_elem([0], [1], [1])
-        w_elem = field_elem([1, 0, 0, 0, -1], [0], [1])
-        assert c_elem * c_elem == w_elem
-
-    def test_zero_denominator_rejected(self):
-        with pytest.raises(InputError):
-            field_elem([1], [0], [0])
-
-    def test_derivation_product_rule(self):
-        a = field_elem([0, 1], [1], [1, 0, 1])
-        b = field_elem([2, 0, 1], [0, 3], [1, 1])
-        lhs = (a * b).derivation()
-        rhs = a.derivation() * b + a * b.derivation()
-        assert lhs == rhs
+class TestGradedArithmetic:
+    """The derivation D(s) = c, D(c) = -2 s^3 and the relation c^2 = W = 1 - s^4
+    on graded expressions (poly, parity): poly * c^parity."""
 
     def test_derivation_of_s_is_c(self):
-        s_elem = field_elem([0, 1], [0], [1])
-        assert s_elem.derivation() == field_elem([0], [1], [1])
+        assert _g_deriv((S, 0)) == (ONE_POLY, 1)
 
     def test_derivation_of_c_is_minus_two_s_cubed(self):
-        c_elem = field_elem([0], [1], [1])
-        assert c_elem.derivation() == field_elem([0, 0, 0, -2], [0], [1])
+        assert _g_deriv((ONE_POLY, 1)) == (poly([0, 0, 0, -2]), 0)
 
-    def test_subst_is_involution_four_times(self):
-        a = field_elem([1, 2, 3], [0, 1], [1, 0, 5])
-        out = a
-        for _ in range(4):
-            out = out.subst_is()
-        assert out == a
+    def test_c_squared_collapses(self):
+        assert _g_mul((ONE_POLY, 1), (ONE_POLY, 1)) == (W, 0)
+
+    @pytest.mark.parametrize(
+        "parities", [(0, 0), (0, 1), (1, 0), (1, 1)], ids=["s-s", "s-c", "c-s", "c-c"]
+    )
+    def test_derivation_product_rule(self, parities, rng):
+        for _ in range(10):
+            a = random_graded(rng, parities[0])
+            b = random_graded(rng, parities[1])
+            lhs = _g_deriv(_g_mul(a, b))
+            rhs = _g_add(_g_mul(_g_deriv(a), b), _g_mul(a, _g_deriv(b)))
+            assert lhs == rhs
+
+    def test_subst_is_four_times_is_identity(self, rng):
+        for parity in (0, 1):
+            a = random_graded(rng, parity)
+            out = a
+            for _ in range(4):
+                out = _g_subst_is(out)
+            assert out == a
+            assert _g_subst_is(a) != a
 
 
 def assert_gcd(a: PolyZi, b: PolyZi, want: PolyZi) -> None:
@@ -153,13 +141,14 @@ class TestModularGcd:
 
 class TestMultMap:
     def test_identity(self):
-        assert mult_map(gi("1")) == field_elem([0, 1], [0], [1])
+        assert mult_map(gi("1")) == ((S, 0), ONE_POLY)
 
     def test_times_i(self):
-        assert mult_map(gi("i")) == field_elem([0, gi("i")], [0], [1])
+        assert mult_map(gi("i")) == ((poly([0, gi("i")]), 0), ONE_POLY)
 
     def test_doubling(self):
-        assert mult_map(gi("2")) == field_elem([0], [0, 2], [1, 0, 0, 0, 1])
+        # sl(2z) = 2 s c / (1 + s^4)
+        assert mult_map(gi("2")) == ((poly([0, 2]), 1), poly([1, 0, 0, 0, 1]))
 
     def test_zero_rejected(self):
         with pytest.raises(InputError):
@@ -168,18 +157,18 @@ class TestMultMap:
     def test_odd_beta_pure_s_and_degree(self):
         for b in ("-3", "-1+2i", "-1-2i", "1+2i", "3+2i"):
             beta = gi(b)
-            e = mult_map(beta)
-            assert e.q.is_zero()  # no c-component for odd beta
-            assert e.p.degree() == beta.norm()
-            assert e.d.degree() == beta.norm() - 1
+            (n, parity), d = mult_map(beta)
+            assert parity == 0  # no c-component for odd beta
+            assert n.degree() == beta.norm()
+            assert d.degree() == beta.norm() - 1
             # odd function of s: numerator has only odd powers, denominator only even
-            assert all(c.is_zero() for k, c in enumerate(e.p.coeffs) if k % 2 == 0)
-            assert all(c.is_zero() for k, c in enumerate(e.d.coeffs) if k % 2 == 1)
+            assert all(c.is_zero() for k, c in enumerate(n.coeffs) if k % 2 == 0)
+            assert all(c.is_zero() for k, c in enumerate(d.coeffs) if k % 2 == 1)
 
     @pytest.mark.parametrize("b", ["2", "i", "-3", "-1+2i", "2+i", "3-2i", "-3-4i"])
     def test_matches_numeric_evaluation(self, b, rng):
         beta = gi(b)
-        e = mult_map(beta)
+        (n, parity), d = mult_map(beta)
         with mp.workprec(300):
             for _ in range(5):
                 z = big_complex(rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3), 256)
@@ -190,7 +179,7 @@ class TestMultMap:
                 # by quasi-periods (only 2(1+i)*omega*Z[i] are true periods).
                 bz = z.to_mpc() * mpc(beta.re, beta.im)
                 want = _sl_raw(bz, 280)[0]
-                got = eval_field_elem(e, s, c)
+                got = eval_poly(n, s) * c**parity / eval_poly(d, s)
                 assert abs(got - want) < mpf(2) ** -180
 
 
@@ -288,6 +277,63 @@ class TestLemnatomicExact:
             lemnatomic_exact(gi("i"))
         with pytest.raises(InputError):
             lemnatomic_exact(gi("2"))
+
+
+LAMBDA_AT_ZERO_BETAS = (
+    "-1+2i", "-1-2i", "-3", "-3-4i", "3-6i", "9", "-11", "11-2i", "-7", "5+4i", "-1+4i",
+)
+
+
+@pytest.mark.parametrize("b", LAMBDA_AT_ZERO_BETAS)
+def test_lambda_at_zero(b):
+    """Lambda_beta(0) is the primary prime pi when beta is a unit times pi^k,
+    and 1 when beta has two distinct prime factors."""
+    beta = gi(b)
+    _, facs = factor(beta)
+    want = primary_normalize(facs[0][0].value)[1] if len(facs) == 1 else gi("1")
+    assert lemnatomic_exact(beta).coefficients[0] == want
+
+
+class TestMemos:
+    @pytest.fixture(autouse=True)
+    def cold_memos(self):
+        exact._integer_pair.cache_clear()
+        exact._lemnatomic_poly.cache_clear()
+
+    def test_memos_are_bounded_lru_caches(self):
+        for memo in (exact._integer_pair, exact._lemnatomic_poly):
+            maxsize = memo.cache_info().maxsize
+            assert maxsize is not None and maxsize > 0
+
+    def test_associate_reuses_lemnatomic_memo(self, monkeypatch):
+        calls = []
+        real = exact.mult_map
+
+        def counting(beta):
+            calls.append(beta)
+            return real(beta)
+
+        monkeypatch.setattr(exact, "mult_map", counting)
+        lemnatomic_exact(gi("-3"))
+        assert calls
+        calls.clear()
+        lemnatomic_exact(gi("3"))
+        assert calls == []
+
+    def test_integer_pair_of_minus_11_reused_by_11_minus_2i(self, monkeypatch):
+        lemnatomic_exact(gi("-11"))
+        hits = exact._integer_pair.cache_info().hits
+        totals = []
+        real = exact._pair_sum
+
+        def recording(pa, pb, total):
+            totals.append(total)
+            return real(pa, pb, total)
+
+        monkeypatch.setattr(exact, "_pair_sum", recording)
+        lemnatomic_exact(gi("11-2i"))
+        assert exact._integer_pair.cache_info().hits > hits
+        assert gi("11-2i") in totals and gi("11") not in totals  # sl(11 z) not rebuilt
 
 
 def test_exact_route_reaches_norm_269():
