@@ -17,11 +17,15 @@ are taken at exact division points of the zero set 2*omega*Z[i] (one series
 evaluation per unit orbit, the other three values filled in by
 sl(i z) = i sl(z)), which is what makes their elementary symmetric functions
 Gaussian integers.
+
+The numeric lemnatomic polynomial uses the same symmetry: an orbit's four
+roots v, iv, -v, -iv contribute the factor X^4 - v^4, so the product is
+expanded as G(Y) = prod (Y - v^4) over one value per invertible orbit, with
+phi/4 roots instead of phi, and G(X^4) is the polynomial.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Union
@@ -205,27 +209,20 @@ def _omega(bits: int) -> mpf:
 # (4k+1)(4k) A[k] = -2 * [z^(4k-1)] sl^3, and the cube coefficient at
 # 4(k-1)+3 is b[k-1] = sum_{i+j+l=k-1} A[i]A[j]A[l].
 
-_series_lock = threading.Lock()
-_series_cache: dict[int, tuple[list, list]] = {}
-
-
-def _series_coeffs(bits: int, nterms: int) -> list:
-    with _series_lock:
-        A, S2 = _series_cache.setdefault(bits, ([], []))
-        with mp.workprec(bits + GUARD):
-            while len(A) < nterms:
-                k = len(A)
-                if k == 0:
-                    A.append(mpf(1))
-                    continue
-                m = k - 1
-                while len(S2) <= m:
-                    t = len(S2)
-                    S2.append(mp.fsum(A[i] * A[t - i] for i in range(t + 1)))
-                b = mp.fsum(S2[t] * A[m - t] for t in range(m + 1))
-                n = 4 * k - 1
-                A.append(-2 * b / ((n + 1) * (n + 2)))
-        return A[:nterms]
+# One entry per working precision; escalation alone uses seven (64 to 4096 bits).
+@lru_cache(maxsize=8)
+def _series_coeffs(bits: int) -> tuple:
+    nterms = (bits + 2 * GUARD) // 8 + 4
+    with mp.workprec(bits + GUARD):
+        A = [mpf(1)]
+        S2 = []  # S2[t] = [z^(4t+2)] sl^2
+        for k in range(1, nterms):
+            m = k - 1
+            S2.append(mp.fsum(A[i] * A[m - i] for i in range(m + 1)))
+            b = mp.fsum(S2[t] * A[m - t] for t in range(m + 1))
+            n = 4 * k - 1
+            A.append(-2 * b / ((n + 1) * (n + 2)))
+    return tuple(A)
 
 
 def _pair_add_raw(s1: mpc, c1: mpc, s2: mpc, c2: mpc, bits: int) -> tuple:
@@ -257,8 +254,7 @@ def _sl_raw(z: mpc, bits: int) -> tuple:
         while abs(w) > mpf(1) / 4:
             w = w / 2
             halvings += 1
-        nterms = (bits + 2 * GUARD) // 8 + 4
-        A = _series_coeffs(bits, nterms)
+        A = _series_coeffs(bits)
         w4 = w**4
         s = mpf(0)
         c = mpf(0)
@@ -421,44 +417,70 @@ def _check_distinct(values: dict, bits: int) -> None:
 
 
 def _numeric_poly_at(beta: GaussInt, ring, bits: int) -> tuple:
-    """Expand prod (X - v) over invertible residues; round to Z[i] coefficients."""
+    """Expand prod (X^4 - v^4) over invertible unit orbits; round to Z[i] coefficients.
+
+    torsion_values fills each unit orbit with the exact rotations v, iv, -v,
+    -iv, so exactly one of them lies in the quadrant re > 0, im >= 0, and
+    that one stands for its orbit.  The orbit's factor
+    (X - v)(X - iv)(X + v)(X + iv) is X^4 - v^4, so G(Y) = prod (Y - v^4) is
+    expanded and rounded, and its coefficients go to X^(4k); every other
+    coefficient is exactly zero.  Returns the polynomial and the largest
+    rounding error.
+    """
     vals = torsion_values(beta, bits)
     with mp.workprec(bits + GUARD):
-        roots = [v.to_mpc() for lam, v in vals.items() if ring.is_invertible(lam)]
-        coeffs = [mpc(1)]
-        for r in roots:
-            nxt = [mpc(0)] * (len(coeffs) + 1)
-            for k, ck in enumerate(coeffs):
-                nxt[k] += ck * (-r)
-                nxt[k + 1] += ck
-            coeffs = nxt
-        rounded = []
+        fourth = []
+        for lam, v in vals.items():
+            z = v.to_mpc()
+            if z.real > 0 and z.imag >= 0 and ring.is_invertible(lam):
+                fourth.append(z**4)
+        coeffs = [mpc(1)]  # G, lowest degree first
+        for w in fourth:
+            coeffs.append(coeffs[-1])
+            for k in range(len(coeffs) - 2, 0, -1):
+                coeffs[k] = coeffs[k - 1] - w * coeffs[k]
+            coeffs[0] = -w * coeffs[0]
+        rounded = [ZERO] * (4 * len(fourth) + 1)
         err = mpf(0)
-        for ck in coeffs:
+        for k, ck in enumerate(coeffs):
             g = GaussInt(int(mp.nint(ck.real)), int(mp.nint(ck.imag)))
             err = max(err, abs(ck - mpc(g.re, g.im)))
-            rounded.append(g)
+            rounded[4 * k] = g
         return PolyZi.make(rounded), err
+
+
+def _attempt(beta: GaussInt, ring, bits: int) -> tuple:
+    """_numeric_poly_at, with a precision failure read as an infinite error."""
+    try:
+        return _numeric_poly_at(beta, ring, bits)
+    except (PrecisionLoss, PoleProximity):
+        return None, mp.inf
 
 
 def lemnatomic_numeric(beta, precision_bits: int = 256):
     """Numeric lemnatomic polynomial with its computation report.
 
-    Expands prod (X - sl(lam*S)) over invertible lam, rounds coefficients to
-    Gaussian integers, and accepts only when every rounding error is below
-    2^-30 and the rounded polynomial survives one precision doubling.
-    Precision escalates by doubling up to PRECISION_CEILING.
+    Expands prod (X^4 - sl(lam*S)^4) over the unit orbits {lam, i*lam, -lam,
+    -i*lam} of invertible lam, one series evaluation per orbit, rounds the
+    coefficients to Gaussian integers, and accepts only when every rounding
+    error is below 2^-30 and the rounded polynomial survives one precision
+    doubling.  Precision escalates by doubling up to PRECISION_CEILING; each
+    precision is computed at most once, the doubled result becoming the next
+    round's lower one, and the doubling is skipped when the lower result
+    already misses the tolerance.
     """
     beta = _check_odd_nonunit(beta)
     ring = residue_ring(beta)
     bits = max(64, precision_bits)
     tolerance = mpf(2) ** (-30)
     escalations = 0
+    poly_lo, err_lo = _attempt(beta, ring, bits)
     while True:
-        try:
-            poly_lo, err_lo = _numeric_poly_at(beta, ring, bits)
-            poly_hi, err_hi = _numeric_poly_at(beta, ring, 2 * bits)
-            if err_lo < tolerance and err_hi < tolerance and poly_lo == poly_hi:
+        hi = None
+        if err_lo < tolerance:
+            hi = _attempt(beta, ring, 2 * bits)
+            poly_hi, err_hi = hi
+            if err_hi < tolerance and poly_hi == poly_lo:
                 _validate_numeric(beta, poly_lo)
                 report = NumericReport(
                     precision_bits=bits,
@@ -467,14 +489,13 @@ def lemnatomic_numeric(beta, precision_bits: int = 256):
                     escalations=escalations,
                 )
                 return poly_lo, report
-        except (PrecisionLoss, PoleProximity):
-            pass
         if 2 * bits > PRECISION_CEILING:
             raise RoundingUnstable(
                 f"no stable Gaussian-integer rounding for beta={beta} up to {PRECISION_CEILING} bits"
             )
         bits *= 2
         escalations += 1
+        poly_lo, err_lo = _attempt(beta, ring, bits) if hi is None else hi
 
 
 def _validate_numeric(beta: GaussInt, poly: PolyZi) -> None:

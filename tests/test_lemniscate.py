@@ -7,7 +7,9 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 from conftest import gi
-from lemnatomic.errors import InputError
+from lemnatomic import lemniscate
+from lemnatomic.errors import InputError, PrecisionLoss
+from lemnatomic.exact import lemnatomic_exact
 from lemnatomic.gaussint import GaussInt
 from lemnatomic.lemniscate import (
     _sl_raw,
@@ -218,6 +220,45 @@ class TestLemnatomicNumeric:
         assert poly[0] == gi("-1+2i")
         assert report.max_rounding_error < 2.0**-30
         assert report.stability_bits > report.precision_bits
+
+    def test_escalation_computes_each_precision_once(self, monkeypatch):
+        seen = []
+        real = lemniscate._numeric_poly_at
+
+        def counted(beta, ring, bits):
+            seen.append(bits)
+            return real(beta, ring, bits)
+
+        monkeypatch.setattr(lemniscate, "_numeric_poly_at", counted)
+        poly, report = lemnatomic_numeric(gi("17"), 64)
+        assert len(seen) == len(set(seen))
+        assert seen == [64, 128, 256]
+        assert report.escalations == 1
+        assert (report.precision_bits, report.stability_bits) == (128, 256)
+        assert poly == lemnatomic_exact(gi("17")).coefficients
+
+    def test_precision_failure_is_not_recomputed(self, monkeypatch):
+        seen = []
+        real = lemniscate._numeric_poly_at
+
+        def failing_at_128(beta, ring, bits):
+            seen.append(bits)
+            if bits == 128:
+                raise PrecisionLoss("injected")
+            return real(beta, ring, bits)
+
+        monkeypatch.setattr(lemniscate, "_numeric_poly_at", failing_at_128)
+        poly, report = lemnatomic_numeric(gi("-1+2i"), 64)
+        assert seen == [64, 128, 256, 512]
+        assert (report.precision_bits, report.escalations) == (256, 2)
+        assert poly[0] == gi("-1+2i")
+
+    def test_top_rung_matches_exact_without_escalation(self):
+        poly, report = lemnatomic_numeric(gi("-19"), BITS)
+        assert poly.degree() == 360
+        assert poly == lemnatomic_exact(gi("-19")).coefficients
+        assert report.precision_bits == 256
+        assert report.escalations == 0
 
     def test_non_primary_input_normalized(self):
         via_three, _ = lemnatomic_numeric(gi("3"), BITS)
