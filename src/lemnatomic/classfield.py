@@ -18,10 +18,11 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InputError
-from .exact import _check_beta, lemnatomic_exact
+from .exact import lemnatomic_exact
 from .gaussint import (
     GaussInt,
     GaussPrime,
+    _check_beta,
     as_gauss,
     canonical_associate,
     divides,

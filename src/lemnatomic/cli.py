@@ -36,9 +36,10 @@ from .classfield import (
     verify_prop1,
 )
 from .errors import InputError, PrecisionError, VerificationError
-from .exact import LemnatomicRecord, lemnatomic_exact, _check_beta
+from .exact import LemnatomicRecord, lemnatomic_exact
 from .gaussint import (
     GaussInt,
+    _check_beta,
     factor,
     format_gauss,
     parse_gauss,

@@ -190,6 +190,16 @@ def primary_normalize(z: GaussIntLike) -> tuple[GaussInt, GaussInt]:
     raise AssertionError("unreachable: exactly one associate of an odd z is primary")
 
 
+def _check_beta(beta) -> GaussInt:
+    """The primary associate of beta, which must be an odd non-unit."""
+    beta = as_gauss(beta)
+    if beta.is_zero() or beta.is_unit():
+        raise InputError("beta must be a non-unit")
+    if not beta.is_odd():
+        raise InputError("beta must be odd (coprime to 1+i)")
+    return primary_normalize(beta)[1]
+
+
 def is_primary(z: GaussIntLike) -> bool:
     """True when z is odd and congruent to 1 mod (1+i)^3."""
     z = as_gauss(z)

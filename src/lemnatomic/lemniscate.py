@@ -33,7 +33,7 @@ from typing import Optional, Union
 from mpmath import mp, mpc, mpf
 
 from .errors import InputError, PoleProximity, PrecisionLoss, RoundingUnstable
-from .gaussint import GaussInt, ONE, ZERO, as_gauss, gauss_gcd, primary_normalize
+from .gaussint import GaussInt, ONE, ZERO, _check_beta, as_gauss, gauss_gcd
 from .residue import phi_norm, residue_ring
 from .zipoly import PolyZi
 
@@ -317,15 +317,6 @@ def _reduce_mod_true_lattice(z: mpc, bits: int) -> mpc:
     return z - gen * mpc(m, n)
 
 
-def _check_odd_nonunit(beta) -> GaussInt:
-    beta = as_gauss(beta)
-    if beta.is_zero() or beta.is_unit():
-        raise InputError("beta must be a non-unit")
-    if not beta.is_odd():
-        raise InputError("beta must be odd (coprime to 1+i)")
-    return primary_normalize(beta)[1]
-
-
 def _unit_orbits(ring) -> list:
     """Partition the nonzero residues into orbits [lam, i*lam, -lam, -i*lam],
     each listed from its smallest canonical representative."""
@@ -356,7 +347,7 @@ def _even_lift(lam: GaussInt, beta: GaussInt) -> GaussInt:
 
 def torsion_points(beta, precision_bits: int = 256) -> tuple:
     """All N(beta) division points lam*S, S = (1+i)*omega/beta, lam canonical."""
-    beta = _check_odd_nonunit(beta)
+    beta = _check_beta(beta)
     ring = residue_ring(beta)
     bits = precision_bits
     with mp.workprec(bits + GUARD):
@@ -377,7 +368,7 @@ def torsion_values(beta, precision_bits: int = 256, generator_class: Optional[Ga
     three values follow from sl(i z) = i sl(z).  generator_class multiplies S
     by an invertible class (the value set is then permuted, not changed).
     """
-    beta = _check_odd_nonunit(beta)
+    beta = _check_beta(beta)
     ring = residue_ring(beta)
     mult = ONE if generator_class is None else as_gauss(generator_class)
     if not gauss_gcd(mult, beta).is_unit():
@@ -469,7 +460,7 @@ def lemnatomic_numeric(beta, precision_bits: int = 256):
     round's lower one, and the doubling is skipped when the lower result
     already misses the tolerance.
     """
-    beta = _check_odd_nonunit(beta)
+    beta = _check_beta(beta)
     ring = residue_ring(beta)
     bits = max(64, precision_bits)
     tolerance = mpf(2) ** (-30)

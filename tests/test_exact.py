@@ -3,6 +3,7 @@ multiplication maps, all-torsion polynomials, and lemnatomic polynomials by
 divisor recovery."""
 
 import time
+from dataclasses import replace
 
 import pytest
 from mpmath import mp, mpc, mpf
@@ -13,7 +14,6 @@ from lemnatomic.errors import InputError, InternalInconsistency
 from lemnatomic.exact import (
     _GCD_PRIMES,
     LemnatomicRecord,
-    _euclid_mod,
     _g_add,
     _g_deriv,
     _g_mul,
@@ -26,7 +26,8 @@ from lemnatomic.exact import (
     mult_map,
     record_checksum,
 )
-from lemnatomic.gaussint import UNITS, GaussInt, _is_rational_prime, factor, primary_normalize
+from lemnatomic.gaussint import I, UNITS, GaussInt, _is_rational_prime, factor, primary_normalize
+from lemnatomic.gfq import _int_gcd
 from lemnatomic.lemniscate import _sl_raw, big_complex, sl_eval, torsion_values
 from lemnatomic.residue import phi_norm
 from lemnatomic.zipoly import PolyZi, exact_divide, poly
@@ -133,7 +134,7 @@ class TestModularGcd:
         # 5 = 1 (mod 4) with 2^2 = -1 (mod 5); modulo 5 both X + 5 and X become
         # X, so the gcd degree jumps by one in both images
         for root in (2, 3):
-            image = _euclid_mod(_mod_image(a, 5, root), _mod_image(b, 5, root), 5)
+            image = _int_gcd(5, _mod_image(a, 5, root), _mod_image(b, 5, root))
             assert len(image) - 1 == common.degree() + 1
         monkeypatch.setattr(exact, "_GCD_PRIMES", ((5, 2),) + _GCD_PRIMES)
         assert_gcd(a, b, common)
@@ -181,6 +182,93 @@ class TestMultMap:
                 want = _sl_raw(bz, 280)[0]
                 got = eval_poly(n, s) * c**parity / eval_poly(d, s)
                 assert abs(got - want) < mpf(2) ** -180
+
+
+# Lambda_beta checksums from the exact route, matched by the numeric route
+FROZEN_CHECKSUMS = {
+    "-3": "b4fd06d303e256e44d9c428f470e8717e1ab2e77b51310e8266973104afe27f2",
+    "5+4i": "e0ef3410300d53f9353acf8722e784f4ea2b555276c94fb12338703d53c45b06",
+    "3-6i": "eca39b3f6473d2391786a8d300579282de09ddddfac6f99977600c40c9d904ea",
+    "-11": "395e67da1f490e9c4bc59f03764aa93e666aeb795e0bd683254f54cb451c981d",
+}
+S5 = poly([0, 0, 0, 0, 0, 1])
+CORRUPTIONS = {
+    "c to -c": lambda p: replace(p, c=(-p.c[0], p.c[1])),
+    "c to ic": lambda p: replace(p, c=(p.c[0] * I, p.c[1])),
+    "c to 2c": lambda p: replace(p, c=(p.c[0] * 2, p.c[1])),
+    "a to -a": lambda p: replace(p, a=(-p.a[0], p.a[1])),
+    "s to is": exact._subst_pair,
+    "a plus s^5": lambda p: replace(p, a=(p.a[0] + S5, p.a[1])),
+    "b plus s^5": lambda p: replace(p, b=p.b + S5),
+}
+FAULT_STEPS = 6
+
+
+def clear_memos():
+    exact._integer_pair.cache_clear()
+    exact._lemnatomic_poly.cache_clear()
+
+
+class TestChainVerifier:
+    """mult_map certifies the finished chain by the first integral
+    (sl')^2 = 1 - sl^4 with the initial conditions N(0) = 0, B(0) != 0, and
+    for odd beta by B = unit * s^N(beta) N(1/s)."""
+
+    @pytest.fixture
+    def cold_memos(self):
+        clear_memos()
+        yield
+        clear_memos()  # corrupted pairs must not outlive the test
+
+    @pytest.mark.parametrize("kind", list(CORRUPTIONS))
+    def test_corrupted_chain_step_is_caught_or_harmless(self, kind, cold_memos, monkeypatch):
+        corrupt = CORRUPTIONS[kind]
+        real = exact._pair_sum
+        caught = 0
+        for b, checksum in FROZEN_CHECKSUMS.items():
+            for step in range(FAULT_STEPS):
+                calls = []
+
+                def faulty(pa, pb, total):
+                    calls.append(total)
+                    result = real(pa, pb, total)
+                    return corrupt(result) if len(calls) == step + 1 else result
+
+                monkeypatch.setattr(exact, "_pair_sum", faulty)
+                clear_memos()
+                try:
+                    record = lemnatomic_exact(gi(b))
+                except InternalInconsistency:
+                    caught += 1
+                    continue
+                assert record.checksum == checksum, f"{kind} at step {step} of {b} went undetected"
+        assert caught, f"{kind} was never caught"
+
+    def test_swapped_pair_fails_only_the_initial_condition(self):
+        # i B / N = i / sl(beta z) satisfies the first integral as well
+        beta = gi("-3")
+        (n, parity), b = mult_map(beta)
+        num, den = b * I, n
+        m = num.derivative() * den - num * den.derivative()
+        num2, den2 = num * num, den * den
+        assert m * m * W == (den2 * den2 - num2 * num2) * (beta * beta)
+        with pytest.raises(InternalInconsistency, match="initial condition"):
+            exact._verify_first_integral((num, parity), den, beta)
+
+    @pytest.mark.parametrize(
+        "b", ["-1+2i", "-1-2i", "-3", "3", "3i", "-3-4i", "3-6i", "5+4i", "9", "-7", "-11", "11-2i"]
+    )
+    def test_denominator_is_a_unit_times_the_reversed_numerator(self, b):
+        beta = gi(b)
+        (n, _), d = mult_map(beta)
+        rev = PolyZi.make([0] * (beta.norm() - n.degree()) + list(reversed(n.coeffs)))
+        assert any(d == rev * u for u in UNITS)
+
+    def test_denominator_not_reversed_numerator_rejected(self):
+        beta = gi("-3")
+        (n, parity), d = mult_map(beta)
+        with pytest.raises(InternalInconsistency, match="reversed numerator"):
+            exact._verify_first_integral((n, parity), d + poly([0, 0, 1]), beta)
 
 
 class TestDivisors:
