@@ -4,7 +4,13 @@ Frobenius-orbit checks, irreducibility-criterion evidence, density reports,
 and the congruence-obstruction witness search.
 
 All scans walk odd primary Gaussian primes in (norm, re, im) order, so every
-report is deterministic for fixed inputs.  Class computations default to
+report is deterministic for fixed inputs.  One memoised scan, _scan, serves
+every report: per prime it records whether pi divides the modulus (disc(h),
+or beta for the separability sweep), read as a zero image in Z[i]/(pi), and
+otherwise whether the predicate holds for h mod pi.  Reports that share a
+polynomial, bound and predicate (the splitting scan behind the density
+report and the witness search, the root scan behind the semi-split list and
+the criterion evidence) run it once.  Class computations default to
 primary normalization (classes of primes taken through their primary
 associates); raw mode, which reduces the first-quadrant associate exactly as
 written, is exposed for comparison and is demonstrably the reading under
@@ -31,7 +37,7 @@ from .gaussint import (
     odd_part,
     primes_up_to_norm,
 )
-from .gfq import factor_degrees, has_root, reduce_poly, splits_completely, squarefree
+from .gfq import factor_degrees, has_root, reduce_poly, residue_field, splits_completely, squarefree
 from .residue import class_of, residue_ring, subgroup_generated, unit_group
 from .zipoly import PolyZi, discriminant, to_json_dict
 
@@ -215,20 +221,43 @@ def _check_scan_poly(h: PolyZi) -> GaussInt:
     return disc
 
 
+# Status bytes of _scan, also the index of each group in _scan_groups.
+_SKIP, _HIT, _MISS = 0, 1, 2
+
+
+@lru_cache(maxsize=16)
+def _scan(h: PolyZi, bound: int, modulus: GaussInt, test) -> bytes:
+    """One status byte per odd primary prime of norm <= bound, in walk order:
+    _SKIP when pi divides modulus, else _HIT or _MISS as test(h mod pi) holds.
+
+    pi | modulus is read off the residue field: the image of modulus in
+    Z[i]/(pi) is zero.  Memoised on (h, bound, modulus, test), so reports
+    that share a scan run it once; bytes keep the memo small.
+    """
+    out = bytearray()
+    for pi in primes_up_to_norm(bound, odd_only=True):
+        field = residue_field(pi)
+        if field.reduce_gauss(modulus) == field.zero():
+            out.append(_SKIP)
+        else:
+            out.append(_HIT if test(reduce_poly(h, field)) else _MISS)
+    return bytes(out)
+
+
+def _scan_groups(h: PolyZi, bound: int, modulus: GaussInt, test) -> tuple:
+    """The primes of _scan, grouped by status: (skipped, hits, misses)."""
+    groups: tuple = ([], [], [])
+    for pi, status in zip(primes_up_to_norm(bound, odd_only=True), _scan(h, bound, modulus, test)):
+        groups[status].append(pi)
+    return groups
+
+
 def splitting_primes(h: PolyZi, bound: int) -> SplittingReport:
     """Scan odd primary primes with norm <= bound; keep those at which h
     splits completely into distinct linear factors.  Primes dividing disc(h)
     are skipped (the squarefree test would exclude them anyway) and reported
     separately."""
-    disc = _check_scan_poly(h)
-    hits: list[GaussPrime] = []
-    skipped: list[GaussPrime] = []
-    for pi in primes_up_to_norm(bound, odd_only=True):
-        if divides(pi.value, disc):
-            skipped.append(pi)
-            continue
-        if splits_completely(reduce_poly(h, pi)):
-            hits.append(pi)
+    skipped, hits, _ = _scan_groups(h, bound, _check_scan_poly(h), splits_completely)
     return SplittingReport(poly=h, bound=bound, primes=tuple(hits), skipped=tuple(skipped))
 
 
@@ -236,14 +265,7 @@ def semisplit_primes(g: PolyZi, bound: int) -> list:
     """Odd primary primes with norm <= bound, not dividing disc(g), at which
     g has a root in the residue field (a degree-one prime of the field g
     defines; g is trusted to be irreducible, not verified)."""
-    disc = _check_scan_poly(g)
-    hits: list[GaussPrime] = []
-    for pi in primes_up_to_norm(bound, odd_only=True):
-        if divides(pi.value, disc):
-            continue
-        if has_root(reduce_poly(g, pi)):
-            hits.append(pi)
-    return hits
+    return _scan_groups(g, bound, _check_scan_poly(g), has_root)[_HIT]
 
 
 def verify_prop1(beta, bound: int) -> Prop1Report:
@@ -251,16 +273,10 @@ def verify_prop1(beta, bound: int) -> Prop1Report:
     every odd primary prime pi with pi not dividing beta and N(pi) <= bound,
     and check squarefreeness.  The theory predicts zero failures."""
     rec = lemnatomic_exact(beta)
-    poly = rec.coefficients
-    checked = 0
-    failures: list[GaussPrime] = []
-    for pi in primes_up_to_norm(bound, odd_only=True):
-        if divides(pi.value, rec.beta):
-            continue
-        checked += 1
-        if not squarefree(reduce_poly(poly, pi)):
-            failures.append(pi)
-    return Prop1Report(beta=rec.beta, bound=bound, checked=checked, failures=tuple(failures))
+    _, hits, failures = _scan_groups(rec.coefficients, bound, rec.beta, squarefree)
+    return Prop1Report(
+        beta=rec.beta, bound=bound, checked=len(hits) + len(failures), failures=tuple(failures)
+    )
 
 
 def frobenius_orbit_check(beta, pi) -> bool:
@@ -302,17 +318,8 @@ def prop2_evidence(g: PolyZi, beta, bound: int, normalization: str = "primary") 
     beta = _check_beta(beta)
     ring = residue_ring(beta)
     group = unit_group(ring)
-    disc = _check_scan_poly(g)
-    hits: list[GaussPrime] = []
-    skipped: list[GaussPrime] = []
-    for pi in primes_up_to_norm(bound, odd_only=True):
-        if divides(pi.value, disc):
-            skipped.append(pi)
-            continue
-        if divides(pi.value, beta):
-            continue
-        if has_root(reduce_poly(g, pi)):
-            hits.append(pi)
+    skipped, hits, _ = _scan_groups(g, bound, _check_scan_poly(g), has_root)
+    hits = [pi for pi in hits if not divides(pi.value, beta)]
     classes = sorted(
         {_prime_class(pi, ring, normalization) for pi in hits},
         key=lambda c: (c.re, c.im),
@@ -369,13 +376,16 @@ def theorem_search(
         exps = [(prime.value, exp) for prime, exp in facs]
         grids = [GaussInt(1, 0)]
         for prime, _ in exps:
+            # norms only grow, so nothing past norm_cap is raised or multiplied further
             current = list(grids)
-            power = GaussInt(1, 0)
+            power = prime
             for _ in range(exponent_bound):
+                if power.norm() > norm_cap:
+                    break
+                grids.extend(g * power for g in current if g.norm() * power.norm() <= norm_cap)
                 power = power * prime
-                grids.extend(g * power for g in current)
         candidates = sorted(
-            {g for g in grids if not g.is_unit() and g.norm() <= norm_cap},
+            {g for g in grids if not g.is_unit()},
             key=lambda g: (g.norm(), g.re, g.im),
         )
     report = splitting_primes(h, bound)

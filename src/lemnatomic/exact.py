@@ -69,7 +69,7 @@ from .gaussint import (
 )
 from .gfq import _int_gcd
 from .residue import phi_norm
-from .zipoly import PolyZi, exact_divide
+from .zipoly import PolyZi, _divmod, exact_divide
 
 __all__ = [
     "LemnatomicRecord",
@@ -148,36 +148,11 @@ def _mod_image(p: PolyZi, prime: int, iota: int) -> list:
 
 
 def _zi_quotient(f: PolyZi, g: PolyZi) -> Optional[PolyZi]:
-    """f / g when g divides f exactly over Z[i], else None.
-
-    Fraction-free long division: each quotient coefficient is a division by
-    lc(g) in Z[i], exact whenever g is primitive and divides f over Q(i)
-    (Gauss's lemma).
-    """
-    dg = g.degree()
-    if f.degree() < dg:
-        return f if f.is_zero() else None
-    rem_re = [c.re for c in f.coeffs]
-    rem_im = [c.im for c in f.coeffs]
-    g_re = [c.re for c in g.coeffs[:-1]]
-    g_im = [c.im for c in g.coeffs[:-1]]
-    lead = g.leading()
-    norm = lead.norm()
-    quotient = [ZERO] * (len(rem_re) - dg)
-    for k in range(len(quotient) - 1, -1, -1):
-        xr, xi = rem_re.pop(), rem_im.pop()
-        # (xr + xi i) / (lr + li i) = (xr + xi i)(lr - li i) / norm
-        qr, rr = divmod(xr * lead.re + xi * lead.im, norm)
-        qi, ri = divmod(xi * lead.re - xr * lead.im, norm)
-        if rr or ri:
-            return None
-        if qr or qi:
-            quotient[k] = GaussInt(qr, qi)
-            rem_re[k:] = [x - qr * yr + qi * yi for x, yr, yi in zip(rem_re[k:], g_re, g_im)]
-            rem_im[k:] = [x - qr * yi - qi * yr for x, yr, yi in zip(rem_im[k:], g_re, g_im)]
-    if any(rem_re) or any(rem_im):
+    """f / g when g divides f exactly over Z[i], else None."""
+    division = _divmod(f, g)
+    if division is None or not division[1].is_zero():
         return None
-    return PolyZi(tuple(quotient))
+    return division[0]
 
 
 def _zi_gcd_cofactors(a: PolyZi, b: PolyZi) -> tuple:

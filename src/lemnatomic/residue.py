@@ -7,14 +7,13 @@ the norm-phi function that gives the unit-group order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd as _int_gcd
 
 from .errors import InputError, NotCoprime, NotOdd
 from .gaussint import (
     GaussInt,
     GaussIntLike,
     ONE,
-    ZERO,
+    _factor_int,
     as_gauss,
     canonical_associate,
     factor,
@@ -137,24 +136,10 @@ class UnitGroup:
         if not self.ring.is_invertible(g):
             raise NotCoprime(f"{g} is not invertible mod {self.ring.modulus}")
         order = self.order
-        for p in _prime_factors(self.order):
+        for p in sorted(_factor_int(self.order)):
             while order % p == 0 and self.ring.pow(g, order // p) == self.ring.canonical_rep(ONE):
                 order //= p
         return order
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _invariant_factors(ring: ResidueRing, elements: list[GaussInt], order: int) -> tuple[int, ...]:
@@ -167,7 +152,7 @@ def _invariant_factors(ring: ResidueRing, elements: list[GaussInt], order: int) 
     """
     one = ring.canonical_rep(ONE)
     exponents_by_prime: dict[int, list[int]] = {}
-    for p in _prime_factors(order):
+    for p in sorted(_factor_int(order)):
         counts = [0]  # log_p of |kernel of x -> x^(p^j)|, strictly increasing
         j = 1
         while True:
@@ -221,19 +206,26 @@ def _greedy_generators(ring: ResidueRing, elements: list[GaussInt], order: int) 
         if x in current:
             continue
         gens.append(x)
-        current = _closure(ring, current | {x})
+        current = _closure(ring, gens)
         if len(current) == order:
             break
     return tuple(gens)
 
 
-def _closure(ring: ResidueRing, seed: set[GaussInt]) -> set[GaussInt]:
-    closed = set(seed)
-    frontier = list(seed)
+def _closure(ring: ResidueRing, gens) -> set[GaussInt]:
+    """The subgroup generated by the invertible classes gens.
+
+    In a finite group every inverse is a positive power, so the products of
+    generators reached from 1 already form the subgroup: order * len(gens)
+    multiplications.
+    """
+    one = ring.canonical_rep(ONE)
+    closed = {one}
+    frontier = [one]
     while frontier:
         x = frontier.pop()
-        for y in list(closed):
-            z = ring.mul(x, y)
+        for g in gens:
+            z = ring.mul(x, g)
             if z not in closed:
                 closed.add(z)
                 frontier.append(z)
@@ -246,13 +238,13 @@ def subgroup_generated(group: UnitGroup, gens) -> tuple[GaussInt, ...]:
     The empty set generates the trivial subgroup {1}.
     """
     ring = group.ring
-    seed = {ring.canonical_rep(ONE)}
+    reps = []
     for g in gens:
         rep = ring.canonical_rep(as_gauss(g))
         if not ring.is_invertible(rep):
             raise InputError(f"generator {g} is not invertible mod {ring.modulus}")
-        seed.add(rep)
-    closed = _closure(ring, seed)
+        reps.append(rep)
+    closed = _closure(ring, reps)
     return tuple(sorted(closed, key=lambda r: (r.re, r.im)))
 
 

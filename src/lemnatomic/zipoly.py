@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .errors import InputError, NotDivisible, ParseError
 from .gaussint import GaussInt, GaussIntLike, ZERO, ONE, as_gauss, exact_div, format_gauss, parse_gauss
@@ -145,6 +145,36 @@ def poly(coeffs: Iterable[GaussIntLike]) -> PolyZi:
     return PolyZi.make(coeffs)
 
 
+def _divmod(f: PolyZi, g: PolyZi) -> Optional[tuple[PolyZi, PolyZi]]:
+    """(q, r) with f = q*g + r and deg r < deg g, or None when a quotient
+    coefficient is not a multiple of lc(g) in Z[i] (never for monic g).
+
+    Fraction-free long division on the re/im int lists: each quotient
+    coefficient is a division by lc(g) in Z[i], exact whenever g is
+    primitive and divides f over Q(i) (Gauss's lemma).
+    """
+    dg = g.degree()
+    rem_re = [c.re for c in f.coeffs]
+    rem_im = [c.im for c in f.coeffs]
+    g_re = [c.re for c in g.coeffs[:-1]]
+    g_im = [c.im for c in g.coeffs[:-1]]
+    lead = g.leading()
+    norm = lead.norm()
+    quotient = [ZERO] * max(len(rem_re) - dg, 0)
+    for k in range(len(quotient) - 1, -1, -1):
+        xr, xi = rem_re.pop(), rem_im.pop()
+        # (xr + xi i) / (lr + li i) = (xr + xi i)(lr - li i) / norm
+        qr, rr = divmod(xr * lead.re + xi * lead.im, norm)
+        qi, ri = divmod(xi * lead.re - xr * lead.im, norm)
+        if rr or ri:
+            return None
+        if qr or qi:
+            quotient[k] = GaussInt(qr, qi)
+            rem_re[k:] = [x - qr * yr + qi * yi for x, yr, yi in zip(rem_re[k:], g_re, g_im)]
+            rem_im[k:] = [x - qr * yi - qi * yr for x, yr, yi in zip(rem_im[k:], g_re, g_im)]
+    return PolyZi(tuple(quotient)), PolyZi(_trim(list(map(GaussInt, rem_re, rem_im))))
+
+
 def exact_divide(f: PolyZi, g: PolyZi) -> PolyZi:
     """Quotient f/g for a monic divisor g dividing f exactly.
 
@@ -153,22 +183,10 @@ def exact_divide(f: PolyZi, g: PolyZi) -> PolyZi:
     """
     if not g.is_monic():
         raise InputError("exact_divide requires a monic divisor")
-    rem = list(f.coeffs)
-    dg = g.degree()
-    if len(rem) < dg + 1 and not f.is_zero():
-        raise NotDivisible(f"degree {f.degree()} < {dg}", remainder=f)
-    quotient = [ZERO] * max(len(rem) - dg, 0)
-    for k in range(len(rem) - dg - 1, -1, -1):
-        q = rem[k + dg]
-        if q.is_zero():
-            continue
-        quotient[k] = q
-        for j in range(dg + 1):
-            rem[k + j] = rem[k + j] - q * g.coeffs[j]
-    remainder = PolyZi(_trim(rem))
+    quotient, remainder = _divmod(f, g)
     if not remainder.is_zero():
         raise NotDivisible(f"{g} does not divide {f}", remainder=remainder)
-    return PolyZi(_trim(quotient))
+    return quotient
 
 
 def _bareiss_det(matrix: list[list[GaussInt]]) -> GaussInt:

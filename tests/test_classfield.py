@@ -27,13 +27,15 @@ from lemnatomic.classfield import (
 from lemnatomic.errors import InputError
 from lemnatomic.exact import lemnatomic_exact
 from lemnatomic.gaussint import GaussInt, divides, format_gauss, primes_up_to_norm
-from lemnatomic.gfq import factor_degrees, reduce_poly, splits_completely
+from lemnatomic.gfq import factor_degrees, has_root, reduce_poly, splits_completely, squarefree
 from lemnatomic.residue import class_of, phi_norm, residue_ring, unit_group
-from lemnatomic.zipoly import poly
+from lemnatomic.zipoly import discriminant, poly
 
 X_MINUS_1 = poly([-1, 1])
 X_SQ_PLUS_1 = poly([1, 0, 1])
 X_SQ_MINUS_2 = poly([-2, 0, 1])
+# disc = 420: the inert primes 3 and 7, the split primes over 5, and 1+i
+X_SQ_MINUS_105 = poly([-105, 0, 1])
 
 
 def lam(text: str):
@@ -285,6 +287,13 @@ class TestTheoremSearch:
         with pytest.raises(InputError):
             theorem_search(lam("-1+2i"), 300, exponent_bound=0)
 
+    def test_exponent_bound_past_norm_cap_changes_nothing(self):
+        # four odd primes in disc(X^2 - 105); powers past norm_cap add nothing
+        wide = theorem_search(X_SQ_MINUS_105, 100, exponent_bound=10**6)
+        assert wide == theorem_search(X_SQ_MINUS_105, 100, exponent_bound=3)
+        assert len(wide.candidates) == 22
+        assert len(theorem_search(X_SQ_MINUS_105, 100).candidates) == 20
+
     def test_unknown_normalization_rejected(self):
         with pytest.raises(InputError):
             theorem_search(lam("-1+2i"), 300, normalization="canonical")
@@ -343,6 +352,93 @@ class TestSharedScanSetup:
         prop2_evidence(g, gi("-3"), 200)
         semisplit_primes(g, 200)
         assert seen == [g]
+
+
+@pytest.fixture
+def fresh_scan():
+    """An empty scan memo before and after the test: the memo outlives it."""
+    classfield._scan.cache_clear()
+    yield
+    classfield._scan.cache_clear()
+
+
+def count_calls(monkeypatch, name):
+    """Record every call of the classfield binding of a gfq predicate."""
+    calls = []
+    real = getattr(classfield, name)
+    monkeypatch.setattr(classfield, name, lambda f: calls.append(f) or real(f))
+    return calls
+
+
+def divides_reference(bound, modulus):
+    """(skipped, tested): the scanned primes split by a Gaussian division of
+    modulus, the rule the scan reports used before they read residue fields."""
+    skipped, tested = [], []
+    for pi in odd_primaries(bound):
+        (skipped if divides(pi.value, modulus) else tested).append(pi)
+    return skipped, tested
+
+
+class TestSharedScan:
+    def test_splitting_scan_runs_once_across_reports(self, monkeypatch, fresh_scan):
+        h = lam("-3")
+        calls = count_calls(monkeypatch, "splits_completely")
+        report = splitting_primes(h, 3000)
+        density_report(h, 3000)
+        theorem_search(h, 3000)
+        assert splitting_primes(h, 3000) == report
+        assert len(calls) == len(odd_primaries(3000)) - len(report.skipped)
+
+    def test_root_scan_runs_once_across_reports(self, monkeypatch, fresh_scan):
+        calls = count_calls(monkeypatch, "has_root")
+        report = prop2_evidence(X_SQ_MINUS_105, gi("-3"), 2000)
+        semisplit_primes(X_SQ_MINUS_105, 2000)
+        prop2_evidence(X_SQ_MINUS_105, gi("-1+2i"), 2000, normalization="raw")
+        assert len(calls) == len(odd_primaries(2000)) - len(report.skipped)
+
+    @pytest.mark.parametrize("name", ["X^2-105", "-1+2i", "-3", "-3-4i"])
+    def test_splitting_skips_match_division(self, name, fresh_scan):
+        h = X_SQ_MINUS_105 if name == "X^2-105" else lam(name)
+        skipped, tested = divides_reference(2000, discriminant(h))
+        report = splitting_primes(h, 2000)
+        assert list(report.skipped) == skipped
+        assert list(report.primes) == [pi for pi in tested if splits_completely(reduce_poly(h, pi))]
+        assert semisplit_primes(h, 2000) == [pi for pi in tested if has_root(reduce_poly(h, pi))]
+
+    @pytest.mark.parametrize("beta", ["-3", "-7", "-1+2i", "3-6i", "-11"])
+    def test_prop2_matches_division_when_beta_shares_a_prime(self, beta, fresh_scan):
+        beta = gi(beta)
+        ring = residue_ring(beta)
+        skipped, tested = divides_reference(2000, discriminant(X_SQ_MINUS_105))
+        hits = [
+            pi
+            for pi in tested
+            if not divides(pi.value, beta) and has_root(reduce_poly(X_SQ_MINUS_105, pi))
+        ]
+        report = prop2_evidence(X_SQ_MINUS_105, beta, 2000)
+        assert list(report.skipped) == skipped
+        assert report.classes == tuple(
+            sorted({class_of(pi.value, ring) for pi in hits}, key=lambda c: (c.re, c.im))
+        )
+
+    @pytest.mark.parametrize("beta", ["-3", "-3-4i", "3-6i"])
+    def test_prop1_checks_the_primes_not_dividing_beta(self, beta, fresh_scan):
+        beta = gi(beta)
+        skipped, tested = divides_reference(2000, beta)
+        report = verify_prop1(beta, 2000)
+        assert report.checked == len(tested)
+        assert classfield._scan_groups(lam(format_gauss(beta)), 2000, beta, squarefree)[0] == skipped
+
+    def test_memo_is_bounded_and_holds_bytes(self, fresh_scan):
+        info = classfield._scan.cache_info()
+        assert info.maxsize is not None and info.maxsize > 0
+        disc = discriminant(X_SQ_MINUS_105)
+        status = classfield._scan(X_SQ_MINUS_105, 500, disc, splits_completely)
+        assert type(status) is bytes
+        assert len(status) == len(odd_primaries(500))
+        hits = classfield._scan.cache_info().hits
+        splitting_primes(X_SQ_MINUS_105, 500)
+        assert classfield._scan.cache_info().hits == hits + 1
 
 
 # SHA-256 of each report's sorted-key JSON on Lambda_{-3-4i} (degree 20) at

@@ -6,6 +6,7 @@ from conftest import gi
 from lemnatomic.errors import InputError, NotCoprime, NotOdd
 from lemnatomic.gaussint import GaussInt, gauss_gcd, is_primary
 from lemnatomic.residue import (
+    ResidueRing,
     class_of,
     phi_norm,
     residue_ring,
@@ -121,6 +122,71 @@ class TestSubgroupGenerated:
         for _ in range(25):
             gens = rng.sample(elements, rng.randint(1, 3))
             assert group.order % len(subgroup_generated(group, gens)) == 0
+
+
+def pairwise_closure(ring, seed):
+    """Reference closure: multiply every new element by every element already
+    closed, until nothing new appears (O(order^2) products)."""
+    closed = set(seed)
+    frontier = list(seed)
+    while frontier:
+        x = frontier.pop()
+        for y in list(closed):
+            z = ring.mul(x, y)
+            if z not in closed:
+                closed.add(z)
+                frontier.append(z)
+    return closed
+
+
+def pairwise_generators(ring, elements, order):
+    """Reference greedy generators over pairwise_closure."""
+    gens = []
+    current = {ring.canonical_rep(gi("1"))}
+    for x in sorted(elements, key=lambda r: (r.re, r.im)):
+        if x in current:
+            continue
+        gens.append(x)
+        current = pairwise_closure(ring, current | {x})
+        if len(current) == order:
+            break
+    return tuple(gens)
+
+
+# odd moduli with N <= 500: inert, split, prime powers and mixed products,
+# among them 9, -7, -3-4i and (-1+2i)(-3) = 3-6i
+CLOSURE_MODULI = ("9", "-7", "-3-4i", "3-6i", "-1+2i", "-3", "5+4i", "-11", "15", "-7+2i", "13", "21")
+
+
+class TestClosure:
+    @pytest.mark.parametrize("b", CLOSURE_MODULI)
+    def test_generators_match_pairwise_reference(self, b):
+        ring = residue_ring(gi(b))
+        assert ring.size <= 500
+        group = unit_group(ring)
+        assert group.generators == pairwise_generators(ring, list(group.elements), group.order)
+
+    @pytest.mark.parametrize("b", CLOSURE_MODULI)
+    def test_subgroups_match_pairwise_reference(self, b, rng):
+        ring = residue_ring(gi(b))
+        group = unit_group(ring)
+        one = ring.canonical_rep(gi("1"))
+        for _ in range(4):
+            gens = rng.sample(list(group.elements), rng.randint(1, 3))
+            expected = pairwise_closure(ring, {one, *gens})
+            assert set(subgroup_generated(group, gens)) == expected
+
+    @pytest.mark.parametrize("b", CLOSURE_MODULI)
+    def test_products_bounded_by_order_times_generators(self, b, rng, monkeypatch):
+        ring = residue_ring(gi(b))
+        group = unit_group(ring)
+        calls = []
+        real = ResidueRing.mul
+        monkeypatch.setattr(ResidueRing, "mul", lambda self, x, y: calls.append(1) or real(self, x, y))
+        for gens in (group.generators, rng.sample(list(group.elements), 3)):
+            calls.clear()
+            sub = subgroup_generated(group, gens)
+            assert len(calls) <= len(sub) * len(gens)
 
 
 class TestClassOf:

@@ -10,6 +10,7 @@ from lemnatomic.gfq import reduce_poly, squarefree
 from lemnatomic.gaussint import primes_up_to_norm
 from lemnatomic.zipoly import (
     PolyZi,
+    _divmod,
     discriminant,
     dumps,
     exact_divide,
@@ -181,6 +182,28 @@ class TestExactDivide:
     def test_nonmonic_divisor_rejected(self):
         with pytest.raises(InputError):
             exact_divide(poly([0, 0, 2]), poly([0, 2]))
+
+    def test_lower_degree_dividend_is_the_remainder(self):
+        with pytest.raises(NotDivisible) as err:
+            exact_divide(poly([1, gi("2-i")]), poly([1, 0, 1]))
+        assert err.value.remainder == poly([1, gi("2-i")])
+        assert exact_divide(poly([]), poly([1, 0, 1])) == poly([])
+
+    def test_quotient_and_remainder_random(self, rng):
+        for _ in range(60):
+            g, q, r = rand_poly(rng, 4), rand_poly(rng, 4), rand_poly(rng, 4)
+            g = PolyZi.make(list(g.coeffs) + [GaussInt(1, 0)])  # monic, degree >= 0
+            r = PolyZi.make(r.coeffs[: g.degree()])
+            assert _divmod(g * q + r, g) == (q, r)
+
+    def test_nonmonic_divisor_exact_or_none(self, rng):
+        for _ in range(60):
+            g, q = rand_poly(rng, 4), rand_poly(rng, 4)
+            if g.is_zero():
+                continue
+            assert _divmod(g * q, g) == (q, PolyZi(()))
+        # X^2 + 1 over 2X + 1: the leading quotient coefficient 1/2 is not in Z[i]
+        assert _divmod(poly([1, 0, 1]), poly([1, 2])) is None
 
     def test_product_then_divide_random(self, rng):
         for _ in range(60):
