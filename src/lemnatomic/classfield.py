@@ -29,6 +29,7 @@ from .gaussint import (
     GaussInt,
     GaussPrime,
     _check_beta,
+    _odd_prime_walk,
     as_gauss,
     canonical_associate,
     divides,
@@ -425,7 +426,7 @@ def density_report(h: PolyZi, bound: int) -> DensityReport:
     """Empirical density of splitting primes among all odd primary primes up
     to the bound, with the heuristic value 1/deg(h) attached (not enforced)."""
     report = splitting_primes(h, bound)
-    count_all = len(primes_up_to_norm(bound, odd_only=True))
+    count_all = len(_odd_prime_walk(bound)) // 3  # re, im, norm per prime
     ratio = len(report.primes) / count_all if count_all else 0.0
     return DensityReport(
         poly=h,

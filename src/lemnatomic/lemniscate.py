@@ -22,15 +22,42 @@ The numeric lemnatomic polynomial uses the same symmetry: an orbit's four
 roots v, iv, -v, -iv contribute the factor X^4 - v^4, so the product is
 expanded as G(Y) = prod (Y - v^4) over one value per invertible orbit, with
 phi/4 roots instead of phi, and G(X^4) is the polynomial.
+
+Fixed point.  The series, the doublings, the orbit rotation, the collision
+scan and the product G run on Python ints.  At working precision `bits` a
+real x is the int x*2^F, truncated, with F = bits + GUARD + HALVING_GUARD,
+and a complex value is a pair of such ints.  A real product is one multiply
+and one shift right by F; a complex quotient multiplies by the conjugate and
+divides each part by the squared modulus.  Every operation errs by less
+than one unit 2^-F, an absolute error, so a value of size M carries a finer
+relative error than a float of bits + GUARD bits would.
+
+Error budget.  Halving to |w| <= 1/4 truncates w by at most one unit, and
+Horner in u = w^4 (|u| <= 2^-8) sums the series within a few units.  Each
+doubling by the addition law about doubles the error carried in.  An
+argument of the reduced cell (|z| <= 2*omega) needs at most four halvings,
+|z| <= 8 at most five, so HALVING_GUARD = 8 bits keep the doubled value
+within 2^-(bits + GUARD), the error of a floating evaluation at
+bits + GUARD bits.  The series coefficients come from mpmath at
+bits + GUARD bits, up to the first term worth less than one unit at
+|u| = 2^-8, and are converted once per precision.  Beyond this budget nothing
+is assumed: a product is accepted only when every coefficient lies within
+2^-30 of a Gaussian integer and the rounding survives one doubling of
+precision, and the addition-law denominator floor 2^-(bits - GUARD) and the
+collision floor 2^-(bits // 2) are compared exactly on the ints.  mpmath
+computes omega, the series coefficients and the lattice reduction, and
+carries the public types.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Union
 
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import from_man_exp
 
 from .errors import InputError, PoleProximity, PrecisionLoss, RoundingUnstable
 from .gaussint import GaussInt, ONE, ZERO, _check_beta, as_gauss, gauss_gcd
@@ -57,6 +84,10 @@ __all__ = [
 # Guard bits appended to every working precision; the SlPair identity
 # |c^2 - (1 - s^4)| stays below 2^-(precision_bits - GUARD).
 GUARD = 32
+
+# Fraction bits beyond bits + GUARD in the fixed-point kernel; they absorb
+# the error growth of the halving-doubling chain.
+HALVING_GUARD = 8
 
 # Escalation ceiling for automatic precision doubling.
 PRECISION_CEILING = 4096
@@ -212,11 +243,15 @@ def _omega(bits: int) -> mpf:
 # One entry per working precision; escalation alone uses seven (64 to 4096 bits).
 @lru_cache(maxsize=8)
 def _series_coeffs(bits: int) -> tuple:
-    nterms = (bits + 2 * GUARD) // 8 + 4
+    """A[0], A[1], ... at bits + GUARD bits, up to the first term worth less
+    than one unit 2^-F where the kernel sums the series, at |z^4| <= 2^-8:
+    (4k+1) |A[k]| 2^-8k < 2^-F."""
+    F = _frac_bits(bits)
     with mp.workprec(bits + GUARD):
         A = [mpf(1)]
         S2 = []  # S2[t] = [z^(4t+2)] sl^2
-        for k in range(1, nterms):
+        while (4 * len(A) - 3) * abs(A[-1]) >= mp.ldexp(1, 8 * (len(A) - 1) - F):
+            k = len(A)
             m = k - 1
             S2.append(mp.fsum(A[i] * A[m - i] for i in range(m + 1)))
             b = mp.fsum(S2[t] * A[m - t] for t in range(m + 1))
@@ -225,48 +260,122 @@ def _series_coeffs(bits: int) -> tuple:
     return tuple(A)
 
 
-def _pair_add_raw(s1: mpc, c1: mpc, s2: mpc, c2: mpc, bits: int) -> tuple:
-    den = 1 + s1 * s1 * s2 * s2
-    if abs(den) < mpf(2) ** (-(bits - GUARD)):
+# -- fixed-point kernel -------------------------------------------------------
+#
+# A pair (re, im) of ints stands for (re + i*im) * 2^-F.
+
+
+def _frac_bits(bits: int) -> int:
+    return bits + GUARD + HALVING_GUARD
+
+
+def _fx(x: mpf, F: int) -> int:
+    """x * 2^F truncated toward zero."""
+    sign, man, exp, _ = x._mpf_
+    e = exp + F
+    n = man << e if e >= 0 else man >> -e
+    return -n if sign else n
+
+
+def _fx_mpc(z: mpc, F: int) -> tuple:
+    return _fx(z.real, F), _fx(z.imag, F)
+
+
+def _big_fx(z: tuple, F: int, bits: int) -> BigComplex:
+    """The fixed-point pair z as a BigComplex, exactly."""
+    re, im = (mp.make_mpf(from_man_exp(x, -F)) for x in z)
+    return BigComplex(re, im, bits)
+
+
+def _cmul(a: tuple, b: tuple, F: int) -> tuple:
+    ar, ai = a
+    br, bi = b
+    return (ar * br - ai * bi) >> F, (ar * bi + ai * br) >> F
+
+
+def _pow4(a: tuple, F: int) -> tuple:
+    t = _cmul(a, a, F)
+    return _cmul(t, t, F)
+
+
+def _cdiv(a: tuple, b: tuple, F: int) -> tuple:
+    ar, ai = a
+    br, bi = b
+    q = br * br + bi * bi
+    return ((ar * br + ai * bi) << F) // q, ((ai * br - ar * bi) << F) // q
+
+
+def _add_fx(s1: tuple, c1: tuple, s2: tuple, c2: tuple, F: int, bits: int) -> tuple:
+    """The addition law on fixed-point pairs; raises PrecisionLoss when the
+    denominator falls below 2^-(bits - GUARD)."""
+    q1 = _cmul(s1, s1, F)
+    q2 = _cmul(s2, s2, F)
+    p = _cmul(q1, q2, F)
+    den = ((1 << F) + p[0], p[1])
+    floor = 1 << (F - bits + GUARD)
+    if den[0] * den[0] + den[1] * den[1] < floor * floor:
         raise PrecisionLoss("addition-law denominator below the precision floor")
-    num = s1 * c2 + s2 * c1
-    num_d = c1 * c2 - 2 * s1**3 * s2
-    den_d = 2 * s1 * c1 * s2 * s2
-    return num / den, (num_d * den - num * den_d) / (den * den)
+    a = _cmul(s1, c2, F)
+    b = _cmul(s2, c1, F)
+    num = (a[0] + b[0], a[1] + b[1])
+    cc = _cmul(c1, c2, F)
+    t = _cmul(_cmul(q1, s1, F), s2, F)
+    u = _cmul(_cmul(s1, c1, F), q2, F)
+    s = _cdiv(num, den, F)
+    # c = (num_d*den - num*den_d) / den^2 = (num_d - s*den_d) / den with
+    # num_d = c1 c2 - 2 s1^3 s2 and den_d = 2 s1 c1 s2^2, the derivatives along u.
+    v = _cmul(s, u, F)
+    c = _cdiv((cc[0] - 2 * t[0] - 2 * v[0], cc[1] - 2 * t[1] - 2 * v[1]), den, F)
+    return s, c
+
+
+@lru_cache(maxsize=8)
+def _series_fx(bits: int) -> tuple:
+    """(A[k], (4k+1) A[k]) as fixed-point ints, highest k first, for Horner."""
+    F = _frac_bits(bits)
+    A = [_fx(a, F) for a in _series_coeffs(bits)]
+    return tuple((A[k], (4 * k + 1) * A[k]) for k in reversed(range(len(A))))
+
+
+def _sl_fx(z: tuple, bits: int) -> tuple:
+    """(sl z, sl' z) on fixed-point pairs, no lattice reduction; |z| should
+    be cell-sized.  Halve until |w| <= 1/4, sum both series by Horner in
+    u = w^4, double back."""
+    F = _frac_bits(bits)
+    wr, wi = z
+    halvings = 0
+    quarter_sq = 1 << (2 * F - 4)
+    while wr * wr + wi * wi > quarter_sq:
+        wr >>= 1
+        wi >>= 1
+        halvings += 1
+    ur, ui = _pow4((wr, wi), F)
+    terms = _series_fx(bits)
+    sr, cr = terms[0]
+    si = ci = 0
+    for a, b in terms[1:]:
+        sr, si = ((sr * ur - si * ui) >> F) + a, (sr * ui + si * ur) >> F
+        cr, ci = ((cr * ur - ci * ui) >> F) + b, (cr * ui + ci * ur) >> F
+    s, c = _cmul((sr, si), (wr, wi), F), (cr, ci)
+    for _ in range(halvings):
+        s, c = _add_fx(s, c, s, c, F, bits)
+    return s, c
 
 
 def sl_pair_add(a: SlPair, b: SlPair) -> SlPair:
     """Addition law for (sl, sl') pairs; raises PrecisionLoss near its poles."""
     bits = min(a.precision_bits, b.precision_bits)
-    with mp.workprec(bits + GUARD):
-        s, c = _pair_add_raw(a.s.to_mpc(), a.c.to_mpc(), b.s.to_mpc(), b.c.to_mpc(), bits)
-        return SlPair(
-            s=BigComplex(s.real, s.imag, bits),
-            c=BigComplex(c.real, c.imag, bits),
-        )
+    F = _frac_bits(bits)
+    s1, c1, s2, c2 = ((_fx(v.re, F), _fx(v.im, F)) for v in (a.s, a.c, b.s, b.c))
+    s, c = _add_fx(s1, c1, s2, c2, F, bits)
+    return SlPair(s=_big_fx(s, F, bits), c=_big_fx(c, F, bits))
 
 
 def _sl_raw(z: mpc, bits: int) -> tuple:
     """(sl z, sl' z) with no lattice reduction; |z| should be cell-sized."""
-    with mp.workprec(bits + GUARD):
-        halvings = 0
-        w = z
-        while abs(w) > mpf(1) / 4:
-            w = w / 2
-            halvings += 1
-        A = _series_coeffs(bits)
-        w4 = w**4
-        s = mpf(0)
-        c = mpf(0)
-        pw = mpc(1)
-        for k in range(len(A)):
-            s += A[k] * pw
-            c += (4 * k + 1) * A[k] * pw
-            pw *= w4
-        s *= w
-        for _ in range(halvings):
-            s, c = _pair_add_raw(s, c, s, c, bits)
-        return s, c
+    F = _frac_bits(bits)
+    pairs = _sl_fx(_fx_mpc(z, F), bits)
+    return tuple(mp.make_mpc((from_man_exp(re, -F), from_man_exp(im, -F))) for re, im in pairs)
 
 
 def _round_half_down_mpf(t: mpf) -> int:
@@ -296,11 +405,9 @@ def sl_eval(z: BigComplex, precision_bits: Optional[int] = None) -> SlPair:
         for pa in (mpc(om, om), mpc(om, -om), mpc(-om, om), mpc(-om, -om)):
             if abs(zr - pa) < floor:
                 raise PoleProximity("argument reduces to within the precision floor of a pole")
-        s, c = _sl_raw(zr, bits)
-        return SlPair(
-            s=BigComplex(s.real, s.imag, bits),
-            c=BigComplex(c.real, c.imag, bits),
-        )
+        F = _frac_bits(bits)
+        s, c = _sl_fx(_fx_mpc(zr, F), bits)
+    return SlPair(s=_big_fx(s, F, bits), c=_big_fx(c, F, bits))
 
 
 # -- torsion ------------------------------------------------------------------
@@ -374,36 +481,37 @@ def torsion_values(beta, precision_bits: int = 256, generator_class: Optional[Ga
     if not gauss_gcd(mult, beta).is_unit():
         raise InputError("generator_class must be invertible mod beta")
     bits = precision_bits
-    values: dict[GaussInt, BigComplex] = {}
+    F = _frac_bits(bits)
+    values = {ring.canonical_rep(ZERO): (0, 0)}
     with mp.workprec(bits + GUARD):
         om = _omega(bits + GUARD)
         s_gen = mpc(om, om) / mpc(beta.re, beta.im)
-        values[ring.canonical_rep(ZERO)] = big_complex(0, 0, bits)
         for orbit in _unit_orbits(ring):
             lift = _even_lift(orbit[0], beta) * mult
             z = _reduce_mod_true_lattice(s_gen * mpc(lift.re, lift.im), bits)
-            s, _ = _sl_raw(z, bits)
-            val = s
+            (vr, vi), _ = _sl_fx(_fx_mpc(z, F), bits)
             for lam in orbit:
-                values[lam] = BigComplex(val.real, val.imag, bits)
-                val = val * mpc(0, 1)
-        ordered = {lam: values[lam] for lam in ring.representatives()}
-        _check_distinct(ordered, bits)
-        return ordered
+                values[lam] = (vr, vi)
+                vr, vi = -vi, vr
+    _check_distinct(values.values(), F, bits)
+    return {lam: _big_fx(values[lam], F, bits) for lam in ring.representatives()}
 
 
-def _check_distinct(values: dict, bits: int) -> None:
-    floor = mpf(2) ** (-(bits // 2))
-    items = [v.to_mpc() for v in values.values()]
-    items.sort(key=lambda z: (z.real, z.imag))
+def _check_distinct(values, F: int, bits: int) -> None:
+    """Raise PrecisionLoss when two fixed-point values lie closer than 2^-(bits // 2)."""
+    floor = 1 << (F - bits // 2)
+    floor_sq = floor * floor
+    items = sorted(values)
     n = len(items)
     for i in range(n):
-        zi = items[i]
+        xr, xi = items[i]
         for j in range(i + 1, n):
-            zj = items[j]
-            if zj.real - zi.real > floor:
+            yr, yi = items[j]
+            dr = yr - xr
+            if dr > floor:
                 break
-            if abs(zj - zi) < floor:
+            di = yi - xi
+            if dr * dr + di * di < floor_sq:
                 raise PrecisionLoss("torsion values collide at this precision")
 
 
@@ -414,30 +522,37 @@ def _numeric_poly_at(beta: GaussInt, ring, bits: int) -> tuple:
     -iv, so exactly one of them lies in the quadrant re > 0, im >= 0, and
     that one stands for its orbit.  The orbit's factor
     (X - v)(X - iv)(X + v)(X + iv) is X^4 - v^4, so G(Y) = prod (Y - v^4) is
-    expanded and rounded, and its coefficients go to X^(4k); every other
-    coefficient is exactly zero.  Returns the polynomial and the largest
-    rounding error.
+    expanded in fixed point and rounded, and its coefficients go to X^(4k);
+    every other coefficient is exactly zero.  Returns the polynomial and the
+    largest rounding error.
     """
     vals = torsion_values(beta, bits)
-    with mp.workprec(bits + GUARD):
-        fourth = []
-        for lam, v in vals.items():
-            z = v.to_mpc()
-            if z.real > 0 and z.imag >= 0 and ring.is_invertible(lam):
-                fourth.append(z**4)
-        coeffs = [mpc(1)]  # G, lowest degree first
-        for w in fourth:
-            coeffs.append(coeffs[-1])
-            for k in range(len(coeffs) - 2, 0, -1):
-                coeffs[k] = coeffs[k - 1] - w * coeffs[k]
-            coeffs[0] = -w * coeffs[0]
-        rounded = [ZERO] * (4 * len(fourth) + 1)
-        err = mpf(0)
-        for k, ck in enumerate(coeffs):
-            g = GaussInt(int(mp.nint(ck.real)), int(mp.nint(ck.imag)))
-            err = max(err, abs(ck - mpc(g.re, g.im)))
-            rounded[4 * k] = g
-        return PolyZi.make(rounded), err
+    F = _frac_bits(bits)
+    fourth = []
+    for lam, v in vals.items():
+        vr, vi = _fx(v.re, F), _fx(v.im, F)  # exact: the kernel's own ints
+        if vr > 0 and vi >= 0 and ring.is_invertible(lam):
+            fourth.append(_pow4((vr, vi), F))
+    re, im = [1 << F], [0]  # G, lowest degree first
+    for wr, wi in fourth:
+        re.append(re[-1])
+        im.append(im[-1])
+        for k in range(len(re) - 2, 0, -1):
+            r, i = re[k], im[k]
+            re[k] = re[k - 1] - ((wr * r - wi * i) >> F)
+            im[k] = im[k - 1] - ((wr * i + wi * r) >> F)
+        r, i = re[0], im[0]
+        re[0] = -((wr * r - wi * i) >> F)
+        im[0] = -((wr * i + wi * r) >> F)
+    half = 1 << (F - 1)
+    rounded = [ZERO] * (4 * len(fourth) + 1)
+    worst = 0  # largest squared rounding error, scaled by 2^(2F)
+    for k, (r, i) in enumerate(zip(re, im)):
+        gr, gi = (r + half) >> F, (i + half) >> F
+        dr, di = r - (gr << F), i - (gi << F)
+        worst = max(worst, dr * dr + di * di)
+        rounded[4 * k] = GaussInt(gr, gi)
+    return PolyZi.make(rounded), math.sqrt(worst / (1 << (2 * F)))
 
 
 def _attempt(beta: GaussInt, ring, bits: int) -> tuple:
@@ -445,7 +560,7 @@ def _attempt(beta: GaussInt, ring, bits: int) -> tuple:
     try:
         return _numeric_poly_at(beta, ring, bits)
     except (PrecisionLoss, PoleProximity):
-        return None, mp.inf
+        return None, math.inf
 
 
 def lemnatomic_numeric(beta, precision_bits: int = 256):
@@ -463,7 +578,7 @@ def lemnatomic_numeric(beta, precision_bits: int = 256):
     beta = _check_beta(beta)
     ring = residue_ring(beta)
     bits = max(64, precision_bits)
-    tolerance = mpf(2) ** (-30)
+    tolerance = 2.0**-30
     escalations = 0
     poly_lo, err_lo = _attempt(beta, ring, bits)
     while True:
@@ -476,7 +591,7 @@ def lemnatomic_numeric(beta, precision_bits: int = 256):
                 report = NumericReport(
                     precision_bits=bits,
                     stability_bits=2 * bits,
-                    max_rounding_error=float(max(err_lo, err_hi)),
+                    max_rounding_error=max(err_lo, err_hi),
                     escalations=escalations,
                 )
                 return poly_lo, report

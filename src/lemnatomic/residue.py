@@ -7,6 +7,7 @@ the norm-phi function that gives the unit-group order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 
 from .errors import InputError, NotCoprime, NotOdd
 from .gaussint import (
@@ -142,22 +143,44 @@ class UnitGroup:
         return order
 
 
+def _element_orders(ring: ResidueRing, elements: list[GaussInt]) -> dict[GaussInt, int]:
+    """The order of every element, one cyclic subgroup at a time: walking the
+    powers of an element x of order n gives each x^k its order n / gcd(k, n).
+    A walk starts only from an element no earlier walk reached, so it reaches
+    the phi(n) generators of <x> for the first time: n products for at least
+    phi(n) new orders, a small multiple of the group order in all."""
+    one = ring.canonical_rep(ONE)
+    orders: dict[GaussInt, int] = {}
+    for x in elements:
+        if x in orders:
+            continue
+        powers = [x]
+        while powers[-1] != one:
+            powers.append(ring.mul(powers[-1], x))
+        n = len(powers)
+        for k, y in enumerate(powers, start=1):
+            orders.setdefault(y, n // gcd(k, n))
+    return orders
+
+
 def _invariant_factors(ring: ResidueRing, elements: list[GaussInt], order: int) -> tuple[int, ...]:
     """Invariant factors d1 | d2 | ... via p-power counting.
 
     For each prime p | order, counting the solutions of x^(p^j) = 1 gives the
     conjugate of the partition formed by the p-exponents of the invariant
     factors; combining primes componentwise (largest exponents together)
-    yields the divisibility chain.
+    yields the divisibility chain.  The solutions of x^(p^j) = 1 are the x
+    whose order divides p^j, so the kernels are counted from the element
+    orders, each found once.
     """
-    one = ring.canonical_rep(ONE)
+    orders = _element_orders(ring, elements).values()
     exponents_by_prime: dict[int, list[int]] = {}
     for p in sorted(_factor_int(order)):
         counts = [0]  # log_p of |kernel of x -> x^(p^j)|, strictly increasing
         j = 1
         while True:
             pj = p**j
-            kernel = sum(1 for x in elements if ring.pow(x, pj) == one)
+            kernel = sum(1 for d in orders if pj % d == 0)
             s = 0
             while p**s < kernel:
                 s += 1

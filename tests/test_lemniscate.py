@@ -2,6 +2,7 @@
 and the numeric lemnatomic pipeline."""
 
 import itertools
+import random
 
 import pytest
 from mpmath import mp, mpc, mpf
@@ -9,10 +10,17 @@ from mpmath import mp, mpc, mpf
 from conftest import gi
 from lemnatomic import lemniscate
 from lemnatomic.errors import InputError, PrecisionLoss
-from lemnatomic.exact import lemnatomic_exact
+from lemnatomic.exact import lemnatomic_exact, record_checksum
 from lemnatomic.gaussint import GaussInt
 from lemnatomic.lemniscate import (
+    GUARD,
+    _check_distinct,
+    _even_lift,
+    _omega,
+    _reduce_mod_true_lattice,
+    _series_coeffs,
     _sl_raw,
+    _unit_orbits,
     big_complex,
     lemniscate_constant,
     lemnatomic_numeric,
@@ -27,9 +35,49 @@ from lemnatomic.residue import phi_norm, residue_ring
 BITS = 256
 OMEGA_DIGITS = "1.311028777146059905232419794945559706841377475715811581408410851900395"
 
+# Record checksums of the numeric route at two rungs that reject 256 bits and
+# accept 512, frozen from the mpmath evaluation the fixed-point kernel replaced.
+ESCALATING = {
+    "29": "4d3cbd902b26bc387b52da5ba299b0078ac3028fa72e961552bea9d152c9f3be",
+    "-31": "42e97162aa9cfe450f082f5f80385beee0c88efe00436de6128d18776348424d",
+}
+
 
 def rand_point(rng, scale=0.4, bits=BITS):
     return big_complex(rng.uniform(-scale, scale), rng.uniform(-scale, scale), bits)
+
+
+def _pair_add_reference(s1, c1, s2, c2):
+    den = 1 + s1 * s1 * s2 * s2
+    num = s1 * c2 + s2 * c1
+    num_d = c1 * c2 - 2 * s1**3 * s2
+    den_d = 2 * s1 * c1 * s2 * s2
+    return num / den, (num_d * den - num * den_d) / (den * den)
+
+
+def _sl_mpmath_reference(z, bits):
+    """(sl z, sl' z, halvings) by mpmath floats at bits + GUARD: halve to
+    |w| <= 1/4, sum the Maclaurin series term by term, double back by the
+    addition law.  The floating evaluation the fixed-point kernel replaced."""
+    with mp.workprec(bits + GUARD):
+        halvings = 0
+        w = z
+        while abs(w) > mpf(1) / 4:
+            w = w / 2
+            halvings += 1
+        A = _series_coeffs(bits)
+        w4 = w**4
+        s = mpf(0)
+        c = mpf(0)
+        pw = mpc(1)
+        for k in range(len(A)):
+            s += A[k] * pw
+            c += (4 * k + 1) * A[k] * pw
+            pw *= w4
+        s *= w
+        for _ in range(halvings):
+            s, c = _pair_add_reference(s, c, s, c)
+        return s, c, halvings
 
 
 class TestLemniscateConstant:
@@ -153,6 +201,70 @@ class TestSlPairAdd:
                 assert abs(approx - c) / abs(c) < mpf(10) ** -10
 
 
+class TestFixedPointKernel:
+    @pytest.mark.parametrize("bits", [256, 512, 1024])
+    def test_sl_raw_matches_mpmath_reference(self, bits):
+        # Points a*2(1+i)omega + b*2(1-i)omega of the reduced cell of the true
+        # period lattice, half of them near its boundary (four halvings) and
+        # some one period out (five), kept off the poles by |sl| <= 16.
+        rng = random.Random(8 + bits)
+        halvings = set()
+        with mp.workprec(bits + 64):
+            om = _omega(bits + 64)
+            g1, g2 = 2 * mpc(om, om), 2 * mpc(om, -om)
+            checked = 0
+            while checked < 24:
+                a, b = rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)
+                if checked % 2:
+                    a = rng.choice((-1, 1)) * rng.uniform(0.45, 0.5)
+                if checked % 6 == 5:
+                    a += 1
+                z = a * g1 + b * g2
+                s_ref, c_ref, h = _sl_mpmath_reference(z, bits)
+                if abs(s_ref) > 16:
+                    continue
+                s, c = _sl_raw(z, bits)
+                assert abs(s - s_ref) < mpf(2) ** -bits
+                assert abs(c - c_ref) < mpf(2) ** -bits
+                halvings.add(h)
+                checked += 1
+        assert {4, 5} <= halvings
+
+    @pytest.mark.parametrize("b", ["-3", "-3-4i", "13+10i", "-19"])
+    def test_torsion_values_match_mpmath_reference(self, b):
+        ring = residue_ring(gi(b))
+        beta = ring.modulus  # the primary associate, as torsion_values uses
+        vals = torsion_values(gi(b), BITS)
+        with mp.workprec(BITS + GUARD):
+            om = _omega(BITS + GUARD)
+            s_gen = mpc(om, om) / mpc(beta.re, beta.im)
+            for orbit in _unit_orbits(ring):
+                lift = _even_lift(orbit[0], beta)
+                z = _reduce_mod_true_lattice(s_gen * mpc(lift.re, lift.im), BITS)
+                want = _sl_mpmath_reference(z, BITS)[0]
+                for lam in orbit:
+                    assert abs(vals[lam].to_mpc() - want) < mpf(2) ** -BITS
+                    want *= mpc(0, 1)
+        assert vals[gi("0")].to_mpc() == 0
+
+    def test_addition_law_denominator_floor(self):
+        # sl(u)^4 = -1 at u = (1+i)*omega/2, so doubling u meets the pole of
+        # the addition law at (1+i)*omega.
+        om = lemniscate_constant(BITS)
+        with mp.workprec(BITS + GUARD):
+            half_pole = big_complex(om.re / 2, om.re / 2, BITS)
+        p = sl_eval(half_pole)
+        with pytest.raises(PrecisionLoss):
+            sl_pair_add(p, p)
+
+    def test_check_distinct_floor(self):
+        F, bits = 300, 256
+        floor = 1 << (F - bits // 2)
+        _check_distinct([(0, 0), (floor, 0), (0, floor)], F, bits)
+        with pytest.raises(PrecisionLoss):
+            _check_distinct([(5, 7), (0, 0), (5 + floor - 1, 7)], F, bits)
+
+
 class TestTorsion:
     def test_count_and_zero(self):
         vals = torsion_values(gi("-3"), BITS)
@@ -260,6 +372,13 @@ class TestLemnatomicNumeric:
         assert report.precision_bits == 256
         assert report.escalations == 0
 
+    @pytest.mark.parametrize("b", sorted(ESCALATING))
+    def test_rejects_256_and_accepts_512(self, b):
+        beta = gi(b)
+        poly, report = lemnatomic_numeric(beta, BITS)
+        assert (report.precision_bits, report.escalations, report.stability_bits) == (512, 1, 1024)
+        assert record_checksum(beta, poly) == ESCALATING[b]
+
     def test_non_primary_input_normalized(self):
         via_three, _ = lemnatomic_numeric(gi("3"), BITS)
         via_primary, _ = lemnatomic_numeric(gi("-3"), BITS)
@@ -270,3 +389,4 @@ class TestLemnatomicNumeric:
             lemnatomic_numeric(gi("1"), BITS)
         with pytest.raises(InputError):
             lemnatomic_numeric(gi("1+i"), BITS)
+

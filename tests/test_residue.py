@@ -4,7 +4,7 @@ import pytest
 
 from conftest import gi
 from lemnatomic.errors import InputError, NotCoprime, NotOdd
-from lemnatomic.gaussint import GaussInt, gauss_gcd, is_primary
+from lemnatomic.gaussint import GaussInt, _factor_int, gauss_gcd, is_primary
 from lemnatomic.residue import (
     ResidueRing,
     class_of,
@@ -153,6 +153,42 @@ def pairwise_generators(ring, elements, order):
     return tuple(gens)
 
 
+def power_counting_invariant_factors(ring, elements, order):
+    """Reference invariant factors: count the kernel of x -> x^(p^j) by raising
+    every element to every p^j, read the p-exponents off the conjugate
+    partition, and combine primes largest exponents first."""
+    one = ring.canonical_rep(gi("1"))
+    exponents_by_prime = {}
+    for p in sorted(_factor_int(order)):
+        counts = [0]
+        j = 1
+        while True:
+            kernel = sum(1 for x in elements if ring.pow(x, p**j) == one)
+            s = 0
+            while p**s < kernel:
+                s += 1
+            assert p**s == kernel
+            if s == counts[-1]:
+                break
+            counts.append(s)
+            j += 1
+        rows = [counts[k] - counts[k - 1] for k in range(1, len(counts))]
+        exps = []
+        for k, row in enumerate(rows, start=1):
+            nxt = rows[k] if k < len(rows) else 0
+            exps.extend([k] * (row - nxt))
+        exponents_by_prime[p] = sorted(exps, reverse=True)
+    width = max((len(v) for v in exponents_by_prime.values()), default=0)
+    factors = []
+    for idx in range(width):
+        d = 1
+        for p, exps in exponents_by_prime.items():
+            if idx < len(exps):
+                d *= p ** exps[idx]
+        factors.append(d)
+    return tuple(sorted(factors))
+
+
 # odd moduli with N <= 500: inert, split, prime powers and mixed products,
 # among them 9, -7, -3-4i and (-1+2i)(-3) = 3-6i
 CLOSURE_MODULI = ("9", "-7", "-3-4i", "3-6i", "-1+2i", "-3", "5+4i", "-11", "15", "-7+2i", "13", "21")
@@ -165,6 +201,13 @@ class TestClosure:
         assert ring.size <= 500
         group = unit_group(ring)
         assert group.generators == pairwise_generators(ring, list(group.elements), group.order)
+
+    @pytest.mark.parametrize("b", CLOSURE_MODULI)
+    def test_invariant_factors_match_power_counting(self, b):
+        ring = residue_ring(gi(b))
+        group = unit_group(ring)
+        elements = list(group.elements)
+        assert group.invariant_factors == power_counting_invariant_factors(ring, elements, group.order)
 
     @pytest.mark.parametrize("b", CLOSURE_MODULI)
     def test_subgroups_match_pairwise_reference(self, b, rng):
