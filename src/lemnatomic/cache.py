@@ -15,9 +15,8 @@ import tempfile
 from pathlib import Path
 from typing import Optional
 
-from .exact import LemnatomicRecord, record_checksum
+from .exact import LemnatomicRecord
 from .gaussint import GaussInt, format_gauss, parse_gauss
-from .residue import phi_norm
 from .zipoly import from_json_dict, to_json_dict
 
 __all__ = ["SCHEMA_VERSION", "cache_path", "cache_store", "cache_load"]
@@ -82,15 +81,12 @@ def cache_load(beta: GaussInt, cache_dir) -> Optional[LemnatomicRecord]:
         return None
     if stored_beta != beta:
         return None
-    # re-validate the record invariants before trusting the entry
-    if degree != poly.degree() or poly.degree() != phi_norm(beta):
-        return None
-    if not poly.is_monic():
-        return None
-    if checksum != record_checksum(beta, poly):
-        return None
+    # build re-validates the record invariants (degree phi(beta), monic,
+    # nonzero constant term) and computes the checksum
     try:
         record = LemnatomicRecord.build(beta, poly, method=method, precision_bits=precision_bits)
     except Exception:
+        return None
+    if degree != record.degree or checksum != record.checksum:
         return None
     return record

@@ -104,10 +104,6 @@ def _zi_primitive(p: PolyZi) -> PolyZi:
     return PolyZi.make([exact_div(c, g) for c in p.coeffs])
 
 
-def _zi_scale(p: PolyZi, s: GaussInt) -> PolyZi:
-    return PolyZi.make([c * s for c in p.coeffs])
-
-
 # Brown's modular gcd (J. ACM 18, 1971) over Z[i].  For a rational prime
 # p = 1 (mod 4), Z[i]/p is F_p x F_p through i -> iota and i -> -iota with
 # iota^2 = -1 (mod p).  With gamma = gcd(lc a, lc b), gamma * (monic gcd) in
@@ -238,8 +234,8 @@ def _reduce_zi_fraction(num: PolyZi, den: PolyZi) -> tuple:
     _, num, den = _zi_gcd_cofactors(num, den)
     unit = _unit_to_first_quadrant(den.leading())
     if unit != ONE:
-        num = _zi_scale(num, unit)
-        den = _zi_scale(den, unit)
+        num = num * unit
+        den = den * unit
     return num, den
 
 
@@ -400,7 +396,7 @@ def _verify_first_integral(num: Graded, den: PolyZi, beta: GaussInt) -> None:
         )
     if beta.is_odd():
         rev = PolyZi.make([ZERO] * (beta.norm() - n_poly.degree()) + list(reversed(n_poly.coeffs)))
-        if not any(b == _zi_scale(rev, u) for u in UNITS):
+        if not any(b == rev * u for u in UNITS):
             raise InternalInconsistency(
                 f"denominator of sl({beta} z) is not a unit times the reversed numerator"
             )

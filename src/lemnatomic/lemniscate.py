@@ -16,37 +16,46 @@ contains no poles of the series/doubling chain.  Torsion values for odd beta
 are taken at exact division points of the zero set 2*omega*Z[i] (one series
 evaluation per unit orbit, the other three values filled in by
 sl(i z) = i sl(z)), which is what makes their elementary symmetric functions
-Gaussian integers.
+Gaussian integers.  The point lam*(1+i)*omega/beta sits at the Gaussian
+rational lam/(2 beta) of the chain's period lattice 2(1+i)*omega*Z[i], so it
+is reduced exactly, by dividing lam by 2 beta in Z[i]: the remainder r gives
+the argument omega * g / N(beta) with g = (1+i) r conj(beta).
 
 The numeric lemnatomic polynomial uses the same symmetry: an orbit's four
 roots v, iv, -v, -iv contribute the factor X^4 - v^4, so the product is
 expanded as G(Y) = prod (Y - v^4) over one value per invertible orbit, with
 phi/4 roots instead of phi, and G(X^4) is the polynomial.
 
-Fixed point.  The series, the doublings, the orbit rotation, the collision
-scan and the product G run on Python ints.  At working precision `bits` a
-real x is the int x*2^F, truncated, with F = bits + GUARD + HALVING_GUARD,
-and a complex value is a pair of such ints.  A real product is one multiply
-and one shift right by F; a complex quotient multiplies by the conjugate and
-divides each part by the squared modulus.  Every operation errs by less
-than one unit 2^-F, an absolute error, so a value of size M carries a finer
-relative error than a float of bits + GUARD bits would.
+Fixed point.  The lattice reductions, the series, the doublings, the orbit
+rotation, the collision scan and the product G run on Python ints.  At
+working precision `bits` a real x is the int x*2^F, truncated, with
+F = bits + GUARD + HALVING_GUARD, and a complex value is a pair of such
+ints.  A real product is one multiply and one shift right by F; a complex
+quotient multiplies by the conjugate and divides each part by the squared
+modulus.  Every operation errs by less than one unit 2^-F, an absolute
+error, so a value of size M carries a finer relative error than a float of
+bits + GUARD bits would.
 
-Error budget.  Halving to |w| <= 1/4 truncates w by at most one unit, and
-Horner in u = w^4 (|u| <= 2^-8) sums the series within a few units.  Each
-doubling by the addition law about doubles the error carried in.  An
-argument of the reduced cell (|z| <= 2*omega) needs at most four halvings,
-|z| <= 8 at most five, so HALVING_GUARD = 8 bits keep the doubled value
-within 2^-(bits + GUARD), the error of a floating evaluation at
-bits + GUARD bits.  The series coefficients come from mpmath at
+Error budget.  omega is held to bits + GUARD bits, as lemniscate_constant
+carries it, so an argument at an exact multiple of it reduces exactly; its
+rounding moves the whole lattice and costs at most 2^9 units at
+|z| <= 2*omega.  Against that omega a torsion argument, the floor of
+omega*2^F*g/N(beta), errs by under one unit, where the mpmath product it
+replaces erred by about 2^8 units.  Halving to |w| <= 1/4 truncates w by at
+most one unit, and Horner in u = w^4 (|u| <= 2^-8) sums the series within a
+few units.  Each doubling by the addition law about doubles the error
+carried in.  An argument of the reduced cell (|z| <= 2*omega) needs at most
+four halvings, |z| <= 8 at most five, so HALVING_GUARD = 8 bits keep the
+doubled value within 2^-(bits + GUARD), the error of a floating evaluation
+at bits + GUARD bits.  The series coefficients come from mpmath at
 bits + GUARD bits, up to the first term worth less than one unit at
-|u| = 2^-8, and are converted once per precision.  Beyond this budget nothing
-is assumed: a product is accepted only when every coefficient lies within
-2^-30 of a Gaussian integer and the rounding survives one doubling of
-precision, and the addition-law denominator floor 2^-(bits - GUARD) and the
-collision floor 2^-(bits // 2) are compared exactly on the ints.  mpmath
-computes omega, the series coefficients and the lattice reduction, and
-carries the public types.
+|u| = 2^-8, and are converted once per precision.  Beyond this budget
+nothing is assumed: a product is accepted only when every coefficient lies
+within 2^-30 of a Gaussian integer and the rounding survives one doubling of
+precision, and the pole floor 2^-(bits - GUARD) of sl_eval and the addition
+law and the collision floor 2^-(bits // 2) are compared exactly on the ints.
+mpmath computes omega and the series coefficients, places torsion_points,
+and carries the public types.
 """
 
 from __future__ import annotations
@@ -60,7 +69,16 @@ from mpmath import mp, mpc, mpf
 from mpmath.libmp import from_man_exp
 
 from .errors import InputError, PoleProximity, PrecisionLoss, RoundingUnstable
-from .gaussint import GaussInt, ONE, ZERO, _check_beta, as_gauss, gauss_gcd
+from .gaussint import (
+    GaussInt,
+    ONE,
+    ZERO,
+    _check_beta,
+    _round_half_down,
+    as_gauss,
+    gauss_divmod,
+    gauss_gcd,
+)
 from .residue import phi_norm, residue_ring
 from .zipoly import PolyZi
 
@@ -209,29 +227,26 @@ def pair_defect(pair: SlPair) -> mpf:
 
 
 @lru_cache(maxsize=None)
-def _omega_mpf_str(precision_bits: int) -> str:
+def _omega(bits: int) -> mpf:
+    """omega rounded to bits bits."""
     # AGM(1, sqrt 2) by the defining iteration; quadrature serves as the
     # independent oracle in the test suite, not here.
-    with mp.workprec(precision_bits + 2 * GUARD):
+    with mp.workprec(bits + 2 * GUARD):
         a = mpf(1)
         b = mp.sqrt(2)
-        eps = mpf(2) ** (-(precision_bits + GUARD))
+        eps = mpf(2) ** (-(bits + GUARD))
         while abs(a - b) > eps:
             a, b = (a + b) / 2, mp.sqrt(a * b)
         omega = mp.pi / (2 * a)
-        return mp.nstr(omega, mp.dps + 10)
+    with mp.workprec(bits):
+        return +omega
 
 
 def lemniscate_constant(precision_bits: int) -> BigComplex:
     """The lemniscate constant omega = pi / (2 AGM(1, sqrt 2))."""
     if precision_bits < 64:
         raise InputError("precision_bits must be at least 64")
-    return big_complex(_omega_mpf_str(precision_bits), 0, precision_bits)
-
-
-def _omega(bits: int) -> mpf:
-    with mp.workprec(bits):
-        return mpf(_omega_mpf_str(bits))
+    return big_complex(_omega(precision_bits + GUARD), 0, precision_bits)
 
 
 # -- Maclaurin coefficients ---------------------------------------------------
@@ -277,8 +292,10 @@ def _fx(x: mpf, F: int) -> int:
     return -n if sign else n
 
 
-def _fx_mpc(z: mpc, F: int) -> tuple:
-    return _fx(z.real, F), _fx(z.imag, F)
+def _omega_fx(bits: int) -> int:
+    """omega at bits + GUARD bits, the value lemniscate_constant carries, as
+    a fixed-point int."""
+    return _fx(_omega(bits + GUARD), _frac_bits(bits))
 
 
 def _big_fx(z: tuple, F: int, bits: int) -> BigComplex:
@@ -374,54 +391,30 @@ def sl_pair_add(a: SlPair, b: SlPair) -> SlPair:
 def _sl_raw(z: mpc, bits: int) -> tuple:
     """(sl z, sl' z) with no lattice reduction; |z| should be cell-sized."""
     F = _frac_bits(bits)
-    pairs = _sl_fx(_fx_mpc(z, F), bits)
+    pairs = _sl_fx((_fx(z.real, F), _fx(z.imag, F)), bits)
     return tuple(mp.make_mpc((from_man_exp(re, -F), from_man_exp(im, -F))) for re, im in pairs)
 
 
-def _round_half_down_mpf(t: mpf) -> int:
-    return int(mp.ceil(t - mpf(1) / 2))
-
-
-def _reduce_mod_l(z: mpc, bits: int) -> mpc:
-    """Reduce modulo L = Z*(1+i)*omega + Z*(1-i)*omega, coordinates rounded
-    half toward -infinity."""
-    om = _omega(bits + GUARD)
-    u = (z.real + z.imag) / (2 * om)
-    v = (z.real - z.imag) / (2 * om)
-    m = _round_half_down_mpf(u)
-    n = _round_half_down_mpf(v)
-    return z - m * mpc(om, om) - n * mpc(om, -om)
-
-
 def sl_eval(z: BigComplex, precision_bits: Optional[int] = None) -> SlPair:
-    """(sl z, sl' z) after reduction modulo L = (1+i)*omega*Z[i]."""
-    if precision_bits is None:
-        precision_bits = z.precision_bits
-    bits = precision_bits
-    with mp.workprec(bits + GUARD):
-        zr = _reduce_mod_l(z.to_mpc(), bits)
-        om = _omega(bits + GUARD)
-        floor = mpf(2) ** (-(bits - GUARD))
-        for pa in (mpc(om, om), mpc(om, -om), mpc(-om, om), mpc(-om, -om)):
-            if abs(zr - pa) < floor:
-                raise PoleProximity("argument reduces to within the precision floor of a pole")
-        F = _frac_bits(bits)
-        s, c = _sl_fx(_fx_mpc(zr, F), bits)
+    """(sl z, sl' z) after reduction modulo L = Z*(1+i)*omega + Z*(1-i)*omega,
+    coordinates rounded half toward -infinity; raises PoleProximity when the
+    reduced argument lies within 2^-(bits - GUARD) of a pole (+-1 +- i)*omega."""
+    bits = z.precision_bits if precision_bits is None else precision_bits
+    F = _frac_bits(bits)
+    om = _omega_fx(bits)
+    x, y = _fx(z.re, F), _fx(z.im, F)
+    m = _round_half_down(x + y, 2 * om)
+    n = _round_half_down(x - y, 2 * om)
+    x, y = x - (m + n) * om, y - (m - n) * om
+    # The reduced cell |x| + |y| <= omega has its nearest pole in its own quadrant.
+    floor = 1 << (F - bits + GUARD)
+    if (abs(x) - om) ** 2 + (abs(y) - om) ** 2 < floor * floor:
+        raise PoleProximity("argument reduces to within the precision floor of a pole")
+    s, c = _sl_fx((x, y), bits)
     return SlPair(s=_big_fx(s, F, bits), c=_big_fx(c, F, bits))
 
 
 # -- torsion ------------------------------------------------------------------
-
-
-def _reduce_mod_true_lattice(z: mpc, bits: int) -> mpc:
-    """Reduce modulo 2(1+i)*omega*Z[i], the honest period lattice of the
-    series/doubling evaluation chain."""
-    om = _omega(bits + GUARD)
-    gen = 2 * mpc(om, om)
-    w = z / gen
-    m = _round_half_down_mpf(w.real)
-    n = _round_half_down_mpf(w.imag)
-    return z - gen * mpc(m, n)
 
 
 def _unit_orbits(ring) -> list:
@@ -467,13 +460,33 @@ def torsion_points(beta, precision_bits: int = 256) -> tuple:
         return tuple(pts)
 
 
+def _orbit_values(beta: GaussInt, ring, bits: int, mult: GaussInt = ONE) -> list:
+    """(orbit, [v, iv, -v, -iv]) for each unit orbit, v = sl(lam*mult*S) at
+    the orbit's first residue lam as a fixed-point pair; PrecisionLoss when
+    two of the N(beta) values, 0 included, collide.
+
+    One series evaluation per orbit, at the even lift of lam times mult,
+    reduced modulo the period lattice by Gaussian division by 2 beta.
+    """
+    F = _frac_bits(bits)
+    om = _omega_fx(bits)
+    n = beta.norm()
+    scale = GaussInt(1, 1) * beta.conjugate()
+    out = []
+    for orbit in _unit_orbits(ring):
+        g = gauss_divmod(_even_lift(orbit[0], beta) * mult, 2 * beta)[1] * scale
+        (vr, vi), _ = _sl_fx((om * g.re // n, om * g.im // n), bits)
+        out.append((orbit, [(vr, vi), (-vi, vr), (-vr, -vi), (vi, -vr)]))
+    _check_distinct([(0, 0)] + [v for _, vals in out for v in vals], F, bits)
+    return out
+
+
 def torsion_values(beta, precision_bits: int = 256, generator_class: Optional[GaussInt] = None) -> dict:
     """Map lam -> sl(lam*S) over all canonical residues lam mod beta.
 
-    One series evaluation per unit orbit, at the even lift of the orbit
-    representative, reduced modulo the honest period lattice; the remaining
-    three values follow from sl(i z) = i sl(z).  generator_class multiplies S
-    by an invertible class (the value set is then permuted, not changed).
+    The remaining three values of each orbit follow from sl(i z) = i sl(z).
+    generator_class multiplies S by an invertible class (the value set is
+    then permuted, not changed).
     """
     beta = _check_beta(beta)
     ring = residue_ring(beta)
@@ -483,17 +496,8 @@ def torsion_values(beta, precision_bits: int = 256, generator_class: Optional[Ga
     bits = precision_bits
     F = _frac_bits(bits)
     values = {ring.canonical_rep(ZERO): (0, 0)}
-    with mp.workprec(bits + GUARD):
-        om = _omega(bits + GUARD)
-        s_gen = mpc(om, om) / mpc(beta.re, beta.im)
-        for orbit in _unit_orbits(ring):
-            lift = _even_lift(orbit[0], beta) * mult
-            z = _reduce_mod_true_lattice(s_gen * mpc(lift.re, lift.im), bits)
-            (vr, vi), _ = _sl_fx(_fx_mpc(z, F), bits)
-            for lam in orbit:
-                values[lam] = (vr, vi)
-                vr, vi = -vi, vr
-    _check_distinct(values.values(), F, bits)
+    for orbit, vals in _orbit_values(beta, ring, bits, mult):
+        values.update(zip(orbit, vals))
     return {lam: _big_fx(values[lam], F, bits) for lam in ring.representatives()}
 
 
@@ -518,21 +522,14 @@ def _check_distinct(values, F: int, bits: int) -> None:
 def _numeric_poly_at(beta: GaussInt, ring, bits: int) -> tuple:
     """Expand prod (X^4 - v^4) over invertible unit orbits; round to Z[i] coefficients.
 
-    torsion_values fills each unit orbit with the exact rotations v, iv, -v,
-    -iv, so exactly one of them lies in the quadrant re > 0, im >= 0, and
-    that one stands for its orbit.  The orbit's factor
-    (X - v)(X - iv)(X + v)(X + iv) is X^4 - v^4, so G(Y) = prod (Y - v^4) is
-    expanded in fixed point and rounded, and its coefficients go to X^(4k);
-    every other coefficient is exactly zero.  Returns the polynomial and the
-    largest rounding error.
+    An orbit's factor (X - v)(X - iv)(X + v)(X + iv) is X^4 - v^4, so
+    G(Y) = prod (Y - v^4) is expanded in fixed point and rounded, and its
+    coefficients go to X^(4k); every other coefficient is exactly zero.
+    Returns the polynomial and the largest rounding error.
     """
-    vals = torsion_values(beta, bits)
     F = _frac_bits(bits)
-    fourth = []
-    for lam, v in vals.items():
-        vr, vi = _fx(v.re, F), _fx(v.im, F)  # exact: the kernel's own ints
-        if vr > 0 and vi >= 0 and ring.is_invertible(lam):
-            fourth.append(_pow4((vr, vi), F))
+    orbits = _orbit_values(beta, ring, bits)
+    fourth = [_pow4(vals[0], F) for orbit, vals in orbits if ring.is_invertible(orbit[0])]
     re, im = [1 << F], [0]  # G, lowest degree first
     for wr, wi in fourth:
         re.append(re[-1])
@@ -559,7 +556,7 @@ def _attempt(beta: GaussInt, ring, bits: int) -> tuple:
     """_numeric_poly_at, with a precision failure read as an infinite error."""
     try:
         return _numeric_poly_at(beta, ring, bits)
-    except (PrecisionLoss, PoleProximity):
+    except PrecisionLoss:
         return None, math.inf
 
 

@@ -5,7 +5,8 @@ import json
 
 from conftest import gi
 from lemnatomic.cache import SCHEMA_VERSION, cache_load, cache_path, cache_store
-from lemnatomic.exact import lemnatomic_exact
+from lemnatomic.exact import lemnatomic_exact, record_checksum
+from lemnatomic.zipoly import from_json_dict
 
 
 def stored(tmp_path, b="-3"):
@@ -73,6 +74,18 @@ class TestMissPaths:
             d["coefficients"]["coeffs"][0] = "7"
 
         rewrite(path, flip)
+        assert cache_load(record.beta, tmp_path) is None
+
+    def test_non_monic_with_matching_degree_and_checksum(self, tmp_path):
+        record, path = stored(tmp_path)
+
+        def scale_lead(d):
+            d["coefficients"]["coeffs"][-1] = "2"
+            d["checksum"] = record_checksum(record.beta, from_json_dict(d["coefficients"]))
+
+        rewrite(path, scale_lead)
+        data = json.loads(path.read_text(encoding="ascii"))
+        assert data["degree"] == len(data["coefficients"]["coeffs"]) - 1
         assert cache_load(record.beta, tmp_path) is None
 
     def test_degree_tamper(self, tmp_path):

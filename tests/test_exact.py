@@ -30,7 +30,7 @@ from lemnatomic.gaussint import I, UNITS, GaussInt, _is_rational_prime, factor, 
 from lemnatomic.gfq import _int_gcd
 from lemnatomic.lemniscate import _sl_raw, big_complex, sl_eval, torsion_values
 from lemnatomic.residue import phi_norm
-from lemnatomic.zipoly import PolyZi, exact_divide, poly
+from lemnatomic.zipoly import PolyZi, discriminant, exact_divide, poly
 
 S = poly([0, 1])
 ONE_POLY = poly([1])
@@ -380,6 +380,16 @@ def test_lambda_at_zero(b):
     _, facs = factor(beta)
     want = primary_normalize(facs[0][0].value)[1] if len(facs) == 1 else gi("1")
     assert lemnatomic_exact(beta).coefficients[0] == want
+
+
+@pytest.mark.parametrize("b", ["-1+2i", "-3", "-3-4i", "3-6i"])
+def test_discriminant_primes(b):
+    """The prime factors of disc(Lambda_beta) are exactly 1+i and the primes
+    dividing beta."""
+    beta = gi(b)
+    disc = discriminant(lemnatomic_exact(beta).coefficients)
+    want = {gi("1+i")} | {prime.value for prime, _ in factor(beta)[1]}
+    assert {prime.value for prime, _ in factor(disc)[1]} == want
 
 
 class TestMemos:

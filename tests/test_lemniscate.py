@@ -9,7 +9,7 @@ from mpmath import mp, mpc, mpf
 
 from conftest import gi
 from lemnatomic import lemniscate
-from lemnatomic.errors import InputError, PrecisionLoss
+from lemnatomic.errors import InputError, PoleProximity, PrecisionLoss
 from lemnatomic.exact import lemnatomic_exact, record_checksum
 from lemnatomic.gaussint import GaussInt
 from lemnatomic.lemniscate import (
@@ -17,7 +17,6 @@ from lemnatomic.lemniscate import (
     _check_distinct,
     _even_lift,
     _omega,
-    _reduce_mod_true_lattice,
     _series_coeffs,
     _sl_raw,
     _unit_orbits,
@@ -78,6 +77,18 @@ def _sl_mpmath_reference(z, bits):
         for _ in range(halvings):
             s, c = _pair_add_reference(s, c, s, c)
         return s, c, halvings
+
+
+def _reduce_mod_true_lattice_reference(z, bits):
+    """z reduced modulo 2(1+i)*omega*Z[i] by mpmath floats at the working
+    precision, coordinates rounded half toward -infinity.  The floating
+    reduction the integer one replaced."""
+    om = _omega(bits + GUARD)
+    gen = 2 * mpc(om, om)
+    w = z / gen
+    m = int(mp.ceil(w.real - mpf(1) / 2))
+    n = int(mp.ceil(w.imag - mpf(1) / 2))
+    return z - gen * mpc(m, n)
 
 
 class TestLemniscateConstant:
@@ -240,7 +251,7 @@ class TestFixedPointKernel:
             s_gen = mpc(om, om) / mpc(beta.re, beta.im)
             for orbit in _unit_orbits(ring):
                 lift = _even_lift(orbit[0], beta)
-                z = _reduce_mod_true_lattice(s_gen * mpc(lift.re, lift.im), BITS)
+                z = _reduce_mod_true_lattice_reference(s_gen * mpc(lift.re, lift.im), BITS)
                 want = _sl_mpmath_reference(z, BITS)[0]
                 for lam in orbit:
                     assert abs(vals[lam].to_mpc() - want) < mpf(2) ** -BITS
@@ -256,6 +267,21 @@ class TestFixedPointKernel:
         p = sl_eval(half_pole)
         with pytest.raises(PrecisionLoss):
             sl_pair_add(p, p)
+
+    def test_pole_floor_on_ints(self):
+        # At 32 bits the floor 2^-(bits - GUARD) is 1: wider than the distance
+        # omega/sqrt(2) from (1+i)*omega/2 to the pole (1+i)*omega, narrower
+        # than the distance omega*sqrt(2) from 0 to every pole.
+        with mp.workprec(64 + GUARD):
+            om = lemniscate_constant(64).re
+            half_pole = big_complex(om / 2, om / 2, 64)
+        with pytest.raises(PoleProximity):
+            sl_eval(half_pole, precision_bits=32)
+        assert sl_eval(big_complex(0, 0, 64), precision_bits=32).s.to_mpc() == 0
+        # At 256 bits (1+i)*omega reduces to 0 and omega to itself.
+        om = lemniscate_constant(BITS).re
+        assert abs(sl_eval(big_complex(om, om, BITS)).s.to_mpc()) < mpf(2) ** -200
+        sl_eval(big_complex(om, 0, BITS))
 
     def test_check_distinct_floor(self):
         F, bits = 300, 256
