@@ -7,14 +7,18 @@ All scans walk odd primary Gaussian primes in (norm, re, im) order, so every
 report is deterministic for fixed inputs.  One memoised scan, _scan, serves
 every report: per prime it records whether pi divides the modulus (disc(h),
 or beta for the separability sweep), read as a zero image in Z[i]/(pi), and
-otherwise whether the predicate holds for h mod pi.  Reports that share a
-polynomial, bound and predicate (the splitting scan behind the density
-report and the witness search, the root scan behind the semi-split list and
-the criterion evidence) run it once.  Class computations default to
-primary normalization (classes of primes taken through their primary
-associates); raw mode, which reduces the first-quadrant associate exactly as
-written, is exposed for comparison and is demonstrably the reading under
-which the irreducibility criterion's worked counterexample breaks.
+otherwise a status byte for h mod pi.  The splitting and the root reports
+(splitting primes, density, witness search, semi-split primes, criterion
+evidence) read one scan per (h, bound): gfq.root_status computes X^q mod h
+once per prime and reads both "splits completely" and "has a root" from it.
+The separability sweep keeps its own scan, modulo beta, with the squarefree
+test.
+
+Class computations default to primary normalization (classes of primes
+taken through their primary associates); raw mode, which reduces the
+first-quadrant associate exactly as written, is exposed for comparison and
+is demonstrably the reading under which the irreducibility criterion's
+worked counterexample breaks.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from .gaussint import (
     GaussPrime,
     _check_beta,
     _odd_prime_walk,
+    _walk_prime,
     as_gauss,
     canonical_associate,
     divides,
@@ -38,7 +43,11 @@ from .gaussint import (
     odd_part,
     primes_up_to_norm,
 )
-from .gfq import factor_degrees, has_root, reduce_poly, residue_field, splits_completely, squarefree
+from .gfq import ROOT, SPLITS, factor_degrees, reduce_poly, residue_field, root_status, squarefree
+
+# The single-prime predicates that the SPLITS and ROOT statuses stand for,
+# bound here as well (perfbench's tracer wraps classfield's own reference).
+from .gfq import has_root, splits_completely  # noqa: F401
 from .residue import class_of, residue_ring, subgroup_generated, unit_group
 from .zipoly import PolyZi, discriminant, to_json_dict
 
@@ -222,35 +231,42 @@ def _check_scan_poly(h: PolyZi) -> GaussInt:
     return disc
 
 
-# Status bytes of _scan, also the index of each group in _scan_groups.
-_SKIP, _HIT, _MISS = 0, 1, 2
+# A status byte per scanned prime: _SKIP when pi divides the scan's modulus,
+# else the classifier's value at h mod pi: root_status (NO_ROOT < ROOT <
+# SPLITS) for the splitting and root reports, squarefree's bool for the
+# separability sweep.
+_SKIP = 0xFF
+_ROOTS = (ROOT, SPLITS)
 
 
 @lru_cache(maxsize=16)
-def _scan(h: PolyZi, bound: int, modulus: GaussInt, test) -> bytes:
-    """One status byte per odd primary prime of norm <= bound, in walk order:
-    _SKIP when pi divides modulus, else _HIT or _MISS as test(h mod pi) holds.
+def _scan(h: PolyZi, bound: int, modulus: GaussInt, classify) -> bytes:
+    """One status byte per odd primary prime of norm <= bound, in walk order.
 
     pi | modulus is read off the residue field: the image of modulus in
-    Z[i]/(pi) is zero.  Memoised on (h, bound, modulus, test), so reports
+    Z[i]/(pi) is zero.  Memoised on (h, bound, modulus, classify), so reports
     that share a scan run it once; bytes keep the memo small.
     """
+    walk = _odd_prime_walk(bound)
     out = bytearray()
-    for pi in primes_up_to_norm(bound, odd_only=True):
-        field = residue_field(pi)
+    for k in range(len(walk) // 3):
+        field = residue_field(_walk_prime(walk, k))
         if field.reduce_gauss(modulus) == field.zero():
             out.append(_SKIP)
         else:
-            out.append(_HIT if test(reduce_poly(h, field)) else _MISS)
+            out.append(classify(reduce_poly(h, field)))
     return bytes(out)
 
 
-def _scan_groups(h: PolyZi, bound: int, modulus: GaussInt, test) -> tuple:
-    """The primes of _scan, grouped by status: (skipped, hits, misses)."""
-    groups: tuple = ([], [], [])
-    for pi, status in zip(primes_up_to_norm(bound, odd_only=True), _scan(h, bound, modulus, test)):
-        groups[status].append(pi)
-    return groups
+def _root_scan(h: PolyZi, bound: int) -> bytes:
+    """root_status of h at every prime not dividing disc(h): the one scan,
+    one Frobenius per prime, behind every splitting and root report on h."""
+    return _scan(h, bound, _check_scan_poly(h), root_status)
+
+
+def _primes(bound: int, status: bytes, wanted: tuple) -> list:
+    """The scanned primes whose status byte is in wanted, in walk order."""
+    return [pi for pi, s in zip(primes_up_to_norm(bound), status) if s in wanted]
 
 
 def splitting_primes(h: PolyZi, bound: int) -> SplittingReport:
@@ -258,15 +274,20 @@ def splitting_primes(h: PolyZi, bound: int) -> SplittingReport:
     splits completely into distinct linear factors.  Primes dividing disc(h)
     are skipped (the squarefree test would exclude them anyway) and reported
     separately."""
-    skipped, hits, _ = _scan_groups(h, bound, _check_scan_poly(h), splits_completely)
-    return SplittingReport(poly=h, bound=bound, primes=tuple(hits), skipped=tuple(skipped))
+    status = _root_scan(h, bound)
+    return SplittingReport(
+        poly=h,
+        bound=bound,
+        primes=tuple(_primes(bound, status, (SPLITS,))),
+        skipped=tuple(_primes(bound, status, (_SKIP,))),
+    )
 
 
 def semisplit_primes(g: PolyZi, bound: int) -> list:
     """Odd primary primes with norm <= bound, not dividing disc(g), at which
     g has a root in the residue field (a degree-one prime of the field g
     defines; g is trusted to be irreducible, not verified)."""
-    return _scan_groups(g, bound, _check_scan_poly(g), has_root)[_HIT]
+    return _primes(bound, _root_scan(g, bound), _ROOTS)
 
 
 def verify_prop1(beta, bound: int) -> Prop1Report:
@@ -274,9 +295,12 @@ def verify_prop1(beta, bound: int) -> Prop1Report:
     every odd primary prime pi with pi not dividing beta and N(pi) <= bound,
     and check squarefreeness.  The theory predicts zero failures."""
     rec = lemnatomic_exact(beta)
-    _, hits, failures = _scan_groups(rec.coefficients, bound, rec.beta, squarefree)
+    status = _scan(rec.coefficients, bound, rec.beta, squarefree)
     return Prop1Report(
-        beta=rec.beta, bound=bound, checked=len(hits) + len(failures), failures=tuple(failures)
+        beta=rec.beta,
+        bound=bound,
+        checked=len(status) - status.count(_SKIP),
+        failures=tuple(_primes(bound, status, (False,))),  # not squarefree
     )
 
 
@@ -319,8 +343,8 @@ def prop2_evidence(g: PolyZi, beta, bound: int, normalization: str = "primary") 
     beta = _check_beta(beta)
     ring = residue_ring(beta)
     group = unit_group(ring)
-    skipped, hits, _ = _scan_groups(g, bound, _check_scan_poly(g), has_root)
-    hits = [pi for pi in hits if not divides(pi.value, beta)]
+    status = _root_scan(g, bound)
+    hits = [pi for pi in _primes(bound, status, _ROOTS) if not divides(pi.value, beta)]
     classes = sorted(
         {_prime_class(pi, ring, normalization) for pi in hits},
         key=lambda c: (c.re, c.im),
@@ -335,7 +359,7 @@ def prop2_evidence(g: PolyZi, beta, bound: int, normalization: str = "primary") 
         subgroup_order=len(sub),
         group_order=group.order,
         criterion_satisfied=len(sub) == group.order,
-        skipped=tuple(skipped),
+        skipped=tuple(_primes(bound, status, (_SKIP,))),
     )
 
 
@@ -389,14 +413,14 @@ def theorem_search(
             {g for g in grids if not g.is_unit()},
             key=lambda g: (g.norm(), g.re, g.im),
         )
-    report = splitting_primes(h, bound)
+    splitting = _primes(bound, _root_scan(h, bound), (SPLITS,))
     rows: list[TheoremCandidate] = []
     for beta in candidates:
         ring = residue_ring(beta)
         group = unit_group(ring)
         classes = {
             _prime_class(pi, ring, normalization)
-            for pi in report.primes
+            for pi in splitting
             if not divides(pi.value, beta)
         }
         sub = subgroup_generated(group, classes)
@@ -425,13 +449,13 @@ def theorem_search(
 def density_report(h: PolyZi, bound: int) -> DensityReport:
     """Empirical density of splitting primes among all odd primary primes up
     to the bound, with the heuristic value 1/deg(h) attached (not enforced)."""
-    report = splitting_primes(h, bound)
-    count_all = len(_odd_prime_walk(bound)) // 3  # re, im, norm per prime
-    ratio = len(report.primes) / count_all if count_all else 0.0
+    status = _root_scan(h, bound)
+    count_p, count_all = status.count(SPLITS), len(status)
+    ratio = count_p / count_all if count_all else 0.0
     return DensityReport(
         poly=h,
         bound=bound,
-        count_p=len(report.primes),
+        count_p=count_p,
         count_all_odd=count_all,
         ratio=ratio,
         expected=float(Fraction(1, h.degree())),

@@ -400,14 +400,9 @@ def primes_up_to_norm(bound: int, odd_only: bool = True) -> list[GaussPrime]:
 
     The walk is memoised per bound; each call builds its own list from it.
     """
-    if bound < 2:
-        raise InputError("bound must be at least 2")
     walk = _odd_prime_walk(bound)
     out = [] if odd_only else [GaussPrime(ONE_PLUS_I, 2, "ramified")]
-    out.extend(
-        GaussPrime(GaussInt(re, im), norm, "inert" if im == 0 else "split")
-        for re, im, norm in zip(walk[0::3], walk[1::3], walk[2::3])
-    )
+    out.extend(_walk_prime(walk, k) for k in range(len(walk) // 3))
     return out
 
 
@@ -419,6 +414,8 @@ def _odd_prime_walk(bound: int) -> array:
     objects pins small allocations all over the heap, and repeated scans
     then peaked about 2 MB higher at norm 3e4.
     """
+    if bound < 2:
+        raise InputError("bound must be at least 2")
     keys = []
     for p in _rational_primes_up_to(bound):
         if p % 4 == 1:
@@ -430,6 +427,12 @@ def _odd_prime_walk(bound: int) -> array:
             keys.append((p * p, z.re, -z.im))
     keys.sort()
     return array("q", [x for norm, re, neg_im in keys for x in (re, -neg_im, norm)])
+
+
+def _walk_prime(walk: array, k: int) -> GaussPrime:
+    """The k-th prime of an _odd_prime_walk."""
+    re, im, norm = walk[3 * k : 3 * k + 3]
+    return GaussPrime(GaussInt(re, im), norm, "inert" if im == 0 else "split")
 
 
 # -- literal grammar ---------------------------------------------------------

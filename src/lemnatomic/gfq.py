@@ -13,6 +13,9 @@ polynomial work runs on the int coefficient lists directly: Euclid for gcd
 and squarefree, and the Frobenius X^q mod f as a square-and-multiply on
 Kronecker-packed ints (_PackedModulus).  Over an inert prime it runs on the
 pairs through ResidueField, one field operation per coefficient.
+
+root_status reads complete splitting and the existence of a root off one
+Frobenius, so a scan that needs both pays for X^q mod f once per prime.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ __all__ = [
     "squarefree",
     "splits_completely",
     "has_root",
+    "root_status",
     "factor_degrees",
 ]
 
@@ -197,14 +201,17 @@ def _int_trim(cs: list) -> list:
 
 
 def _int_gcd(p: int, a: tuple, b: tuple) -> tuple:
-    """Monic gcd over F_p by Euclid; a and b trimmed, not both zero."""
+    """Monic gcd over F_p by Euclid; a and b trimmed, reduced mod p, not both zero.
+
+    The divisor is never rescaled: each quotient coefficient carries its
+    leading inverse instead, and only the result is made monic.
+    """
     a, b = list(a), list(b)
     while b:
         inv = pow(b[-1], -1, p)
-        b = [c * inv % p for c in b]
         low, db = b[:-1], len(b) - 1
         while len(a) > db:
-            q = a.pop()
+            q = a.pop() * inv % p
             if q:
                 s = len(a) - db
                 a[s:] = [(x - q * y) % p for x, y in zip(a[s:], low)]
@@ -456,6 +463,26 @@ def has_root(f: PolyFq) -> bool:
         return False
     monic = _pmonic(F, f.coeffs)
     return len(_gcd(F, monic, _minus_x(F, _frobenius(F, monic)))) > 1
+
+
+# root_status values, ordered: a polynomial that splits also has a root.
+NO_ROOT, ROOT, SPLITS = 0, 1, 2
+
+
+def root_status(f: PolyFq) -> int:
+    """NO_ROOT, ROOT or SPLITS for monic f of degree >= 1, from one Frobenius.
+
+    With r = X^q mod f, f splits into distinct linear factors iff r = X mod f
+    (as in splits_completely), and f has a root iff deg gcd(f, r - X) >= 1
+    (as in has_root); the gcd runs only when f does not split.
+    """
+    if f.degree() < 1 or not f.is_monic():
+        raise InputError("root_status requires a monic nonconstant polynomial")
+    F = f.field
+    r = _frobenius(F, f.coeffs)
+    if r == _pmod(F, (F.zero(), F.one()), f.coeffs):
+        return SPLITS
+    return ROOT if len(_gcd(F, f.coeffs, _minus_x(F, r))) > 1 else NO_ROOT
 
 
 def factor_degrees(f: PolyFq) -> tuple:

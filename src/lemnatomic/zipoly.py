@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Union
 
 from .errors import InputError, NotDivisible, ParseError
-from .gaussint import GaussInt, GaussIntLike, ZERO, ONE, as_gauss, exact_div, format_gauss, parse_gauss
+from .gaussint import GaussInt, GaussIntLike, ZERO, ONE, as_gauss, format_gauss, parse_gauss
 
 
 def _trim(coeffs: list[GaussInt]) -> tuple[GaussInt, ...]:
@@ -190,29 +190,47 @@ def exact_divide(f: PolyZi, g: PolyZi) -> PolyZi:
 
 
 def _bareiss_det(matrix: list[list[GaussInt]]) -> GaussInt:
-    """Fraction-free determinant (Bareiss elimination with row pivoting)."""
+    """Fraction-free determinant (Bareiss elimination with row pivoting).
+
+    Runs on parallel re/im int rows.  Every division by the previous pivot is
+    exact (Sylvester's identity); it is done inline as a product with the
+    conjugate over the norm, and a nonzero remainder raises InputError.
+    """
     n = len(matrix)
     if n == 0:
         return ONE
-    m = [row[:] for row in matrix]
+    re = [[c.re for c in row] for row in matrix]
+    im = [[c.im for c in row] for row in matrix]
     sign = 1
-    prev = ONE
+    ur, ui, norm = 1, 0, 1  # previous pivot and its norm
     for k in range(n - 1):
-        if m[k][k].is_zero():
+        if not (re[k][k] or im[k][k]):
             for r in range(k + 1, n):
-                if not m[r][k].is_zero():
-                    m[k], m[r] = m[r], m[k]
+                if re[r][k] or im[r][k]:
+                    re[k], re[r] = re[r], re[k]
+                    im[k], im[r] = im[r], im[k]
                     sign = -sign
                     break
             else:
                 return ZERO
+        pr, pi = re[k][k], im[k][k]
+        top_re, top_im = re[k][k + 1 :], im[k][k + 1 :]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                # every division here is exact (Sylvester identity)
-                m[i][j] = exact_div(m[i][j] * m[k][k] - m[i][k] * m[k][j], prev)
-            m[i][k] = ZERO
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
+            ar, ai = re[i][k], im[i][k]
+            row_re, row_im = [], []
+            for xr, xi, yr, yi in zip(re[i][k + 1 :], im[i][k + 1 :], top_re, top_im):
+                # t = x * pivot - a * y, then t / prev
+                tr = xr * pr - xi * pi - ar * yr + ai * yi
+                ti = xr * pi + xi * pr - ar * yi - ai * yr
+                qr, rr = divmod(tr * ur + ti * ui, norm)
+                qi, ri = divmod(ti * ur - tr * ui, norm)
+                if rr or ri:
+                    raise InputError(f"{GaussInt(tr, ti)} is not divisible by {GaussInt(ur, ui)} in Z[i]")
+                row_re.append(qr)
+                row_im.append(qi)
+            re[i][k + 1 :], im[i][k + 1 :] = row_re, row_im
+        ur, ui, norm = pr, pi, pr * pr + pi * pi
+    det = GaussInt(re[n - 1][n - 1], im[n - 1][n - 1])
     return det if sign == 1 else -det
 
 

@@ -9,7 +9,7 @@ from math import isqrt
 import pytest
 
 from conftest import gi
-from lemnatomic import classfield
+from lemnatomic import classfield, gfq
 from lemnatomic.classfield import (
     DensityReport,
     Prop1Report,
@@ -27,7 +27,17 @@ from lemnatomic.classfield import (
 from lemnatomic.errors import InputError
 from lemnatomic.exact import lemnatomic_exact
 from lemnatomic.gaussint import GaussInt, divides, format_gauss, primes_up_to_norm
-from lemnatomic.gfq import factor_degrees, has_root, reduce_poly, splits_completely, squarefree
+from lemnatomic.gfq import (
+    NO_ROOT,
+    ROOT,
+    SPLITS,
+    factor_degrees,
+    has_root,
+    reduce_poly,
+    root_status,
+    splits_completely,
+    squarefree,
+)
 from lemnatomic.residue import class_of, phi_norm, residue_ring, unit_group
 from lemnatomic.zipoly import discriminant, poly
 
@@ -362,12 +372,23 @@ def fresh_scan():
     classfield._scan.cache_clear()
 
 
-def count_calls(monkeypatch, name):
-    """Record every call of the classfield binding of a gfq predicate."""
+def count_frobenius(monkeypatch):
+    """Record every X^q mod f the gfq layer computes."""
     calls = []
-    real = getattr(classfield, name)
-    monkeypatch.setattr(classfield, name, lambda f: calls.append(f) or real(f))
+    real = gfq._frobenius
+    monkeypatch.setattr(gfq, "_frobenius", lambda F, f, a=None: calls.append(f) or real(F, f, a))
     return calls
+
+
+def all_reports(h, beta, bound):
+    """The five reports that read the root scan of h, each once."""
+    return (
+        splitting_primes(h, bound),
+        density_report(h, bound),
+        theorem_search(h, bound),
+        semisplit_primes(h, bound),
+        prop2_evidence(h, beta, bound),
+    )
 
 
 def divides_reference(bound, modulus):
@@ -381,19 +402,19 @@ def divides_reference(bound, modulus):
 
 class TestSharedScan:
     def test_splitting_scan_runs_once_across_reports(self, monkeypatch, fresh_scan):
+        # one X^q mod h per prime not dividing disc(h), across all five reports
         h = lam("-3")
-        calls = count_calls(monkeypatch, "splits_completely")
-        report = splitting_primes(h, 3000)
-        density_report(h, 3000)
-        theorem_search(h, 3000)
+        calls = count_frobenius(monkeypatch)
+        report, *_ = all_reports(h, gi("-3"), 3000)
         assert splitting_primes(h, 3000) == report
         assert len(calls) == len(odd_primaries(3000)) - len(report.skipped)
 
     def test_root_scan_runs_once_across_reports(self, monkeypatch, fresh_scan):
-        calls = count_calls(monkeypatch, "has_root")
+        calls = count_frobenius(monkeypatch)
         report = prop2_evidence(X_SQ_MINUS_105, gi("-3"), 2000)
         semisplit_primes(X_SQ_MINUS_105, 2000)
         prop2_evidence(X_SQ_MINUS_105, gi("-1+2i"), 2000, normalization="raw")
+        all_reports(X_SQ_MINUS_105, gi("-7"), 2000)
         assert len(calls) == len(odd_primaries(2000)) - len(report.skipped)
 
     @pytest.mark.parametrize("name", ["X^2-105", "-1+2i", "-3", "-3-4i"])
@@ -427,18 +448,33 @@ class TestSharedScan:
         skipped, tested = divides_reference(2000, beta)
         report = verify_prop1(beta, 2000)
         assert report.checked == len(tested)
-        assert classfield._scan_groups(lam(format_gauss(beta)), 2000, beta, squarefree)[0] == skipped
+        status = classfield._scan(lam(format_gauss(beta)), 2000, beta, squarefree)
+        assert classfield._primes(2000, status, (classfield._SKIP,)) == skipped
 
     def test_memo_is_bounded_and_holds_bytes(self, fresh_scan):
         info = classfield._scan.cache_info()
         assert info.maxsize is not None and info.maxsize > 0
         disc = discriminant(X_SQ_MINUS_105)
-        status = classfield._scan(X_SQ_MINUS_105, 500, disc, splits_completely)
+        status = classfield._scan(X_SQ_MINUS_105, 500, disc, root_status)
         assert type(status) is bytes
         assert len(status) == len(odd_primaries(500))
+        assert set(status) <= {classfield._SKIP, NO_ROOT, ROOT, SPLITS}
         hits = classfield._scan.cache_info().hits
-        splitting_primes(X_SQ_MINUS_105, 500)
-        assert classfield._scan.cache_info().hits == hits + 1
+        all_reports(X_SQ_MINUS_105, gi("-3"), 500)
+        # the splitting and root reports share that one entry
+        assert classfield._scan.cache_info().hits == hits + 5
+        assert classfield._scan.cache_info().currsize == 1
+
+    @pytest.mark.parametrize("name", ["X-5", "X^2-105", "-3", "-3-4i"])
+    def test_root_status_matches_single_prime_predicates(self, name):
+        h = {"X-5": poly([-5, 1]), "X^2-105": X_SQ_MINUS_105}.get(name) or lam(name)
+        primes = odd_primaries(2000)
+        assert {-3, -7, -11, -19, -23, -31, -43} <= {pi.value.re for pi in primes if pi.kind == "inert"}
+        for pi in primes:
+            f = reduce_poly(h, pi)
+            status = root_status(f)
+            assert (status == SPLITS) == splits_completely(f), pi
+            assert (status >= ROOT) == has_root(f), pi
 
 
 # SHA-256 of each report's sorted-key JSON on Lambda_{-3-4i} (degree 20) at

@@ -9,6 +9,7 @@ from lemnatomic.gaussint import GaussInt, _split_prime_above, divides, primes_up
 from lemnatomic.gfq import (
     PolyFq,
     _PackedModulus,
+    _int_gcd,
     factor_degrees,
     has_root,
     poly_gcd,
@@ -351,3 +352,56 @@ class TestPackedKernel:
         # the orders reached: every divisor of 20 at split primes, four of them at inert ones
         assert {order for kind, order in seen if kind == "split"} == {1, 2, 4, 5, 10, 20}
         assert {order for kind, order in seen if kind == "inert"} == {4, 5, 10, 20}
+
+
+# -- split-prime gcd against a schoolbook Euclid -----------------------------------
+
+
+def ref_rem(a, b, p):
+    """a mod b over F_p, b not necessarily monic, by long division."""
+    r = list(a)
+    inv = pow(b[-1], -1, p)
+    while len(r) >= len(b):
+        q = r[-1] * inv % p
+        shift = len(r) - len(b)
+        for k, c in enumerate(b):
+            r[shift + k] = (r[shift + k] - q * c) % p
+        while r and not r[-1]:
+            r.pop()
+    return tuple(r)
+
+
+def ref_gcd(a, b, p):
+    """Monic gcd by the textbook loop (a, b) -> (b, a mod b)."""
+    while b:
+        a, b = b, ref_rem(a, b, p)
+    inv = pow(a[-1], -1, p)
+    return tuple(c * inv % p for c in a)
+
+
+def rand_fp_poly(rng, p, degree):
+    return tuple(rng.randrange(p) for _ in range(degree)) + (rng.randrange(1, p),)
+
+
+class TestIntGcd:
+    @pytest.mark.parametrize("p", SMALL_SPLIT + MID_SPLIT + BIG_SPLIT)
+    def test_matches_schoolbook_euclid(self, rng, p):
+        for _ in range(40):
+            a = rand_fp_poly(rng, p, rng.randrange(0, 12))
+            b = rand_fp_poly(rng, p, rng.randrange(0, 12))
+            common = rand_fp_poly(rng, p, rng.randrange(0, 4))
+            for x, y in ((a, b), (ref_mul(a, common, p), ref_mul(b, common, p))):
+                assert _int_gcd(p, x, y) == ref_gcd(x, y, p), (p, x, y)
+                assert _int_gcd(p, x, y)[-1] == 1
+
+    @pytest.mark.parametrize("p", SMALL_SPLIT + BIG_SPLIT)
+    def test_equal_degrees_and_divisors(self, rng, p):
+        for degree in range(0, 10):
+            a, b = rand_fp_poly(rng, p, degree), rand_fp_poly(rng, p, degree)
+            assert _int_gcd(p, a, b) == ref_gcd(a, b, p), (p, a, b)
+            multiple = ref_mul(a, rand_fp_poly(rng, p, rng.randrange(0, 5)), p)
+            monic_a = ref_gcd(a, (), p)
+            # one argument divides the other, in either order, and gcd(a, 0)
+            assert _int_gcd(p, multiple, a) == monic_a
+            assert _int_gcd(p, a, multiple) == monic_a
+            assert _int_gcd(p, a, ()) == _int_gcd(p, (), a) == monic_a

@@ -10,6 +10,7 @@ from lemnatomic.gfq import reduce_poly, squarefree
 from lemnatomic.gaussint import primes_up_to_norm
 from lemnatomic.zipoly import (
     PolyZi,
+    _bareiss_det,
     _divmod,
     discriminant,
     dumps,
@@ -165,6 +166,58 @@ class TestDiscriminant:
                 r = d  # disc in Z[i]; divisibility by pi
                 field = fbar.field
                 assert (field.reduce_gauss(r) == field.zero()) == (not squarefree(fbar))
+
+
+def cofactor_det(m):
+    """Determinant by expansion along the first row."""
+    if not m:
+        return GaussInt(1, 0)
+    total = GaussInt(0, 0)
+    for j, c in enumerate(m[0]):
+        term = c * cofactor_det([row[:j] + row[j + 1 :] for row in m[1:]])
+        total = total + term if j % 2 == 0 else total - term
+    return total
+
+
+def gauss_matrix(rows):
+    return [[gi(c) if isinstance(c, str) else GaussInt(c, 0) for c in row] for row in rows]
+
+
+class TestBareissDet:
+    def test_matches_cofactor_expansion(self, rng):
+        for n in range(7):
+            for _ in range(12):
+                # a third of the entries zero, so zero pivots come up
+                m = [
+                    [
+                        GaussInt(rng.randint(-9, 9), rng.randint(-9, 9)) if rng.random() < 0.67 else GaussInt(0, 0)
+                        for _ in range(n)
+                    ]
+                    for _ in range(n)
+                ]
+                assert _bareiss_det(m) == cofactor_det(m), m
+
+    def test_zero_pivot_forces_a_row_swap(self):
+        # first pivot zero, and after one step the second pivot is zero too
+        for rows in (
+            [[0, 1, 2], [3, 4, 5], [6, 7, 9]],
+            [[1, 1, 0], [1, 1, 1], [0, 1, 1]],
+            [["1+i", "1+i", 0, 2], ["2", "2", "i", 1], [0, 3, 1, "-i"], [1, 0, "2-i", 0]],
+        ):
+            m = gauss_matrix(rows)
+            assert _bareiss_det(m) == cofactor_det(m) != GaussInt(0, 0)
+
+    def test_singular(self):
+        r1 = [gi("1+2i"), gi("-3"), gi("i"), gi("4-i")]
+        r2 = [gi("2"), gi("1-i"), gi("5"), gi("-2i")]
+        r4 = [gi("7"), gi("0"), gi("1+i"), gi("3")]
+        r3 = [gi("1+i") * x + y for x, y in zip(r1, r2)]
+        assert _bareiss_det([r1, r2, r3, r4]) == GaussInt(0, 0)
+        # a zero column ends the elimination early
+        assert _bareiss_det(gauss_matrix([[0, 1], [0, "2+i"]])) == GaussInt(0, 0)
+
+    def test_empty_matrix(self):
+        assert _bareiss_det([]) == GaussInt(1, 0)
 
 
 class TestExactDivide:

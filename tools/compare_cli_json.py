@@ -1,0 +1,69 @@
+"""Compare the --json output of the scan commands between two source trees.
+
+    python3 tools/compare_cli_json.py OLD_SRC NEW_SRC [--max-norm 30000]
+
+OLD_SRC and NEW_SRC are directories holding the ``lemnatomic`` package (the
+``src`` directory of two checkouts).  Each command runs in a fresh
+interpreter on either tree; the line per command gives both wall times and
+whether stdout and the exit code are identical byte for byte.  The exit
+status is 1 when any command differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import time
+
+# (scan polynomial, beta of the criterion evidence)
+POLYS = (("lemnatomic:-3", "-3"), ("lemnatomic:-3-4i", "-3-4i"), ("coeffs:-105,0,1", "-3"))
+PROP1_BETAS = ("-3", "-3-4i")
+
+
+def commands(max_norm: int) -> list:
+    bound = ["--max-norm", str(max_norm), "--json"]
+    out = []
+    for poly, beta in POLYS:
+        out += [
+            ["scan-splitting", poly, *bound],
+            ["semisplit", poly, *bound],
+            ["prop2-evidence", poly, "--beta", beta, *bound],
+            ["prop2-evidence", poly, "--beta", beta, "--normalization", "raw", *bound],
+            ["verify-theorem", poly, *bound],
+            ["density", poly, *bound],
+        ]
+    out += [["verify-prop1", beta, *bound] for beta in PROP1_BETAS]
+    return out
+
+
+def run(src: str, argv: list) -> tuple:
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "lemnatomic.cli", *argv], env=env, capture_output=True, check=False
+    )
+    return done.returncode, done.stdout, time.perf_counter() - start
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("old_src")
+    parser.add_argument("new_src")
+    parser.add_argument("--max-norm", type=int, default=30000)
+    args = parser.parse_args()
+    differ = 0
+    for argv in commands(args.max_norm):
+        old_code, old_out, old_s = run(args.old_src, argv)
+        new_code, new_out, new_s = run(args.new_src, argv)
+        same = (old_code, old_out) == (new_code, new_out)
+        differ += not same
+        verdict = "same" if same else "DIFFERS"
+        print(f"{verdict:7} {old_s:6.2f}s {new_s:6.2f}s  exit {old_code}/{new_code}  {' '.join(argv)}")
+    print(f"{differ} of {len(commands(args.max_norm))} commands differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
