@@ -9,10 +9,14 @@ every report: per prime it records whether pi divides the modulus (disc(h),
 or beta for the separability sweep), read as a zero image in Z[i]/(pi), and
 otherwise a status byte for h mod pi.  The splitting and the root reports
 (splitting primes, density, witness search, semi-split primes, criterion
-evidence) read one scan per (h, bound): gfq.root_status computes X^q mod h
-once per prime and reads both "splits completely" and "has a root" from it.
-The separability sweep keeps its own scan, modulo beta, with the squarefree
-test.
+evidence) read one scan per (h, bound): gfq.root_status writes h mod pi as
+X^k * g(X^e), e = gcd(d, q - 1) for d the gcd of its exponents, computes
+Y^((q-1)/e) mod g once per prime and reads both "splits completely" and "has
+a root" from it.  Every lemnatomic polynomial lies in Z[i][X^4], so g has at
+most a quarter of its degree.  The separability sweep keeps its own scan,
+modulo beta, with the squarefree test, which runs on the same g.  X^q mod h
+on h itself is left to the single-prime predicates splits_completely and
+has_root and to factor_degrees.
 
 Class computations default to primary normalization (classes of primes
 taken through their primary associates); raw mode, which reduces the
@@ -260,7 +264,7 @@ def _scan(h: PolyZi, bound: int, modulus: GaussInt, classify) -> bytes:
 
 def _root_scan(h: PolyZi, bound: int) -> bytes:
     """root_status of h at every prime not dividing disc(h): the one scan,
-    one Frobenius per prime, behind every splitting and root report on h."""
+    one modular power per prime, behind every splitting and root report on h."""
     return _scan(h, bound, _check_scan_poly(h), root_status)
 
 

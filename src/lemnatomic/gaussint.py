@@ -286,9 +286,27 @@ def _sqrt_minus_one(p: int) -> int:
 
 
 def _split_prime_above(p: int) -> GaussInt:
-    """A Gaussian prime above a rational prime p = 1 mod 4."""
-    a = _sqrt_minus_one(p)
-    return gauss_gcd(GaussInt(p, 0), GaussInt(a, 1))
+    """The Gaussian prime above a rational prime p = 1 mod 4 that divides
+    s + i, s = _sqrt_minus_one(p), as its first-quadrant associate.
+
+    Cornacchia: Euclid on (p, s), stopped at the first remainder a < sqrt(p),
+    gives p = a^2 + b^2.  a + bi divides s + i iff a = s*b (mod p); otherwise
+    its conjugate does, whose first-quadrant associate is b + ai.
+    """
+    s = _sqrt_minus_one(p)
+    x, a, root = p, s, isqrt(p)
+    while a > root:
+        x, a = a, x % a
+    b = isqrt(p - a * a)
+    return GaussInt(a, b) if (a - s * b) % p == 0 else GaussInt(b, a)
+
+
+def _primary_parts(x: int, y: int) -> tuple[int, int]:
+    """re, im of the primary associate of an odd x + yi: re odd, im even and
+    re + im = 1 (mod 4)."""
+    if y % 2:
+        x, y = -y, x
+    return (x, y) if (x + y) % 4 == 1 else (-x, -y)
 
 
 # -- Gaussian primality and factorization -----------------------------------
@@ -419,12 +437,12 @@ def _odd_prime_walk(bound: int) -> array:
     keys = []
     for p in _rational_primes_up_to(bound):
         if p % 4 == 1:
-            pi = primary_normalize(_split_prime_above(p))[1]
-            for z in (pi, primary_normalize(pi.conjugate())[1]):
-                keys.append((p, z.re, -z.im))
+            pi = _split_prime_above(p)
+            # the conjugate of a primary prime is primary
+            a, b = _primary_parts(pi.re, pi.im)
+            keys += [(p, a, -b), (p, a, b)]
         elif p % 4 == 3 and p * p <= bound:
-            z = primary_normalize(GaussInt(p, 0))[1]
-            keys.append((p * p, z.re, -z.im))
+            keys.append((p * p, -p, 0))  # -p = 1 (mod 4)
     keys.sort()
     return array("q", [x for norm, re, neg_im in keys for x in (re, -neg_im, norm)])
 

@@ -10,17 +10,26 @@ degree 2, so equality is structural and hashing is free.
 
 The path is chosen from the field's degree alone.  Over a split prime the
 polynomial work runs on the int coefficient lists directly: Euclid for gcd
-and squarefree, and the Frobenius X^q mod f as a square-and-multiply on
+and squarefree, and powers of X modulo f as a square-and-multiply on
 Kronecker-packed ints (_PackedModulus).  Over an inert prime it runs on the
 pairs through ResidueField, one field operation per coefficient.
 
-root_status reads complete splitting and the existence of a root off one
-Frobenius, so a scan that needs both pays for X^q mod f once per prime.
+root_status and squarefree, the scans' tests, first write f as X^k * g(X^e)
+with g(0) != 0 and e = gcd(d, q - 1), d the gcd of the exponents of f's
+nonzero terms (_deflate), and then work on g.  root_status reads complete
+splitting and the existence of a root off one power Y^((q-1)/e) mod g, so a
+scan that needs both pays for one power modulo g per prime.  Complex
+multiplication (sl(iz) = i*sl(z)) puts every lemnatomic polynomial in
+Z[i][X^4], and q = 1 mod 4 at every odd prime, so there 4 divides e and g
+has at most a quarter of the degree.  splits_completely, has_root and
+factor_degrees keep X^q mod f on f itself: they are the single-prime
+predicates the scans are checked against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from operator import lshift
 from typing import Union
 
@@ -398,21 +407,40 @@ def _gcd(F: ResidueField, a: tuple, b: tuple) -> tuple:
     return _int_gcd(F.p, a, b) if F.degree == 1 else _pgcd(F, a, b)
 
 
-def _frobenius(F: ResidueField, f: tuple, a: tuple | None = None) -> tuple:
-    """a^q mod monic f of degree >= 1, with q = |F| and a = X by default."""
+def _power(F: ResidueField, f: tuple, e: int, a: tuple | None = None) -> tuple:
+    """a^e mod monic f of degree >= 1, with a = X by default."""
     a = (F.zero(), F.one()) if a is None else a
     if F.degree == 1:
-        return _PackedModulus(F.p, f).pow_mod(a, F.size)
-    return _ppow_mod(F, a, F.size, f)
+        return _PackedModulus(F.p, f).pow_mod(a, e)
+    return _ppow_mod(F, a, e, f)
 
 
-def _minus_x(F: ResidueField, a: tuple) -> tuple:
-    """a - X."""
-    out = list(a) + [F.zero()] * (2 - len(a))
-    out[1] = F.sub(out[1], F.one())
+def _minus_x(F: ResidueField, a: tuple, k: int = 1) -> tuple:
+    """a - X^k."""
+    out = list(a) + [F.zero()] * (k + 1 - len(a))
+    out[k] = F.sub(out[k], F.one())
     while out and F.is_zero(out[-1]):
         out.pop()
     return tuple(out)
+
+
+def _deflate(F: ResidueField, cs: tuple) -> tuple:
+    """(k, g, e) with f = X^k * g(X^e) and g(0) != 0, for nonzero f.
+
+    e = gcd(d, q - 1), where d is the gcd of the exponents of the nonzero
+    terms of f / X^k, so g is every e-th coefficient of f / X^k.  As e divides
+    q - 1, X -> X^e maps F_q^* e-to-1 onto the e-th powers, which are the y
+    with y^((q-1)/e) = 1, and p does not divide e: a root y of g of
+    multiplicity m gives e roots of f of multiplicity m if y is an e-th power,
+    none otherwise.  So f / X^k has a root iff g has one with
+    y^((q-1)/e) = 1, splits into distinct linear factors iff
+    Y^((q-1)/e) = 1 (mod g), and is squarefree iff g is.
+    """
+    zero = F.zero()
+    exponents = [j for j, c in enumerate(cs) if c != zero]
+    k = exponents[0]
+    e = gcd(F.size - 1, *[j - k for j in exponents])
+    return k, cs[k::e], e
 
 
 def poly_gcd(f: PolyFq, g: PolyFq) -> PolyFq:
@@ -425,18 +453,21 @@ def poly_gcd(f: PolyFq, g: PolyFq) -> PolyFq:
 
 
 def squarefree(f: PolyFq) -> bool:
-    """True iff gcd(f, f') is constant."""
+    """True iff gcd(f, f') is constant, read off g for f = X^k * g(X^e) (_deflate)."""
     if f.is_zero():
         raise InputError("squarefree test of the zero polynomial")
     F = f.field
+    k, g, _ = _deflate(F, f.coeffs)
+    if k > 1:
+        return False  # X^2 divides f
     if F.degree == 1:
-        d = _int_trim([k * c % F.p for k, c in enumerate(f.coeffs)][1:])
+        d = _int_trim([j * c % F.p for j, c in enumerate(g)][1:])
     else:
-        d = _pderiv(F, f.coeffs)
+        d = _pderiv(F, g)
     if not d:
         # constant: vacuously squarefree; nonconstant with zero derivative is a p-th power
-        return f.degree() <= 0
-    return len(_gcd(F, f.coeffs, d)) == 1
+        return len(g) == 1
+    return len(_gcd(F, g, d)) == 1
 
 
 def splits_completely(f: PolyFq) -> bool:
@@ -451,7 +482,7 @@ def splits_completely(f: PolyFq) -> bool:
     if not f.is_monic():
         raise InputError("splits_completely requires a monic polynomial")
     F = f.field
-    return _frobenius(F, f.coeffs) == _pmod(F, (F.zero(), F.one()), f.coeffs)
+    return _power(F, f.coeffs, F.size) == _pmod(F, (F.zero(), F.one()), f.coeffs)
 
 
 def has_root(f: PolyFq) -> bool:
@@ -462,7 +493,7 @@ def has_root(f: PolyFq) -> bool:
     if f.degree() < 1:
         return False
     monic = _pmonic(F, f.coeffs)
-    return len(_gcd(F, monic, _minus_x(F, _frobenius(F, monic)))) > 1
+    return len(_gcd(F, monic, _minus_x(F, _power(F, monic, F.size)))) > 1
 
 
 # root_status values, ordered: a polynomial that splits also has a root.
@@ -470,19 +501,26 @@ NO_ROOT, ROOT, SPLITS = 0, 1, 2
 
 
 def root_status(f: PolyFq) -> int:
-    """NO_ROOT, ROOT or SPLITS for monic f of degree >= 1, from one Frobenius.
+    """NO_ROOT, ROOT or SPLITS for monic f of degree >= 1, from one power.
 
-    With r = X^q mod f, f splits into distinct linear factors iff r = X mod f
-    (as in splits_completely), and f has a root iff deg gcd(f, r - X) >= 1
-    (as in has_root); the gcd runs only when f does not split.
+    With f = X^k * g(X^e) (_deflate) and r = Y^((q-1)/e) mod g: a double root
+    at 0 (k > 1) rules splitting out; otherwise f splits into distinct linear
+    factors iff g is constant (f = X) or r = 1, and f has a root iff k = 1 or
+    deg gcd(g, r - 1) >= 1.
+    The gcd runs only when f has neither a root at 0 nor a split.
     """
     if f.degree() < 1 or not f.is_monic():
         raise InputError("root_status requires a monic nonconstant polynomial")
     F = f.field
-    r = _frobenius(F, f.coeffs)
-    if r == _pmod(F, (F.zero(), F.one()), f.coeffs):
+    k, g, e = _deflate(F, f.coeffs)
+    if k > 1:
+        return ROOT
+    if len(g) == 1:
+        return SPLITS  # f = X
+    r = _power(F, g, (F.size - 1) // e)
+    if r == (F.one(),):
         return SPLITS
-    return ROOT if len(_gcd(F, f.coeffs, _minus_x(F, r))) > 1 else NO_ROOT
+    return ROOT if k or len(_gcd(F, g, _minus_x(F, r, 0))) > 1 else NO_ROOT
 
 
 def factor_degrees(f: PolyFq) -> tuple:
@@ -505,7 +543,7 @@ def factor_degrees(f: PolyFq) -> tuple:
             # remainder is irreducible
             degrees.append(len(rem) - 1)
             break
-        h = _frobenius(F, rem, h)
+        h = _power(F, rem, F.size, h)
         g = _gcd(F, rem, _minus_x(F, h))
         if len(g) - 1 > 0:
             part = len(g) - 1

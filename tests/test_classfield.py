@@ -373,10 +373,11 @@ def fresh_scan():
 
 
 def count_frobenius(monkeypatch):
-    """Record every X^q mod f the gfq layer computes."""
+    """Record every power modulo a polynomial that the gfq layer computes:
+    X^q mod f in the single-prime predicates, Y^((q-1)/e) mod g in the scans."""
     calls = []
-    real = gfq._frobenius
-    monkeypatch.setattr(gfq, "_frobenius", lambda F, f, a=None: calls.append(f) or real(F, f, a))
+    real = gfq._power
+    monkeypatch.setattr(gfq, "_power", lambda F, f, e, a=None: calls.append(f) or real(F, f, e, a))
     return calls
 
 
@@ -402,7 +403,7 @@ def divides_reference(bound, modulus):
 
 class TestSharedScan:
     def test_splitting_scan_runs_once_across_reports(self, monkeypatch, fresh_scan):
-        # one X^q mod h per prime not dividing disc(h), across all five reports
+        # one modular power per prime not dividing disc(h), across all five reports
         h = lam("-3")
         calls = count_frobenius(monkeypatch)
         report, *_ = all_reports(h, gi("-3"), 3000)
@@ -417,7 +418,7 @@ class TestSharedScan:
         all_reports(X_SQ_MINUS_105, gi("-7"), 2000)
         assert len(calls) == len(odd_primaries(2000)) - len(report.skipped)
 
-    @pytest.mark.parametrize("name", ["X^2-105", "-1+2i", "-3", "-3-4i"])
+    @pytest.mark.parametrize("name", ["X^2-105", "-1+2i", "-3", "-3-4i", "3-6i", "-7"])
     def test_splitting_skips_match_division(self, name, fresh_scan):
         h = X_SQ_MINUS_105 if name == "X^2-105" else lam(name)
         skipped, tested = divides_reference(2000, discriminant(h))

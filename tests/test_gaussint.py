@@ -244,6 +244,38 @@ class TestPrimesUpToNorm:
             primes_up_to_norm(1)
 
 
+def reference_walk(bound):
+    """re, im, norm of each odd primary prime with norm <= bound, built from
+    Gaussian gcds and primary_normalize, ordered by norm, re, then -im."""
+    keys = []
+    for p in range(3, bound + 1):
+        if any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+            continue
+        if p % 4 == 1:
+            a = next(a for a in range(2, p) if (a * a + 1) % p == 0)
+            pi = gauss_gcd(GaussInt(p, 0), GaussInt(a, 1))
+            primes = [primary_normalize(z)[1] for z in (pi, pi.conjugate())]
+        elif p * p <= bound:
+            primes = [primary_normalize(GaussInt(p, 0))[1]]
+        else:
+            continue
+        keys += [(z.norm(), z.re, -z.im) for z in primes]
+    return [x for norm, re, neg_im in sorted(keys) for x in (re, -neg_im, norm)]
+
+
+class TestOddPrimeWalk:
+    @pytest.mark.parametrize("bound", [2, 5, 9, 10, 49, 50, 1000, 5000])
+    def test_matches_gaussian_gcds(self, bound):
+        assert list(gaussint._odd_prime_walk(bound)) == reference_walk(bound)
+
+    def test_split_prime_above_divides_the_root_plus_i(self):
+        for p in [p for p in range(5, 5000, 4) if gaussint._is_rational_prime(p)] + [4611686018427387817]:
+            s = gaussint._sqrt_minus_one(p)
+            pi = gaussint._split_prime_above(p)
+            assert pi == gauss_gcd(GaussInt(p, 0), GaussInt(s, 1)), p
+            assert pi.norm() == p and pi.re > 0 and pi.im > 0
+
+
 class TestParseFormat:
     def test_parse_examples(self):
         assert parse_gauss("-1+2i") == GaussInt(-1, 2)

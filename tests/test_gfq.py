@@ -7,7 +7,11 @@ from lemnatomic.errors import InputError
 from lemnatomic.exact import lemnatomic_exact
 from lemnatomic.gaussint import GaussInt, _split_prime_above, divides, primes_up_to_norm
 from lemnatomic.gfq import (
+    NO_ROOT,
+    ROOT,
+    SPLITS,
     PolyFq,
+    _deflate,
     _PackedModulus,
     _int_gcd,
     factor_degrees,
@@ -15,6 +19,7 @@ from lemnatomic.gfq import (
     poly_gcd,
     reduce_poly,
     residue_field,
+    root_status,
     splits_completely,
     squarefree,
 )
@@ -405,3 +410,155 @@ class TestIntGcd:
             assert _int_gcd(p, multiple, a) == monic_a
             assert _int_gcd(p, a, multiple) == monic_a
             assert _int_gcd(p, a, ()) == _int_gcd(p, (), a) == monic_a
+
+
+# -- root_status and squarefree on f = X^k * g(X^e) against the X^q oracles ------
+
+# split fields: p = 2 mod 3 (5, 17, 29, 41), p = 1 mod 3 (13, 37), p = 5 mod 8
+# (5, 13, 29, 37) and p = 1 mod 8 (17, 41); inert fields of 9, 49 and 121 elements
+DEFLATION_FIELDS = [residue_field(_split_prime_above(p)) for p in (5, 13, 17, 29, 37, 41)] + [
+    residue_field(gi(p)) for p in ("-3", "-7", "-11")
+]
+
+
+def field_elements(field):
+    if field.degree == 1:
+        return list(range(field.p))
+    return [(x, y) for x in range(field.p) for y in range(field.p)]
+
+
+def inflate(field, g, e):
+    """g(X^e) over the field."""
+    cs = [field.zero()] * (e * (len(g) - 1) + 1)
+    cs[::e] = g
+    return PolyFq.make(field, cs)
+
+
+def rand_deflation_g(field, rng, zero_root=False):
+    """A monic g: planted roots (possibly repeated, 0 among them when
+    zero_root) times a random monic factor of degree 0 to 2."""
+    elements = field_elements(field)
+    roots = [field.zero()] * zero_root + [rng.choice(elements) for _ in range(rng.randint(0, 3))]
+    if roots and rng.random() < 0.3:
+        roots.append(roots[0])
+    extra = [rng.choice(elements) for _ in range(rng.randint(0, 2))] + [field.one()]
+    g = planted(field, roots).coeffs
+    out = [field.zero()] * (len(g) + len(extra) - 1)
+    for j, x in enumerate(g):
+        for k, y in enumerate(extra):
+            out[j + k] = field.add(out[j + k], field.mul(x, y))
+    return PolyFq.make(field, out).coeffs
+
+
+def squarefree_reference(f):
+    """gcd(f, f') on f as given, no deflation."""
+    field = f.field
+    d = PolyFq.make(field, [field.mul(field.from_int(k), c) for k, c in enumerate(f.coeffs)][1:])
+    if d.is_zero():
+        return f.degree() <= 0
+    return poly_gcd(f, d).degree() == 0
+
+
+def check_against_oracles(f):
+    """root_status and squarefree agree with the X^q predicates, brute-force
+    roots and gcd(f, f'); returns the status."""
+    status = root_status(f)
+    roots = brute_roots(f)
+    assert (status == SPLITS) == splits_completely(f) == (len(set(map(tuple_key, roots))) == f.degree()), f
+    assert (status >= ROOT) == has_root(f) == bool(roots), f
+    assert squarefree(f) == squarefree_reference(f), f
+    return status
+
+
+class TestDeflation:
+    @pytest.mark.parametrize("field", DEFLATION_FIELDS, ids=lambda F: f"q={F.size}")
+    def test_random_inflated_polynomials(self, rng, field):
+        seen = set()
+        for e in (1, 2, 3, 4, 6, 8):
+            for trial in range(12):
+                g = rand_deflation_g(field, rng, zero_root=trial % 3 == 0)
+                if len(g) < 2:
+                    continue
+                f = inflate(field, g, e)
+                k, h, e_found = _deflate(field, f.coeffs)
+                # f = X^k * h(X^e_found), h(0) != 0, e_found | q - 1
+                assert h[0] != field.zero() and (field.size - 1) % e_found == 0
+                assert f == PolyFq.make(field, [field.zero()] * k + list(inflate(field, h, e_found).coeffs))
+                status = check_against_oracles(f)
+                if g[0] == field.zero() and e >= 2:
+                    assert status == ROOT and not squarefree(f)
+                seen.add((e, g[0] == field.zero(), status))
+        # every e meets g(0) = 0, and every status turns up
+        assert {e for e, zero, _ in seen if zero} == {1, 2, 3, 4, 6, 8}
+        assert {status for _, _, status in seen} == {NO_ROOT, ROOT, SPLITS}
+
+    @pytest.mark.parametrize("field", DEFLATION_FIELDS, ids=lambda F: f"q={F.size}")
+    def test_zero_constant_at_e_one(self, rng, field):
+        # f = X * h with h(0) != 0 splits iff h does; X^2 | f has a double root
+        elements = [c for c in field_elements(field) if c != field.zero()]
+        for roots in ([], [rng.choice(elements)], rng.sample(elements, min(3, len(elements)))):
+            h = planted(field, roots)
+            x_h = PolyFq.make(field, (field.zero(),) + h.coeffs)
+            assert check_against_oracles(x_h) == SPLITS
+            assert check_against_oracles(PolyFq.make(field, (field.zero(),) + x_h.coeffs)) == ROOT
+        assert check_against_oracles(PolyFq.make(field, (field.zero(),) * 3 + (field.one(),))) == ROOT
+        # X * (X^2 + c) with a non-square c: a root at 0 only
+        zero, one = field.zero(), field.one()
+        c = next(c for c in elements if not brute_roots(PolyFq.make(field, (field.neg(c), zero, one))))
+        f = PolyFq.make(field, (zero, field.neg(c), zero, one))
+        assert _deflate(field, f.coeffs)[:2] == (1, (field.neg(c), one))
+        assert check_against_oracles(f) == ROOT
+
+    def test_coefficients_vanishing_mod_pi_raise_d(self, rng):
+        # X^8 + pi*X^5 + a*X^4 + pi*X + b has d = 1 over Z[i], d = 4 mod pi
+        for pi in (gi("-1+2i"), gi("-3"), gi("3+2i"), gi("-7"), gi("1+4i")):
+            field = residue_field(pi)
+            for _ in range(15):
+                a, b = (GaussInt(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(2))
+                h = PolyZi.make([b, pi, 0, 0, a, pi, 0, 0, 1])
+                f = reduce_poly(h, pi)
+                assert f.degree() == 8 and f.coeffs[1] == f.coeffs[5] == field.zero()
+                k, g, e = _deflate(field, f.coeffs)
+                if k == 0:
+                    assert e in (4, 8) and len(g) == 8 // e + 1
+                check_against_oracles(f)
+
+    @pytest.mark.parametrize(
+        "p, e, e_found",
+        # e = 3 at p = 2 mod 3 and e = 8 at p = 5 mod 8: e does not divide p - 1
+        [(5, 3, 1), (17, 3, 1), (29, 3, 1), (5, 8, 4), (13, 8, 4), (29, 8, 4), (37, 8, 4), (17, 8, 8)],
+    )
+    def test_e_not_dividing_q_minus_one(self, rng, p, e, e_found):
+        field = residue_field(_split_prime_above(p))
+        for _ in range(20):
+            g = rand_deflation_g(field, rng)
+            if len(g) < 2 or g[0] == field.zero():
+                continue
+            f = inflate(field, g, e)
+            assert _deflate(field, f.coeffs)[2] == e_found
+            check_against_oracles(f)
+
+    def test_inert_nine_with_e_three(self, rng):
+        field = residue_field(gi("-3"))  # q - 1 = 8
+        for _ in range(20):
+            g = rand_deflation_g(field, rng)
+            if len(g) < 2 or g[0] == field.zero():
+                continue
+            f = inflate(field, g, 3)
+            assert _deflate(field, f.coeffs)[2] == 1
+            check_against_oracles(f)
+
+    def test_linear_g_quartic_lemnatomic(self):
+        # Lambda_{-1+2i} = X^4 + (-1+2i): g = Y + (-1+2i) at every prime
+        h = lemnatomic_exact(gi("-1+2i")).coefficients
+        assert h.degree() == 4
+        statuses = set()
+        for pi in primes_up_to_norm(400):
+            f = reduce_poly(h, pi)
+            k, g, e = _deflate(f.field, f.coeffs)
+            if k:
+                assert divides(pi.value, gi("-1+2i"))
+                continue
+            assert e == 4 and len(g) == 2
+            statuses.add(check_against_oracles(f))
+        assert statuses == {NO_ROOT, SPLITS}

@@ -18,8 +18,14 @@ import sys
 import time
 
 # (scan polynomial, beta of the criterion evidence)
-POLYS = (("lemnatomic:-3", "-3"), ("lemnatomic:-3-4i", "-3-4i"), ("coeffs:-105,0,1", "-3"))
-PROP1_BETAS = ("-3", "-3-4i")
+POLYS = (
+    ("lemnatomic:-3", "-3"),
+    ("lemnatomic:-3-4i", "-3-4i"),
+    ("lemnatomic:3-6i", "3-6i"),
+    ("coeffs:-105,0,1", "-3"),
+    ("coeffs:-2,0,0,1", "-3"),  # X^3 - 2 deflates only at p = 1 mod 3
+)
+PROP1_BETAS = ("-3", "-3-4i", "3-6i")
 
 
 def commands(max_norm: int) -> list:
