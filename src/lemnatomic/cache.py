@@ -82,7 +82,7 @@ def cache_load(beta: GaussInt, cache_dir) -> Optional[LemnatomicRecord]:
     if stored_beta != beta:
         return None
     # build re-validates the record invariants (degree phi(beta), monic,
-    # nonzero constant term) and computes the checksum
+    # constant term Lambda_beta(0)) and computes the checksum
     try:
         record = LemnatomicRecord.build(beta, poly, method=method, precision_bits=precision_bits)
     except Exception:

@@ -519,8 +519,14 @@ class LemnatomicRecord:
             )
         if not poly.is_monic():
             raise InternalInconsistency(f"lemnatomic polynomial for beta={beta} is not monic")
-        if poly[0] == ZERO:
-            raise InternalInconsistency(f"lemnatomic polynomial for beta={beta} vanishes at 0")
+        # Lambda_beta(0) is the primary prime pi when beta = unit * pi^k, and
+        # 1 when beta has two distinct prime factors.
+        _, facs = factor(beta)
+        constant = facs[0][0].value if len(facs) == 1 else ONE
+        if poly[0] != constant:
+            raise InternalInconsistency(
+                f"lemnatomic polynomial for beta={beta} has constant term {poly[0]}, not {constant}"
+            )
         return LemnatomicRecord(
             beta=beta,
             degree=poly.degree(),

@@ -13,23 +13,44 @@ D(s) = c, D(c) = -2 s^3.  The lemniscate constant satisfies
 Arguments are reduced modulo the lattice L = (1+i)*omega*Z[i] before
 evaluation, so sl_eval is L-periodic by construction; the reduced cell
 contains no poles of the series/doubling chain.  Torsion values for odd beta
-are taken at exact division points of the zero set 2*omega*Z[i] (one series
-evaluation per unit orbit, the other three values filled in by
-sl(i z) = i sl(z)), which is what makes their elementary symmetric functions
-Gaussian integers.  The point lam*(1+i)*omega/beta sits at the Gaussian
-rational lam/(2 beta) of the chain's period lattice 2(1+i)*omega*Z[i], so it
-is reduced exactly, by dividing lam by 2 beta in Z[i]: the remainder r gives
-the argument omega * g / N(beta) with g = (1+i) r conj(beta).
+are taken at exact division points of the zero set 2*omega*Z[i], which is
+what makes their elementary symmetric functions Gaussian integers.  With
+w = (1+i)*omega/beta, the point lam*w sits at the Gaussian rational
+lam/(2 beta) of the chain's period lattice 2(1+i)*omega*Z[i], so the even
+lift of lam (re + im even) is reduced exactly, by dividing it by 2 beta in
+Z[i], to r = a + bi with |r*w| <= 2*omega.
+
+Addition-law table.  sl is Z[i]-linear on these points: sl(r*w) is the sum
+by the addition law of sl(a*w) and sl(i*b*w) = i*sl(b*w), since sl' is even
+and sl'(iz) = sl'(z).  So one series evaluation at w, per precision, seeds
+a table T[k] = (sl(k*w), sl'(k*w)) for 0 <= k <= K, K the largest |a| or
+|b| in use, built by balanced splits T[k] = T[k // 2] + T[k - k // 2]:
+T[k] is ceil(log2 k) additions deep.  Each unit orbit costs one more
+addition, and its other three values follow from sl(iz) = i*sl(z).
+
+Pole rule.  The poles of sl are (1+i)*omega times the odd Gaussian
+integers, so x*w is a pole exactly when beta | x with an odd quotient, and
+the addition law's denominator vanishes only where the sum or the
+difference of its arguments is a pole.  r*w is no pole, as lam is nonzero
+mod beta, and for a split r = x + y neither is (x - y)*w: r is even, so
+x - y is too.  A table index k <= max(|a|, |b|) is a pole only for
+rational beta = +-q, at k = q: any other beta is c*gamma with c rational
+and gamma a primitive non-unit, and beta | k needs c*N(gamma) | k, so
+k >= sqrt(5)*|beta|, beyond the sqrt(2)*|beta| a part of r reaches.  An
+orbit with a = +-q takes two additions, (a -+ 1)*w + (+-1 + bi)*w, and
+b = +-q likewise, so the table up to K, the largest part in use, holds no
+pole.  The split is chosen by this integer test once per beta, with the
+orbits, their reduced lifts and which of them are invertible.
 
 The numeric lemnatomic polynomial uses the same symmetry: an orbit's four
 roots v, iv, -v, -iv contribute the factor X^4 - v^4, so the product is
 expanded as G(Y) = prod (Y - v^4) over one value per invertible orbit, with
 phi/4 roots instead of phi, and G(X^4) is the polynomial.
 
-Fixed point.  The lattice reductions, the series, the doublings, the orbit
-rotation, the collision scan and the product G run on Python ints.  At
-working precision `bits` a real x is the int x*2^F, truncated, with
-F = bits + GUARD + HALVING_GUARD, and a complex value is a pair of such
+Fixed point.  The lattice reductions, the series, the doublings, the table,
+the orbit rotation, the collision scan and the product G run on Python
+ints.  At working precision `bits` a real x is the int x*2^F, truncated,
+with F = bits + GUARD + HALVING_GUARD, and a complex value is a pair of such
 ints.  A real product is one multiply and one shift right by F; a complex
 quotient multiplies by the conjugate and divides each part by the squared
 modulus.  Every operation errs by less than one unit 2^-F, an absolute
@@ -39,23 +60,43 @@ bits + GUARD bits would.
 Error budget.  omega is held to bits + GUARD bits, as lemniscate_constant
 carries it, so an argument at an exact multiple of it reduces exactly; its
 rounding moves the whole lattice and costs at most 2^9 units at
-|z| <= 2*omega.  Against that omega a torsion argument, the floor of
-omega*2^F*g/N(beta), errs by under one unit, where the mpmath product it
-replaces erred by about 2^8 units.  Halving to |w| <= 1/4 truncates w by at
-most one unit, and Horner in u = w^4 (|u| <= 2^-8) sums the series within a
-few units.  Each doubling by the addition law about doubles the error
-carried in.  An argument of the reduced cell (|z| <= 2*omega) needs at most
-four halvings, |z| <= 8 at most five, so HALVING_GUARD = 8 bits keep the
-doubled value within 2^-(bits + GUARD), the error of a floating evaluation
-at bits + GUARD bits.  The series coefficients come from mpmath at
-bits + GUARD bits, up to the first term worth less than one unit at
-|u| = 2^-8, and are converted once per precision.  Beyond this budget
-nothing is assumed: a product is accepted only when every coefficient lies
-within 2^-30 of a Gaussian integer and the rounding survives one doubling of
-precision, and the pole floor 2^-(bits - GUARD) of sl_eval and the addition
-law and the collision floor 2^-(bits // 2) are compared exactly on the ints.
-mpmath computes omega and the series coefficients, places torsion_points,
-and carries the public types.
+|z| <= 2*omega.  Against that omega an argument, the floor of
+omega*2^F*g/N(beta) for a Gaussian integer g, errs by under one unit.
+Halving to |w| <= 1/4 truncates w by at most one unit, and Horner in
+u = w^4 (|u| <= 2^-8) sums the series within a few units.  Each doubling
+by the addition law about doubles the error carried in.  An argument of
+the reduced cell (|z| <= 2*omega) needs at most four halvings, |z| <= 8 at
+most five, so HALVING_GUARD = 8 bits keep the doubled value within
+|sl'(z)| * 2^-(bits + GUARD), the error of a floating evaluation at
+bits + GUARD bits; near a pole, where |sl'| ~ |sl|^2, that is large.  The
+series coefficients come from mpmath at bits + GUARD bits, up to the first
+term worth less than one unit at |u| = 2^-8, and are converted once per
+precision from the set for that precision rounded up to a multiple of 32.
+
+The table's seed w, built from the same omega, is rounded by under one
+unit per part, and T[k] joins k copies of it by additions, so T[k] lies on
+sl at an argument off k*w by k times that rounding plus a few units per
+addition on its path, and its value errs by that argument error times
+|sl'| <= 1 + |sl|^2.  Every table and orbit point lies at least |w| from
+a pole (its Gaussian multiple of w differs from a pole's by a nonzero
+one), where |sl| stays below K (at most 0.8*K, measured on every primary
+beta of norm <= 400), so the error is of order K^3 <= 2^(3 ceil(log2 K))
+units.  The table therefore runs at the working precision
+bits + 3*ceil(log2 K), 3 bits per level of depth, with HALVING_GUARD
+covering the constant, and its orbit values are truncated to the fraction
+bits of bits.  Against the series at bits + 96 with the same omega, the
+worst orbit value then errs by 2^-(bits + GUARD + 4) (every primary beta
+of norm <= 400 at 256 bits, 46 sampled of norm 400 to 2000 at 256, 512
+and 1024), within 2^-(bits + GUARD), where a series evaluation at each
+orbit point errs by up to 2^-(bits + GUARD - 5) near a pole (-43 at 1024
+bits).
+
+Beyond this budget nothing is assumed: a product is accepted only when
+every coefficient lies within 2^-30 of a Gaussian integer and the rounding
+survives one doubling of precision, and the pole floor 2^-(bits - GUARD) of
+sl_eval and the addition law and the collision floor 2^-(bits // 2) are
+compared exactly on the ints.  mpmath computes omega and the series
+coefficients, places torsion_points, and carries the public types.
 """
 
 from __future__ import annotations
@@ -346,11 +387,17 @@ def _add_fx(s1: tuple, c1: tuple, s2: tuple, c2: tuple, F: int, bits: int) -> tu
     return s, c
 
 
-@lru_cache(maxsize=8)
+# One entry per working precision: the escalation precisions and, for each,
+# the table's precision at every depth in use.
+@lru_cache(maxsize=32)
 def _series_fx(bits: int) -> tuple:
-    """(A[k], (4k+1) A[k]) as fixed-point ints, highest k first, for Horner."""
+    """(A[k], (4k+1) A[k]) as fixed-point ints, highest k first, for Horner.
+
+    The coefficients come from the set for bits rounded up to a multiple of
+    32, which is as long and as precise as bits needs, so the table
+    precisions bits + 3*depth of one escalation round share one set."""
     F = _frac_bits(bits)
-    A = [_fx(a, F) for a in _series_coeffs(bits)]
+    A = [_fx(a, F) for a in _series_coeffs(-(-bits // 32) * 32)]
     return tuple((A[k], (4 * k + 1) * A[k]) for k in reversed(range(len(A))))
 
 
@@ -445,6 +492,68 @@ def _even_lift(lam: GaussInt, beta: GaussInt) -> GaussInt:
     return lam + beta
 
 
+def _is_pole(x: GaussInt, beta: GaussInt) -> bool:
+    """True when x*w, w = (1+i)*omega/beta, is a pole of sl: the poles are
+    (1+i)*omega times the odd Gaussian integers, so beta | x with an odd
+    quotient."""
+    q, rem = gauss_divmod(x, beta)
+    return rem.is_zero() and q.is_odd()
+
+
+def _split(r: GaussInt, beta: GaussInt) -> tuple:
+    """Gaussian integers summing to r, each with no pole on its real or
+    imaginary multiple of w: (r,) unless re(r) or i*im(r) is a pole, which
+    then gives one unit of w to the other part."""
+    for part in (GaussInt(r.re, 0), GaussInt(0, r.im)):
+        if _is_pole(part, beta):
+            unit = GaussInt((part.re > 0) - (part.re < 0), (part.im > 0) - (part.im < 0))
+            return part - unit, r - part + unit
+    return (r,)
+
+
+# Keyed by the ring and the generator class; the numeric route asks for each
+# beta at two or more precisions, so the plan is built once per beta.
+@lru_cache(maxsize=32)
+def _orbit_plan(ring, mult: GaussInt) -> tuple:
+    """(plan, K): per unit orbit (orbit, parts, invertible), where the parts
+    from _split sum to r, the even lift of the orbit's first residue times
+    mult reduced mod 2 beta, and K is the largest |re| or |im| of a part."""
+    beta = ring.modulus
+    plan = []
+    for orbit in _unit_orbits(ring):
+        r = gauss_divmod(_even_lift(orbit[0], beta) * mult, 2 * beta)[1]
+        plan.append((orbit, _split(r, beta), ring.is_invertible(orbit[0])))
+    K = max(max(abs(p.re), abs(p.im)) for _, parts, _ in plan for p in parts)
+    return tuple(plan), K
+
+
+def _sl_table(w: tuple, K: int, tbits: int, bits: int) -> list:
+    """[(sl k*w, sl' k*w) for k = 0..K] at the fixed point of tbits: one
+    series evaluation at w, then T[k] = T[k // 2] + T[k - k // 2] by the
+    addition law, whose floor stays at bits."""
+    F = _frac_bits(tbits)
+    T = [((0, 0), (1 << F, 0)), _sl_fx(w, tbits)]
+    for k in range(2, K + 1):
+        T.append(_add_fx(*T[k // 2], *T[k - k // 2], F, bits))
+    return T
+
+
+def _lookup(T: list, x: GaussInt, F: int, bits: int) -> tuple:
+    """(sl x*w, sl' x*w) from the table by sl(-z) = -sl(z) and
+    sl(iz) = i sl(z), sl' being even and invariant under z -> iz; one
+    addition when x lies on neither axis."""
+    s, c = T[abs(x.re)]
+    if x.re < 0:
+        s = (-s[0], -s[1])
+    if x.im == 0:
+        return s, c
+    t, d = T[abs(x.im)]
+    t = (-t[1], t[0]) if x.im > 0 else (t[1], -t[0])
+    if x.re == 0:
+        return t, d
+    return _add_fx(s, c, t, d, F, bits)
+
+
 def torsion_points(beta, precision_bits: int = 256) -> tuple:
     """All N(beta) division points lam*S, S = (1+i)*omega/beta, lam canonical."""
     beta = _check_beta(beta)
@@ -460,24 +569,38 @@ def torsion_points(beta, precision_bits: int = 256) -> tuple:
         return tuple(pts)
 
 
-def _orbit_values(beta: GaussInt, ring, bits: int, mult: GaussInt = ONE) -> list:
-    """(orbit, [v, iv, -v, -iv]) for each unit orbit, v = sl(lam*mult*S) at
-    the orbit's first residue lam as a fixed-point pair; PrecisionLoss when
-    two of the N(beta) values, 0 included, collide.
+def _rotations(v: tuple) -> list:
+    """[v, iv, -v, -iv], the values of a unit orbit in its listed order."""
+    vr, vi = v
+    return [(vr, vi), (-vi, vr), (-vr, -vi), (vi, -vr)]
 
-    One series evaluation per orbit, at the even lift of lam times mult,
-    reduced modulo the period lattice by Gaussian division by 2 beta.
+
+def _orbit_values(ring, bits: int, mult: GaussInt = ONE) -> list:
+    """(orbit, invertible, v) for each unit orbit, v = sl(lam*mult*S) at the
+    orbit's first residue lam as a fixed-point pair at _frac_bits(bits);
+    PrecisionLoss when two of the N(beta) values, 0 included, collide.
+
+    With w = S = (1+i)*omega/beta and r = a + bi the orbit's reduced lift,
+    v = sl(a*w + i*b*w): one addition of two table entries, two on the orbits
+    the pole rule splits.
     """
-    F = _frac_bits(bits)
-    om = _omega_fx(bits)
+    plan, K = _orbit_plan(ring, mult)
+    beta = ring.modulus
     n = beta.norm()
-    scale = GaussInt(1, 1) * beta.conjugate()
+    g = GaussInt(1, 1) * beta.conjugate()
+    # 3 guard bits per level of the table's depth ceil(log2 K); see the
+    # module docstring.
+    tbits = bits + 3 * (K - 1).bit_length()
+    tF, F = _frac_bits(tbits), _frac_bits(bits)
+    om = _fx(_omega(bits + GUARD), tF)
+    T = _sl_table((om * g.re // n, om * g.im // n), K, tbits, bits)
     out = []
-    for orbit in _unit_orbits(ring):
-        g = gauss_divmod(_even_lift(orbit[0], beta) * mult, 2 * beta)[1] * scale
-        (vr, vi), _ = _sl_fx((om * g.re // n, om * g.im // n), bits)
-        out.append((orbit, [(vr, vi), (-vi, vr), (-vr, -vi), (vi, -vr)]))
-    _check_distinct([(0, 0)] + [v for _, vals in out for v in vals], F, bits)
+    for orbit, parts, invertible in plan:
+        s, c = _lookup(T, parts[0], tF, bits)
+        for part in parts[1:]:
+            s, c = _add_fx(s, c, *_lookup(T, part, tF, bits), tF, bits)
+        out.append((orbit, invertible, (s[0] >> (tF - F), s[1] >> (tF - F))))
+    _check_distinct([(0, 0)] + [u for _, _, v in out for u in _rotations(v)], F, bits)
     return out
 
 
@@ -496,8 +619,8 @@ def torsion_values(beta, precision_bits: int = 256, generator_class: Optional[Ga
     bits = precision_bits
     F = _frac_bits(bits)
     values = {ring.canonical_rep(ZERO): (0, 0)}
-    for orbit, vals in _orbit_values(beta, ring, bits, mult):
-        values.update(zip(orbit, vals))
+    for orbit, _, v in _orbit_values(ring, bits, mult):
+        values.update(zip(orbit, _rotations(v)))
     return {lam: _big_fx(values[lam], F, bits) for lam in ring.representatives()}
 
 
@@ -528,8 +651,7 @@ def _numeric_poly_at(beta: GaussInt, ring, bits: int) -> tuple:
     Returns the polynomial and the largest rounding error.
     """
     F = _frac_bits(bits)
-    orbits = _orbit_values(beta, ring, bits)
-    fourth = [_pow4(vals[0], F) for orbit, vals in orbits if ring.is_invertible(orbit[0])]
+    fourth = [_pow4(v, F) for _, invertible, v in _orbit_values(ring, bits) if invertible]
     re, im = [1 << F], [0]  # G, lowest degree first
     for wr, wi in fourth:
         re.append(re[-1])
@@ -564,7 +686,7 @@ def lemnatomic_numeric(beta, precision_bits: int = 256):
     """Numeric lemnatomic polynomial with its computation report.
 
     Expands prod (X^4 - sl(lam*S)^4) over the unit orbits {lam, i*lam, -lam,
-    -i*lam} of invertible lam, one series evaluation per orbit, rounds the
+    -i*lam} of invertible lam, from the addition-law table, rounds the
     coefficients to Gaussian integers, and accepts only when every rounding
     error is below 2^-30 and the rounded polynomial survives one precision
     doubling.  Precision escalates by doubling up to PRECISION_CEILING; each

@@ -88,6 +88,16 @@ class TestMissPaths:
         assert data["degree"] == len(data["coefficients"]["coeffs"]) - 1
         assert cache_load(record.beta, tmp_path) is None
 
+    def test_wrong_constant_term_with_matching_checksum(self, tmp_path):
+        record, path = stored(tmp_path)
+
+        def negate_constant(d):
+            d["coefficients"]["coeffs"][0] = "3"
+            d["checksum"] = record_checksum(record.beta, from_json_dict(d["coefficients"]))
+
+        rewrite(path, negate_constant)
+        assert cache_load(record.beta, tmp_path) is None
+
     def test_degree_tamper(self, tmp_path):
         record, path = stored(tmp_path)
         rewrite(path, lambda d: d.update(degree=4))

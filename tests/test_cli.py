@@ -207,8 +207,9 @@ class TestExitCodes:
         assert run(capsys, "--help")[0] == 0
 
     def test_verification_failure_exit_two(self, capsys, monkeypatch):
-        # Force the cross-pipeline comparison to see different polynomials.
-        wrong = LemnatomicRecord.build(gi("-1+2i"), poly([1, 0, 0, 0, 1]), "exact", 0)
+        # Force the cross-pipeline comparison to see different polynomials;
+        # the wrong one keeps every record invariant, Lambda(0) = -1+2i included.
+        wrong = LemnatomicRecord.build(gi("-1+2i"), poly([gi("-1+2i"), 1, 0, 0, 1]), "exact", 0)
         monkeypatch.setattr("lemnatomic.cli.lemnatomic_exact", lambda beta: wrong)
         code, _, err = run(capsys, "lemnatomic", "-1+2i", "--method", "both")
         assert code == 2
@@ -222,6 +223,34 @@ class TestExitCodes:
         code, _, err = run(capsys, "lemnatomic", "-3", "--method", "numeric")
         assert code == 3
         assert "precision failure" in err
+
+
+class TestCommandsInARow:
+    def test_each_command_keeps_its_own_options(self, capsys, tmp_path):
+        code, numeric, _ = run_json(
+            capsys, "lemnatomic", "-3", "--method", "numeric", "--cache-dir", str(tmp_path)
+        )
+        assert code == 0
+        assert (numeric["method"], numeric["precision_bits"], numeric["cached"]) == (
+            "numeric",
+            256,
+            False,
+        )
+        # The defaults come back: exact method, no cache directory.
+        code, exact, _ = run_json(capsys, "lemnatomic", "-3")
+        assert code == 0
+        assert (exact["method"], exact["precision_bits"], exact["cached"]) == ("exact", 0, False)
+        assert exact["coefficients"] == numeric["coefficients"]
+        assert exact["checksum"] == numeric["checksum"]
+        code, _, err = run(capsys, "factor", "5", "--method", "exact")
+        assert code == 1 and "unrecognized arguments" in err
+        code, data, _ = run_json(capsys, "factor", "5")
+        assert code == 0
+        assert data == {
+            "factors": [["-1+2i", 1], ["-1-2i", 1]],
+            "schema_version": 1,
+            "unit": "1",
+        }
 
 
 class TestCacheFlow:

@@ -472,3 +472,13 @@ class TestLemnatomicRecord:
         bad = PolyZi.make([gi("-3")] + [gi("0")] * 7 + [gi("2")])
         with pytest.raises(InternalInconsistency):
             LemnatomicRecord.build(gi("-3"), bad, "exact", 0)
+
+    @pytest.mark.parametrize(
+        "b, constant", [("-3", "3"), ("-3", "0"), ("-3-4i", "-1-2i"), ("3-6i", "-3"), ("3-6i", "0")]
+    )
+    def test_build_rejects_wrong_constant_term(self, b, constant):
+        good = lemnatomic_exact(gi(b)).coefficients
+        bad = PolyZi.make([gi(constant)] + list(good.coeffs[1:]))
+        for method in ("exact", "numeric"):
+            with pytest.raises(InternalInconsistency, match="constant term"):
+                LemnatomicRecord.build(gi(b), bad, method, 0)

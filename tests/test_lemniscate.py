@@ -9,15 +9,20 @@ from mpmath import mp, mpc, mpf
 
 from conftest import gi
 from lemnatomic import lemniscate
-from lemnatomic.errors import InputError, PoleProximity, PrecisionLoss
-from lemnatomic.exact import lemnatomic_exact, record_checksum
-from lemnatomic.gaussint import GaussInt
+from lemnatomic.errors import InputError, PoleProximity, PrecisionLoss, RoundingUnstable
+from lemnatomic.exact import LemnatomicRecord, lemnatomic_exact, record_checksum
+from lemnatomic.gaussint import ONE, GaussInt, gauss_divmod
 from lemnatomic.lemniscate import (
     GUARD,
     _check_distinct,
     _even_lift,
+    _frac_bits,
+    _fx,
+    _is_pole,
     _omega,
+    _orbit_plan,
     _series_coeffs,
+    _sl_fx,
     _sl_raw,
     _unit_orbits,
     big_complex,
@@ -291,6 +296,152 @@ class TestFixedPointKernel:
             _check_distinct([(5, 7), (0, 0), (5 + floor - 1, 7)], F, bits)
 
 
+TABLE_BETAS = ["-3", "9", "-11", "13", "17", "-19", "21", "33", "3-6i", "11-2i", "13+10i"]
+RATIONAL_TABLE_BETAS = [b for b in TABLE_BETAS if "i" not in b]
+
+
+def _series_reference(beta, r, bits):
+    """(sl r*w, sl' r*w), w = (1+i)*omega/beta, by one series evaluation at
+    bits + 96, from the omega the working precision bits carries; its own
+    error is far below 2^-(bits + GUARD) even near a pole."""
+    kbits = bits + 96
+    om = _fx(_omega(bits + GUARD), _frac_bits(kbits))
+    g = r * GaussInt(1, 1) * beta.conjugate()
+    n = beta.norm()
+    return _sl_fx((om * g.re // n, om * g.im // n), kbits)
+
+
+def _within_budget(v, want, bits):
+    """True when the fixed-point pair v at bits lies within 2^-(bits + GUARD)
+    of the pair want at bits + 96."""
+    shift = _frac_bits(bits + 96) - _frac_bits(bits)
+    dr, di = (v[0] << shift) - want[0], (v[1] << shift) - want[1]
+    return dr * dr + di * di < (1 << (_frac_bits(bits + 96) - bits - GUARD)) ** 2
+
+
+class TestAdditionTable:
+    @pytest.mark.parametrize("bits", [256, 512])
+    @pytest.mark.parametrize("b", TABLE_BETAS)
+    def test_orbit_values_match_series(self, b, bits):
+        ring = residue_ring(gi(b))
+        beta = ring.modulus
+        plan, _ = _orbit_plan(ring, ONE)
+        for (orbit, parts, _), (same_orbit, _, v) in zip(
+            plan, lemniscate._orbit_values(ring, bits)
+        ):
+            assert same_orbit == orbit
+            r = gauss_divmod(_even_lift(orbit[0], beta), 2 * beta)[1]
+            assert sum(parts, GaussInt(0, 0)) == r
+            assert _within_budget(v, _series_reference(beta, r, bits)[0], bits)
+
+    @pytest.mark.parametrize(
+        "b, gc", [("-3", "1+i"), ("13", "2+i"), ("3-6i", "2"), ("13+10i", "-1+3i"), ("-19", "5i")]
+    )
+    def test_generator_class_values_match_series(self, b, gc):
+        # torsion_values(beta, generator_class=m) is sl at the even lift of
+        # each orbit's first residue times m, reduced mod 2 beta.
+        ring = residue_ring(gi(b))
+        beta = ring.modulus
+        mult = gi(gc)
+        vals = torsion_values(gi(b), BITS, generator_class=mult)
+        F = _frac_bits(BITS)
+        for orbit in _unit_orbits(ring):
+            r = gauss_divmod(_even_lift(orbit[0], beta) * mult, 2 * beta)[1]
+            want = _series_reference(beta, r, BITS)[0]
+            for lam in orbit:
+                got = (_fx(vals[lam].re, F), _fx(vals[lam].im, F))
+                assert _within_budget(got, want, BITS)
+                want = (-want[1], want[0])
+
+    @pytest.mark.parametrize("b", TABLE_BETAS)
+    def test_pole_rule(self, b):
+        ring = residue_ring(gi(b))
+        beta = ring.modulus
+        plan, K = _orbit_plan(ring, ONE)
+        assert not any(_is_pole(GaussInt(k, 0), beta) for k in range(K + 1))
+        two_additions = 0
+        for orbit, parts, _ in plan:
+            r = gauss_divmod(_even_lift(orbit[0], beta), 2 * beta)[1]
+            pole = _is_pole(GaussInt(r.re, 0), beta) or _is_pole(GaussInt(0, r.im), beta)
+            assert len(parts) == (2 if pole else 1)
+            two_additions += len(parts) == 2
+            for part in parts:
+                assert max(abs(part.re), abs(part.im)) <= K
+        if b in RATIONAL_TABLE_BETAS:
+            assert two_additions > 0
+            assert K == abs(beta.re) - 1
+        else:
+            assert two_additions == 0
+
+    def test_is_pole(self):
+        beta = gi("-3")
+        assert [k for k in range(-9, 10) if _is_pole(GaussInt(k, 0), beta)] == [-9, -3, 3, 9]
+        assert _is_pole(gi("3+6i"), beta) and not _is_pole(gi("3+3i"), beta)
+        assert not _is_pole(gi("0"), beta)
+        assert _is_pole(gi("-1+2i"), gi("-1+2i")) and not _is_pole(gi("-1-2i"), gi("-1+2i"))
+
+    def test_orbit_plan_built_once_per_beta(self):
+        _orbit_plan.cache_clear()
+        lemnatomic_numeric(gi("17"), 64)  # rounds at 64, 128 and 256 bits
+        info = _orbit_plan.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+    @pytest.mark.parametrize("b", ["-3", "-1+2i", "13", "3-6i"])
+    def test_corrupt_table_entry_is_rejected(self, b, monkeypatch):
+        # One entry corrupted at every precision, after the table is built.
+        # An entry an invertible orbit reads, nudged by 2^-20, leaves no round
+        # to accept, so the route ends in RoundingUnstable; no corruption
+        # ever yields another Lambda (negating an entry can leave the orbit's
+        # value set, and so Lambda, unchanged).
+        beta = gi(b)
+        want = lemnatomic_exact(beta).coefficients
+        plan, K = _orbit_plan(residue_ring(beta), ONE)
+        read = {abs(x) for _, parts, inv in plan if inv for p in parts for x in (p.re, p.im)}
+        real = lemniscate._sl_table
+        monkeypatch.setattr(lemniscate, "PRECISION_CEILING", 1024)
+        for k in range(1, K + 1):
+            for corrupt in ("nudge", "swap", "negate"):
+
+                def corrupted(w, K_, tbits, bits, k=k, corrupt=corrupt):
+                    T = real(w, K_, tbits, bits)
+                    (sr, si), c = T[k]
+                    if corrupt == "nudge":
+                        T[k] = ((sr + (1 << (_frac_bits(tbits) - 20)), si), c)
+                    elif corrupt == "swap":
+                        T[k] = T[k - 1]
+                    else:
+                        T[k] = ((-sr, -si), c)
+                    return T
+
+                monkeypatch.setattr(lemniscate, "_sl_table", corrupted)
+                try:
+                    poly, _ = lemnatomic_numeric(beta, BITS)
+                except RoundingUnstable:
+                    continue
+                assert poly == want
+                assert not (corrupt == "nudge" and k in read)
+
+    @pytest.mark.parametrize("b", ["-3", "13", "13+10i"])
+    def test_corrupt_first_round_escalates(self, b, monkeypatch):
+        beta = gi(b)
+        K = _orbit_plan(residue_ring(beta), ONE)[1]
+        real = lemniscate._sl_table
+
+        def corrupted(w, K_, tbits, bits):
+            T = real(w, K_, tbits, bits)
+            if bits == BITS:
+                (sr, si), c = T[K_]
+                T[K_] = ((sr, si + (1 << (_frac_bits(tbits) - 20))), c)
+            return T
+
+        monkeypatch.setattr(lemniscate, "_sl_table", corrupted)
+        poly, report = lemnatomic_numeric(beta, BITS)
+        assert poly == lemnatomic_exact(beta).coefficients
+        assert report.escalations == 1
+        assert (report.precision_bits, report.stability_bits) == (2 * BITS, 4 * BITS)
+        assert K >= 2
+
+
 class TestTorsion:
     def test_count_and_zero(self):
         vals = torsion_values(gi("-3"), BITS)
@@ -404,6 +555,21 @@ class TestLemnatomicNumeric:
         poly, report = lemnatomic_numeric(beta, BITS)
         assert (report.precision_bits, report.escalations, report.stability_bits) == (512, 1, 1024)
         assert record_checksum(beta, poly) == ESCALATING[b]
+
+    @pytest.mark.slow
+    def test_numeric_37_matches_exact(self):
+        poly, report = lemnatomic_numeric(gi("37"), BITS)
+        assert poly.coeffs == lemnatomic_exact(gi("37")).coefficients.coeffs
+        assert report.precision_bits == 512
+
+    @pytest.mark.slow
+    def test_numeric_minus_43_accepted_at_1024(self):
+        beta = gi("-43")
+        poly, report = lemnatomic_numeric(beta, BITS)
+        assert (report.precision_bits, report.stability_bits) == (1024, 2048)
+        assert report.escalations == 2
+        record = LemnatomicRecord.build(beta, poly, "numeric", report.precision_bits)
+        assert record.degree == 1848 and record.coefficients[0] == beta
 
     def test_non_primary_input_normalized(self):
         via_three, _ = lemnatomic_numeric(gi("3"), BITS)
