@@ -14,15 +14,27 @@ sl'(iz) = sl'(z)), and beta = m + ni by one further addition.  Derivative
 bookkeeping goes through the derivation D(s) = c, D(c) = -2 s^3 with
 sl'(beta z) = D(sl(beta z)) / beta.  Since every element in the chain is
 graded, the c-part of sl(beta z) vanishing for odd beta is enforced
-structurally.  The finished map f = N/B is certified, however the chain was
-assembled, by the first integral of the defining equation,
+structurally.  The chain runs for even beta, units and Gaussian primes.
+
+For odd beta, sl(beta z) = s P(t) / Q(t) with t = s^4, and complex
+multiplication gives sl(pi gamma z) = R_pi(sl(gamma z)).  So an odd beta
+with two or more prime factors (counted with multiplicity) is built by
+composing the maps of its prime factor pi of smallest norm and of
+gamma = beta / pi, in t, with no gcd: two maps in lowest terms compose into
+one in lowest terms (see mult_map).
+
+The finished map f = N/B is certified, however it was assembled, by the
+first integral of the defining equation,
 
     (1 - s^4) * (N' B - N B')^2 = beta^2 * (B^4 - N^4)   (odd beta),
 
 together with the initial condition f(0) = 0 (N(0) = 0, B(0) != 0): then
 f'(0)^2 = beta^2 != 0, and f' = +-beta sqrt(1 - f^4) has a unique solution
 through 0, so f = +-sl(beta z) (see mult_map).  For odd beta the cheap
-invariant B = unit * s^N(beta) N(1/s) is checked too.
+invariant B = unit * s^N(beta) N(1/s) is checked too, and the identity is
+checked in t, at a quarter of the degree: with N = s P(t), B = Q(t),
+
+    (1 - t) * R^2 = beta^2 * (Q^4 - t P^4),   R = (P + 4t P') Q - 4t P Q'.
 
 For odd beta the numerator N, made monic, is the all-torsion polynomial
 T_beta of degree N(beta).  Dividing out the lemnatomic polynomials of all
@@ -335,9 +347,8 @@ def _pair_sum(pa: _Pair, pb: _Pair, total: GaussInt) -> _Pair:
     return _Pair(a=n, b=d_poly, c=_derivative_over(n, d_poly, total))
 
 
-# The exact ladder leaves 8 entries here, 13 with beta = 13, 13+10i, 17 and
-# -19 added, so no workload evicts and sl(11 z) built for -11 is still there
-# when 11-2i needs it.
+# The exact ladder leaves 5 entries here and 11 with beta = 13, 13+10i, 17
+# and -19 added, so no workload evicts.
 @lru_cache(maxsize=128)
 def _integer_pair(n: int) -> _Pair:
     """Chain pair for sl(n z), n >= 1."""
@@ -378,8 +389,21 @@ def _beta_pair(beta: GaussInt) -> _Pair:
     return _pair_sum(parts[0], parts[1], beta)
 
 
+def _from_t(p: PolyZi, shift: int) -> PolyZi:
+    """s^shift * p(s^4)."""
+    if p.is_zero():
+        return p
+    coeffs = [ZERO] * (4 * p.degree() + shift + 1)
+    coeffs[shift::4] = p.coeffs
+    return PolyZi(tuple(coeffs))
+
+
+def _times_t(p: PolyZi) -> PolyZi:
+    return PolyZi((ZERO,) + p.coeffs) if p.coeffs else p
+
+
 def _verify_first_integral(num: Graded, den: PolyZi, beta: GaussInt) -> None:
-    """Certify the finished chain f = N c^parity / B as +-sl(beta z).
+    """Certify the finished map f = N c^parity / B as +-sl(beta z).
 
     Checked, cheapest first:
       f(0) = 0:            N(0) = 0 and B(0) != 0;
@@ -387,6 +411,13 @@ def _verify_first_integral(num: Graded, den: PolyZi, beta: GaussInt) -> None:
       (f')^2 = beta^2 (1 - f^4), as an identity over Z[i][s]:
         parity 0:  W * (N'B - NB')^2          = beta^2 (B^4 - N^4)
         parity 1:  ((N'W - 2s^3 N)B - NWB')^2 = beta^2 (B^4 - W^2 N^4)
+    For odd beta and parity 0 the identity is checked in t = s^4: N must
+    have terms only in degrees 1 (mod 4) and B only in degrees 0 (mod 4),
+    and with N = s P(t), B = Q(t) it reads
+        (1 - t) R^2 = beta^2 (Q^4 - t P^4),   R = (P + 4t P') Q - 4t P Q'.
+    The substitution t = s^4 is injective on polynomials, so this is the
+    same identity at a quarter of the degree.  Once the reversal holds, Q is
+    a unit times P reversed, so Q^4 is P^4 reversed and is not computed.
     """
     n_poly, parity = num
     b = den
@@ -394,38 +425,123 @@ def _verify_first_integral(num: Graded, den: PolyZi, beta: GaussInt) -> None:
         raise InternalInconsistency(
             f"sl({beta} z) = N/B fails the initial condition N(0) = 0, B(0) != 0"
         )
+    beta2 = beta * beta
     if beta.is_odd():
         rev = PolyZi.make([ZERO] * (beta.norm() - n_poly.degree()) + list(reversed(n_poly.coeffs)))
         if not any(b == rev * u for u in UNITS):
             raise InternalInconsistency(
                 f"denominator of sl({beta} z) is not a unit times the reversed numerator"
             )
-    m = _g_add(_g_mul(_g_deriv(num), (b, 0)), _g_neg(_g_mul(num, _g_deriv((b, 0)))))
-    b2 = b * b
-    b4 = b2 * b2
-    n2 = n_poly * n_poly
-    n4 = n2 * n2
-    beta2 = beta * beta
-    if parity == 0:
-        lhs = m[0] * m[0] * _ZI_W
-        rhs = (b4 - n4) * beta2
+    if beta.is_odd() and parity == 0:
+        if any(not c.is_zero() for k, c in enumerate(n_poly.coeffs) if k % 4 != 1) or any(
+            not c.is_zero() for k, c in enumerate(b.coeffs) if k % 4
+        ):
+            raise InternalInconsistency(f"sl({beta} z) = N/B is not of the form s P(s^4) / Q(s^4)")
+        p, q = PolyZi(n_poly.coeffs[1::4]), PolyZi(b.coeffs[0::4])
+        r = PolyZi.make([c * (4 * k + 1) for k, c in enumerate(p.coeffs)]) * q - p * PolyZi.make(
+            [c * (4 * k) for k, c in enumerate(q.coeffs)]
+        )
+        r2, p2 = r * r, p * p
+        p4 = p2 * p2
+        lhs = r2 - _times_t(r2)
+        rhs = (PolyZi.make(reversed(p4.coeffs)) - _times_t(p4)) * beta2
     else:
-        lhs = m[0] * m[0]
-        rhs = (b4 - n4 * _ZI_W * _ZI_W) * beta2
+        m = _g_add(_g_mul(_g_deriv(num), (b, 0)), _g_neg(_g_mul(num, _g_deriv((b, 0)))))
+        b2 = b * b
+        b4 = b2 * b2
+        n2 = n_poly * n_poly
+        n4 = n2 * n2
+        if parity == 0:
+            lhs = m[0] * m[0] * _ZI_W
+            rhs = (b4 - n4) * beta2
+        else:
+            lhs = m[0] * m[0]
+            rhs = (b4 - n4 * _ZI_W * _ZI_W) * beta2
     if lhs != rhs:
         raise InternalInconsistency(
             f"sl({beta} z) violates the first integral of the defining equation"
         )
 
 
+def _compose(outer: tuple, inner: tuple) -> tuple:
+    """(P, Q) of R_outer(R_inner(s)), where R(s) = s P(s^4) / Q(s^4).
+
+    With t' = R_inner(s)^4 = t P_in^4 / Q_in^4 and m = deg P_out = deg Q_out,
+    R_outer(R_inner(s)) = s P_in hom_m(P_out) / (Q_in hom_m(Q_out)), both
+    homogenised forms hom_m(F)(x, y) = sum f_k x^k y^(m-k) taken at
+    x = t P_in^4, y = Q_in^4.
+    """
+    p_out, q_out = outer
+    p_in, q_in = inner
+    m = p_out.degree()
+    p2, q2 = p_in * p_in, q_in * q_in
+    x = _times_t(p2 * p2)
+    y_powers = [_ZI_ONE, q2 * q2]
+    for _ in range(m - 1):
+        y_powers.append(y_powers[-1] * y_powers[1])
+
+    def hom(f: PolyZi) -> PolyZi:
+        acc = PolyZi.make([f[m]])
+        for k in range(m - 1, -1, -1):
+            acc = acc * x + y_powers[m - k] * f[k]
+        return acc
+
+    return p_in * hom(p_out), q_in * hom(q_out)
+
+
+# Keyed by beta itself, since sl(u beta z) = u sl(beta z) for a unit u.  The
+# exact ladder leaves 7 entries here and 15 with beta = 13, 13+10i, 17 and
+# -19 added, so no workload evicts; -3-4i's entry is there when 11-2i needs it.
+@lru_cache(maxsize=64)
+def _odd_map(beta: GaussInt) -> tuple:
+    """(P, Q) with sl(beta z) = s P(s^4) / Q(s^4) in lowest terms, for odd
+    beta, certified, and Q's leading coefficient in the first quadrant.
+
+    A unit or a prime runs the addition chain.  Any other beta = pi * gamma,
+    pi its prime factor of smallest norm, is R_pi composed with R_gamma.
+    """
+    _, factors = factor(beta)
+    if sum(e for _, e in factors) < 2:
+        pair = _beta_pair(beta)
+        if pair.a[1] != 0:
+            raise InternalInconsistency(
+                f"sl({beta} z) has a residual sl' component despite odd beta"
+            )
+        num, den = pair.a[0], pair.b
+    else:
+        pi = factors[0][0].value
+        p, q = _compose(_odd_map(pi), _odd_map(exact_div(beta, pi)))
+        unit = _unit_to_first_quadrant(q.leading())
+        num, den = _from_t(p * unit, 1), _from_t(q * unit, 0)
+    if num.degree() != beta.norm():
+        raise InternalInconsistency(
+            f"numerator degree {num.degree()} != N(beta) = {beta.norm()} for beta={beta}"
+        )
+    _verify_first_integral((num, 0), den, beta)
+    return PolyZi(num.coeffs[1::4]), PolyZi(den.coeffs[0::4])
+
+
 def mult_map(beta) -> tuple:
     """sl(beta z) as the reduced graded pair ((N, parity), B) over Z[i][s]:
     sl(beta z) = N(s) c^parity / B(s) in Q(i)(s)[c]/(c^2 - (1-s^4)), with
-    N/B in lowest terms.
+    N/B in lowest terms, content one and B's leading coefficient in the first
+    quadrant.
+
+    Even beta, units and primes run the addition chain.  An odd beta with two
+    or more prime factors, counted with multiplicity, is built by composition:
+    sl(pi gamma z) = R_pi(sl(gamma z)) for its prime factor pi of smallest
+    norm, so R_beta = R_pi o R_gamma (see _compose), with no gcd.  The
+    composite is in lowest terms because both factors are.  P_pi and Q_pi
+    are coprime and Q_pi has degree m, so the resultant of the homogenised
+    pair (hom_m(P_pi), hom_m(Q_pi)) does not vanish and the pair has no
+    common zero (x : y) on the projective line.  x = t P_gamma^4 and
+    y = Q_gamma^4 never vanish together, and P_gamma, Q_gamma are coprime
+    with Q_gamma(0) != 0, so no t is a zero of both composite terms.
 
     For odd beta the c-part must vanish (enforced by the grading) and the
-    numerator degree must be N(beta).  The finished pair is then certified,
-    however the chain was assembled, by _verify_first_integral.  Put
+    numerator degree must be N(beta), which also rules out a common factor
+    of N and B.  The finished pair is then certified, however it was
+    assembled, by _verify_first_integral, in t = s^4 for odd beta.  Put
     f = N(sl z) c^parity / B(sl z) with c = sl'(z).  The first integral says
     f'^2 = beta^2 (1 - f^4), and N(0) = 0, B(0) != 0 say f(0) = 0, so
     f'(0)^2 = beta^2 != 0.  Near z = 0 the equation therefore reads
@@ -439,19 +555,12 @@ def mult_map(beta) -> tuple:
     beta = as_gauss(beta)
     if beta.is_zero():
         raise InputError("mult_map requires beta != 0")
-    pair = _beta_pair(beta)
-    num, den = pair.a, pair.b
     if beta.is_odd():
-        if num[1] != 0:
-            raise InternalInconsistency(
-                f"sl({beta} z) has a residual sl' component despite odd beta"
-            )
-        if num[0].degree() != beta.norm():
-            raise InternalInconsistency(
-                f"numerator degree {num[0].degree()} != N(beta) = {beta.norm()} for beta={beta}"
-            )
-    _verify_first_integral(num, den, beta)
-    return num, den
+        p, q = _odd_map(beta)
+        return (_from_t(p, 1), 0), _from_t(q, 0)
+    pair = _beta_pair(beta)
+    _verify_first_integral(pair.a, pair.b, beta)
+    return pair.a, pair.b
 
 
 # -- all-torsion and lemnatomic polynomials -----------------------------------

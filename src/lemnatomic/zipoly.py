@@ -73,16 +73,23 @@ class PolyZi:
         # (ar + ai i)(br + bi i) = ar br - ai bi + ((ar + ai)(br + bi) - ar br - ai bi) i
         # three products cover the real and imaginary parts.  Each part of a
         # product coefficient is a sum of 2 * min(len) terms below
-        # max|a| * max|b|; one more bit holds its sign.
+        # max|a| * max|b|; one more bit holds its sign.  A square packs once
+        # and its three products are big-int squares, which CPython computes
+        # faster than general products.
         a, b = self.coeffs, other.coeffs
         bits_a = max(max(abs(c.re).bit_length(), abs(c.im).bit_length()) for c in a)
         bits_b = max(max(abs(c.re).bit_length(), abs(c.im).bit_length()) for c in b)
         nbytes = (bits_a + bits_b + min(len(a), len(b)).bit_length() + 2 + 7) // 8
         ar, ai = _pack([c.re for c in a], nbytes), _pack([c.im for c in a], nbytes)
-        br, bi = _pack([c.re for c in b], nbytes), _pack([c.im for c in b], nbytes)
+        if b is a:
+            br, bi = ar, ai
+        else:
+            br, bi = _pack([c.re for c in b], nbytes), _pack([c.im for c in b], nbytes)
         rr = ar * br
         ii = ai * bi
-        mixed = (ar + ai) * (br + bi) - rr - ii
+        sa = ar + ai
+        sb = sa if b is a else br + bi
+        mixed = sa * sb - rr - ii
         n = len(a) + len(b) - 1
         return PolyZi(
             tuple(map(GaussInt, _unpack(rr - ii, n, nbytes), _unpack(mixed, n, nbytes)))

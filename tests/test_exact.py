@@ -28,7 +28,7 @@ from lemnatomic.exact import (
 )
 from lemnatomic.gaussint import I, UNITS, GaussInt, _is_rational_prime, factor, primary_normalize
 from lemnatomic.gfq import _int_gcd
-from lemnatomic.lemniscate import _sl_raw, big_complex, sl_eval, torsion_values
+from lemnatomic.lemniscate import _sl_raw, big_complex, lemnatomic_numeric, sl_eval, torsion_values
 from lemnatomic.residue import phi_norm
 from lemnatomic.zipoly import PolyZi, discriminant, exact_divide, poly
 
@@ -206,6 +206,7 @@ FAULT_STEPS = 6
 
 def clear_memos():
     exact._integer_pair.cache_clear()
+    exact._odd_map.cache_clear()
     exact._lemnatomic_poly.cache_clear()
 
 
@@ -269,6 +270,133 @@ class TestChainVerifier:
         (n, parity), d = mult_map(beta)
         with pytest.raises(InternalInconsistency, match="reversed numerator"):
             exact._verify_first_integral((n, parity), d + poly([0, 0, 1]), beta)
+
+    @pytest.mark.parametrize("n_term, b_term", [(3, 6), (7, 2)], ids=["s^3 in N", "s^2 in B"])
+    def test_term_off_the_t_form_rejected(self, n_term, b_term):
+        # n_term + b_term = N(-3): the mirrored term keeps
+        # B = unit * s^N(beta) N(1/s), so only the shape check can object
+        beta = gi("-3")
+        (n, parity), d = mult_map(beta)
+        unit = next(u for u in UNITS if d == PolyZi.make(reversed(n.coeffs)) * u)
+        n = n + PolyZi.make([0] * n_term + [1])
+        d = d + PolyZi.make([0] * b_term + [unit])
+        with pytest.raises(InternalInconsistency, match="form s P"):
+            exact._verify_first_integral((n, parity), d, beta)
+
+    @pytest.mark.parametrize("b", ["-3", "-1+2i", "-3-4i", "3-6i", "-11", "11-2i"])
+    def test_t_identity_is_the_s_identity(self, b):
+        # the s-form check on the same map still holds, so the t-form one
+        # replaced an identity that the maps satisfy
+        beta = gi(b)
+        (n, _), d = mult_map(beta)
+        m = n.derivative() * d - n * d.derivative()
+        n2, d2 = n * n, d * d
+        assert m * m * W == (d2 * d2 - n2 * n2) * (beta * beta)
+
+    @pytest.mark.parametrize("b", ["2", "3+3i"])
+    def test_even_beta_stays_on_the_chain_with_the_s_form(self, b, cold_memos, monkeypatch):
+        beta = gi(b)
+        steps, composed = [], []
+        real_sum, real_compose = exact._pair_sum, exact._compose
+        monkeypatch.setattr(exact, "_pair_sum", lambda *a: steps.append(a[2]) or real_sum(*a))
+        monkeypatch.setattr(exact, "_compose", lambda *a: composed.append(a) or real_compose(*a))
+        (n, parity), d = mult_map(beta)
+        assert steps and not composed
+        assert parity == 1 and n[1] == beta * d[0]
+        # parity 1:  ((N'W - 2s^3 N)B - NWB')^2 = beta^2 (B^4 - W^2 N^4)
+        m = (n.derivative() * W - poly([0, 0, 0, 2]) * n) * d - n * W * d.derivative()
+        n2, d2 = n * n, d * d
+        assert m * m == (d2 * d2 - n2 * n2 * W * W) * (beta * beta)
+        with pytest.raises(InternalInconsistency, match="first integral"):
+            exact._verify_first_integral((n, parity), d + poly([0, 0, 0, 0, 0, 0, 0, 0, 1]), beta)
+
+
+def conjugate_map(pq):
+    # sl has real Taylor coefficients, so R_conj(pi) has the conjugate ones
+    return tuple(PolyZi(tuple(c.conjugate() for c in f.coeffs)) for f in pq)
+
+
+COMPOSE_CORRUPTIONS = {
+    "P times 1+t": lambda outer, inner, pq: (pq[0] * poly([1, 1]), pq[1]),
+    "Q to iQ": lambda outer, inner, pq: (pq[0], pq[1] * I),
+    "conjugate of pi": lambda outer, inner, pq: exact._compose(conjugate_map(outer), inner),
+    "t^k in P_gamma": lambda outer, inner, pq: exact._compose(
+        outer, (inner[0] + PolyZi.make([0] * (inner[0].degree() // 2) + [1]), inner[1])
+    ),
+}
+COMPOSITE_CHECKSUMS = {
+    "3-6i": FROZEN_CHECKSUMS["3-6i"],
+    "-3-4i": "ec7ed637140e068937e100cc735a1098be9900dc05cdb9cc7c2789e0328c5421",
+    "9": "e5876ebd4a09a52ff8dcffdaa9288b233f059a89893897a1df94c808e9a57737",
+    "11-2i": "6aec37ad27db081bfeb3e47050bc490911c631bbda6449b00845810c6802f2af",
+}
+
+
+class TestComposition:
+    """An odd beta with two or more prime factors is R_pi composed with
+    R_gamma, pi its prime factor of smallest norm, certified in t = s^4."""
+
+    @pytest.fixture
+    def cold_memos(self):
+        clear_memos()
+        yield
+        clear_memos()  # corrupted maps must not outlive the test
+
+    @pytest.mark.parametrize("b", ["-3-4i", "9", "3-6i", "11-2i", "-9i", "-7-24i"])
+    def test_composite_beta_runs_no_chain_step(self, b, cold_memos, monkeypatch):
+        beta = gi(b)
+        _, facs = factor(beta)
+        for prime, _ in facs:
+            exact._odd_map(prime.value)
+        steps = []
+        real = exact._pair_sum
+        monkeypatch.setattr(exact, "_pair_sum", lambda *a: steps.append(a[2]) or real(*a))
+        (n, _), d = mult_map(beta)
+        assert steps == []
+        assert n.degree() == beta.norm() and n.leading().is_unit()
+        assert d.leading().re > 0 and d.leading().im >= 0
+
+    def test_common_factor_is_caught_by_the_degree(self, cold_memos, monkeypatch):
+        # (1+t) P / ((1+t) Q) passes the reversal and the first integral;
+        # only the numerator degree shows the map is not in lowest terms
+        real = exact._compose
+        one_plus_t = poly([1, 1])
+
+        def padded(outer, inner):
+            p, q = real(outer, inner)
+            return p * one_plus_t, q * one_plus_t
+
+        monkeypatch.setattr(exact, "_compose", padded)
+        with pytest.raises(InternalInconsistency, match="numerator degree"):
+            mult_map(gi("9"))
+
+    @pytest.mark.parametrize("kind", list(COMPOSE_CORRUPTIONS))
+    def test_corrupted_composition_is_caught_or_harmless(self, kind, cold_memos, monkeypatch):
+        corrupt = COMPOSE_CORRUPTIONS[kind]
+        real = exact._compose
+        caught = 0
+        for b, checksum in COMPOSITE_CHECKSUMS.items():
+            for step in range(2):  # 11-2i composes twice, the others once
+                calls = []
+
+                def faulty(outer, inner):
+                    calls.append(outer)
+                    result = real(outer, inner)
+                    if len(calls) != step + 1:
+                        return result
+                    with monkeypatch.context() as m:
+                        m.setattr(exact, "_compose", real)
+                        return corrupt(outer, inner, result)
+
+                monkeypatch.setattr(exact, "_compose", faulty)
+                clear_memos()
+                try:
+                    record = lemnatomic_exact(gi(b))
+                except InternalInconsistency:
+                    caught += 1
+                    continue
+                assert record.checksum == checksum, f"{kind} at step {step} of {b} went undetected"
+        assert caught, f"{kind} was never caught"
 
 
 class TestDivisors:
@@ -395,11 +523,10 @@ def test_discriminant_primes(b):
 class TestMemos:
     @pytest.fixture(autouse=True)
     def cold_memos(self):
-        exact._integer_pair.cache_clear()
-        exact._lemnatomic_poly.cache_clear()
+        clear_memos()
 
     def test_memos_are_bounded_lru_caches(self):
-        for memo in (exact._integer_pair, exact._lemnatomic_poly):
+        for memo in (exact._integer_pair, exact._odd_map, exact._lemnatomic_poly):
             maxsize = memo.cache_info().maxsize
             assert maxsize is not None and maxsize > 0
 
@@ -418,20 +545,16 @@ class TestMemos:
         lemnatomic_exact(gi("3"))
         assert calls == []
 
-    def test_integer_pair_of_minus_11_reused_by_11_minus_2i(self, monkeypatch):
-        lemnatomic_exact(gi("-11"))
-        hits = exact._integer_pair.cache_info().hits
-        totals = []
+    def test_map_of_minus_3_minus_4i_reused_by_11_minus_2i(self, monkeypatch):
+        # 11-2i = (-1+2i) * (-3-4i): both factor maps are in the memo
+        lemnatomic_exact(gi("-3-4i"))
+        hits = exact._odd_map.cache_info().hits
+        steps = []
         real = exact._pair_sum
-
-        def recording(pa, pb, total):
-            totals.append(total)
-            return real(pa, pb, total)
-
-        monkeypatch.setattr(exact, "_pair_sum", recording)
+        monkeypatch.setattr(exact, "_pair_sum", lambda *a: steps.append(a[2]) or real(*a))
         lemnatomic_exact(gi("11-2i"))
-        assert exact._integer_pair.cache_info().hits > hits
-        assert gi("11-2i") in totals and gi("11") not in totals  # sl(11 z) not rebuilt
+        assert steps == []
+        assert exact._odd_map.cache_info().hits >= hits + 2
 
 
 def test_exact_route_reaches_norm_269():
@@ -445,6 +568,32 @@ def test_exact_route_reaches_norm_269():
     for b, checksum in want.items():
         assert lemnatomic_exact(gi(b)).checksum == checksum
     assert time.perf_counter() - t0 < 60.0
+
+
+# Record checksums of the numeric route, which shares no code with the
+# exact route's chain, composition or certificate
+NUMERIC_CHECKSUMS = {
+    "33": "20201a426f4082fa0feb055eda78ed6013554375ac6ee34489da6f01e2e59f5a",
+    "45": "f0d8319a79e19f6986736105bb8b15f7c616490439873b7d7c8937f3b046dd8c",
+    "-31": "42e97162aa9cfe450f082f5f80385beee0c88efe00436de6128d18776348424d",
+}
+
+
+def test_exact_33_by_composition_matches_the_numeric_route():
+    """33 = -3 * -11 (N = 1089) is R_-3 composed with R_-11."""
+    assert lemnatomic_exact(gi("33")).checksum == NUMERIC_CHECKSUMS["33"]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("b", ["45", "-31"])
+def test_exact_matches_the_numeric_route_at_large_norm(b):
+    """45 (N = 2025) composes four prime maps; -31 (N = 961) is prime, so
+    it runs the chain and the t-form certificate alone."""
+    beta = gi(b)
+    numeric, _ = lemnatomic_numeric(beta, 256)
+    record = lemnatomic_exact(beta)
+    assert record.coefficients == numeric
+    assert record.checksum == NUMERIC_CHECKSUMS[b]
 
 
 class TestLemnatomicRecord:

@@ -91,6 +91,7 @@ class TestKroneckerMultiply:
         for _ in range(300):
             f, g = self.random_pair(rng)
             assert f * g == schoolbook_mul(f, g)
+            assert f * f == schoolbook_mul(f, f)  # a square packs once
 
     def test_edge_cases(self):
         big = 2**250 + 12345
@@ -119,6 +120,8 @@ class TestKroneckerMultiply:
                     g = PolyZi.make([GaussInt(*d)] * length)
                     cd = GaussInt(*c) * GaussInt(*d)
                     assert f * g == PolyZi.make([cd * r for r in ramp])
+                    cc = GaussInt(*c) * GaussInt(*c)
+                    assert f * f == PolyZi.make([cc * r for r in ramp])
 
 
 class TestDiscriminant:

@@ -1,6 +1,9 @@
-"""Compare the --json output of the scan commands between two source trees.
+"""Compare the scan and exact-route commands' --json output between two source trees.
 
     python3 tools/compare_cli_json.py OLD_SRC NEW_SRC [--max-norm 30000]
+
+The scan commands run at the norm bound; ``lemnatomic BETA --method exact``
+runs on the exact ladder of the benchmark plus 13, 17, -19 and 33.
 
 OLD_SRC and NEW_SRC are directories holding the ``lemnatomic`` package (the
 ``src`` directory of two checkouts).  Each command runs in a fresh
@@ -26,6 +29,7 @@ POLYS = (
     ("coeffs:-2,0,0,1", "-3"),  # X^3 - 2 deflates only at p = 1 mod 3
 )
 PROP1_BETAS = ("-3", "-3-4i", "3-6i")
+EXACT_BETAS = ("-1+2i", "-3", "-3-4i", "3-6i", "9", "-11", "11-2i", "13", "17", "-19", "33")
 
 
 def commands(max_norm: int) -> list:
@@ -41,6 +45,7 @@ def commands(max_norm: int) -> list:
             ["density", poly, *bound],
         ]
     out += [["verify-prop1", beta, *bound] for beta in PROP1_BETAS]
+    out += [["lemnatomic", beta, "--method", "exact", "--json"] for beta in EXACT_BETAS]
     return out
 
 
