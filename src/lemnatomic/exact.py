@@ -12,29 +12,33 @@ application of the addition law
 the factor i by the substitution s -> i s (sl(iz) = i sl(z),
 sl'(iz) = sl'(z)), and beta = m + ni by one further addition.  Derivative
 bookkeeping goes through the derivation D(s) = c, D(c) = -2 s^3 with
-sl'(beta z) = D(sl(beta z)) / beta.  Since every element in the chain is
-graded, the c-part of sl(beta z) vanishing for odd beta is enforced
-structurally.  The chain runs for even beta, units and Gaussian primes.
+sl'(beta z) = D(sl(beta z)) / beta.  Every element in the chain is graded,
+so the c-part of sl(beta z) is one parity bit, checked against beta's.  The
+chain runs for even beta, units and Gaussian primes.
 
-For odd beta, sl(beta z) = s P(t) / Q(t) with t = s^4, and complex
-multiplication gives sl(pi gamma z) = R_pi(sl(gamma z)).  So an odd beta
-with two or more prime factors (counted with multiplicity) is built by
-composing the maps of its prime factor pi of smallest norm and of
-gamma = beta / pi, in t, with no gcd: two maps in lowest terms compose into
-one in lowest terms (see mult_map).
+Complex multiplication by Z[i] gives every map one shape: with t = s^4,
 
-The finished map f = N/B is certified, however it was assembled, by the
-first integral of the defining equation,
+    sl(beta z) = c^parity * s P(t) / Q(t),
 
-    (1 - s^4) * (N' B - N B')^2 = beta^2 * (B^4 - N^4)   (odd beta),
+parity 0 for odd beta and 1 for even beta (see mult_map for why), so every
+map is held as (P, Q) over Z[i][t].  It also gives
+sl(pi gamma z) = R_pi(sl(gamma z)), so an odd beta with two or more prime
+factors (counted with multiplicity) is built by composing the maps of its
+prime factor pi of smallest norm and of gamma = beta / pi, in t, with no
+gcd: two maps in lowest terms compose into one in lowest terms.
 
-together with the initial condition f(0) = 0 (N(0) = 0, B(0) != 0): then
-f'(0)^2 = beta^2 != 0, and f' = +-beta sqrt(1 - f^4) has a unique solution
-through 0, so f = +-sl(beta z) (see mult_map).  For odd beta the cheap
-invariant B = unit * s^N(beta) N(1/s) is checked too, and the identity is
-checked in t, at a quarter of the degree: with N = s P(t), B = Q(t),
+Every map f is certified in t, however it was assembled, by the first
+integral (f')^2 = beta^2 (1 - f^4) of the defining equation,
 
-    (1 - t) * R^2 = beta^2 * (Q^4 - t P^4),   R = (P + 4t P') Q - 4t P Q'.
+    (1 - t) R^2 = beta^2 (Q^4 - t P^4)              (odd beta),
+    R1^2        = beta^2 (Q^4 - t (1 - t)^2 P^4)    (even beta),
+    R = (P + 4t P') Q - 4t P Q',   R1 = (1 - t) R - 2t P Q,
+
+together with the initial condition f(0) = 0, f'(0) = beta
+(P(0) = beta Q(0) != 0): then f' = beta sqrt(1 - f^4) has a unique solution
+through 0, so f = sl(beta z) (see mult_map).  For odd beta the cheap
+invariants deg P = (N(beta) - 1) / 4 and Q = unit * t^deg P * P(1/t) are
+checked too.
 
 For odd beta the numerator N, made monic, is the all-torsion polynomial
 T_beta of degree N(beta).  Dividing out the lemnatomic polynomials of all
@@ -402,62 +406,68 @@ def _times_t(p: PolyZi) -> PolyZi:
     return PolyZi((ZERO,) + p.coeffs) if p.coeffs else p
 
 
-def _verify_first_integral(num: Graded, den: PolyZi, beta: GaussInt) -> None:
-    """Certify the finished map f = N c^parity / B as +-sl(beta z).
+def _to_t(num: Graded, den: PolyZi, beta: GaussInt) -> tuple:
+    """(P, Q) with N = s P(s^4) and B = Q(s^4), for the chain's result
+    sl(beta z) = N c^parity / B; the parity must be 0 for odd beta and 1 for
+    even beta."""
+    n_poly, parity = num
+    p, q = PolyZi(n_poly.coeffs[1::4]), PolyZi(den.coeffs[0::4])
+    want = 0 if beta.is_odd() else 1
+    if parity != want or _from_t(p, 1) != n_poly or _from_t(q, 0) != den:
+        raise InternalInconsistency(
+            f"sl({beta} z) is not of the form s P(s^4) / Q(s^4) times c^{want}"
+        )
+    return p, q
+
+
+def _verify_first_integral(p: PolyZi, q: PolyZi, beta: GaussInt) -> None:
+    """Certify f = c^parity s P(t) / Q(t), t = s^4, as sl(beta z), with
+    parity 0 for odd beta and 1 for even beta.
 
     Checked, cheapest first:
-      f(0) = 0:            N(0) = 0 and B(0) != 0;
-      odd beta:            B = unit * s^N(beta) N(1/s), Abel's reversal;
-      (f')^2 = beta^2 (1 - f^4), as an identity over Z[i][s]:
-        parity 0:  W * (N'B - NB')^2          = beta^2 (B^4 - N^4)
-        parity 1:  ((N'W - 2s^3 N)B - NWB')^2 = beta^2 (B^4 - W^2 N^4)
-    For odd beta and parity 0 the identity is checked in t = s^4: N must
-    have terms only in degrees 1 (mod 4) and B only in degrees 0 (mod 4),
-    and with N = s P(t), B = Q(t) it reads
-        (1 - t) R^2 = beta^2 (Q^4 - t P^4),   R = (P + 4t P') Q - 4t P Q'.
-    The substitution t = s^4 is injective on polynomials, so this is the
-    same identity at a quarter of the degree.  Once the reversal holds, Q is
-    a unit times P reversed, so Q^4 is P^4 reversed and is not computed.
+      f(0) = 0, f'(0) = beta:
+                     P(0) = beta Q(0) != 0 (s P(t) vanishes at 0, c(0) = 1);
+      odd beta:      deg P = (N(beta) - 1) / 4 = m and Q = unit * t^m P(1/t),
+                     Abel's reversal;
+      (f')^2 = beta^2 (1 - f^4), as an identity over Z[i][t]:
+        odd beta:   (1 - t) R^2 = beta^2 (Q^4 - t P^4),
+        even beta:  R1^2 = beta^2 (Q^4 - t (1 - t)^2 P^4),
+      with R = (P + 4t P') Q - 4t P Q' and R1 = (1 - t) R - 2t P Q.
+    With N = s P(s^4), B = Q(s^4) and W = 1 - s^4 these are
+        parity 0:  W (N'B - NB')^2            = beta^2 (B^4 - N^4),
+        parity 1:  ((N'W - 2s^3 N)B - NWB')^2 = beta^2 (B^4 - W^2 N^4),
+    after t = s^4, which is injective on polynomials, at a quarter of the
+    degree.  Once the reversal holds, Q^4 is P^4 reversed and is not computed.
     """
-    n_poly, parity = num
-    b = den
-    if n_poly[0] != ZERO or b[0] == ZERO:
+    if q[0] == ZERO or p[0] != beta * q[0]:
         raise InternalInconsistency(
-            f"sl({beta} z) = N/B fails the initial condition N(0) = 0, B(0) != 0"
+            f"sl({beta} z) = s P(t) / Q(t) fails the initial condition P(0) = beta Q(0) != 0"
         )
-    beta2 = beta * beta
+    n = beta.norm()
     if beta.is_odd():
-        rev = PolyZi.make([ZERO] * (beta.norm() - n_poly.degree()) + list(reversed(n_poly.coeffs)))
-        if not any(b == rev * u for u in UNITS):
+        if 4 * p.degree() + 1 != n:
+            raise InternalInconsistency(
+                f"numerator degree {4 * p.degree() + 1} != N(beta) = {n} for beta={beta}"
+            )
+        rev = PolyZi.make(reversed(p.coeffs))
+        if not any(q == rev * u for u in UNITS):
             raise InternalInconsistency(
                 f"denominator of sl({beta} z) is not a unit times the reversed numerator"
             )
-    if beta.is_odd() and parity == 0:
-        if any(not c.is_zero() for k, c in enumerate(n_poly.coeffs) if k % 4 != 1) or any(
-            not c.is_zero() for k, c in enumerate(b.coeffs) if k % 4
-        ):
-            raise InternalInconsistency(f"sl({beta} z) = N/B is not of the form s P(s^4) / Q(s^4)")
-        p, q = PolyZi(n_poly.coeffs[1::4]), PolyZi(b.coeffs[0::4])
-        r = PolyZi.make([c * (4 * k + 1) for k, c in enumerate(p.coeffs)]) * q - p * PolyZi.make(
-            [c * (4 * k) for k, c in enumerate(q.coeffs)]
-        )
-        r2, p2 = r * r, p * p
-        p4 = p2 * p2
+    r = PolyZi.make([c * (4 * k + 1) for k, c in enumerate(p.coeffs)]) * q - p * PolyZi.make(
+        [c * (4 * k) for k, c in enumerate(q.coeffs)]
+    )
+    p2 = p * p
+    if beta.is_odd():
+        r2, p4 = r * r, p2 * p2
         lhs = r2 - _times_t(r2)
-        rhs = (PolyZi.make(reversed(p4.coeffs)) - _times_t(p4)) * beta2
+        rhs = PolyZi.make(reversed(p4.coeffs)) - _times_t(p4)
     else:
-        m = _g_add(_g_mul(_g_deriv(num), (b, 0)), _g_neg(_g_mul(num, _g_deriv((b, 0)))))
-        b2 = b * b
-        b4 = b2 * b2
-        n2 = n_poly * n_poly
-        n4 = n2 * n2
-        if parity == 0:
-            lhs = m[0] * m[0] * _ZI_W
-            rhs = (b4 - n4) * beta2
-        else:
-            lhs = m[0] * m[0]
-            rhs = (b4 - n4 * _ZI_W * _ZI_W) * beta2
-    if lhs != rhs:
+        r = r - _times_t(r) - _times_t(p * q) * 2
+        q2, wp2 = q * q, p2 - _times_t(p2)
+        lhs = r * r
+        rhs = q2 * q2 - _times_t(wp2 * wp2)
+    if lhs != rhs * (beta * beta):
         raise InternalInconsistency(
             f"sl({beta} z) violates the first integral of the defining equation"
         )
@@ -493,32 +503,25 @@ def _compose(outer: tuple, inner: tuple) -> tuple:
 # exact ladder leaves 7 entries here and 15 with beta = 13, 13+10i, 17 and
 # -19 added, so no workload evicts; -3-4i's entry is there when 11-2i needs it.
 @lru_cache(maxsize=64)
-def _odd_map(beta: GaussInt) -> tuple:
-    """(P, Q) with sl(beta z) = s P(s^4) / Q(s^4) in lowest terms, for odd
-    beta, certified, and Q's leading coefficient in the first quadrant.
+def _map(beta: GaussInt) -> tuple:
+    """(P, Q) with sl(beta z) = c^parity s P(s^4) / Q(s^4) in lowest terms,
+    certified, and Q's leading coefficient in the first quadrant.
 
-    A unit or a prime runs the addition chain.  Any other beta = pi * gamma,
-    pi its prime factor of smallest norm, is R_pi composed with R_gamma.
+    An odd beta with two or more prime factors is R_pi composed with
+    R_gamma, pi its prime factor of smallest norm and gamma = beta / pi.
+    Every other beta (a unit, a prime, or even) runs the addition chain.
     """
-    _, factors = factor(beta)
+    factors = factor(beta)[1] if beta.is_odd() else ()
     if sum(e for _, e in factors) < 2:
         pair = _beta_pair(beta)
-        if pair.a[1] != 0:
-            raise InternalInconsistency(
-                f"sl({beta} z) has a residual sl' component despite odd beta"
-            )
-        num, den = pair.a[0], pair.b
+        p, q = _to_t(pair.a, pair.b, beta)
     else:
         pi = factors[0][0].value
-        p, q = _compose(_odd_map(pi), _odd_map(exact_div(beta, pi)))
+        p, q = _compose(_map(pi), _map(exact_div(beta, pi)))
         unit = _unit_to_first_quadrant(q.leading())
-        num, den = _from_t(p * unit, 1), _from_t(q * unit, 0)
-    if num.degree() != beta.norm():
-        raise InternalInconsistency(
-            f"numerator degree {num.degree()} != N(beta) = {beta.norm()} for beta={beta}"
-        )
-    _verify_first_integral((num, 0), den, beta)
-    return PolyZi(num.coeffs[1::4]), PolyZi(den.coeffs[0::4])
+        p, q = p * unit, q * unit
+    _verify_first_integral(p, q, beta)
+    return p, q
 
 
 def mult_map(beta) -> tuple:
@@ -527,40 +530,46 @@ def mult_map(beta) -> tuple:
     N/B in lowest terms, content one and B's leading coefficient in the first
     quadrant.
 
-    Even beta, units and primes run the addition chain.  An odd beta with two
-    or more prime factors, counted with multiplicity, is built by composition:
-    sl(pi gamma z) = R_pi(sl(gamma z)) for its prime factor pi of smallest
-    norm, so R_beta = R_pi o R_gamma (see _compose), with no gcd.  The
-    composite is in lowest terms because both factors are.  P_pi and Q_pi
-    are coprime and Q_pi has degree m, so the resultant of the homogenised
-    pair (hom_m(P_pi), hom_m(Q_pi)) does not vanish and the pair has no
-    common zero (x : y) on the projective line.  x = t P_gamma^4 and
+    Every map has the shape N = s P(s^4), B = Q(s^4), with parity 0 for odd
+    beta and 1 for even beta.  The shape: sl(i beta z) = i sl(beta z), and
+    c = sl'(z) is unchanged by s -> i s, so the reduced pair satisfies
+    N(i s) = i u N(s) and B(i s) = u B(s) for a unit u, and B(0) != 0 forces
+    u = 1.  The parity: sl(2 omega - z) = sl(z) and
+    sl'(2 omega - z) = -sl'(z), with sl(omega) = 1, and modulo the period
+    lattice 2(1+i) omega Z[i], 2 beta omega = 2 omega for odd beta and
+    2 beta omega = 0 for even beta.  So the map is held as (P, Q) in t = s^4
+    (see _map).
+
+    Units, primes and even beta run the addition chain.  An odd beta with two
+    or more prime factors, counted with multiplicity, is built by
+    composition: sl(pi gamma z) = R_pi(sl(gamma z)) for its prime factor pi
+    of smallest norm, so R_beta = R_pi o R_gamma (see _compose), with no gcd.
+    The composite is in lowest terms because both factors are.  P_pi and
+    Q_pi are coprime and Q_pi has degree m, so the resultant of the
+    homogenised pair (hom_m(P_pi), hom_m(Q_pi)) does not vanish and the pair
+    has no common zero (x : y) on the projective line.  x = t P_gamma^4 and
     y = Q_gamma^4 never vanish together, and P_gamma, Q_gamma are coprime
     with Q_gamma(0) != 0, so no t is a zero of both composite terms.
 
-    For odd beta the c-part must vanish (enforced by the grading) and the
-    numerator degree must be N(beta), which also rules out a common factor
-    of N and B.  The finished pair is then certified, however it was
-    assembled, by _verify_first_integral, in t = s^4 for odd beta.  Put
+    The finished pair is then certified in t, however it was assembled, by
+    _verify_first_integral; for odd beta the numerator degree must be N(beta),
+    which also rules out a common factor of N and B.  Put
     f = N(sl z) c^parity / B(sl z) with c = sl'(z).  The first integral says
-    f'^2 = beta^2 (1 - f^4), and N(0) = 0, B(0) != 0 say f(0) = 0, so
-    f'(0)^2 = beta^2 != 0.  Near z = 0 the equation therefore reads
-    f' = +-beta sqrt(1 - f^4) with a fixed sign and a right-hand side
-    analytic in f, whose solution through f(0) = 0 is unique: f = +-sl(beta z).
-    The initial condition is needed because i B / N = i / sl(beta z)
-    satisfies the same first integral.  For odd beta the verifier also checks
+    f'^2 = beta^2 (1 - f^4), and P(0) = beta Q(0) != 0 says f(0) = 0 and
+    f'(0) = beta.  Near z = 0 the equation therefore reads
+    f' = beta sqrt(1 - f^4) with the principal root, a right-hand side
+    analytic in f, whose solution through f(0) = 0 is unique: f = sl(beta z).
+    Q(0) != 0 is needed because (t P, t Q) satisfies the same first integral;
+    the sign because -sl(beta z) does.  i / sl(beta z), which satisfies it
+    too, is not of the shape.  For odd beta the verifier also checks
     B = unit * s^N(beta) N(1/s) (Abel's theorem; Rosen, Amer. Math. Monthly
-    88, 1981), which the swapped pair (i B, N) passes as well.
+    88, 1981).
     """
     beta = as_gauss(beta)
     if beta.is_zero():
         raise InputError("mult_map requires beta != 0")
-    if beta.is_odd():
-        p, q = _odd_map(beta)
-        return (_from_t(p, 1), 0), _from_t(q, 0)
-    pair = _beta_pair(beta)
-    _verify_first_integral(pair.a, pair.b, beta)
-    return pair.a, pair.b
+    p, q = _map(beta)
+    return (_from_t(p, 1), 0 if beta.is_odd() else 1), _from_t(q, 0)
 
 
 # -- all-torsion and lemnatomic polynomials -----------------------------------

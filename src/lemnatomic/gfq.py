@@ -319,69 +319,14 @@ def _pmul(F: ResidueField, a: tuple, b: tuple) -> tuple:
     return tuple(out)
 
 
-def _pscale(F: ResidueField, a: tuple, s: Element) -> tuple:
-    out = [F.mul(c, s) for c in a]
-    while out and F.is_zero(out[-1]):
-        out.pop()
-    return tuple(out)
-
-
-def _pmod(F: ResidueField, a: tuple, b: tuple) -> tuple:
+def _pdivmod(F: ResidueField, a: tuple, b: tuple) -> tuple:
+    """(quotient, remainder) of a by nonzero b."""
     if not b:
         raise InputError("polynomial division by zero")
     lead_inv = F.inv(b[-1])
     r = list(a)
     db = len(b) - 1
-    while len(r) - 1 >= db and r:
-        if F.is_zero(r[-1]):
-            r.pop()
-            continue
-        q = F.mul(r[-1], lead_inv)
-        shift = len(r) - 1 - db
-        for k in range(len(b)):
-            r[shift + k] = F.sub(r[shift + k], F.mul(q, b[k]))
-        while r and F.is_zero(r[-1]):
-            r.pop()
-    return tuple(r)
-
-
-def _pmonic(F: ResidueField, a: tuple) -> tuple:
-    if not a or a[-1] == F.one():
-        return a
-    return _pscale(F, a, F.inv(a[-1]))
-
-
-def _pderiv(F: ResidueField, a: tuple) -> tuple:
-    out = [F.mul(c, F.from_int(k)) for k, c in enumerate(a)][1:]
-    while out and F.is_zero(out[-1]):
-        out.pop()
-    return tuple(out)
-
-
-def _pgcd(F: ResidueField, a: tuple, b: tuple) -> tuple:
-    while b:
-        a, b = b, _pmod(F, a, b)
-    return _pmonic(F, a)
-
-
-def _ppow_mod(F: ResidueField, a: tuple, e: int, f: tuple) -> tuple:
-    result = _pmod(F, (F.one(),), f)
-    base = _pmod(F, a, f)
-    while e:
-        if e & 1:
-            result = _pmod(F, _pmul(F, result, base), f)
-        e >>= 1
-        if e:
-            base = _pmod(F, _pmul(F, base, base), f)
-    return result
-
-
-def _pmod_quotient(F: ResidueField, a: tuple, b: tuple) -> tuple:
-    """Exact quotient a / b (b monic divides a)."""
-    lead_inv = F.inv(b[-1])
-    r = list(a)
-    db = len(b) - 1
-    out = [F.zero()] * (len(a) - db)
+    out = [F.zero()] * max(len(a) - db, 0)
     while len(r) - 1 >= db and r:
         if F.is_zero(r[-1]):
             r.pop()
@@ -393,11 +338,41 @@ def _pmod_quotient(F: ResidueField, a: tuple, b: tuple) -> tuple:
             r[shift + k] = F.sub(r[shift + k], F.mul(q, b[k]))
         while r and F.is_zero(r[-1]):
             r.pop()
-    if r:
-        raise InputError("inexact polynomial division")
+    while out and F.is_zero(out[-1]):
+        out.pop()
+    return tuple(out), tuple(r)
+
+
+def _pmonic(F: ResidueField, a: tuple) -> tuple:
+    if not a or a[-1] == F.one():
+        return a
+    s = F.inv(a[-1])
+    return tuple(F.mul(c, s) for c in a)
+
+
+def _pderiv(F: ResidueField, a: tuple) -> tuple:
+    out = [F.mul(c, F.from_int(k)) for k, c in enumerate(a)][1:]
     while out and F.is_zero(out[-1]):
         out.pop()
     return tuple(out)
+
+
+def _pgcd(F: ResidueField, a: tuple, b: tuple) -> tuple:
+    while b:
+        a, b = b, _pdivmod(F, a, b)[1]
+    return _pmonic(F, a)
+
+
+def _ppow_mod(F: ResidueField, a: tuple, e: int, f: tuple) -> tuple:
+    result = _pdivmod(F, (F.one(),), f)[1]
+    base = _pdivmod(F, a, f)[1]
+    while e:
+        if e & 1:
+            result = _pdivmod(F, _pmul(F, result, base), f)[1]
+        e >>= 1
+        if e:
+            base = _pdivmod(F, _pmul(F, base, base), f)[1]
+    return result
 
 
 # -- either kind: the path follows field.degree -----------------------------------
@@ -482,7 +457,7 @@ def splits_completely(f: PolyFq) -> bool:
     if not f.is_monic():
         raise InputError("splits_completely requires a monic polynomial")
     F = f.field
-    return _power(F, f.coeffs, F.size) == _pmod(F, (F.zero(), F.one()), f.coeffs)
+    return _power(F, f.coeffs, F.size) == _pdivmod(F, (F.zero(), F.one()), f.coeffs)[1]
 
 
 def has_root(f: PolyFq) -> bool:
@@ -535,7 +510,7 @@ def factor_degrees(f: PolyFq) -> tuple:
     F = f.field
     rem = f.coeffs
     degrees: list[int] = []
-    h = _pmod(F, (F.zero(), F.one()), rem)
+    h = _pdivmod(F, (F.zero(), F.one()), rem)[1]
     d = 0
     while len(rem) - 1 > 0:
         d += 1
@@ -548,7 +523,10 @@ def factor_degrees(f: PolyFq) -> tuple:
         if len(g) - 1 > 0:
             part = len(g) - 1
             degrees.extend([d] * (part // d))
-            rem = _pmonic(F, _pmod_quotient(F, rem, g))
-            h = _pmod(F, h, rem)
+            rem, inexact = _pdivmod(F, rem, g)
+            if inexact:
+                raise InputError("inexact polynomial division")
+            rem = _pmonic(F, rem)
+            h = _pdivmod(F, h, rem)[1]
     degrees.sort()
     return tuple(degrees)

@@ -692,9 +692,13 @@ def lemnatomic_numeric(beta, precision_bits: int = 256):
     doubling.  Precision escalates by doubling up to PRECISION_CEILING; each
     precision is computed at most once, the doubled result becoming the next
     round's lower one, and the doubling is skipped when the lower result
-    already misses the tolerance.
+    already misses the tolerance.  A start above the ceiling is an InputError.
     """
     beta = _check_beta(beta)
+    if precision_bits > PRECISION_CEILING:
+        raise InputError(
+            f"precision_bits = {precision_bits} is above the ceiling of {PRECISION_CEILING} bits"
+        )
     ring = residue_ring(beta)
     bits = max(64, precision_bits)
     tolerance = 2.0**-30

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from conftest import gi
+from lemnatomic import lemniscate
 from lemnatomic.cli import dispatch
 from lemnatomic.errors import PrecisionError
 from lemnatomic.exact import LemnatomicRecord
@@ -88,6 +89,15 @@ class TestLemnatomicCommand:
         _, exact, _ = run_json(capsys, "lemnatomic", "-3", "--method", "exact")
         _, numeric, _ = run_json(capsys, "lemnatomic", "-3", "--method", "numeric")
         assert exact["coefficients"] == numeric["coefficients"]
+
+    def test_precision_above_the_ceiling_rejected_before_any_round(self, capsys, monkeypatch):
+        seen = []
+        monkeypatch.setattr(lemniscate, "_numeric_poly_at", lambda beta, ring, bits: seen.append(bits))
+        code, out, err = run(
+            capsys, "lemnatomic", "-1+2i", "--method", "numeric", "--precision-bits", "8192"
+        )
+        assert (code, out, seen) == (1, "", [])
+        assert err.startswith("error:") and "ceiling of 4096 bits" in err
 
     def test_even_beta_rejected(self, capsys):
         code, _, err = run(capsys, "lemnatomic", "1+i")

@@ -33,6 +33,7 @@ from lemnatomic.residue import phi_norm
 from lemnatomic.zipoly import PolyZi, discriminant, exact_divide, poly
 
 S = poly([0, 1])
+T = poly([0, 1])  # t = s^4 in the (P, Q) form of a map
 ONE_POLY = poly([1])
 W = poly([1, 0, 0, 0, -1])
 
@@ -166,7 +167,18 @@ class TestMultMap:
             assert all(c.is_zero() for k, c in enumerate(n.coeffs) if k % 2 == 0)
             assert all(c.is_zero() for k, c in enumerate(d.coeffs) if k % 2 == 1)
 
-    @pytest.mark.parametrize("b", ["2", "i", "-3", "-1+2i", "2+i", "3-2i", "-3-4i"])
+    def test_parity_is_zero_for_odd_and_one_for_even_beta(self):
+        for re in range(-4, 5):
+            for im in range(-4, 5):
+                beta = GaussInt(re, im)
+                if beta.is_zero():
+                    continue
+                (_, parity), _ = mult_map(beta)
+                assert parity == (0 if beta.is_odd() else 1), beta
+
+    @pytest.mark.parametrize(
+        "b", ["2", "i", "-3", "-1+2i", "2+i", "3-2i", "-3-4i", "1+i", "3+3i", "4"]
+    )
     def test_matches_numeric_evaluation(self, b, rng):
         beta = gi(b)
         (n, parity), d = mult_map(beta)
@@ -202,18 +214,59 @@ CORRUPTIONS = {
     "b plus s^5": lambda p: replace(p, b=p.b + S5),
 }
 FAULT_STEPS = 6
+EVEN_BETAS = ("2", "4", "3+3i", "6")
 
 
 def clear_memos():
     exact._integer_pair.cache_clear()
-    exact._odd_map.cache_clear()
+    exact._map.cache_clear()
     exact._lemnatomic_poly.cache_clear()
 
 
+def count_caught(corrupt, monkeypatch, compute, want) -> int:
+    """Corrupt chain step 1, 2, ..., FAULT_STEPS in turn with cold memos;
+    each run of compute on a beta b in want raises InternalInconsistency or
+    gives want[b].  Returns how many runs raised."""
+    real = exact._pair_sum
+    caught = 0
+    for b in want:
+        for step in range(FAULT_STEPS):
+            calls = []
+
+            def faulty(pa, pb, total):
+                calls.append(total)
+                result = real(pa, pb, total)
+                return corrupt(result) if len(calls) == step + 1 else result
+
+            monkeypatch.setattr(exact, "_pair_sum", faulty)
+            clear_memos()
+            try:
+                got = compute(gi(b))
+            except InternalInconsistency:
+                caught += 1
+                continue
+            assert got == want[b], f"step {step} of {b} went undetected"
+    return caught
+
+
+def assert_s_identity(n: PolyZi, parity: int, d: PolyZi, beta: GaussInt) -> None:
+    """The first integral of f = N c^parity / B over Z[i][s], an oracle for
+    the certificate in t."""
+    n2, d2 = n * n, d * d
+    if parity == 0:
+        # W (N'B - NB')^2 = beta^2 (B^4 - N^4)
+        m = n.derivative() * d - n * d.derivative()
+        assert m * m * W == (d2 * d2 - n2 * n2) * (beta * beta)
+    else:
+        # ((N'W - 2s^3 N)B - NWB')^2 = beta^2 (B^4 - W^2 N^4)
+        m = (n.derivative() * W - poly([0, 0, 0, 2]) * n) * d - n * W * d.derivative()
+        assert m * m == (d2 * d2 - n2 * n2 * W * W) * (beta * beta)
+
+
 class TestChainVerifier:
-    """mult_map certifies the finished chain by the first integral
-    (sl')^2 = 1 - sl^4 with the initial conditions N(0) = 0, B(0) != 0, and
-    for odd beta by B = unit * s^N(beta) N(1/s)."""
+    """mult_map certifies every map, in t = s^4, by the first integral
+    (sl')^2 = 1 - sl^4 with the initial condition P(0) = beta Q(0) != 0, and
+    for odd beta by deg P and Q = unit * t^deg P * P(1/t)."""
 
     @pytest.fixture
     def cold_memos(self):
@@ -223,38 +276,49 @@ class TestChainVerifier:
 
     @pytest.mark.parametrize("kind", list(CORRUPTIONS))
     def test_corrupted_chain_step_is_caught_or_harmless(self, kind, cold_memos, monkeypatch):
-        corrupt = CORRUPTIONS[kind]
-        real = exact._pair_sum
-        caught = 0
-        for b, checksum in FROZEN_CHECKSUMS.items():
-            for step in range(FAULT_STEPS):
-                calls = []
-
-                def faulty(pa, pb, total):
-                    calls.append(total)
-                    result = real(pa, pb, total)
-                    return corrupt(result) if len(calls) == step + 1 else result
-
-                monkeypatch.setattr(exact, "_pair_sum", faulty)
-                clear_memos()
-                try:
-                    record = lemnatomic_exact(gi(b))
-                except InternalInconsistency:
-                    caught += 1
-                    continue
-                assert record.checksum == checksum, f"{kind} at step {step} of {b} went undetected"
+        caught = count_caught(
+            CORRUPTIONS[kind], monkeypatch, lambda b: lemnatomic_exact(b).checksum, FROZEN_CHECKSUMS
+        )
         assert caught, f"{kind} was never caught"
 
-    def test_swapped_pair_fails_only_the_initial_condition(self):
-        # i B / N = i / sl(beta z) satisfies the first integral as well
+    @pytest.mark.parametrize("kind", list(CORRUPTIONS))
+    def test_corrupted_chain_step_on_even_beta_is_caught_or_harmless(
+        self, kind, cold_memos, monkeypatch
+    ):
+        want = {b: mult_map(gi(b)) for b in EVEN_BETAS}
+        caught = count_caught(CORRUPTIONS[kind], monkeypatch, mult_map, want)
+        assert caught, f"{kind} was never caught"
+
+    def test_swapped_pair_is_not_of_the_t_form(self):
+        # i B / N = i / sl(beta z) satisfies the first integral as well, but
+        # it is s^-1 times a function of s^4, so it has no (P, Q) in t
         beta = gi("-3")
         (n, parity), b = mult_map(beta)
         num, den = b * I, n
-        m = num.derivative() * den - num * den.derivative()
-        num2, den2 = num * num, den * den
-        assert m * m * W == (den2 * den2 - num2 * num2) * (beta * beta)
+        assert_s_identity(num, parity, den, beta)
+        with pytest.raises(InternalInconsistency, match="form s P"):
+            exact._to_t((num, parity), den, beta)
+
+    @pytest.mark.parametrize("b", ["-3", "2"])
+    def test_common_factor_t_fails_only_the_initial_condition(self, b):
+        # (t P, t Q) is sl(beta z) too, so it satisfies the first integral
+        beta = gi(b)
+        p, q = exact._map(beta)
+        p, q = T * p, T * q
+        (_, parity), _ = mult_map(beta)
+        assert_s_identity(exact._from_t(p, 1), parity, exact._from_t(q, 0), beta)
         with pytest.raises(InternalInconsistency, match="initial condition"):
-            exact._verify_first_integral((num, parity), den, beta)
+            exact._verify_first_integral(p, q, beta)
+
+    @pytest.mark.parametrize("b", ["-3", "2"])
+    def test_negated_map_fails_only_the_initial_condition(self, b):
+        # -sl(beta z) satisfies the first integral; f'(0) = -beta gives it away
+        beta = gi(b)
+        p, q = exact._map(beta)
+        (_, parity), _ = mult_map(beta)
+        assert_s_identity(exact._from_t(-p, 1), parity, exact._from_t(q, 0), beta)
+        with pytest.raises(InternalInconsistency, match="initial condition"):
+            exact._verify_first_integral(-p, q, beta)
 
     @pytest.mark.parametrize(
         "b", ["-1+2i", "-1-2i", "-3", "3", "3i", "-3-4i", "3-6i", "5+4i", "9", "-7", "-11", "11-2i"]
@@ -267,34 +331,41 @@ class TestChainVerifier:
 
     def test_denominator_not_reversed_numerator_rejected(self):
         beta = gi("-3")
-        (n, parity), d = mult_map(beta)
+        p, q = exact._map(beta)
         with pytest.raises(InternalInconsistency, match="reversed numerator"):
-            exact._verify_first_integral((n, parity), d + poly([0, 0, 1]), beta)
+            exact._verify_first_integral(p, q + T, beta)
 
     @pytest.mark.parametrize("n_term, b_term", [(3, 6), (7, 2)], ids=["s^3 in N", "s^2 in B"])
     def test_term_off_the_t_form_rejected(self, n_term, b_term):
         # n_term + b_term = N(-3): the mirrored term keeps
-        # B = unit * s^N(beta) N(1/s), so only the shape check can object
+        # B = unit * s^N(beta) N(1/s), so only the shape can object
         beta = gi("-3")
         (n, parity), d = mult_map(beta)
         unit = next(u for u in UNITS if d == PolyZi.make(reversed(n.coeffs)) * u)
         n = n + PolyZi.make([0] * n_term + [1])
         d = d + PolyZi.make([0] * b_term + [unit])
         with pytest.raises(InternalInconsistency, match="form s P"):
-            exact._verify_first_integral((n, parity), d, beta)
+            exact._to_t((n, parity), d, beta)
 
-    @pytest.mark.parametrize("b", ["-3", "-1+2i", "-3-4i", "3-6i", "-11", "11-2i"])
-    def test_t_identity_is_the_s_identity(self, b):
-        # the s-form check on the same map still holds, so the t-form one
-        # replaced an identity that the maps satisfy
+    @pytest.mark.parametrize("b", ["-3", "2", "3+3i"])
+    def test_wrong_parity_rejected(self, b):
         beta = gi(b)
-        (n, _), d = mult_map(beta)
-        m = n.derivative() * d - n * d.derivative()
-        n2, d2 = n * n, d * d
-        assert m * m * W == (d2 * d2 - n2 * n2) * (beta * beta)
+        (n, parity), d = mult_map(beta)
+        with pytest.raises(InternalInconsistency, match="form s P"):
+            exact._to_t((n, 1 - parity), d, beta)
+
+    @pytest.mark.parametrize(
+        "b", ["-3", "-1+2i", "-3-4i", "3-6i", "-11", "11-2i", "1+i", "2", "3+3i", "6"]
+    )
+    def test_t_identity_is_the_s_identity(self, b):
+        # the s-form identities on the same map still hold, so the t-form
+        # ones replaced identities that the maps satisfy
+        beta = gi(b)
+        (n, parity), d = mult_map(beta)
+        assert_s_identity(n, parity, d, beta)
 
     @pytest.mark.parametrize("b", ["2", "3+3i"])
-    def test_even_beta_stays_on_the_chain_with_the_s_form(self, b, cold_memos, monkeypatch):
+    def test_even_beta_runs_the_chain_and_is_certified_in_t(self, b, cold_memos, monkeypatch):
         beta = gi(b)
         steps, composed = [], []
         real_sum, real_compose = exact._pair_sum, exact._compose
@@ -303,12 +374,10 @@ class TestChainVerifier:
         (n, parity), d = mult_map(beta)
         assert steps and not composed
         assert parity == 1 and n[1] == beta * d[0]
-        # parity 1:  ((N'W - 2s^3 N)B - NWB')^2 = beta^2 (B^4 - W^2 N^4)
-        m = (n.derivative() * W - poly([0, 0, 0, 2]) * n) * d - n * W * d.derivative()
-        n2, d2 = n * n, d * d
-        assert m * m == (d2 * d2 - n2 * n2 * W * W) * (beta * beta)
+        p, q = exact._to_t((n, parity), d, beta)
+        exact._verify_first_integral(p, q, beta)
         with pytest.raises(InternalInconsistency, match="first integral"):
-            exact._verify_first_integral((n, parity), d + poly([0, 0, 0, 0, 0, 0, 0, 0, 1]), beta)
+            exact._verify_first_integral(p, q + T * T, beta)
 
 
 def conjugate_map(pq):
@@ -347,7 +416,7 @@ class TestComposition:
         beta = gi(b)
         _, facs = factor(beta)
         for prime, _ in facs:
-            exact._odd_map(prime.value)
+            exact._map(prime.value)
         steps = []
         real = exact._pair_sum
         monkeypatch.setattr(exact, "_pair_sum", lambda *a: steps.append(a[2]) or real(*a))
@@ -526,7 +595,7 @@ class TestMemos:
         clear_memos()
 
     def test_memos_are_bounded_lru_caches(self):
-        for memo in (exact._integer_pair, exact._odd_map, exact._lemnatomic_poly):
+        for memo in (exact._integer_pair, exact._map, exact._lemnatomic_poly):
             maxsize = memo.cache_info().maxsize
             assert maxsize is not None and maxsize > 0
 
@@ -548,13 +617,13 @@ class TestMemos:
     def test_map_of_minus_3_minus_4i_reused_by_11_minus_2i(self, monkeypatch):
         # 11-2i = (-1+2i) * (-3-4i): both factor maps are in the memo
         lemnatomic_exact(gi("-3-4i"))
-        hits = exact._odd_map.cache_info().hits
+        hits = exact._map.cache_info().hits
         steps = []
         real = exact._pair_sum
         monkeypatch.setattr(exact, "_pair_sum", lambda *a: steps.append(a[2]) or real(*a))
         lemnatomic_exact(gi("11-2i"))
         assert steps == []
-        assert exact._odd_map.cache_info().hits >= hits + 2
+        assert exact._map.cache_info().hits >= hits + 2
 
 
 def test_exact_route_reaches_norm_269():

@@ -542,6 +542,16 @@ class TestLemnatomicNumeric:
         assert (report.precision_bits, report.escalations) == (256, 2)
         assert poly[0] == gi("-1+2i")
 
+    def test_start_above_the_ceiling_fails_before_any_round(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(lemniscate, "_numeric_poly_at", lambda beta, ring, bits: seen.append(bits))
+        with pytest.raises(InputError, match="ceiling of 4096 bits"):
+            lemnatomic_numeric(gi("-1+2i"), 8192)
+        monkeypatch.setattr(lemniscate, "PRECISION_CEILING", 128)  # read at call time
+        with pytest.raises(InputError, match="ceiling of 128 bits"):
+            lemnatomic_numeric(gi("-1+2i"), 256)
+        assert seen == []
+
     def test_top_rung_matches_exact_without_escalation(self):
         poly, report = lemnatomic_numeric(gi("-19"), BITS)
         assert poly.degree() == 360

@@ -1,9 +1,11 @@
-"""Compare the scan and exact-route commands' --json output between two source trees.
+"""Compare the scan, single-prime and exact-route commands' --json output between two source trees.
 
     python3 tools/compare_cli_json.py OLD_SRC NEW_SRC [--max-norm 30000]
 
-The scan commands run at the norm bound; ``lemnatomic BETA --method exact``
-runs on the exact ladder of the benchmark plus 13, 17, -19 and 33.
+The scan commands run at the norm bound; ``reduce``, ``split-test`` and
+``orbit-check`` (which runs ``factor_degrees``) run at the split prime -1+2i
+and the inert primes -3 and -7; ``lemnatomic BETA --method exact`` runs on
+the exact ladder of the benchmark plus 13, 17, -19 and 33.
 
 OLD_SRC and NEW_SRC are directories holding the ``lemnatomic`` package (the
 ``src`` directory of two checkouts).  Each command runs in a fresh
@@ -29,6 +31,9 @@ POLYS = (
     ("coeffs:-2,0,0,1", "-3"),  # X^3 - 2 deflates only at p = 1 mod 3
 )
 PROP1_BETAS = ("-3", "-3-4i", "3-6i")
+SINGLE_PRIMES = ("-1+2i", "-3", "-7")  # one split prime, two inert ones
+SINGLE_POLYS = ("lemnatomic:-3", "coeffs:-2,0,0,1")
+ORBIT_BETAS = ("-1-2i", "5+4i")  # divisible by none of SINGLE_PRIMES
 EXACT_BETAS = ("-1+2i", "-3", "-3-4i", "3-6i", "9", "-11", "11-2i", "13", "17", "-19", "33")
 
 
@@ -45,6 +50,9 @@ def commands(max_norm: int) -> list:
             ["density", poly, *bound],
         ]
     out += [["verify-prop1", beta, *bound] for beta in PROP1_BETAS]
+    for pi in SINGLE_PRIMES:
+        out += [[cmd, poly, pi, "--json"] for cmd in ("reduce", "split-test") for poly in SINGLE_POLYS]
+        out += [["orbit-check", beta, pi, "--json"] for beta in ORBIT_BETAS]
     out += [["lemnatomic", beta, "--method", "exact", "--json"] for beta in EXACT_BETAS]
     return out
 
