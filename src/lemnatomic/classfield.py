@@ -18,6 +18,12 @@ modulo beta, with the squarefree test, which runs on the same g.  X^q mod h
 on h itself is left to the single-prime predicates splits_completely and
 has_root and to factor_degrees.
 
+A split prime a + bi of norm p (all but 21 of the 3243 primes at norm
+3e4) costs the scan ints alone: i -> -a * b^(-1) mod p, one reduction of
+the modulus and of h's coefficients, then gfq's int-level entry on the int
+list, whose one power is a packed square-and-multiply.  Only the inert
+primes build a ResidueField and a PolyFq.
+
 Class computations default to primary normalization (classes of primes
 taken through their primary associates); raw mode, which reduces the
 first-quadrant associate exactly as written, is exposed for comparison and
@@ -47,7 +53,17 @@ from .gaussint import (
     odd_part,
     primes_up_to_norm,
 )
-from .gfq import ROOT, SPLITS, factor_degrees, reduce_poly, residue_field, root_status, squarefree
+from .gfq import (
+    ROOT,
+    SPLITS,
+    _root_status,
+    _squarefree,
+    factor_degrees,
+    reduce_poly,
+    residue_field,
+    root_status,
+    squarefree,
+)
 
 # The single-prime predicates that the SPLITS and ROOT statuses stand for,
 # bound here as well (perfbench's tracer wraps classfield's own reference).
@@ -247,13 +263,29 @@ _ROOTS = (ROOT, SPLITS)
 def _scan(h: PolyZi, bound: int, modulus: GaussInt, classify) -> bytes:
     """One status byte per odd primary prime of norm <= bound, in walk order.
 
-    pi | modulus is read off the residue field: the image of modulus in
-    Z[i]/(pi) is zero.  Memoised on (h, bound, modulus, classify), so reports
-    that share a scan run it once; bytes keep the memo small.
+    classify is root_status or squarefree, h monic.  pi | modulus is read
+    as a zero image of modulus in Z[i]/(pi).  A split prime a + bi (norm p)
+    is worked on ints alone: i maps to -a * b^(-1) mod p, and h mod pi goes
+    to classify's int-level entry as an int list.  An inert prime builds its
+    ResidueField and calls classify.  Memoised on (h, bound, modulus,
+    classify), so reports that share a scan run it once; bytes keep the memo
+    small.
     """
+    # classfield's own names, read at call time like the reports read them
+    # (perfbench's tracer rebinds them), so the lookup holds either way
+    split_entry = {root_status: _root_status, squarefree: _squarefree}[classify]
     walk = _odd_prime_walk(bound)
+    parts = [(c.re, c.im) for c in h.coeffs]
+    m_re, m_im = modulus.re, modulus.im
     out = bytearray()
-    for k in range(len(walk) // 3):
+    for k, (a, b, p) in enumerate(zip(walk[::3], walk[1::3], walk[2::3])):
+        if b:
+            i = -a * pow(b, -1, p) % p
+            if (m_re + m_im * i) % p:
+                out.append(split_entry(p, [(x + y * i) % p for x, y in parts]))
+            else:
+                out.append(_SKIP)
+            continue
         field = residue_field(_walk_prime(walk, k))
         if field.reduce_gauss(modulus) == field.zero():
             out.append(_SKIP)

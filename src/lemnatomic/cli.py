@@ -47,7 +47,7 @@ from .gaussint import (
     primes_up_to_norm,
 )
 from .gfq import reduce_poly, splits_completely
-from .lemniscate import lemnatomic_numeric
+from .lemniscate import _check_precision, lemnatomic_numeric
 from .residue import residue_ring, unit_group
 from .zipoly import PolyZi, from_json_dict, to_json_dict
 
@@ -207,6 +207,7 @@ def _cmd_lemnatomic(args) -> int:
             poly, report = lemnatomic_numeric(beta, args.precision_bits)
             record = LemnatomicRecord.build(beta, poly, "numeric", report.precision_bits)
         else:
+            _check_precision(args.precision_bits)  # the exact route can run for minutes first
             exact_record = lemnatomic_exact(beta)
             poly, report = lemnatomic_numeric(beta, args.precision_bits)
             if exact_record.coefficients != poly:

@@ -8,11 +8,17 @@ meaning x + y*iota with iota^2 = -1; reduction of a+bi is then coefficientwise.
 Field elements are plain ints in [0, p) for degree 1 and int pairs for
 degree 2, so equality is structural and hashing is free.
 
-The path is chosen from the field's degree alone.  Over a split prime the
-polynomial work runs on the int coefficient lists directly: Euclid for gcd
-and squarefree, and powers of X modulo f as a square-and-multiply on
-Kronecker-packed ints (_PackedModulus).  Over an inert prime it runs on the
-pairs through ResidueField, one field operation per coefficient.
+The internal helpers take the field as K: the bare int p for F_p, or the
+ResidueField of an inert prime.  Over F_p the polynomial work runs on int
+coefficient lists: Euclid for gcd and squarefree, and powers modulo f as a
+square-and-multiply on Kronecker-packed ints (_PackedModulus), whose slots
+are wide enough that the low ones are taken mod p only after every other
+squaring.  Over an inert prime it runs on the pairs through ResidueField,
+one field operation per coefficient.  The public functions pass
+_kernel(f.field); a scan passes p and the int list of h mod pi straight to
+_root_status and _squarefree, the entries under root_status and
+squarefree, so a split prime costs it no GaussPrime, ResidueField or
+PolyFq.
 
 root_status and squarefree, the scans' tests, first write f as X^k * g(X^e)
 with g(0) != 0 and e = gcd(d, q - 1), d the gcd of the exponents of f's
@@ -232,74 +238,74 @@ def _int_gcd(p: int, a: tuple, b: tuple) -> tuple:
 class _PackedModulus:
     """Arithmetic modulo a monic f of degree n >= 1 over F_p, Kronecker-packed.
 
-    A polynomial of degree < n with coefficients in [0, p) is one int holding
-    coefficient k in bits [k*w, (k+1)*w), so a product is one big-int
-    multiply.  Its n - 1 high slots are folded back from the top down: the
-    value h read off slot n + k (mod p) is cleared by adding h times the
-    k-th packed row X^k * (X^n mod f), a shift of one row computed once per
-    (f, p).  A slot then holds at most n products from the multiply plus
-    n - 1 row terms, each below p^2, so w = bit length of (2n - 1)(p - 1)^2
-    never lets a slot carry into the next, whatever the size of p.  Only the
-    n low slots are reduced mod p afterwards.
+    A polynomial of degree < n is one int holding coefficient k in bits
+    [k*w, (k+1)*w), so a product is one big-int multiply.  Its high slots
+    are folded back from the top down: the value h read off slot n + k
+    (mod p) is cleared by adding h times the k-th packed row
+    X^k * (X^n mod f), a shift of one row computed once per (f, p).  A
+    multiply by X is a shift of the product before the fold, so there is one
+    row for each of the slots n .. 2n - 1.
+
+    The high slots are read mod p at every fold, but the n low slots are
+    taken mod p only after every other fold, and once at the end.  From
+    slots below p, a product slot is a sum of at most n products below p^2,
+    and the fold adds at most n row terms h * c, each below p^2 too: the
+    slot leaves the fold at most L = 2n(p - 1)^2.  One more fold from slots
+    at most L, a square or a multiply by a base with slots below p, leaves a
+    slot at most n*L^2 + n(p - 1)^2.  w is the bit length of that bound, so
+    no slot ever carries into the next, whatever the size of p; the slots
+    are taken mod p before the next fold.
     """
 
-    __slots__ = ("p", "n", "width", "mask", "low", "slots", "tail", "rows")
+    __slots__ = ("p", "n", "width", "mask", "low", "slots", "rows")
 
     def __init__(self, p: int, f: tuple):
         n = len(f) - 1
-        w = ((2 * n - 1) * (p - 1) ** 2).bit_length()
+        lazy = 2 * n * (p - 1) ** 2
+        w = (n * lazy * lazy + n * (p - 1) ** 2).bit_length()
         self.p, self.n, self.width = p, n, w
         self.mask = (1 << w) - 1
         self.low = (1 << (n * w)) - 1
         self.slots = range(0, n * w, w)
-        self.tail = sum(map(lshift, [-c % p for c in f[:-1]], self.slots))  # X^n mod f
-        self.rows = [(k * w, self.tail << ((k - n) * w)) for k in range(2 * n - 2, n - 1, -1)]
-
-    def _normal(self, x: int) -> int:
-        """Packed x with every one of its n slots taken mod p."""
-        mask, p = self.mask, self.p
-        return sum(((x >> s & mask) % p) << s for s in self.slots)
-
-    def _reduce(self, x: int) -> int:
-        """A packed product (up to 2n - 1 slots) to packed x mod f."""
-        mask, p = self.mask, self.p
-        for s, row in self.rows:
-            h = (x >> s & mask) % p
-            if h:
-                x += h * row
-        return self._normal(x & self.low)
-
-    def _times_x(self, x: int) -> int:
-        x <<= self.width
-        top = x >> (self.n * self.width)
-        return self._normal((x & self.low) + top * self.tail) if top else x
+        tail = sum(map(lshift, [-c % p for c in f[:-1]], self.slots))  # X^n mod f
+        self.rows = [(k * w, tail << ((k - n) * w)) for k in range(2 * n - 1, n - 1, -1)]
 
     def pow_mod(self, a: tuple, e: int) -> tuple:
         """a^e mod f by square-and-multiply from the top bit of e.
 
-        a is reduced mod f, or is X.  For a = X the multiply is a shift, and
-        the leading bits of e whose value stays below n give the starting
-        monomial without any product.
+        a is reduced mod f, or is X.  For a = X the multiply is a shift of
+        the square, and the leading bits of e whose value stays below n give
+        the starting monomial without any product.  Each step is one
+        product: S squares, X squares and shifts, M multiplies by a.
         """
-        bits = format(e, "b")
+        bits, w = format(e, "b"), self.width
         if a == (0, 1):
             j = min(len(bits), (self.n - 1).bit_length())
             if e >> (len(bits) - j) >= self.n:
                 j -= 1
-            x = 1 << ((e >> (len(bits) - j)) * self.width)
-            bits, step = bits[j:], self._times_x
+            x, base = 1 << ((e >> (len(bits) - j)) * w), None
+            steps = bits[j:].replace("0", "S").replace("1", "X")
         else:
             x, base = 1, sum(map(lshift, a, self.slots))
-
-            def step(y: int) -> int:
-                return self._reduce(y * base)
-
-        for bit in bits:
-            x = self._reduce(x * x)
-            if bit == "1":
-                x = step(x)
-        mask = self.mask
-        return tuple(_int_trim([x >> s & mask for s in self.slots]))
+            steps = bits.replace("0", "S").replace("1", "SM")
+        p, mask, low, slots = self.p, self.mask, self.low, self.slots
+        rows = self.rows
+        product_rows = rows[1:]  # slot 2n - 1 is filled only by the shift
+        lazy = False  # the low slots of x are not yet taken mod p
+        for step in steps:
+            if step == "X":
+                x = x * x << w
+                folds = rows
+            else:
+                x *= x if step == "S" else base
+                folds = product_rows
+            for s, row in folds:
+                x += (x >> s & mask) % p * row
+            x &= low
+            if lazy:
+                x = sum([((x >> s & mask) % p) << s for s in slots])
+            lazy = not lazy
+        return tuple(_int_trim([(x >> s & mask) % p for s in slots]))
 
 
 # -- inert primes: pairs through ResidueField ------------------------------------
@@ -375,31 +381,43 @@ def _ppow_mod(F: ResidueField, a: tuple, e: int, f: tuple) -> tuple:
     return result
 
 
-# -- either kind: the path follows field.degree -----------------------------------
+# -- either kind: K is the int p for F_p, or a ResidueField ----------------------
+#
+# The split path passes the bare int p, so a scan needs no field object per
+# prime; the public functions pass _kernel(f.field).  A ResidueField of
+# degree 1 is also accepted, and then runs the per-element path.
 
 
-def _gcd(F: ResidueField, a: tuple, b: tuple) -> tuple:
-    return _int_gcd(F.p, a, b) if F.degree == 1 else _pgcd(F, a, b)
+def _kernel(F: ResidueField):
+    """K for the field F: p when F = F_p, else F itself."""
+    return F.p if F.degree == 1 else F
 
 
-def _power(F: ResidueField, f: tuple, e: int, a: tuple | None = None) -> tuple:
+def _gcd(K, a: tuple, b: tuple) -> tuple:
+    return _int_gcd(K, a, b) if type(K) is int else _pgcd(K, a, b)
+
+
+def _power(K, f: tuple, e: int, a: tuple | None = None) -> tuple:
     """a^e mod monic f of degree >= 1, with a = X by default."""
-    a = (F.zero(), F.one()) if a is None else a
-    if F.degree == 1:
-        return _PackedModulus(F.p, f).pow_mod(a, e)
-    return _ppow_mod(F, a, e, f)
+    if type(K) is int:
+        return _PackedModulus(K, f).pow_mod((0, 1) if a is None else a, e)
+    return _ppow_mod(K, (K.zero(), K.one()) if a is None else a, e, f)
 
 
-def _minus_x(F: ResidueField, a: tuple, k: int = 1) -> tuple:
+def _minus_x(K, a: tuple, k: int = 1) -> tuple:
     """a - X^k."""
-    out = list(a) + [F.zero()] * (k + 1 - len(a))
-    out[k] = F.sub(out[k], F.one())
-    while out and F.is_zero(out[-1]):
+    if type(K) is int:
+        out = list(a) + [0] * (k + 1 - len(a))
+        out[k] = (out[k] - 1) % K
+        return tuple(_int_trim(out))
+    out = list(a) + [K.zero()] * (k + 1 - len(a))
+    out[k] = K.sub(out[k], K.one())
+    while out and K.is_zero(out[-1]):
         out.pop()
     return tuple(out)
 
 
-def _deflate(F: ResidueField, cs: tuple) -> tuple:
+def _deflate(K, cs) -> tuple:
     """(k, g, e) with f = X^k * g(X^e) and g(0) != 0, for nonzero f.
 
     e = gcd(d, q - 1), where d is the gcd of the exponents of the nonzero
@@ -411,10 +429,10 @@ def _deflate(F: ResidueField, cs: tuple) -> tuple:
     y^((q-1)/e) = 1, splits into distinct linear factors iff
     Y^((q-1)/e) = 1 (mod g), and is squarefree iff g is.
     """
-    zero = F.zero()
+    zero, q = (0, K) if type(K) is int else (K.zero(), K.size)
     exponents = [j for j, c in enumerate(cs) if c != zero]
     k = exponents[0]
-    e = gcd(F.size - 1, *[j - k for j in exponents])
+    e = gcd(q - 1, *[j - k for j in exponents])
     return k, cs[k::e], e
 
 
@@ -424,25 +442,29 @@ def poly_gcd(f: PolyFq, g: PolyFq) -> PolyFq:
         raise InputError("gcd of polynomials over different fields")
     if f.is_zero() and g.is_zero():
         raise InputError("gcd(0, 0) is undefined")
-    return PolyFq(field=f.field, coeffs=_gcd(f.field, f.coeffs, g.coeffs))
+    return PolyFq(field=f.field, coeffs=_gcd(_kernel(f.field), f.coeffs, g.coeffs))
 
 
 def squarefree(f: PolyFq) -> bool:
     """True iff gcd(f, f') is constant, read off g for f = X^k * g(X^e) (_deflate)."""
     if f.is_zero():
         raise InputError("squarefree test of the zero polynomial")
-    F = f.field
-    k, g, _ = _deflate(F, f.coeffs)
+    return _squarefree(_kernel(f.field), f.coeffs)
+
+
+def _squarefree(K, cs) -> bool:
+    """squarefree on the coefficients cs, nonzero, over K: the split scan's entry."""
+    k, g, _ = _deflate(K, cs)
     if k > 1:
         return False  # X^2 divides f
-    if F.degree == 1:
-        d = _int_trim([j * c % F.p for j, c in enumerate(g)][1:])
+    if type(K) is int:
+        d = _int_trim([j * c % K for j, c in enumerate(g)][1:])
     else:
-        d = _pderiv(F, g)
+        d = _pderiv(K, g)
     if not d:
         # constant: vacuously squarefree; nonconstant with zero derivative is a p-th power
         return len(g) == 1
-    return len(_gcd(F, g, d)) == 1
+    return len(_gcd(K, g, d)) == 1
 
 
 def splits_completely(f: PolyFq) -> bool:
@@ -457,7 +479,7 @@ def splits_completely(f: PolyFq) -> bool:
     if not f.is_monic():
         raise InputError("splits_completely requires a monic polynomial")
     F = f.field
-    return _power(F, f.coeffs, F.size) == _pdivmod(F, (F.zero(), F.one()), f.coeffs)[1]
+    return _power(_kernel(F), f.coeffs, F.size) == _pdivmod(F, (F.zero(), F.one()), f.coeffs)[1]
 
 
 def has_root(f: PolyFq) -> bool:
@@ -467,8 +489,8 @@ def has_root(f: PolyFq) -> bool:
     F = f.field
     if f.degree() < 1:
         return False
-    monic = _pmonic(F, f.coeffs)
-    return len(_gcd(F, monic, _minus_x(F, _power(F, monic, F.size)))) > 1
+    K, monic = _kernel(F), _pmonic(F, f.coeffs)
+    return len(_gcd(K, monic, _minus_x(K, _power(K, monic, F.size)))) > 1
 
 
 # root_status values, ordered: a polynomial that splits also has a root.
@@ -486,16 +508,22 @@ def root_status(f: PolyFq) -> int:
     """
     if f.degree() < 1 or not f.is_monic():
         raise InputError("root_status requires a monic nonconstant polynomial")
-    F = f.field
-    k, g, e = _deflate(F, f.coeffs)
+    return _root_status(_kernel(f.field), f.coeffs)
+
+
+def _root_status(K, cs) -> int:
+    """root_status on the coefficients cs, monic, of degree >= 1, over K:
+    the split scan's entry."""
+    k, g, e = _deflate(K, cs)
     if k > 1:
         return ROOT
     if len(g) == 1:
         return SPLITS  # f = X
-    r = _power(F, g, (F.size - 1) // e)
-    if r == (F.one(),):
+    q = K if type(K) is int else K.size
+    r = _minus_x(K, _power(K, g, (q - 1) // e), 0)  # Y^((q-1)/e) - 1 mod g
+    if not r:
         return SPLITS
-    return ROOT if k or len(_gcd(F, g, _minus_x(F, r, 0))) > 1 else NO_ROOT
+    return ROOT if k or len(_gcd(K, g, r)) > 1 else NO_ROOT
 
 
 def factor_degrees(f: PolyFq) -> tuple:
@@ -508,7 +536,7 @@ def factor_degrees(f: PolyFq) -> tuple:
     if not squarefree(f):
         raise InputError("factor_degrees requires a squarefree polynomial")
     F = f.field
-    rem = f.coeffs
+    K, rem = _kernel(F), f.coeffs
     degrees: list[int] = []
     h = _pdivmod(F, (F.zero(), F.one()), rem)[1]
     d = 0
@@ -518,8 +546,8 @@ def factor_degrees(f: PolyFq) -> tuple:
             # remainder is irreducible
             degrees.append(len(rem) - 1)
             break
-        h = _power(F, rem, F.size, h)
-        g = _gcd(F, rem, _minus_x(F, h))
+        h = _power(K, rem, F.size, h)
+        g = _gcd(K, rem, _minus_x(K, h))
         if len(g) - 1 > 0:
             part = len(g) - 1
             degrees.extend([d] * (part // d))

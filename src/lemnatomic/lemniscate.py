@@ -682,6 +682,14 @@ def _attempt(beta: GaussInt, ring, bits: int) -> tuple:
         return None, math.inf
 
 
+def _check_precision(precision_bits: int) -> None:
+    """InputError for a starting precision above PRECISION_CEILING, read at call time."""
+    if precision_bits > PRECISION_CEILING:
+        raise InputError(
+            f"precision_bits = {precision_bits} is above the ceiling of {PRECISION_CEILING} bits"
+        )
+
+
 def lemnatomic_numeric(beta, precision_bits: int = 256):
     """Numeric lemnatomic polynomial with its computation report.
 
@@ -695,10 +703,7 @@ def lemnatomic_numeric(beta, precision_bits: int = 256):
     already misses the tolerance.  A start above the ceiling is an InputError.
     """
     beta = _check_beta(beta)
-    if precision_bits > PRECISION_CEILING:
-        raise InputError(
-            f"precision_bits = {precision_bits} is above the ceiling of {PRECISION_CEILING} bits"
-        )
+    _check_precision(precision_bits)
     ring = residue_ring(beta)
     bits = max(64, precision_bits)
     tolerance = 2.0**-30

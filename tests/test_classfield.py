@@ -46,6 +46,11 @@ X_SQ_PLUS_1 = poly([1, 0, 1])
 X_SQ_MINUS_2 = poly([-2, 0, 1])
 # disc = 420: the inert primes 3 and 7, the split primes over 5, and 1+i
 X_SQ_MINUS_105 = poly([-105, 0, 1])
+# Reductions that lose terms at the split primes over 5, so that k and e of
+# h mod pi = X^k * g(X^e) there differ from their values over Z[i]: the X^2
+# term of X^4 + 5X^2 + 3 vanishes (e = 4, not 2; disc = 2^4 * 3 * 13^2), and
+# X^3 + X + 5 becomes X(X^2 + 1) (k = 1, not 0; disc = -7 * 97).
+LOSES_TERMS_AT_5 = {"X^4+5X^2+3": poly([3, 0, 5, 0, 1]), "X^3+X+5": poly([5, 1, 0, 1])}
 
 
 def lam(text: str):
@@ -418,9 +423,11 @@ class TestSharedScan:
         all_reports(X_SQ_MINUS_105, gi("-7"), 2000)
         assert len(calls) == len(odd_primaries(2000)) - len(report.skipped)
 
-    @pytest.mark.parametrize("name", ["X^2-105", "-1+2i", "-3", "-3-4i", "3-6i", "-7"])
+    @pytest.mark.parametrize(
+        "name", ["X^2-105", "-1+2i", "-3", "-3-4i", "3-6i", "-7", *LOSES_TERMS_AT_5]
+    )
     def test_splitting_skips_match_division(self, name, fresh_scan):
-        h = X_SQ_MINUS_105 if name == "X^2-105" else lam(name)
+        h = {"X^2-105": X_SQ_MINUS_105, **LOSES_TERMS_AT_5}.get(name) or lam(name)
         skipped, tested = divides_reference(2000, discriminant(h))
         report = splitting_primes(h, 2000)
         assert list(report.skipped) == skipped
@@ -466,9 +473,9 @@ class TestSharedScan:
         assert classfield._scan.cache_info().hits == hits + 5
         assert classfield._scan.cache_info().currsize == 1
 
-    @pytest.mark.parametrize("name", ["X-5", "X^2-105", "-3", "-3-4i"])
+    @pytest.mark.parametrize("name", ["X-5", "X^2-105", "-3", "-3-4i", *LOSES_TERMS_AT_5])
     def test_root_status_matches_single_prime_predicates(self, name):
-        h = {"X-5": poly([-5, 1]), "X^2-105": X_SQ_MINUS_105}.get(name) or lam(name)
+        h = {"X-5": poly([-5, 1]), "X^2-105": X_SQ_MINUS_105, **LOSES_TERMS_AT_5}.get(name) or lam(name)
         primes = odd_primaries(2000)
         assert {-3, -7, -11, -19, -23, -31, -43} <= {pi.value.re for pi in primes if pi.kind == "inert"}
         for pi in primes:

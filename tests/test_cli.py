@@ -99,6 +99,15 @@ class TestLemnatomicCommand:
         assert (code, out, seen) == (1, "", [])
         assert err.startswith("error:") and "ceiling of 4096 bits" in err
 
+    def test_both_rejects_the_precision_before_the_exact_route(self, capsys, monkeypatch):
+        seen = []
+        monkeypatch.setattr("lemnatomic.cli.lemnatomic_exact", lambda beta: seen.append(beta))
+        code, out, err = run(
+            capsys, "lemnatomic", "-31", "--method", "both", "--precision-bits", "8192"
+        )
+        assert (code, out, seen) == (1, "", [])
+        assert err.startswith("error:") and "ceiling of 4096 bits" in err
+
     def test_even_beta_rejected(self, capsys):
         code, _, err = run(capsys, "lemnatomic", "1+i")
         assert code == 1

@@ -290,6 +290,19 @@ class TestPackedKernel:
             for e in (2, 3, p):
                 assert _PackedModulus(p, f).pow_mod(a, e) == ref_pow_mod(a, e, f, p), (p, degree, e)
 
+    @pytest.mark.parametrize("p", (5, 13, 30013, 2**31 - 1, 2**61 - 1))
+    def test_lazy_slots_at_their_largest_over_runs_of_ones(self, rng, p):
+        # X^n mod f and a with every coefficient p - 1 fill the slots up to
+        # the width bound; along a run of 1-bits every step also multiplies,
+        # by X (a shift and one more row) or by a, and the runs leave the
+        # low slots unnormalised at either parity of the step count
+        for n in range(1, 25):
+            f = (1,) * (n + 1)
+            kernel = _PackedModulus(p, f)
+            for a in ((0, 1), (p - 1,) * n, ref_mod(tuple(rng.randrange(p) for _ in range(n)), f, p)):
+                for e in (2**20 - 1, (2**13 - 1) << 11 | 2**9 - 1):
+                    assert kernel.pow_mod(a, e) == ref_pow_mod(a, e, f, p), (p, n, a, e)
+
     def test_f_equal_to_x(self):
         kernel = _PackedModulus(13, (0, 1))
         assert kernel.pow_mod((0, 1), 0) == (1,)

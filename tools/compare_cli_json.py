@@ -29,6 +29,8 @@ POLYS = (
     ("lemnatomic:3-6i", "3-6i"),
     ("coeffs:-105,0,1", "-3"),
     ("coeffs:-2,0,0,1", "-3"),  # X^3 - 2 deflates only at p = 1 mod 3
+    ("coeffs:3,0,5,0,1", "-3"),  # X^4 + 5X^2 + 3 loses its X^2 term above 5
+    ("coeffs:5,1,0,1", "-3"),  # X^3 + X + 5 has a root at 0 above 5
 )
 PROP1_BETAS = ("-3", "-3-4i", "3-6i")
 SINGLE_PRIMES = ("-1+2i", "-3", "-7")  # one split prime, two inert ones
