@@ -2,30 +2,26 @@
 
 sl(beta z) is computed as an element of the function field
 Q(i)(s)[c] / (c^2 - (1 - s^4)), where s stands for sl(z) and c for sl'(z).
-By Gauss's lemma the chain never leaves Z[i][s]: the field is represented by
-graded pairs, a numerator that is a polynomial in s or c times one, over a
-plain polynomial denominator.  Integer multiples come from symbolic
-application of the addition law
-
-    sl(u+v) = (sl u sl'v + sl v sl'u) / (1 + sl^2 u sl^2 v),
-
-the factor i by the substitution s -> i s (sl(iz) = i sl(z),
-sl'(iz) = sl'(z)), and beta = m + ni by one further addition.  Derivative
-bookkeeping goes through the derivation D(s) = c, D(c) = -2 s^3 with
-sl'(beta z) = D(sl(beta z)) / beta.  Every element in the chain is graded,
-so the c-part of sl(beta z) is one parity bit, checked against beta's.  The
-chain runs for even beta, units and Gaussian primes.
-
 Complex multiplication by Z[i] gives every map one shape: with t = s^4,
 
-    sl(beta z) = c^parity * s P(t) / Q(t),
+    sl(beta z) = c^parity s P(t) / Q(t),
 
 parity 0 for odd beta and 1 for even beta (see mult_map for why), so every
-map is held as (P, Q) over Z[i][t].  It also gives
-sl(pi gamma z) = R_pi(sl(gamma z)), so an odd beta with two or more prime
-factors (counted with multiplicity) is built by composing the maps of its
+map is held as (P, Q) over Z[i][t].
+
+An odd beta with two or more prime factors (counted with multiplicity) is
+built from sl(pi gamma z) = R_pi(sl(gamma z)) by composing the maps of its
 prime factor pi of smallest norm and of gamma = beta / pi, in t, with no
-gcd: two maps in lowest terms compose into one in lowest terms.
+gcd: two maps in lowest terms compose into one in lowest terms.  Every
+other beta of norm above 4 (a prime, or even) comes from the product formula
+
+    sl(u+v) sl(u-v) = (sl^2 u - sl^2 v) / (1 + sl^2 u sl^2 v),
+
+which follows from the addition law and c^2 = 1 - s^4, with u + v = beta
+and u - v = delta, the element = beta (mod 2) of smallest norm (1 or i for
+odd beta, 1+i or 2 for even beta).  u and v have norm about N(beta) / 4,
+and their maps and delta's come from the same construction.  Units, the
+associates of 1+i and those of 2 are written down directly.
 
 Every map f is certified in t, however it was assembled, by the first
 integral (f')^2 = beta^2 (1 - f^4) of the defining equation,
@@ -45,18 +41,19 @@ T_beta of degree N(beta).  Dividing out the lemnatomic polynomials of all
 proper divisors (with Lambda_1 := X for the zero torsion value) leaves
 Lambda_beta.
 
-Fraction reduction strategy: intermediate numerators and denominators stay in
-Z[i][s], and after each addition step the pair is divided by its gcd, found
-by a multi-modular algorithm (Brown).  Each prime p = 1 (mod 4) from a fixed
-sequence gives two images F_p[s] (i -> +-sqrt(-1) mod p) in which a plain
-Euclidean gcd runs; images where a leading coefficient vanishes are skipped,
-images of too high a degree are dropped, and the rest, scaled by the gcd of
-the two leading coefficients, are joined by CRT until the lift is stable.  A
-gcd of degree 0 in any admissible image certifies the pair coprime.
-Otherwise the primitive part of the lift is accepted only once it divides
-both numerator and denominator exactly over Z[i]; with the degree bound from
-the admissible images this certifies it as the gcd, so no coefficient bound
-is assumed.
+Fraction reduction strategy: the product formula's pair often shares a
+factor of low degree (up to 4 in t for |re|, |im| <= 7, none at the top of
+-31 or -43), so it is divided by its gcd over Z[i][t], found by a
+multi-modular algorithm (Brown).  Each prime p = 1 (mod 4) from a fixed
+sequence gives two images F_p[t] (i -> +-sqrt(-1) mod p) in which a plain
+Euclidean gcd runs; images where a leading coefficient vanishes are
+skipped, images of too high a degree are dropped, and the rest, scaled by
+the gcd of the two leading coefficients, are joined by CRT until the lift
+is stable.  A gcd of degree 0 in any admissible image certifies the pair
+coprime.  Otherwise the primitive part of the lift is accepted only once it
+divides both numerator and denominator exactly over Z[i]; with the degree
+bound from the admissible images this certifies it as the gcd, so no
+coefficient bound is assumed.
 """
 
 from __future__ import annotations
@@ -97,7 +94,9 @@ __all__ = [
 ]
 
 
-# -- gcd over Z[i][s] ---------------------------------------------------------
+# -- gcd over Z[i][t] ---------------------------------------------------------
+
+_ZI_ONE = PolyZi.make([1])
 
 
 def _zi_content(*polys: PolyZi) -> GaussInt:
@@ -264,133 +263,12 @@ def _unit_to_first_quadrant(lead: GaussInt) -> GaussInt:
     return unit
 
 
-# -- the multiplication-map chain over Z[i][s] --------------------------------
-#
-# A chain element is a pair (value, derivative-value) for sl(k z):
-#   s_k = A / B           with A graded, B a plain polynomial,
-#   c_k = C / B^2         with C graded,
-# where "graded" means (poly, parity): parity 0 is a polynomial in s, parity 1
-# carries one overall factor c (c^2 collapses to W = 1 - s^4).
+# -- multiplication maps in t = s^4 -------------------------------------------
 
-_ZI_W = PolyZi.make([1, 0, 0, 0, -1])
-_ZI_ONE = PolyZi.make([1])
-_ZI_S = PolyZi.make([0, 1])
-_ZI_TWO_S3 = PolyZi.make([0, 0, 0, 2])
-
-Graded = tuple  # (PolyZi, int parity)
-
-
-def _g_mul(x: Graded, y: Graded) -> Graded:
-    px, py = x[1], y[1]
-    poly = x[0] * y[0]
-    if px and py:
-        poly = poly * _ZI_W
-    return (poly, (px + py) % 2)
-
-
-def _g_add(x: Graded, y: Graded) -> Graded:
-    if x[0].is_zero():
-        return y
-    if y[0].is_zero():
-        return x
-    if x[1] != y[1]:
-        raise InternalInconsistency("sum of differently graded sl expressions")
-    return (x[0] + y[0], x[1])
-
-
-def _g_neg(x: Graded) -> Graded:
-    return (-x[0], x[1])
-
-
-def _g_subst_is(x: Graded) -> Graded:
-    poly = PolyZi.make([c * (I**k) for k, c in enumerate(x[0].coeffs)])
-    return (poly, x[1])
-
-
-def _g_deriv(x: Graded) -> Graded:
-    """The derivation d/dz on a graded expression."""
-    poly, parity = x
-    if parity == 0:
-        return (poly.derivative(), 1)
-    return (poly.derivative() * _ZI_W - _ZI_TWO_S3 * poly, 0)
-
-
-@dataclass(frozen=True, slots=True)
-class _Pair:
-    """sl(k z) = a/b, sl'(k z) = c/b^2; a, c graded, b a plain polynomial."""
-
-    a: Graded
-    b: PolyZi
-    c: Graded
-
-
-_PAIR_ONE = _Pair(a=(_ZI_S, 0), b=_ZI_ONE, c=(_ZI_ONE, 1))
-
-
-def _derivative_over(num: Graded, den: PolyZi, total: GaussInt) -> Graded:
-    """C with sl'(total z) = C / den^2, from d/dz (num/den) = total * sl'."""
-    m = _g_add(_g_mul(_g_deriv(num), (den, 0)), _g_neg(_g_mul(num, _g_deriv((den, 0)))))
-    try:
-        scaled = PolyZi.make([exact_div(c, total) for c in m[0].coeffs])
-    except InputError as exc:
-        raise InternalInconsistency(
-            f"derivative of the multiplication chain is not divisible by {total}"
-        ) from exc
-    return (scaled, m[1])
-
-
-def _pair_sum(pa: _Pair, pb: _Pair, total: GaussInt) -> _Pair:
-    """Addition law on two chain pairs whose arguments sum to total * z."""
-    ba, bb = (pa.b, 0), (pb.b, 0)
-    num = _g_add(_g_mul(_g_mul(pa.a, pb.c), ba), _g_mul(_g_mul(pb.a, pa.c), bb))
-    den = _g_add(_g_mul(_g_mul(ba, ba), _g_mul(bb, bb)), _g_mul(_g_mul(pa.a, pa.a), _g_mul(pb.a, pb.a)))
-    if den[1] != 0:
-        raise InternalInconsistency("addition-law denominator is not a polynomial in s")
-    n_poly, d_poly = _reduce_zi_fraction(num[0], den[0])
-    n = (n_poly, num[1])
-    return _Pair(a=n, b=d_poly, c=_derivative_over(n, d_poly, total))
-
-
-# The exact ladder leaves 5 entries here and 11 with beta = 13, 13+10i, 17
-# and -19 added, so no workload evicts.
-@lru_cache(maxsize=128)
-def _integer_pair(n: int) -> _Pair:
-    """Chain pair for sl(n z), n >= 1."""
-    if n == 1:
-        return _PAIR_ONE
-    half = _integer_pair(n // 2)
-    result = _pair_sum(half, half, as_gauss(2 * (n // 2)))
-    if n % 2:
-        result = _pair_sum(result, _PAIR_ONE, as_gauss(n))
-    return result
-
-
-def _negate_pair(p: _Pair) -> _Pair:
-    # sl(-w) = -sl(w), sl'(-w) = sl'(w)
-    return _Pair(a=_g_neg(p.a), b=p.b, c=p.c)
-
-
-def _subst_pair(p: _Pair) -> _Pair:
-    # w -> i w on the argument: s -> i s, c -> c in every component
-    return _Pair(a=_g_subst_is(p.a), b=_g_subst_is((p.b, 0))[0], c=_g_subst_is(p.c))
-
-
-def _beta_pair(beta: GaussInt) -> _Pair:
-    m, n = beta.re, beta.im
-    parts: list[_Pair] = []
-    if m:
-        pm = _integer_pair(abs(m))
-        if m < 0:
-            pm = _negate_pair(pm)
-        parts.append(pm)
-    if n:
-        pn = _integer_pair(abs(n))
-        if n < 0:
-            pn = _negate_pair(pn)
-        parts.append(_subst_pair(pn))
-    if len(parts) == 1:
-        return parts[0]
-    return _pair_sum(parts[0], parts[1], beta)
+# The map (P, Q) = (beta, Q) of beta with N(beta) <= 4 has Q by norm:
+# sl(e z) = e s for a unit e, sl(e (1+i) z) = c e (1+i) s / (1 - t) and
+# sl(2e z) = c 2e s / (1 + t)
+_BASE_DENOMINATORS = {1: _ZI_ONE, 2: PolyZi.make([1, -1]), 4: PolyZi.make([1, 1])}
 
 
 def _from_t(p: PolyZi, shift: int) -> PolyZi:
@@ -406,18 +284,30 @@ def _times_t(p: PolyZi) -> PolyZi:
     return PolyZi((ZERO,) + p.coeffs) if p.coeffs else p
 
 
-def _to_t(num: Graded, den: PolyZi, beta: GaussInt) -> tuple:
-    """(P, Q) with N = s P(s^4) and B = Q(s^4), for the chain's result
-    sl(beta z) = N c^parity / B; the parity must be 0 for odd beta and 1 for
-    even beta."""
-    n_poly, parity = num
-    p, q = PolyZi(n_poly.coeffs[1::4]), PolyZi(den.coeffs[0::4])
-    want = 0 if beta.is_odd() else 1
-    if parity != want or _from_t(p, 1) != n_poly or _from_t(q, 0) != den:
-        raise InternalInconsistency(
-            f"sl({beta} z) is not of the form s P(s^4) / Q(s^4) times c^{want}"
-        )
-    return p, q
+def _squares(x: GaussInt) -> tuple:
+    """(A, D) = ((1 - t)^parity P^2, Q^2) for the map (P, Q) of x, so that
+    sl^2(x z) = s^2 A(t) / D(t) (c^2 = 1 - t)."""
+    p, q = _map(x)
+    a = p * p
+    return (a if x.is_odd() else a - _times_t(a)), q * q
+
+
+def _product(u: GaussInt, v: GaussInt, delta: GaussInt) -> tuple:
+    """(P, Q), not reduced, of sl((u + v) z) for u - v = delta, from
+
+        sl(u+v) sl(u-v) = (sl^2 u - sl^2 v) / (1 + sl^2 u sl^2 v).
+
+    u + v and delta have one parity, so sl((u+v) z) sl(delta z) is
+    (1 - t)^parity s^2 P P_delta / (Q Q_delta), and with (A, D) from _squares
+
+        P = (A_u D_v - A_v D_u) Q_delta,
+        Q = (D_u D_v + t A_u A_v) P_delta (1 - t)^parity(delta).
+    """
+    (a_u, d_u), (a_v, d_v) = _squares(u), _squares(v)
+    p_delta, q_delta = _map(delta)
+    p = (a_u * d_v - a_v * d_u) * q_delta
+    q = (d_u * d_v + _times_t(a_u * a_v)) * p_delta
+    return p, (q if delta.is_odd() else q - _times_t(q))
 
 
 def _verify_first_integral(p: PolyZi, q: PolyZi, beta: GaussInt) -> None:
@@ -500,8 +390,9 @@ def _compose(outer: tuple, inner: tuple) -> tuple:
 
 
 # Keyed by beta itself, since sl(u beta z) = u sl(beta z) for a unit u.  The
-# exact ladder leaves 7 entries here and 15 with beta = 13, 13+10i, 17 and
-# -19 added, so no workload evicts; -3-4i's entry is there when 11-2i needs it.
+# exact ladder leaves 18 entries here (each prime or even beta brings its
+# halves and delta) and 45 with beta = 13, 13+10i, 17 and -19 added, so no
+# workload evicts; -3-4i's entry is there when 11-2i needs it.
 @lru_cache(maxsize=64)
 def _map(beta: GaussInt) -> tuple:
     """(P, Q) with sl(beta z) = c^parity s P(s^4) / Q(s^4) in lowest terms,
@@ -509,17 +400,28 @@ def _map(beta: GaussInt) -> tuple:
 
     An odd beta with two or more prime factors is R_pi composed with
     R_gamma, pi its prime factor of smallest norm and gamma = beta / pi.
-    Every other beta (a unit, a prime, or even) runs the addition chain.
+    Every other beta of norm above 4 (a prime, or even) is _product of its
+    halves u = (beta + delta) / 2 and u - delta, delta = beta (mod 2) of
+    smallest norm, reduced by its gcd; units, the associates of 1+i and
+    those of 2 are the base cases.
     """
     factors = factor(beta)[1] if beta.is_odd() else ()
-    if sum(e for _, e in factors) < 2:
-        pair = _beta_pair(beta)
-        p, q = _to_t(pair.a, pair.b, beta)
-    else:
+    if sum(e for _, e in factors) >= 2:
         pi = factors[0][0].value
         p, q = _compose(_map(pi), _map(exact_div(beta, pi)))
         unit = _unit_to_first_quadrant(q.leading())
         p, q = p * unit, q * unit
+    else:
+        n = beta.norm()
+        if n <= 4:
+            p, q = PolyZi.make([beta]), _BASE_DENOMINATORS[n]
+        else:
+            # delta = beta (mod 2) of smallest norm: 1 or i, 1+i or 2
+            re, im = beta.re % 2, beta.im % 2
+            delta = GaussInt(re, im) if re or im else GaussInt(2, 0)
+            u = GaussInt((beta.re + delta.re) // 2, (beta.im + delta.im) // 2)
+            p, q = _product(u, u - delta, delta)
+        p, q = _reduce_zi_fraction(p, q)
     _verify_first_integral(p, q, beta)
     return p, q
 
@@ -540,7 +442,11 @@ def mult_map(beta) -> tuple:
     2 beta omega = 0 for even beta.  So the map is held as (P, Q) in t = s^4
     (see _map).
 
-    Units, primes and even beta run the addition chain.  An odd beta with two
+    Units, the associates of 1+i and those of 2 are written down.  Every
+    other prime or even beta comes from the product formula
+    sl(u+v) sl(u-v) = (sl^2 u - sl^2 v) / (1 + sl^2 u sl^2 v) with
+    u + v = beta and u - v = delta, delta = beta (mod 2) of smallest norm
+    (see _product), and is reduced by its gcd.  An odd beta with two
     or more prime factors, counted with multiplicity, is built by
     composition: sl(pi gamma z) = R_pi(sl(gamma z)) for its prime factor pi
     of smallest norm, so R_beta = R_pi o R_gamma (see _compose), with no gcd.

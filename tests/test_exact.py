@@ -1,9 +1,9 @@
-"""Exact symbolic pipeline: graded arithmetic in the sl function field,
-multiplication maps, all-torsion polynomials, and lemnatomic polynomials by
-divisor recovery."""
+"""Exact symbolic pipeline: multiplication maps in t = s^4 from the product
+formula and by composition, their certificate, all-torsion polynomials, and
+lemnatomic polynomials by divisor recovery."""
 
+import hashlib
 import time
-from dataclasses import replace
 
 import pytest
 from mpmath import mp, mpc, mpf
@@ -14,10 +14,6 @@ from lemnatomic.errors import InputError, InternalInconsistency
 from lemnatomic.exact import (
     _GCD_PRIMES,
     LemnatomicRecord,
-    _g_add,
-    _g_deriv,
-    _g_mul,
-    _g_subst_is,
     _mod_image,
     _zi_gcd_cofactors,
     all_torsion_poly,
@@ -26,7 +22,15 @@ from lemnatomic.exact import (
     mult_map,
     record_checksum,
 )
-from lemnatomic.gaussint import I, UNITS, GaussInt, _is_rational_prime, factor, primary_normalize
+from lemnatomic.gaussint import (
+    I,
+    UNITS,
+    GaussInt,
+    _is_rational_prime,
+    factor,
+    format_gauss,
+    primary_normalize,
+)
 from lemnatomic.gfq import _int_gcd
 from lemnatomic.lemniscate import _sl_raw, big_complex, lemnatomic_numeric, sl_eval, torsion_values
 from lemnatomic.residue import phi_norm
@@ -34,6 +38,7 @@ from lemnatomic.zipoly import PolyZi, discriminant, exact_divide, poly
 
 S = poly([0, 1])
 T = poly([0, 1])  # t = s^4 in the (P, Q) form of a map
+ONE_MINUS_T = poly([1, -1])
 ONE_POLY = poly([1])
 W = poly([1, 0, 0, 0, -1])
 
@@ -43,45 +48,6 @@ def eval_poly(f: PolyZi, z: mpc) -> mpc:
     for c in reversed(f.coeffs):
         acc = acc * z + mpc(c.re, c.im)
     return acc
-
-
-def random_graded(rng, parity: int):
-    coeffs = [GaussInt(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(rng.randint(1, 6))]
-    return (poly(coeffs + [GaussInt(rng.randint(1, 9), rng.randint(-9, 9))]), parity)
-
-
-class TestGradedArithmetic:
-    """The derivation D(s) = c, D(c) = -2 s^3 and the relation c^2 = W = 1 - s^4
-    on graded expressions (poly, parity): poly * c^parity."""
-
-    def test_derivation_of_s_is_c(self):
-        assert _g_deriv((S, 0)) == (ONE_POLY, 1)
-
-    def test_derivation_of_c_is_minus_two_s_cubed(self):
-        assert _g_deriv((ONE_POLY, 1)) == (poly([0, 0, 0, -2]), 0)
-
-    def test_c_squared_collapses(self):
-        assert _g_mul((ONE_POLY, 1), (ONE_POLY, 1)) == (W, 0)
-
-    @pytest.mark.parametrize(
-        "parities", [(0, 0), (0, 1), (1, 0), (1, 1)], ids=["s-s", "s-c", "c-s", "c-c"]
-    )
-    def test_derivation_product_rule(self, parities, rng):
-        for _ in range(10):
-            a = random_graded(rng, parities[0])
-            b = random_graded(rng, parities[1])
-            lhs = _g_deriv(_g_mul(a, b))
-            rhs = _g_add(_g_mul(_g_deriv(a), b), _g_mul(a, _g_deriv(b)))
-            assert lhs == rhs
-
-    def test_subst_is_four_times_is_identity(self, rng):
-        for parity in (0, 1):
-            a = random_graded(rng, parity)
-            out = a
-            for _ in range(4):
-                out = _g_subst_is(out)
-            assert out == a
-            assert _g_subst_is(a) != a
 
 
 def assert_gcd(a: PolyZi, b: PolyZi, want: PolyZi) -> None:
@@ -141,6 +107,11 @@ class TestModularGcd:
         assert_gcd(a, b, common)
 
 
+# SHA-256 of mult_map over the 224 beta with |re|, |im| <= 7, even beta
+# included (see TestMultMap.test_grid_is_byte_identical)
+MULT_MAP_GRID_SHA256 = "9c712b1d8f1ee387a45dad4feb7bfae3e58d65c5f27fe8242a9eacd474a65379"
+
+
 class TestMultMap:
     def test_identity(self):
         assert mult_map(gi("1")) == ((S, 0), ONE_POLY)
@@ -155,6 +126,19 @@ class TestMultMap:
     def test_zero_rejected(self):
         with pytest.raises(InputError):
             mult_map(gi("0"))
+
+    def test_grid_is_byte_identical(self):
+        # every map on the grid, pinned when the maps came from the addition
+        # chain over Z[i][s]
+        digest = hashlib.sha256()
+        for re in range(-7, 8):
+            for im in range(-7, 8):
+                if re == 0 and im == 0:
+                    continue
+                (n, parity), d = mult_map(GaussInt(re, im))
+                num, den = (",".join(map(format_gauss, f.coeffs)) for f in (n, d))
+                digest.update(f"{re},{im}:{parity}:{num}/{den};".encode())
+        assert digest.hexdigest() == MULT_MAP_GRID_SHA256
 
     def test_odd_beta_pure_s_and_degree(self):
         for b in ("-3", "-1+2i", "-1-2i", "1+2i", "3+2i"):
@@ -203,42 +187,78 @@ FROZEN_CHECKSUMS = {
     "3-6i": "eca39b3f6473d2391786a8d300579282de09ddddfac6f99977600c40c9d904ea",
     "-11": "395e67da1f490e9c4bc59f03764aa93e666aeb795e0bd683254f54cb451c981d",
 }
-S5 = poly([0, 0, 0, 0, 0, 1])
-CORRUPTIONS = {
-    "c to -c": lambda p: replace(p, c=(-p.c[0], p.c[1])),
-    "c to ic": lambda p: replace(p, c=(p.c[0] * I, p.c[1])),
-    "c to 2c": lambda p: replace(p, c=(p.c[0] * 2, p.c[1])),
-    "a to -a": lambda p: replace(p, a=(-p.a[0], p.a[1])),
-    "s to is": exact._subst_pair,
-    "a plus s^5": lambda p: replace(p, a=(p.a[0] + S5, p.a[1])),
-    "b plus s^5": lambda p: replace(p, b=p.b + S5),
+
+
+def conjugate(f: PolyZi) -> PolyZi:
+    return PolyZi(tuple(c.conjugate() for c in f.coeffs))
+
+
+def stray_term(f: PolyZi) -> PolyZi:
+    return f + PolyZi.make([0] * (f.degree() // 2) + [1])
+
+
+def on_output(fp=lambda p: p, fq=lambda q: q):
+    """A corruption that applies fp to the unreduced P and fq to Q."""
+
+    def corrupt(real, u, v, delta):
+        p, q = real(u, v, delta)
+        return fp(p), fq(q)
+
+    return corrupt
+
+
+def without_one_minus_t(real, u, v, delta):
+    """real(u, v, delta) with A_x = P_x^2 for an even half x too, as if
+    sl^2(x z) had no factor c^2 = 1 - t."""
+    for x in (u, v, delta):
+        exact._map(x)  # the halves' own maps stay uncorrupted
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(exact, "_squares", lambda x: tuple(f * f for f in exact._map(x)))
+        return real(u, v, delta)
+
+
+# Each takes the real _product and its arguments (u, v, delta) and returns a
+# corrupted unreduced (P, Q)
+PRODUCT_CORRUPTIONS = {
+    "P to -P": on_output(fp=lambda p: -p),
+    "Q to -Q": on_output(fq=lambda q: -q),
+    "conjugate P": on_output(fp=conjugate),
+    "conjugate Q": on_output(fq=conjugate),
+    "P to iP": on_output(fp=lambda p: p * I),
+    "Q to iQ": on_output(fq=lambda q: q * I),
+    "t^k in P": on_output(fp=stray_term),
+    "t^k in Q": on_output(fq=stray_term),
+    "swap u and v": lambda real, u, v, delta: real(v, u, delta),
+    "-delta": lambda real, u, v, delta: real(u, v, -delta),
+    "i delta": lambda real, u, v, delta: real(u, v, delta * I),
+    "drop (1-t) of an even half": without_one_minus_t,
 }
 FAULT_STEPS = 6
 EVEN_BETAS = ("2", "4", "3+3i", "6")
 
 
 def clear_memos():
-    exact._integer_pair.cache_clear()
     exact._map.cache_clear()
     exact._lemnatomic_poly.cache_clear()
 
 
 def count_caught(corrupt, monkeypatch, compute, want) -> int:
-    """Corrupt chain step 1, 2, ..., FAULT_STEPS in turn with cold memos;
+    """Corrupt product step 1, 2, ..., FAULT_STEPS in turn with cold memos;
     each run of compute on a beta b in want raises InternalInconsistency or
     gives want[b].  Returns how many runs raised."""
-    real = exact._pair_sum
+    real = exact._product
     caught = 0
     for b in want:
         for step in range(FAULT_STEPS):
             calls = []
 
-            def faulty(pa, pb, total):
-                calls.append(total)
-                result = real(pa, pb, total)
-                return corrupt(result) if len(calls) == step + 1 else result
+            def faulty(u, v, delta):
+                calls.append(delta)
+                if len(calls) != step + 1:
+                    return real(u, v, delta)
+                return corrupt(real, u, v, delta)
 
-            monkeypatch.setattr(exact, "_pair_sum", faulty)
+            monkeypatch.setattr(exact, "_product", faulty)
             clear_memos()
             try:
                 got = compute(gi(b))
@@ -266,7 +286,8 @@ def assert_s_identity(n: PolyZi, parity: int, d: PolyZi, beta: GaussInt) -> None
 class TestChainVerifier:
     """mult_map certifies every map, in t = s^4, by the first integral
     (sl')^2 = 1 - sl^4 with the initial condition P(0) = beta Q(0) != 0, and
-    for odd beta by deg P and Q = unit * t^deg P * P(1/t)."""
+    for odd beta by deg P and Q = unit * t^deg P * P(1/t); every step of the
+    product formula builds a map that is certified on its own."""
 
     @pytest.fixture
     def cold_memos(self):
@@ -274,30 +295,34 @@ class TestChainVerifier:
         yield
         clear_memos()  # corrupted pairs must not outlive the test
 
-    @pytest.mark.parametrize("kind", list(CORRUPTIONS))
-    def test_corrupted_chain_step_is_caught_or_harmless(self, kind, cold_memos, monkeypatch):
+    @pytest.mark.parametrize("kind", list(PRODUCT_CORRUPTIONS))
+    def test_corrupted_product_step_is_caught_or_harmless(self, kind, cold_memos, monkeypatch):
         caught = count_caught(
-            CORRUPTIONS[kind], monkeypatch, lambda b: lemnatomic_exact(b).checksum, FROZEN_CHECKSUMS
+            PRODUCT_CORRUPTIONS[kind],
+            monkeypatch,
+            lambda b: lemnatomic_exact(b).checksum,
+            FROZEN_CHECKSUMS,
         )
         assert caught, f"{kind} was never caught"
 
-    @pytest.mark.parametrize("kind", list(CORRUPTIONS))
-    def test_corrupted_chain_step_on_even_beta_is_caught_or_harmless(
+    @pytest.mark.parametrize("kind", list(PRODUCT_CORRUPTIONS))
+    def test_corrupted_product_step_on_even_beta_is_caught_or_harmless(
         self, kind, cold_memos, monkeypatch
     ):
         want = {b: mult_map(gi(b)) for b in EVEN_BETAS}
-        caught = count_caught(CORRUPTIONS[kind], monkeypatch, mult_map, want)
+        caught = count_caught(PRODUCT_CORRUPTIONS[kind], monkeypatch, mult_map, want)
         assert caught, f"{kind} was never caught"
 
     def test_swapped_pair_is_not_of_the_t_form(self):
         # i B / N = i / sl(beta z) satisfies the first integral as well, but
-        # it is s^-1 times a function of s^4, so it has no (P, Q) in t
+        # it is s^-1 times a function of s^4, so it has no (P, Q) in t, the
+        # only form a map is built and certified in
         beta = gi("-3")
         (n, parity), b = mult_map(beta)
         num, den = b * I, n
         assert_s_identity(num, parity, den, beta)
-        with pytest.raises(InternalInconsistency, match="form s P"):
-            exact._to_t((num, parity), den, beta)
+        assert n == exact._from_t(PolyZi(n.coeffs[1::4]), 1)
+        assert num != exact._from_t(PolyZi(num.coeffs[1::4]), 1)
 
     @pytest.mark.parametrize("b", ["-3", "2"])
     def test_common_factor_t_fails_only_the_initial_condition(self, b):
@@ -335,24 +360,15 @@ class TestChainVerifier:
         with pytest.raises(InternalInconsistency, match="reversed numerator"):
             exact._verify_first_integral(p, q + T, beta)
 
-    @pytest.mark.parametrize("n_term, b_term", [(3, 6), (7, 2)], ids=["s^3 in N", "s^2 in B"])
-    def test_term_off_the_t_form_rejected(self, n_term, b_term):
-        # n_term + b_term = N(-3): the mirrored term keeps
-        # B = unit * s^N(beta) N(1/s), so only the shape can object
-        beta = gi("-3")
-        (n, parity), d = mult_map(beta)
-        unit = next(u for u in UNITS if d == PolyZi.make(reversed(n.coeffs)) * u)
-        n = n + PolyZi.make([0] * n_term + [1])
-        d = d + PolyZi.make([0] * b_term + [unit])
-        with pytest.raises(InternalInconsistency, match="form s P"):
-            exact._to_t((n, parity), d, beta)
-
     @pytest.mark.parametrize("b", ["-3", "2", "3+3i"])
     def test_wrong_parity_rejected(self, b):
+        # a wrong power of c in sl(beta z) = c^parity s P / Q shows in t as a
+        # stray factor c^2 = 1 - t on P or on Q
         beta = gi(b)
-        (n, parity), d = mult_map(beta)
-        with pytest.raises(InternalInconsistency, match="form s P"):
-            exact._to_t((n, 1 - parity), d, beta)
+        p, q = exact._map(beta)
+        for bad in ((p * ONE_MINUS_T, q), (p, q * ONE_MINUS_T)):
+            with pytest.raises(InternalInconsistency):
+                exact._verify_first_integral(*bad, beta)
 
     @pytest.mark.parametrize(
         "b", ["-3", "-1+2i", "-3-4i", "3-6i", "-11", "11-2i", "1+i", "2", "3+3i", "6"]
@@ -364,17 +380,20 @@ class TestChainVerifier:
         (n, parity), d = mult_map(beta)
         assert_s_identity(n, parity, d, beta)
 
-    @pytest.mark.parametrize("b", ["2", "3+3i"])
-    def test_even_beta_runs_the_chain_and_is_certified_in_t(self, b, cold_memos, monkeypatch):
+    @pytest.mark.parametrize("b", ["4", "3+3i"])
+    def test_even_beta_runs_the_product_formula_and_is_certified_in_t(
+        self, b, cold_memos, monkeypatch
+    ):
         beta = gi(b)
         steps, composed = [], []
-        real_sum, real_compose = exact._pair_sum, exact._compose
-        monkeypatch.setattr(exact, "_pair_sum", lambda *a: steps.append(a[2]) or real_sum(*a))
+        real_product, real_compose = exact._product, exact._compose
+        monkeypatch.setattr(exact, "_product", lambda *a: steps.append(a) or real_product(*a))
         monkeypatch.setattr(exact, "_compose", lambda *a: composed.append(a) or real_compose(*a))
         (n, parity), d = mult_map(beta)
         assert steps and not composed
         assert parity == 1 and n[1] == beta * d[0]
-        p, q = exact._to_t((n, parity), d, beta)
+        p, q = exact._map(beta)
+        assert (exact._from_t(p, 1), exact._from_t(q, 0)) == (n, d)
         exact._verify_first_integral(p, q, beta)
         with pytest.raises(InternalInconsistency, match="first integral"):
             exact._verify_first_integral(p, q + T * T, beta)
@@ -382,7 +401,7 @@ class TestChainVerifier:
 
 def conjugate_map(pq):
     # sl has real Taylor coefficients, so R_conj(pi) has the conjugate ones
-    return tuple(PolyZi(tuple(c.conjugate() for c in f.coeffs)) for f in pq)
+    return tuple(map(conjugate, pq))
 
 
 COMPOSE_CORRUPTIONS = {
@@ -412,14 +431,15 @@ class TestComposition:
         clear_memos()  # corrupted maps must not outlive the test
 
     @pytest.mark.parametrize("b", ["-3-4i", "9", "3-6i", "11-2i", "-9i", "-7-24i"])
-    def test_composite_beta_runs_no_chain_step(self, b, cold_memos, monkeypatch):
+    def test_composite_beta_runs_no_product_step(self, b, cold_memos, monkeypatch):
         beta = gi(b)
         _, facs = factor(beta)
         for prime, _ in facs:
-            exact._map(prime.value)
+            for unit in UNITS:  # the memo is keyed by beta, not by its associates
+                exact._map(prime.value * unit)
         steps = []
-        real = exact._pair_sum
-        monkeypatch.setattr(exact, "_pair_sum", lambda *a: steps.append(a[2]) or real(*a))
+        real = exact._product
+        monkeypatch.setattr(exact, "_product", lambda *a: steps.append(a) or real(*a))
         (n, _), d = mult_map(beta)
         assert steps == []
         assert n.degree() == beta.norm() and n.leading().is_unit()
@@ -595,7 +615,7 @@ class TestMemos:
         clear_memos()
 
     def test_memos_are_bounded_lru_caches(self):
-        for memo in (exact._integer_pair, exact._map, exact._lemnatomic_poly):
+        for memo in (exact._map, exact._lemnatomic_poly):
             maxsize = memo.cache_info().maxsize
             assert maxsize is not None and maxsize > 0
 
@@ -619,8 +639,8 @@ class TestMemos:
         lemnatomic_exact(gi("-3-4i"))
         hits = exact._map.cache_info().hits
         steps = []
-        real = exact._pair_sum
-        monkeypatch.setattr(exact, "_pair_sum", lambda *a: steps.append(a[2]) or real(*a))
+        real = exact._product
+        monkeypatch.setattr(exact, "_product", lambda *a: steps.append(a) or real(*a))
         lemnatomic_exact(gi("11-2i"))
         assert steps == []
         assert exact._map.cache_info().hits >= hits + 2
@@ -640,11 +660,12 @@ def test_exact_route_reaches_norm_269():
 
 
 # Record checksums of the numeric route, which shares no code with the
-# exact route's chain, composition or certificate
+# exact route's product formula, composition or certificate
 NUMERIC_CHECKSUMS = {
     "33": "20201a426f4082fa0feb055eda78ed6013554375ac6ee34489da6f01e2e59f5a",
     "45": "f0d8319a79e19f6986736105bb8b15f7c616490439873b7d7c8937f3b046dd8c",
     "-31": "42e97162aa9cfe450f082f5f80385beee0c88efe00436de6128d18776348424d",
+    "-43": "46e24f49ce0a3148df7bf07a3ea031d8f46fa1f2b21b9613aad588a4c0e9e82b",
 }
 
 
@@ -657,12 +678,21 @@ def test_exact_33_by_composition_matches_the_numeric_route():
 @pytest.mark.parametrize("b", ["45", "-31"])
 def test_exact_matches_the_numeric_route_at_large_norm(b):
     """45 (N = 2025) composes four prime maps; -31 (N = 961) is prime, so
-    it runs the chain and the t-form certificate alone."""
+    it comes from the product formula on -15 and -16, each certified."""
     beta = gi(b)
     numeric, _ = lemnatomic_numeric(beta, 256)
     record = lemnatomic_exact(beta)
     assert record.coefficients == numeric
     assert record.checksum == NUMERIC_CHECKSUMS[b]
+
+
+@pytest.mark.slow
+def test_exact_minus_43_matches_the_numeric_checksum_in_budget():
+    """-43 (N = 1849) is prime: the product formula on -21 and -22 and the
+    certificate of its degree-462 map, in a wall budget of 15 s."""
+    t0 = time.perf_counter()
+    assert lemnatomic_exact(gi("-43")).checksum == NUMERIC_CHECKSUMS["-43"]
+    assert time.perf_counter() - t0 < 15.0
 
 
 class TestLemnatomicRecord:

@@ -5,7 +5,9 @@
 The scan commands run at the norm bound; ``reduce``, ``split-test`` and
 ``orbit-check`` (which runs ``factor_degrees``) run at the split prime -1+2i
 and the inert primes -3 and -7; ``lemnatomic BETA --method exact`` runs on
-the exact ladder of the benchmark plus 13, 17, -19 and 33.
+the exact ladder of the benchmark plus 13, 17, -19, 33, -31 (a prime whose
+halves recurse through even maps) and 19+10i (whose unreduced product-formula
+pair has a common factor).
 
 OLD_SRC and NEW_SRC are directories holding the ``lemnatomic`` package (the
 ``src`` directory of two checkouts).  Each command runs in a fresh
@@ -36,7 +38,9 @@ PROP1_BETAS = ("-3", "-3-4i", "3-6i")
 SINGLE_PRIMES = ("-1+2i", "-3", "-7")  # one split prime, two inert ones
 SINGLE_POLYS = ("lemnatomic:-3", "coeffs:-2,0,0,1")
 ORBIT_BETAS = ("-1-2i", "5+4i")  # divisible by none of SINGLE_PRIMES
-EXACT_BETAS = ("-1+2i", "-3", "-3-4i", "3-6i", "9", "-11", "11-2i", "13", "17", "-19", "33")
+EXACT_BETAS = (
+    "-1+2i", "-3", "-3-4i", "3-6i", "9", "-11", "11-2i", "13", "17", "-19", "33", "-31", "19+10i",
+)
 
 
 def commands(max_norm: int) -> list:
