@@ -218,14 +218,17 @@ def without_one_minus_t(real, u, v, delta):
 
 
 # Each takes the real _product and its arguments (u, v, delta) and returns a
-# corrupted unreduced (P, Q)
-PRODUCT_CORRUPTIONS = {
-    "P to -P": on_output(fp=lambda p: -p),
+# corrupted unreduced (P, Q).  The faults named after a and s act on the
+# s-form sl = c^parity a / b, a = s P(s^4), b = Q(s^4): a plus s^5 adds t to
+# P, and s to is, which leaves t and c alone, multiplies P by i.
+CHAIN_CORRUPTIONS = {
+    "a to -a": on_output(fp=lambda p: -p),
     "Q to -Q": on_output(fq=lambda q: -q),
     "conjugate P": on_output(fp=conjugate),
     "conjugate Q": on_output(fq=conjugate),
-    "P to iP": on_output(fp=lambda p: p * I),
+    "s to is": on_output(fp=lambda p: p * I),
     "Q to iQ": on_output(fq=lambda q: q * I),
+    "a plus s^5": on_output(fp=lambda p: p + T),
     "t^k in P": on_output(fp=stray_term),
     "t^k in Q": on_output(fq=stray_term),
     "swap u and v": lambda real, u, v, delta: real(v, u, delta),
@@ -243,7 +246,8 @@ def clear_memos():
 
 
 def count_caught(corrupt, monkeypatch, compute, want) -> int:
-    """Corrupt product step 1, 2, ..., FAULT_STEPS in turn with cold memos;
+    """Corrupt chain step 1, 2, ..., FAULT_STEPS, a chain step being one
+    _product of the recursion over halves, in turn with cold memos;
     each run of compute on a beta b in want raises InternalInconsistency or
     gives want[b].  Returns how many runs raised."""
     real = exact._product
@@ -286,8 +290,9 @@ def assert_s_identity(n: PolyZi, parity: int, d: PolyZi, beta: GaussInt) -> None
 class TestChainVerifier:
     """mult_map certifies every map, in t = s^4, by the first integral
     (sl')^2 = 1 - sl^4 with the initial condition P(0) = beta Q(0) != 0, and
-    for odd beta by deg P and Q = unit * t^deg P * P(1/t); every step of the
-    product formula builds a map that is certified on its own."""
+    for odd beta by deg P and Q = unit * t^deg P * P(1/t).  A map that is
+    not composed comes from a chain of product-formula steps over halves,
+    and each step builds a map that is certified on its own."""
 
     @pytest.fixture
     def cold_memos(self):
@@ -295,22 +300,22 @@ class TestChainVerifier:
         yield
         clear_memos()  # corrupted pairs must not outlive the test
 
-    @pytest.mark.parametrize("kind", list(PRODUCT_CORRUPTIONS))
-    def test_corrupted_product_step_is_caught_or_harmless(self, kind, cold_memos, monkeypatch):
+    @pytest.mark.parametrize("kind", list(CHAIN_CORRUPTIONS))
+    def test_corrupted_chain_step_is_caught_or_harmless(self, kind, cold_memos, monkeypatch):
         caught = count_caught(
-            PRODUCT_CORRUPTIONS[kind],
+            CHAIN_CORRUPTIONS[kind],
             monkeypatch,
             lambda b: lemnatomic_exact(b).checksum,
             FROZEN_CHECKSUMS,
         )
         assert caught, f"{kind} was never caught"
 
-    @pytest.mark.parametrize("kind", list(PRODUCT_CORRUPTIONS))
-    def test_corrupted_product_step_on_even_beta_is_caught_or_harmless(
+    @pytest.mark.parametrize("kind", list(CHAIN_CORRUPTIONS))
+    def test_corrupted_chain_step_on_even_beta_is_caught_or_harmless(
         self, kind, cold_memos, monkeypatch
     ):
         want = {b: mult_map(gi(b)) for b in EVEN_BETAS}
-        caught = count_caught(PRODUCT_CORRUPTIONS[kind], monkeypatch, mult_map, want)
+        caught = count_caught(CHAIN_CORRUPTIONS[kind], monkeypatch, mult_map, want)
         assert caught, f"{kind} was never caught"
 
     def test_swapped_pair_is_not_of_the_t_form(self):
@@ -380,17 +385,16 @@ class TestChainVerifier:
         (n, parity), d = mult_map(beta)
         assert_s_identity(n, parity, d, beta)
 
-    @pytest.mark.parametrize("b", ["4", "3+3i"])
-    def test_even_beta_runs_the_product_formula_and_is_certified_in_t(
-        self, b, cold_memos, monkeypatch
-    ):
+    @pytest.mark.parametrize("b", ["2", "4", "3+3i"])
+    def test_even_beta_runs_the_chain_and_is_certified_in_t(self, b, cold_memos, monkeypatch):
+        # 2 is a base case, a chain of no product step
         beta = gi(b)
         steps, composed = [], []
         real_product, real_compose = exact._product, exact._compose
         monkeypatch.setattr(exact, "_product", lambda *a: steps.append(a) or real_product(*a))
         monkeypatch.setattr(exact, "_compose", lambda *a: composed.append(a) or real_compose(*a))
         (n, parity), d = mult_map(beta)
-        assert steps and not composed
+        assert bool(steps) == (beta.norm() > 4) and not composed
         assert parity == 1 and n[1] == beta * d[0]
         p, q = exact._map(beta)
         assert (exact._from_t(p, 1), exact._from_t(q, 0)) == (n, d)
@@ -431,13 +435,13 @@ class TestComposition:
         clear_memos()  # corrupted maps must not outlive the test
 
     @pytest.mark.parametrize("b", ["-3-4i", "9", "3-6i", "11-2i", "-9i", "-7-24i"])
-    def test_composite_beta_runs_no_product_step(self, b, cold_memos, monkeypatch):
+    def test_composite_beta_runs_no_chain_step(self, b, cold_memos, monkeypatch):
         beta = gi(b)
         _, facs = factor(beta)
         for prime, _ in facs:
             for unit in UNITS:  # the memo is keyed by beta, not by its associates
                 exact._map(prime.value * unit)
-        steps = []
+        steps = []  # chain steps, one per _product
         real = exact._product
         monkeypatch.setattr(exact, "_product", lambda *a: steps.append(a) or real(*a))
         (n, _), d = mult_map(beta)
