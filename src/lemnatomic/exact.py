@@ -20,8 +20,9 @@ other beta of norm above 4 (a prime, or even) comes from the product formula
 which follows from the addition law and c^2 = 1 - s^4, with u + v = beta
 and u - v = delta, the element = beta (mod 2) of smallest norm (1 or i for
 odd beta, 1+i or 2 for even beta).  u and v have norm about N(beta) / 4,
-and their maps and delta's come from the same construction.  Units, the
-associates of 1+i and those of 2 are written down directly.
+and their maps and delta's come from the same construction.  1, 1+i and 2
+are written down directly, and a beta off the first quadrant is a unit times
+the map of its first-quadrant associate: sl(e beta z) = e sl(beta z).
 
 Every map f is certified in t, however it was assembled, by the first
 integral (f')^2 = beta^2 (1 - f^4) of the defining equation,
@@ -34,26 +35,17 @@ together with the initial condition f(0) = 0, f'(0) = beta
 (P(0) = beta Q(0) != 0): then f' = beta sqrt(1 - f^4) has a unique solution
 through 0, so f = sl(beta z) (see mult_map).  For odd beta the cheap
 invariants deg P = (N(beta) - 1) / 4 and Q = unit * t^deg P * P(1/t) are
-checked too.
+checked too, and for even beta deg Q = ceil((N(beta) - 1) / 4).
 
 For odd beta the numerator N, made monic, is the all-torsion polynomial
 T_beta of degree N(beta).  Dividing out the lemnatomic polynomials of all
 proper divisors (with Lambda_1 := X for the zero torsion value) leaves
 Lambda_beta.
 
-Fraction reduction strategy: the product formula's pair often shares a
-factor of low degree (up to 4 in t for |re|, |im| <= 7, none at the top of
--31 or -43), so it is divided by its gcd over Z[i][t], found by a
-multi-modular algorithm (Brown).  Each prime p = 1 (mod 4) from a fixed
-sequence gives two images F_p[t] (i -> +-sqrt(-1) mod p) in which a plain
-Euclidean gcd runs; images where a leading coefficient vanishes are
-skipped, images of too high a degree are dropped, and the rest, scaled by
-the gcd of the two leading coefficients, are joined by CRT until the lift
-is stable.  A gcd of degree 0 in any admissible image certifies the pair
-coprime.  Otherwise the primitive part of the lift is accepted only once it
-divides both numerator and denominator exactly over Z[i]; with the degree
-bound from the admissible images this certifies it as the gcd, so no
-coefficient bound is assumed.
+Fraction reduction: the product formula's pair shares only factors
+(t - 1)^a (t + 1)^b, so both terms are divided by t - 1 while both vanish
+at t = 1, then likewise at t = -1.  The certificate, not the reduction,
+establishes lowest terms: by deg P for odd beta and deg Q for even beta.
 """
 
 from __future__ import annotations
@@ -61,7 +53,6 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 from .errors import InputError, InternalInconsistency
 from .gaussint import (
@@ -71,8 +62,6 @@ from .gaussint import (
     UNITS,
     ZERO,
     _check_beta,
-    _is_rational_prime,
-    _sqrt_minus_one,
     as_gauss,
     exact_div,
     factor,
@@ -80,9 +69,8 @@ from .gaussint import (
     gauss_gcd,
     primary_normalize,
 )
-from .gfq import _int_gcd
 from .residue import phi_norm
-from .zipoly import PolyZi, _divmod, exact_divide
+from .zipoly import PolyZi, exact_divide
 
 __all__ = [
     "LemnatomicRecord",
@@ -94,7 +82,7 @@ __all__ = [
 ]
 
 
-# -- gcd over Z[i][t] ---------------------------------------------------------
+# -- fractions over Z[i][t] ---------------------------------------------------
 
 _ZI_ONE = PolyZi.make([1])
 
@@ -112,131 +100,9 @@ def _zi_content(*polys: PolyZi) -> GaussInt:
     return content if not content.is_zero() else ONE
 
 
-def _zi_primitive(p: PolyZi) -> PolyZi:
-    g = _zi_content(p)
-    if g == ONE:
-        return p
-    return PolyZi.make([exact_div(c, g) for c in p.coeffs])
-
-
-# Brown's modular gcd (J. ACM 18, 1971) over Z[i].  For a rational prime
-# p = 1 (mod 4), Z[i]/p is F_p x F_p through i -> iota and i -> -iota with
-# iota^2 = -1 (mod p).  With gamma = gcd(lc a, lc b), gamma * (monic gcd) in
-# an image is the image of (gamma / lc g) * g for the primitive gcd g, as long
-# as the image has the smallest gcd degree; in an image that keeps lc a and
-# lc b that degree is at least deg g.  So a primitive h of that degree that
-# divides a and b exactly over Z[i] is g up to a unit.
-#
-# The sequence starts with the primes p = 1 (mod 4) just below 2^62, each with
-# its iota; most reductions need one or two of them.
-_GCD_PRIMES = tuple(
-    (p, _sqrt_minus_one(p))
-    for p in (
-        4611686018427387817,
-        4611686018427387761,
-        4611686018427387737,
-        4611686018427387733,
-        4611686018427387709,
-        4611686018427387701,
-        4611686018427387617,
-        4611686018427387461,
-    )
-)
-
-
-def _split_primes():
-    """_GCD_PRIMES, then the next primes p = 1 (mod 4) below them, with iota."""
-    yield from _GCD_PRIMES
-    n = _GCD_PRIMES[-1][0]
-    while True:
-        n -= 4
-        if _is_rational_prime(n):
-            yield n, _sqrt_minus_one(n)
-
-
-def _mod_image(p: PolyZi, prime: int, iota: int) -> list:
-    return [(c.re + c.im * iota) % prime for c in p.coeffs]
-
-
-def _zi_quotient(f: PolyZi, g: PolyZi) -> Optional[PolyZi]:
-    """f / g when g divides f exactly over Z[i], else None."""
-    division = _divmod(f, g)
-    if division is None or not division[1].is_zero():
-        return None
-    return division[0]
-
-
-def _zi_gcd_cofactors(a: PolyZi, b: PolyZi) -> tuple:
-    """(g, a/g, b/g) for the primitive gcd g of a and b, up to a unit.
-
-    A zero input gives the primitive part of the other one (zero for two
-    zeros); a nonzero constant input gives g = 1.
-    """
-    if a.is_zero() or b.is_zero():
-        g = _zi_primitive(b if a.is_zero() else a)
-        if g.is_zero():
-            return g, a, b
-        return g, _zi_quotient(a, g), _zi_quotient(b, g)
-    if a.degree() == 0 or b.degree() == 0:
-        return _ZI_ONE, a, b
-    leads = (a.leading(), b.leading())
-    gamma = gauss_gcd(*leads)
-    degree = min(a.degree(), b.degree()) + 1  # above every image's gcd degree
-    lift: list = []  # re, im, re, im, ... of gamma * monic gcd, symmetric mod modulus
-    modulus = 1
-    for prime, iota in _split_primes():
-        roots = (iota, prime - iota)
-        if any((c.re + c.im * r) % prime == 0 for c in leads for r in roots):
-            continue
-        images = []
-        for r in roots:
-            g = _int_gcd(prime, _mod_image(a, prime, r), _mod_image(b, prime, r))
-            if len(g) == 1:
-                return _ZI_ONE, a, b
-            images.append(g)
-        low = min(len(g) for g in images) - 1
-        if low < degree:  # every prime joined so far was unlucky
-            degree, lift, modulus = low, [], 1
-        if any(len(g) - 1 != degree for g in images):
-            continue
-        # gamma * (monic gcd) in each image; u = re + im iota, v = re - im iota
-        plus, minus = (
-            [c * ((gamma.re + gamma.im * r) % prime) % prime for c in g]
-            for g, r in zip(images, roots)
-        )
-        halve, halve_iota = pow(2, -1, prime), pow(2 * iota, -1, prime)
-        residues = []
-        for u, v in zip(plus, minus):
-            residues.append((u + v) * halve % prime)
-            residues.append((u - v) * halve_iota % prime)
-        half = prime // 2
-        if not lift:
-            lift = [x - prime if x > half else x for x in residues]
-            modulus = prime
-            continue
-        # Garner step: lift + modulus * t with t symmetric mod prime keeps the
-        # lift symmetric mod modulus * prime
-        inverse = pow(modulus % prime, -1, prime)
-        stable = True
-        for k, x in enumerate(residues):
-            t = (x - lift[k]) * inverse % prime
-            if t:
-                lift[k] += modulus * (t - prime if t > half else t)
-                stable = False
-        modulus *= prime
-        if not stable:
-            continue
-        h = _zi_primitive(PolyZi(tuple(map(GaussInt, lift[0::2], lift[1::2]))))
-        qa = _zi_quotient(a, h)
-        qb = _zi_quotient(b, h) if qa is not None else None
-        if qb is not None:
-            return h, qa, qb
-    raise AssertionError("unreachable: the prime sequence is infinite")
-
-
 def _reduce_zi_fraction(num: PolyZi, den: PolyZi) -> tuple:
-    """Bring num/den to lowest terms with content one and a first-quadrant
-    leading coefficient on den."""
+    """num/den with content one, every common factor t - 1 and t + 1
+    divided out, and a first-quadrant leading coefficient on den."""
     if den.is_zero():
         raise InputError("zero denominator")
     if num.is_zero():
@@ -245,8 +111,11 @@ def _reduce_zi_fraction(num: PolyZi, den: PolyZi) -> tuple:
     if joint != ONE:
         num = PolyZi.make([exact_div(c, joint) for c in num.coeffs])
         den = PolyZi.make([exact_div(c, joint) for c in den.coeffs])
-    # the gcd is primitive, so by Gauss's lemma the cofactors keep joint content one
-    _, num, den = _zi_gcd_cofactors(num, den)
+    # t -/+ 1 is primitive, so by Gauss's lemma the quotients keep joint content one
+    for root in (ONE, -ONE):
+        linear = PolyZi.make([-root, ONE])
+        while num.evaluate(root).is_zero() and den.evaluate(root).is_zero():
+            num, den = exact_divide(num, linear), exact_divide(den, linear)
     unit = _unit_to_first_quadrant(den.leading())
     if unit != ONE:
         num = num * unit
@@ -322,12 +191,24 @@ def _verify_first_integral(p: PolyZi, q: PolyZi, beta: GaussInt) -> None:
       (f')^2 = beta^2 (1 - f^4), as an identity over Z[i][t]:
         odd beta:   (1 - t) R^2 = beta^2 (Q^4 - t P^4),
         even beta:  R1^2 = beta^2 (Q^4 - t (1 - t)^2 P^4),
-      with R = (P + 4t P') Q - 4t P Q' and R1 = (1 - t) R - 2t P Q.
+      with R = (P + 4t P') Q - 4t P Q' and R1 = (1 - t) R - 2t P Q;
+      even beta:     deg Q = ceil((N(beta) - 1) / 4).
     With N = s P(s^4), B = Q(s^4) and W = 1 - s^4 these are
         parity 0:  W (N'B - NB')^2            = beta^2 (B^4 - N^4),
         parity 1:  ((N'W - 2s^3 N)B - NWB')^2 = beta^2 (B^4 - W^2 N^4),
     after t = s^4, which is injective on polynomials, at a quarter of the
     degree.  Once the reversal holds, Q^4 is P^4 reversed and is not computed.
+
+    The degrees certify lowest terms, since a common factor of P and Q
+    raises both.  On the curve c^2 = 1 - s^4, f = sl o [beta] has degree
+    2 N(beta), and the poles of the reduced pair count it: a root
+    t0 not in {0, 1} of Q gives 8 poles, a root t0 = 1 of multiplicity m
+    gives 4 poles of order 2m - parity (1 - t ~ c^2 there), and each of the
+    two points at infinity has order 2 parity + 1 + 4 (deg P - deg Q) when
+    that is positive.  So deg P = (N(beta) - 1) / 4 for odd beta, and
+    deg Q = ceil((N(beta) - 1) / 4) for even beta, with (1 - t) | Q exactly
+    when N(beta) = 2 (mod 4).  The even check comes after the identity, so
+    a map that fails both is reported as failing the identity.
     """
     if q[0] == ZERO or p[0] != beta * q[0]:
         raise InternalInconsistency(
@@ -361,6 +242,11 @@ def _verify_first_integral(p: PolyZi, q: PolyZi, beta: GaussInt) -> None:
         raise InternalInconsistency(
             f"sl({beta} z) violates the first integral of the defining equation"
         )
+    if not beta.is_odd() and q.degree() != (n + 2) // 4:
+        raise InternalInconsistency(
+            f"denominator degree {q.degree()} != ceil((N(beta) - 1) / 4) = {(n + 2) // 4}"
+            f" for beta={beta}"
+        )
 
 
 def _compose(outer: tuple, inner: tuple) -> tuple:
@@ -389,28 +275,41 @@ def _compose(outer: tuple, inner: tuple) -> tuple:
     return p_in * hom(p_out), q_in * hom(q_out)
 
 
-# Keyed by beta itself, since sl(u beta z) = u sl(beta z) for a unit u.  The
-# exact ladder leaves 18 entries here (each prime or even beta brings its
-# halves and delta) and 45 with beta = 13, 13+10i, 17 and -19 added, so no
-# workload evicts; -3-4i's entry is there when 11-2i needs it.
+# Keyed by beta itself; an associate reads its map off the first-quadrant
+# entry, so only first-quadrant beta run the product formula or a
+# composition.  The exact ladder leaves 15 entries here (each prime or even
+# beta brings its halves and delta) and 30 with beta = 13, 13+10i, 17 and -19
+# added, so no workload evicts; 3+4i's entry is there when 11-2i needs it.
 @lru_cache(maxsize=64)
 def _map(beta: GaussInt) -> tuple:
     """(P, Q) with sl(beta z) = c^parity s P(s^4) / Q(s^4) in lowest terms,
     certified, and Q's leading coefficient in the first quadrant.
 
-    An odd beta with two or more prime factors is R_pi composed with
-    R_gamma, pi its prime factor of smallest norm and gamma = beta / pi.
+    A beta off the first quadrant (re > 0, im >= 0) is e beta0 for a unit e
+    and beta0 in it, and sl(e beta0 z) = e sl(beta0 z) gives (e P0, Q0) from
+    beta0's map.
+    Otherwise an odd beta with two or more prime factors is R_pi composed
+    with R_gamma, pi its prime factor of smallest norm and gamma = beta / pi,
+    both read off first-quadrant entries.
     Every other beta of norm above 4 (a prime, or even) is _product of its
     halves u = (beta + delta) / 2 and u - delta, delta = beta (mod 2) of
-    smallest norm, reduced by its gcd; units, the associates of 1+i and
-    those of 2 are the base cases.
+    smallest norm, with the common factors t -/+ 1 divided out; 1, 1+i and
+    2 are the base cases.
     """
-    factors = factor(beta)[1] if beta.is_odd() else ()
-    if sum(e for _, e in factors) >= 2:
+    unit = _unit_to_first_quadrant(beta)
+    factors = factor(beta)[1] if beta.is_odd() and unit == ONE else ()
+    if unit != ONE:
+        p, q = _map(beta * unit)
+        p = p * unit.conjugate()
+    elif sum(e for _, e in factors) >= 2:
         pi = factors[0][0].value
-        p, q = _compose(_map(pi), _map(exact_div(beta, pi)))
+        pi = pi * _unit_to_first_quadrant(pi)
+        gamma = exact_div(beta, pi)
+        # R_gamma = R_gamma0 / e for gamma0 = gamma e, and R_pi(x / e) = R_pi(x) / e
+        e = _unit_to_first_quadrant(gamma)
+        p, q = _compose(_map(pi), _map(gamma * e))
         unit = _unit_to_first_quadrant(q.leading())
-        p, q = p * unit, q * unit
+        p, q = p * (unit * e.conjugate()), q * unit
     else:
         n = beta.norm()
         if n <= 4:
@@ -442,11 +341,13 @@ def mult_map(beta) -> tuple:
     2 beta omega = 0 for even beta.  So the map is held as (P, Q) in t = s^4
     (see _map).
 
-    Units, the associates of 1+i and those of 2 are written down.  Every
-    other prime or even beta comes from the product formula
+    1, 1+i and 2 are written down, and a beta off the first quadrant, e beta0
+    for a unit e, is e sl(beta0 z).  Every other prime or even beta comes
+    from the product formula
     sl(u+v) sl(u-v) = (sl^2 u - sl^2 v) / (1 + sl^2 u sl^2 v) with
     u + v = beta and u - v = delta, delta = beta (mod 2) of smallest norm
-    (see _product), and is reduced by its gcd.  An odd beta with two
+    (see _product), and the factors t - 1 and t + 1 that its two terms share
+    are divided out (see _reduce_zi_fraction).  An odd beta with two
     or more prime factors, counted with multiplicity, is built by
     composition: sl(pi gamma z) = R_pi(sl(gamma z)) for its prime factor pi
     of smallest norm, so R_beta = R_pi o R_gamma (see _compose), with no gcd.
@@ -458,8 +359,9 @@ def mult_map(beta) -> tuple:
     with Q_gamma(0) != 0, so no t is a zero of both composite terms.
 
     The finished pair is then certified in t, however it was assembled, by
-    _verify_first_integral; for odd beta the numerator degree must be N(beta),
-    which also rules out a common factor of N and B.  Put
+    _verify_first_integral; the numerator degree N(beta) for odd beta and
+    the denominator degree for even beta rule out a common factor of N and
+    B.  Put
     f = N(sl z) c^parity / B(sl z) with c = sl'(z).  The first integral says
     f'^2 = beta^2 (1 - f^4), and P(0) = beta Q(0) != 0 says f(0) = 0 and
     f'(0) = beta.  Near z = 0 the equation therefore reads
@@ -484,7 +386,9 @@ def mult_map(beta) -> tuple:
 def all_torsion_poly(beta) -> PolyZi:
     """T_beta: monic, degree N(beta), roots are all beta-torsion sl values."""
     beta = _check_beta(beta)
-    (num, _), _ = mult_map(beta)
+    # every associate has this T_beta; the first-quadrant one's map is the
+    # memo entry its associates are read off, so it is certified only once
+    (num, _), _ = mult_map(beta * _unit_to_first_quadrant(beta))
     n = beta.norm()
     content = _zi_content(num)
     lead_unit = exact_div(num.leading(), content)

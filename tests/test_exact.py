@@ -12,10 +12,7 @@ from conftest import CORPUS_ALL_TORSION, CORPUS_BETAS, gi, sparse_poly
 from lemnatomic import exact
 from lemnatomic.errors import InputError, InternalInconsistency
 from lemnatomic.exact import (
-    _GCD_PRIMES,
     LemnatomicRecord,
-    _mod_image,
-    _zi_gcd_cofactors,
     all_torsion_poly,
     divisors_up_to_units,
     lemnatomic_exact,
@@ -26,12 +23,10 @@ from lemnatomic.gaussint import (
     I,
     UNITS,
     GaussInt,
-    _is_rational_prime,
     factor,
     format_gauss,
     primary_normalize,
 )
-from lemnatomic.gfq import _int_gcd
 from lemnatomic.lemniscate import _sl_raw, big_complex, lemnatomic_numeric, sl_eval, torsion_values
 from lemnatomic.residue import phi_norm
 from lemnatomic.zipoly import PolyZi, discriminant, exact_divide, poly
@@ -39,6 +34,8 @@ from lemnatomic.zipoly import PolyZi, discriminant, exact_divide, poly
 S = poly([0, 1])
 T = poly([0, 1])  # t = s^4 in the (P, Q) form of a map
 ONE_MINUS_T = poly([1, -1])
+T_PLUS_2 = poly([2, 1])
+STRIPPED_PAD = poly([-1, 1]) * poly([-1, 1]) * poly([1, 1])  # (t - 1)^2 (t + 1)
 ONE_POLY = poly([1])
 W = poly([1, 0, 0, 0, -1])
 
@@ -50,66 +47,14 @@ def eval_poly(f: PolyZi, z: mpc) -> mpc:
     return acc
 
 
-def assert_gcd(a: PolyZi, b: PolyZi, want: PolyZi) -> None:
-    """The modular gcd of a and b is want up to a unit, with exact cofactors."""
-    g, qa, qb = _zi_gcd_cofactors(a, b)
-    assert any(g == want * u for u in UNITS), f"gcd {g}, want {want}"
-    if not g.is_zero():
-        assert g * qa == a and g * qb == b
-
-
-class TestModularGcd:
-    def test_stored_primes_split_with_square_roots_of_minus_one(self):
-        assert len(_GCD_PRIMES) >= 2
-        for p, iota in _GCD_PRIMES:
-            assert p % 4 == 1 and _is_rational_prime(p)
-            assert (iota * iota + 1) % p == 0
-
-    def test_planted_factor_with_content(self):
-        # content (1+i)*3 on the planted factor, leading coefficient -4+3i
-        primitive = poly([gi("1+i"), 7, gi("-2i"), gi("-4+3i")])
-        planted = primitive * gi("3+3i")
-        a = planted * poly([gi("2-i"), 0, gi("5+i")]) * gi("2+i")
-        b = planted * poly([3, gi("-1+4i"), 1, gi("-2")]) * 5
-        assert_gcd(a, b, primitive)
-        assert_gcd(b, a, primitive)
-
-    def test_coprime_pair(self):
-        a = poly([gi("i"), 1]) * poly([-2, 1]) * poly([gi("1+i"), 3])
-        b = poly([gi("-i"), 1]) * poly([2, 1]) * poly([-3, 1])
-        assert_gcd(a, b, poly([1]))
-
-    def test_zero_and_constant_inputs(self):
-        b = poly([gi("2+2i"), 0, gi("2+2i")])  # content 2+2i
-        assert_gcd(poly([]), b, poly([1, 0, 1]))
-        assert_gcd(b, poly([]), poly([1, 0, 1]))
-        assert_gcd(poly([]), poly([]), poly([]))
-        assert_gcd(poly([6]), b, poly([1]))
-        assert_gcd(b, poly([gi("3-i")]), poly([1]))
-
-    def test_prime_dividing_a_leading_coefficient_is_skipped(self):
-        # modulo the first prime the common factor p*X + 1 becomes 1, so an
-        # image there would wrongly certify the pair coprime
-        p = _GCD_PRIMES[0][0]
-        common = poly([1, p])
-        assert_gcd(common * poly([2, 1]), common * poly([3, 1]), common)
-
-    def test_unlucky_prime_is_discarded(self, monkeypatch):
-        common = poly([gi("2+i"), gi("1-3i"), gi("3+2i")])
-        a = common * poly([5, 1])
-        b = common * poly([0, 1])
-        # 5 = 1 (mod 4) with 2^2 = -1 (mod 5); modulo 5 both X + 5 and X become
-        # X, so the gcd degree jumps by one in both images
-        for root in (2, 3):
-            image = _int_gcd(5, _mod_image(a, 5, root), _mod_image(b, 5, root))
-            assert len(image) - 1 == common.degree() + 1
-        monkeypatch.setattr(exact, "_GCD_PRIMES", ((5, 2),) + _GCD_PRIMES)
-        assert_gcd(a, b, common)
-
-
-# SHA-256 of mult_map over the 224 beta with |re|, |im| <= 7, even beta
-# included (see TestMultMap.test_grid_is_byte_identical)
-MULT_MAP_GRID_SHA256 = "9c712b1d8f1ee387a45dad4feb7bfae3e58d65c5f27fe8242a9eacd474a65379"
+# SHA-256 of mult_map over the beta with |re|, |im| <= radius, even beta
+# included (see TestMultMap.test_grid_is_byte_identical): radius 7 (224 beta)
+# pinned when the maps came from the addition chain over Z[i][s], radius 9
+# (360 beta) when the product formula's pair was reduced by a full gcd
+MULT_MAP_GRID_SHA256 = {
+    7: "9c712b1d8f1ee387a45dad4feb7bfae3e58d65c5f27fe8242a9eacd474a65379",
+    9: "ed8745bb9ac4d8238ba6ab3ea75e67bf3d72aef187e0fdd24bc4ff8b0e7e3d8f",
+}
 
 
 class TestMultMap:
@@ -127,18 +72,17 @@ class TestMultMap:
         with pytest.raises(InputError):
             mult_map(gi("0"))
 
-    def test_grid_is_byte_identical(self):
-        # every map on the grid, pinned when the maps came from the addition
-        # chain over Z[i][s]
+    @pytest.mark.parametrize("radius", sorted(MULT_MAP_GRID_SHA256))
+    def test_grid_is_byte_identical(self, radius):
         digest = hashlib.sha256()
-        for re in range(-7, 8):
-            for im in range(-7, 8):
+        for re in range(-radius, radius + 1):
+            for im in range(-radius, radius + 1):
                 if re == 0 and im == 0:
                     continue
                 (n, parity), d = mult_map(GaussInt(re, im))
                 num, den = (",".join(map(format_gauss, f.coeffs)) for f in (n, d))
                 digest.update(f"{re},{im}:{parity}:{num}/{den};".encode())
-        assert digest.hexdigest() == MULT_MAP_GRID_SHA256
+        assert digest.hexdigest() == MULT_MAP_GRID_SHA256[radius]
 
     def test_odd_beta_pure_s_and_degree(self):
         for b in ("-3", "-1+2i", "-1-2i", "1+2i", "3+2i"):
@@ -290,9 +234,10 @@ def assert_s_identity(n: PolyZi, parity: int, d: PolyZi, beta: GaussInt) -> None
 class TestChainVerifier:
     """mult_map certifies every map, in t = s^4, by the first integral
     (sl')^2 = 1 - sl^4 with the initial condition P(0) = beta Q(0) != 0, and
-    for odd beta by deg P and Q = unit * t^deg P * P(1/t).  A map that is
-    not composed comes from a chain of product-formula steps over halves,
-    and each step builds a map that is certified on its own."""
+    for odd beta by deg P and Q = unit * t^deg P * P(1/t), for even beta by
+    deg Q.  A map that is not composed comes from a chain of product-formula
+    steps over halves, and each step builds a map that is certified on its
+    own, after its common factors t -/+ 1 are stripped."""
 
     @pytest.fixture
     def cold_memos(self):
@@ -402,6 +347,31 @@ class TestChainVerifier:
         with pytest.raises(InternalInconsistency, match="first integral"):
             exact._verify_first_integral(p, q + T * T, beta)
 
+    @pytest.mark.parametrize("b", ["4", "2+2i", "3+3i"])
+    def test_stray_common_factor_on_even_step_fails_the_denominator_degree(
+        self, b, cold_memos, monkeypatch
+    ):
+        # the reduction strips only t -/+ 1, and (t + 2) P / ((t + 2) Q) passes
+        # the initial condition and the first integral
+        real = exact._product
+
+        def padded(u, v, delta):
+            p, q = real(u, v, delta)
+            if (u + v).is_odd():
+                return p, q
+            return p * T_PLUS_2, q * T_PLUS_2
+
+        monkeypatch.setattr(exact, "_product", padded)
+        with pytest.raises(InternalInconsistency, match="denominator degree"):
+            mult_map(gi(b))
+
+    def test_stray_t_minus_1_squared_t_plus_1_is_stripped(self, cold_memos, monkeypatch):
+        want = {b: mult_map(gi(b)) for b in (*FROZEN_CHECKSUMS, *EVEN_BETAS, "19+10i", "-19")}
+        clear_memos()
+        real = exact._product
+        monkeypatch.setattr(exact, "_product", lambda *a: tuple(f * STRIPPED_PAD for f in real(*a)))
+        assert {b: mult_map(gi(b)) for b in want} == want
+
 
 def conjugate_map(pq):
     # sl has real Taylor coefficients, so R_conj(pi) has the conjugate ones
@@ -438,9 +408,8 @@ class TestComposition:
     def test_composite_beta_runs_no_chain_step(self, b, cold_memos, monkeypatch):
         beta = gi(b)
         _, facs = factor(beta)
-        for prime, _ in facs:
-            for unit in UNITS:  # the memo is keyed by beta, not by its associates
-                exact._map(prime.value * unit)
+        for prime, _ in facs:  # an associate's map is read off the same entry
+            exact._map(prime.value)
         steps = []  # chain steps, one per _product
         real = exact._product
         monkeypatch.setattr(exact, "_product", lambda *a: steps.append(a) or real(*a))
@@ -637,6 +606,22 @@ class TestMemos:
         calls.clear()
         lemnatomic_exact(gi("3"))
         assert calls == []
+
+    def test_associate_map_is_read_off_the_first_quadrant_entry(self, monkeypatch):
+        # -9i = (-3) * (3i) = -i * 9: with -3's map in the memo, 3i's is not
+        # built and 9's comes by composition with no product step
+        exact._map(gi("-3"))
+        steps, certified = [], []
+        real_product, real_verify = exact._product, exact._verify_first_integral
+        monkeypatch.setattr(exact, "_product", lambda *a: steps.append(a) or real_product(*a))
+        monkeypatch.setattr(
+            exact, "_verify_first_integral", lambda *a: certified.append(a[2]) or real_verify(*a)
+        )
+        p, q = exact._map(gi("-9i"))
+        assert steps == []
+        p9, q9 = exact._map(gi("9"))
+        assert (p, q) == (p9 * gi("-i"), q9)
+        assert gi("-9i") in certified  # the associate is certified too
 
     def test_map_of_minus_3_minus_4i_reused_by_11_minus_2i(self, monkeypatch):
         # 11-2i = (-1+2i) * (-3-4i): both factor maps are in the memo

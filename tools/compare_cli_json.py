@@ -5,9 +5,11 @@
 The scan commands run at the norm bound; ``reduce``, ``split-test`` and
 ``orbit-check`` (which runs ``factor_degrees``) run at the split prime -1+2i
 and the inert primes -3 and -7; ``lemnatomic BETA --method exact`` runs on
-the exact ladder of the benchmark plus 13, 17, -19, 33, -31 (a prime whose
-halves recurse through even maps) and 19+10i (whose unreduced product-formula
-pair has a common factor).
+the exact ladder of the benchmark plus 13, 17, -19, 29 (the product of the
+split primes 5 +/- 2i), 33, -31 (a prime whose halves recurse through even
+maps) and 19+10i.  The product formula's unreduced pair can share a factor
+(t - 1)^a (t + 1)^b, which the exact route strips: t^2 - 1 under -19, and
+t - 1, (t - 1)^2 and (t - 1)^3 (t + 1) under 19+10i.
 
 OLD_SRC and NEW_SRC are directories holding the ``lemnatomic`` package (the
 ``src`` directory of two checkouts).  Each command runs in a fresh
@@ -39,7 +41,8 @@ SINGLE_PRIMES = ("-1+2i", "-3", "-7")  # one split prime, two inert ones
 SINGLE_POLYS = ("lemnatomic:-3", "coeffs:-2,0,0,1")
 ORBIT_BETAS = ("-1-2i", "5+4i")  # divisible by none of SINGLE_PRIMES
 EXACT_BETAS = (
-    "-1+2i", "-3", "-3-4i", "3-6i", "9", "-11", "11-2i", "13", "17", "-19", "33", "-31", "19+10i",
+    "-1+2i", "-3", "-3-4i", "3-6i", "9", "-11", "11-2i", "13", "17", "-19", "29", "33", "-31",
+    "19+10i",
 )
 
 
