@@ -4,23 +4,25 @@ Frobenius-orbit checks, irreducibility-criterion evidence, density reports,
 and the congruence-obstruction witness search.
 
 All scans walk odd primary Gaussian primes in (norm, re, im) order, so every
-report is deterministic for fixed inputs.  One memoised scan, _scan, serves
-every report: per prime it records whether pi divides the modulus (disc(h),
-or beta for the separability sweep), read as a zero image in Z[i]/(pi), and
-otherwise a status byte for h mod pi.  The splitting and the root reports
-(splitting primes, density, witness search, semi-split primes, criterion
-evidence) read one scan per (h, bound): gfq.root_status writes h mod pi as
-X^k * g(X^e), e = gcd(d, q - 1) for d the gcd of its exponents, computes
-Y^((q-1)/e) mod g once per prime and reads both "splits completely" and "has
-a root" from it.  Every lemnatomic polynomial lies in Z[i][X^4], so g has at
-most a quarter of its degree.  The separability sweep keeps its own scan,
-modulo beta, with the squarefree test, which runs on the same g.  X^q mod h
-on h itself is left to the single-prime predicates splits_completely and
+report is deterministic for fixed inputs, and each keeps one status byte per
+prime: _SKIP where pi divides the scan's modulus, read as a zero image in
+Z[i]/(pi), else the test's value at h mod pi.  One memoised scan, _scan,
+serves the splitting and the root reports (splitting primes, density,
+witness search, semi-split primes, criterion evidence): its modulus is
+disc(h), and gfq.root_status writes h mod pi as X^k * g(X^e), e = gcd(d,
+q - 1) for d the gcd of its exponents, computes Y^((q-1)/e) mod g once per
+prime and reads both "splits completely" and "has a root" from it.  Every
+lemnatomic polynomial lies in Z[i][X^4], so g has at most a quarter of its
+degree.  The separability sweep, _sweep, has modulus beta and reduces
+nothing: for monic h, h mod pi is squarefree exactly when pi does not divide
+disc(h), so it reads each prime's status off two residues, of beta and of
+disc(h), from the same disc(h) memo as the root reports.  X^q mod h on h
+itself is left to the single-prime predicates splits_completely and
 has_root and to factor_degrees.
 
 A split prime a + bi of norm p (all but 21 of the 3243 primes at norm
-3e4) costs the scan ints alone: i -> -a * b^(-1) mod p, one reduction of
-the modulus and of h's coefficients, then gfq's int-level entry on the int
+3e4) costs the root scan ints alone: i -> -a * b^(-1) mod p, one reduction
+of disc(h) and of h's coefficients, then gfq's int-level entry on the int
 list, whose one power is a packed square-and-multiply.  Only the inert
 primes build a ResidueField and a PolyFq.
 
@@ -57,12 +59,10 @@ from .gfq import (
     ROOT,
     SPLITS,
     _root_status,
-    _squarefree,
     factor_degrees,
     reduce_poly,
     residue_field,
     root_status,
-    squarefree,
 )
 
 # The single-prime predicates that the SPLITS and ROOT statuses stand for,
@@ -240,64 +240,88 @@ class DensityReport:
 
 @lru_cache(maxsize=8)
 def _check_scan_poly(h: PolyZi) -> GaussInt:
-    """disc(h) after validating h; memoised, since every report on h needs it."""
+    """disc(h) after validating h as monic and nonconstant; memoised, since
+    every report on h needs it.  Zero when h has a repeated root: the root
+    reports reject that (_root_disc), the separability sweep reads it as a
+    failure at every prime."""
     if not h.is_monic():
         raise InputError("scan polynomial must be monic")
     if h.degree() < 1:
         raise InputError("scan polynomial must have degree at least 1")
-    disc = discriminant(h)
+    return discriminant(h)
+
+
+def _root_disc(h: PolyZi) -> GaussInt:
+    """disc(h) for the splitting and root reports, which need it nonzero."""
+    disc = _check_scan_poly(h)
     if disc.is_zero():
         raise InputError("scan polynomial has zero discriminant (repeated roots)")
     return disc
 
 
-# A status byte per scanned prime: _SKIP when pi divides the scan's modulus,
-# else the classifier's value at h mod pi: root_status (NO_ROOT < ROOT <
-# SPLITS) for the splitting and root reports, squarefree's bool for the
-# separability sweep.
+# A status byte per scanned prime: _SKIP when pi divides the scan's modulus
+# (disc(h) for the root scan, beta for the separability sweep), else
+# root_status (NO_ROOT < ROOT < SPLITS) or squarefreeness (1 or 0) of h mod pi.
 _SKIP = 0xFF
 _ROOTS = (ROOT, SPLITS)
 
 
 @lru_cache(maxsize=16)
-def _scan(h: PolyZi, bound: int, modulus: GaussInt, classify) -> bytes:
-    """One status byte per odd primary prime of norm <= bound, in walk order.
+def _scan(h: PolyZi, bound: int) -> bytes:
+    """root_status of h mod pi for each odd primary prime pi of norm <= bound,
+    in walk order, and _SKIP where pi divides disc(h).
 
-    classify is root_status or squarefree, h monic.  pi | modulus is read
-    as a zero image of modulus in Z[i]/(pi).  A split prime a + bi (norm p)
-    is worked on ints alone: i maps to -a * b^(-1) mod p, and h mod pi goes
-    to classify's int-level entry as an int list.  An inert prime builds its
-    ResidueField and calls classify.  Memoised on (h, bound, modulus,
-    classify), so reports that share a scan run it once; bytes keep the memo
+    h is monic with a nonzero discriminant.  pi | disc(h) is read as a zero
+    image of disc(h) in Z[i]/(pi).  A split prime a + bi (norm p) is worked
+    on ints alone: i maps to -a * b^(-1) mod p, and h mod pi goes to
+    gfq._root_status as an int list.  An inert prime builds its
+    ResidueField and calls root_status.  Memoised on (h, bound), so the
+    splitting and root reports on h share one scan; bytes keep the memo
     small.
     """
-    # classfield's own names, read at call time like the reports read them
-    # (perfbench's tracer rebinds them), so the lookup holds either way
-    split_entry = {root_status: _root_status, squarefree: _squarefree}[classify]
+    disc = _root_disc(h)
     walk = _odd_prime_walk(bound)
     parts = [(c.re, c.im) for c in h.coeffs]
-    m_re, m_im = modulus.re, modulus.im
     out = bytearray()
     for k, (a, b, p) in enumerate(zip(walk[::3], walk[1::3], walk[2::3])):
         if b:
             i = -a * pow(b, -1, p) % p
-            if (m_re + m_im * i) % p:
-                out.append(split_entry(p, [(x + y * i) % p for x, y in parts]))
+            if (disc.re + disc.im * i) % p:
+                out.append(_root_status(p, [(x + y * i) % p for x, y in parts]))
             else:
                 out.append(_SKIP)
             continue
         field = residue_field(_walk_prime(walk, k))
-        if field.reduce_gauss(modulus) == field.zero():
+        if field.reduce_gauss(disc) == field.zero():
             out.append(_SKIP)
         else:
-            out.append(classify(reduce_poly(h, field)))
+            out.append(root_status(reduce_poly(h, field)))
     return bytes(out)
 
 
-def _root_scan(h: PolyZi, bound: int) -> bytes:
-    """root_status of h at every prime not dividing disc(h): the one scan,
-    one modular power per prime, behind every splitting and root report on h."""
-    return _scan(h, bound, _check_scan_poly(h), root_status)
+def _sweep(h: PolyZi, bound: int, modulus: GaussInt) -> bytes:
+    """Whether h mod pi is squarefree (1) or not (0) for each odd primary
+    prime pi of norm <= bound, in walk order, and _SKIP where pi divides
+    modulus.
+
+    h is monic, so h mod pi keeps its degree and its discriminant is
+    disc(h) mod pi, which vanishes exactly when h mod pi has a repeated
+    root: h mod pi is squarefree iff pi does not divide disc(h).  Both
+    divisibilities are read on ints, with _scan's image of i for a split
+    prime a + bi, and as p | re and p | im for an inert prime -p.  No
+    reduction of h runs.  A zero disc(h) fails every prime not skipped.
+    """
+    disc = _check_scan_poly(h)
+    walk = _odd_prime_walk(bound)
+    out = bytearray()
+    for a, b, p in zip(walk[::3], walk[1::3], walk[2::3]):
+        if b:
+            i = -a * pow(b, -1, p) % p
+            skip, fails = [not (z.re + z.im * i) % p for z in (modulus, disc)]
+        else:
+            skip, fails = [not (z.re % a or z.im % a) for z in (modulus, disc)]
+        out.append(_SKIP if skip else not fails)
+    return bytes(out)
 
 
 def _primes(bound: int, status: bytes, wanted: tuple) -> list:
@@ -310,7 +334,7 @@ def splitting_primes(h: PolyZi, bound: int) -> SplittingReport:
     splits completely into distinct linear factors.  Primes dividing disc(h)
     are skipped (the squarefree test would exclude them anyway) and reported
     separately."""
-    status = _root_scan(h, bound)
+    status = _scan(h, bound)
     return SplittingReport(
         poly=h,
         bound=bound,
@@ -323,15 +347,16 @@ def semisplit_primes(g: PolyZi, bound: int) -> list:
     """Odd primary primes with norm <= bound, not dividing disc(g), at which
     g has a root in the residue field (a degree-one prime of the field g
     defines; g is trusted to be irreducible, not verified)."""
-    return _primes(bound, _root_scan(g, bound), _ROOTS)
+    return _primes(bound, _scan(g, bound), _ROOTS)
 
 
 def verify_prop1(beta, bound: int) -> Prop1Report:
-    """Separability sweep: reduce the lemnatomic polynomial of beta modulo
-    every odd primary prime pi with pi not dividing beta and N(pi) <= bound,
-    and check squarefreeness.  The theory predicts zero failures."""
+    """Separability sweep: check that the lemnatomic polynomial of beta is
+    squarefree modulo every odd primary prime pi with pi not dividing beta
+    and N(pi) <= bound, read off disc(Lambda_beta) (see _sweep).  The theory
+    predicts zero failures."""
     rec = lemnatomic_exact(beta)
-    status = _scan(rec.coefficients, bound, rec.beta, squarefree)
+    status = _sweep(rec.coefficients, bound, rec.beta)
     return Prop1Report(
         beta=rec.beta,
         bound=bound,
@@ -379,7 +404,7 @@ def prop2_evidence(g: PolyZi, beta, bound: int, normalization: str = "primary") 
     beta = _check_beta(beta)
     ring = residue_ring(beta)
     group = unit_group(ring)
-    status = _root_scan(g, bound)
+    status = _scan(g, bound)
     hits = [pi for pi in _primes(bound, status, _ROOTS) if not divides(pi.value, beta)]
     classes = sorted(
         {_prime_class(pi, ring, normalization) for pi in hits},
@@ -419,7 +444,7 @@ def theorem_search(
         raise InputError(f"unknown normalization {normalization!r}")
     if exponent_bound < 1:
         raise InputError("exponent_bound must be at least 1")
-    disc = _check_scan_poly(h)
+    disc = _root_disc(h)
     notes = []
     if disc.is_odd():
         base = disc
@@ -449,7 +474,7 @@ def theorem_search(
             {g for g in grids if not g.is_unit()},
             key=lambda g: (g.norm(), g.re, g.im),
         )
-    splitting = _primes(bound, _root_scan(h, bound), (SPLITS,))
+    splitting = _primes(bound, _scan(h, bound), (SPLITS,))
     rows: list[TheoremCandidate] = []
     for beta in candidates:
         ring = residue_ring(beta)
@@ -485,7 +510,7 @@ def theorem_search(
 def density_report(h: PolyZi, bound: int) -> DensityReport:
     """Empirical density of splitting primes among all odd primary primes up
     to the bound, with the heuristic value 1/deg(h) attached (not enforced)."""
-    status = _root_scan(h, bound)
+    status = _scan(h, bound)
     count_p, count_all = status.count(SPLITS), len(status)
     ratio = count_p / count_all if count_all else 0.0
     return DensityReport(

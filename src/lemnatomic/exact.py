@@ -155,10 +155,16 @@ def _times_t(p: PolyZi) -> PolyZi:
 
 def _squares(x: GaussInt) -> tuple:
     """(A, D) = ((1 - t)^parity P^2, Q^2) for the map (P, Q) of x, so that
-    sl^2(x z) = s^2 A(t) / D(t) (c^2 = 1 - t)."""
-    p, q = _map(x)
+    sl^2(x z) = s^2 A(t) / D(t) (c^2 = 1 - t).
+
+    Read off the first-quadrant associate x0 = x / e of x, e a unit: the map
+    of x is (e P0, Q0), so (A, D) = (e^2 A0, D0) with e^2 = +-1, and x needs
+    no memo entry or certificate of its own."""
+    unit = _unit_to_first_quadrant(x)  # x unit = x0, and e^2 = unit^2
+    p, q = _map(x * unit)
     a = p * p
-    return (a if x.is_odd() else a - _times_t(a)), q * q
+    a = a if x.is_odd() else a - _times_t(a)
+    return (a if unit * unit == ONE else -a), q * q
 
 
 def _product(u: GaussInt, v: GaussInt, delta: GaussInt) -> tuple:
@@ -277,9 +283,11 @@ def _compose(outer: tuple, inner: tuple) -> tuple:
 
 # Keyed by beta itself; an associate reads its map off the first-quadrant
 # entry, so only first-quadrant beta run the product formula or a
-# composition.  The exact ladder leaves 15 entries here (each prime or even
-# beta brings its halves and delta) and 30 with beta = 13, 13+10i, 17 and -19
-# added, so no workload evicts; 3+4i's entry is there when 11-2i needs it.
+# composition, and _squares reads a half off its first-quadrant associate,
+# so an off-quadrant half has no entry.  The exact ladder leaves 15 entries
+# here (each prime or even beta brings its halves and delta) and 29 with
+# beta = 13, 13+10i, 17 and -19 added, so no workload evicts; 3+4i's entry is
+# there when 11-2i needs it.
 @lru_cache(maxsize=64)
 def _map(beta: GaussInt) -> tuple:
     """(P, Q) with sl(beta z) = c^parity s P(s^4) / Q(s^4) in lowest terms,

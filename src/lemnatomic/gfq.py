@@ -15,12 +15,11 @@ square-and-multiply on Kronecker-packed ints (_PackedModulus), whose slots
 are wide enough that the low ones are taken mod p only after every other
 squaring.  Over an inert prime it runs on the pairs through ResidueField,
 one field operation per coefficient.  The public functions pass
-_kernel(f.field); a scan passes p and the int list of h mod pi straight to
-_root_status and _squarefree, the entries under root_status and
-squarefree, so a split prime costs it no GaussPrime, ResidueField or
-PolyFq.
+_kernel(f.field); the root scan passes p and the int list of h mod pi
+straight to _root_status, the entry under root_status, so a split prime
+costs it no GaussPrime, ResidueField or PolyFq.
 
-root_status and squarefree, the scans' tests, first write f as X^k * g(X^e)
+root_status, the root scan's test, and squarefree first write f as X^k * g(X^e)
 with g(0) != 0 and e = gcd(d, q - 1), d the gcd of the exponents of f's
 nonzero terms (_deflate), and then work on g.  root_status reads complete
 splitting and the existence of a root off one power Y^((q-1)/e) mod g, so a
@@ -449,12 +448,8 @@ def squarefree(f: PolyFq) -> bool:
     """True iff gcd(f, f') is constant, read off g for f = X^k * g(X^e) (_deflate)."""
     if f.is_zero():
         raise InputError("squarefree test of the zero polynomial")
-    return _squarefree(_kernel(f.field), f.coeffs)
-
-
-def _squarefree(K, cs) -> bool:
-    """squarefree on the coefficients cs, nonzero, over K: the split scan's entry."""
-    k, g, _ = _deflate(K, cs)
+    K = _kernel(f.field)
+    k, g, _ = _deflate(K, f.coeffs)
     if k > 1:
         return False  # X^2 divides f
     if type(K) is int:

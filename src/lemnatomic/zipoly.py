@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterable, Iterator, Optional, Union
 
 from .errors import InputError, NotDivisible, ParseError
@@ -262,16 +263,41 @@ def resultant(f: PolyZi, g: PolyZi) -> GaussInt:
 
 
 def discriminant(f: PolyZi) -> GaussInt:
-    """disc(f) = (-1)^(n(n-1)/2) * Res(f, f') for monic f; degree 1 gives 1."""
+    """disc(f) = (-1)^(n(n-1)/2) * Res(f, f') for monic f of degree n >= 1.
+
+    f is deflated first: f = X^k * G(X^d) with G(0) != 0 and d the gcd of
+    the exponents of f / X^k, and the one Sylvester resultant runs on G.
+    For monic F, Res(F, F') is the product of F'(x) over the roots x of F.
+
+      k >= 2:  X^2 divides f, so disc(f) = 0.
+      k = 1:   disc(X F) = disc(X) disc(F) Res(X, F)^2 = disc(F) F(0)^2,
+               with disc(X) = 1.
+      k = 0:   f'(x) = d x^(d-1) G'(x^d), the roots x of f multiply to
+               (-1)^n G(0), and above each root y of G lie d roots x with
+               x^d = y (G(0) != 0), so Res(f, f') = d^n ((-1)^n G(0))^(d-1)
+               Res(G, G')^d, and disc(f) is that times (-1)^(n(n-1)/2).
+               n = d deg G, so n (d - 1) is even and (-1)^(n(d-1)) = 1.
+
+    d = 1 is the plain Res(f, f').  Every lemnatomic polynomial lies in
+    Z[i][X^4] with a nonzero constant term, so its G has a quarter of the
+    degree and the Sylvester matrix a sixteenth of the entries.
+    """
     if not f.is_monic():
         raise InputError("discriminant requires a monic polynomial")
     n = f.degree()
     if n < 1:
         raise InputError("discriminant requires degree >= 1")
-    if n == 1:
-        return ONE
-    res = resultant(f, f.derivative())
-    return res if (n * (n - 1) // 2) % 2 == 0 else -res
+    exponents = [j for j, c in enumerate(f.coeffs) if not c.is_zero()]
+    k = exponents[0]
+    if k >= 2:
+        return ZERO
+    if k == 1:
+        g = PolyZi(f.coeffs[1:])
+        return g[0] * g[0] * discriminant(g) if n > 1 else ONE
+    d = gcd(*exponents)
+    g = PolyZi(f.coeffs[::d])
+    disc = g[0] ** (d - 1) * resultant(g, g.derivative()) ** d * d**n
+    return disc if (n * (n - 1) // 2) % 2 == 0 else -disc
 
 
 def to_json_dict(f: PolyZi) -> dict:

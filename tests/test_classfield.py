@@ -456,14 +456,43 @@ class TestSharedScan:
         skipped, tested = divides_reference(2000, beta)
         report = verify_prop1(beta, 2000)
         assert report.checked == len(tested)
-        status = classfield._scan(lam(format_gauss(beta)), 2000, beta, squarefree)
+        status = classfield._sweep(lam(format_gauss(beta)), 2000, beta)
         assert classfield._primes(2000, status, (classfield._SKIP,)) == skipped
+
+    @pytest.mark.parametrize("beta", ["-3", "-3-4i", "3-6i", "9"])
+    def test_sweep_matches_squarefree_prime_by_prime(self, beta):
+        beta = gi(beta)
+        h = lam(format_gauss(beta))
+        primes = odd_primaries(2000)
+        assert any(pi.kind == "inert" and not divides(pi.value, beta) for pi in primes)
+        want = [
+            classfield._SKIP if divides(pi.value, beta) else squarefree(reduce_poly(h, pi))
+            for pi in primes
+        ]
+        assert list(classfield._sweep(h, 2000, beta)) == want
+
+    def test_sweep_reports_primes_where_the_reduction_is_not_squarefree(self):
+        # disc(X^2 + X + 19) = -75 = -3 * (2+i)^2 (2-i)^2: the reduction has a
+        # double root at the inert prime -3 and at both primes above 5
+        h = poly([19, 1, 1])
+        status = classfield._sweep(h, 2000, gi("-7"))
+        failures = classfield._primes(2000, status, (False,))
+        assert [pi.value for pi in failures] == [gi("-1+2i"), gi("-1-2i"), gi("-3")]
+        assert classfield._primes(2000, status, (classfield._SKIP,))[0].value == gi("-7")
+        for pi, s in zip(odd_primaries(2000), status):
+            if s != classfield._SKIP:
+                assert s == squarefree(reduce_poly(h, pi)), pi
+
+    def test_sweep_with_zero_discriminant_fails_every_prime_not_skipped(self):
+        h = poly([1, -2, 1])  # (X - 1)^2
+        status = classfield._sweep(h, 500, gi("-3"))
+        primes = odd_primaries(500)
+        assert list(status) == [classfield._SKIP if pi.value == gi("-3") else 0 for pi in primes]
 
     def test_memo_is_bounded_and_holds_bytes(self, fresh_scan):
         info = classfield._scan.cache_info()
         assert info.maxsize is not None and info.maxsize > 0
-        disc = discriminant(X_SQ_MINUS_105)
-        status = classfield._scan(X_SQ_MINUS_105, 500, disc, root_status)
+        status = classfield._scan(X_SQ_MINUS_105, 500)
         assert type(status) is bytes
         assert len(status) == len(odd_primaries(500))
         assert set(status) <= {classfield._SKIP, NO_ROOT, ROOT, SPLITS}

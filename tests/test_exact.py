@@ -572,7 +572,7 @@ def test_lambda_at_zero(b):
     assert lemnatomic_exact(beta).coefficients[0] == want
 
 
-@pytest.mark.parametrize("b", ["-1+2i", "-3", "-3-4i", "3-6i"])
+@pytest.mark.parametrize("b", ["-1+2i", "-3", "-3-4i", "3-6i", "9", "-11", "13"])
 def test_discriminant_primes(b):
     """The prime factors of disc(Lambda_beta) are exactly 1+i and the primes
     dividing beta."""

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import gi
 from lemnatomic.errors import InputError, NotDivisible, ParseError
+from lemnatomic.exact import lemnatomic_exact
 from lemnatomic.gaussint import GaussInt
 from lemnatomic.gfq import reduce_poly, squarefree
 from lemnatomic.gaussint import primes_up_to_norm
@@ -151,6 +152,28 @@ class TestDiscriminant:
                 continue
             assert resultant(f, g * h) == resultant(f, g) * resultant(f, h)
 
+    def test_deflated_disc_equals_the_sylvester_value(self, rng):
+        # f = X^k G(X^d) with random G over Z[i], G(0) = 0 included, and
+        # random terms set to zero so that vanishing terms are exercised
+        seen = set()
+        for _ in range(300):
+            d, k = rng.randint(1, 5), rng.randint(0, 2)
+            g = [GaussInt(rng.randint(-6, 6), rng.randint(-6, 6)) for _ in range(rng.randint(0, 4))]
+            g = [c if rng.random() > 0.25 else GaussInt(0, 0) for c in g] + [GaussInt(1, 0)]
+            coeffs = [GaussInt(0, 0)] * (k + d * (len(g) - 1) + 1)
+            coeffs[k::d] = g
+            f = PolyZi.make(coeffs)
+            if f.degree() < 1:
+                continue
+            seen.add((d, k, g[0].is_zero()))
+            assert discriminant(f) == sylvester_disc(f), f
+        assert len(seen) == 30
+
+    @pytest.mark.parametrize("b", ["-3", "-3-4i", "3-6i", "9"])
+    def test_lemnatomic_disc_equals_the_sylvester_value(self, b):
+        h = lemnatomic_exact(gi(b)).coefficients
+        assert discriminant(h) == sylvester_disc(h)
+
     def test_disc_vanishes_iff_not_squarefree_mod_pi(self):
         cases = [
             poly([1, 0, 1]),
@@ -169,6 +192,22 @@ class TestDiscriminant:
                 r = d  # disc in Z[i]; divisibility by pi
                 field = fbar.field
                 assert (field.reduce_gauss(r) == field.zero()) == (not squarefree(fbar))
+
+
+def sylvester_disc(f: PolyZi) -> GaussInt:
+    """(-1)^(n(n-1)/2) Res(f, f') on the full Sylvester matrix of f and f'."""
+    n = f.degree()
+    if n == 1:
+        return GaussInt(1, 0)
+    res = resultant(f, f.derivative())
+    return res if (n * (n - 1) // 2) % 2 == 0 else -res
+
+
+@pytest.mark.slow
+def test_disc_of_lambda_minus_11_equals_the_sylvester_value():
+    """Lambda_-11 has degree 120: its Sylvester matrix is 239 x 239."""
+    h = lemnatomic_exact(gi("-11")).coefficients
+    assert discriminant(h) == sylvester_disc(h)
 
 
 def cofactor_det(m):

@@ -2,7 +2,10 @@
 
     python3 tools/compare_cli_json.py OLD_SRC NEW_SRC [--max-norm 30000]
 
-The scan commands run at the norm bound; ``reduce``, ``split-test`` and
+The scan commands run at the norm bound on the lemnatomic polynomials of
+-3, -3-4i, 3-6i and 9 (degree 72) and on four integer polynomials, and
+``verify-prop1`` on -3, -3-4i, 3-6i, 9 and -11 (degree 120); ``reduce``,
+``split-test`` and
 ``orbit-check`` (which runs ``factor_degrees``) run at the split prime -1+2i
 and the inert primes -3 and -7; ``lemnatomic BETA --method exact`` runs on
 the exact ladder of the benchmark plus 13, 17, -19, 29 (the product of the
@@ -31,12 +34,13 @@ POLYS = (
     ("lemnatomic:-3", "-3"),
     ("lemnatomic:-3-4i", "-3-4i"),
     ("lemnatomic:3-6i", "3-6i"),
+    ("lemnatomic:9", "9"),
     ("coeffs:-105,0,1", "-3"),
     ("coeffs:-2,0,0,1", "-3"),  # X^3 - 2 deflates only at p = 1 mod 3
     ("coeffs:3,0,5,0,1", "-3"),  # X^4 + 5X^2 + 3 loses its X^2 term above 5
     ("coeffs:5,1,0,1", "-3"),  # X^3 + X + 5 has a root at 0 above 5
 )
-PROP1_BETAS = ("-3", "-3-4i", "3-6i")
+PROP1_BETAS = ("-3", "-3-4i", "3-6i", "9", "-11")
 SINGLE_PRIMES = ("-1+2i", "-3", "-7")  # one split prime, two inert ones
 SINGLE_POLYS = ("lemnatomic:-3", "coeffs:-2,0,0,1")
 ORBIT_BETAS = ("-1-2i", "5+4i")  # divisible by none of SINGLE_PRIMES
