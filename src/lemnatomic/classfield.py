@@ -30,7 +30,11 @@ Class computations default to primary normalization (classes of primes
 taken through their primary associates); raw mode, which reduces the
 first-quadrant associate exactly as written, is exposed for comparison and
 is demonstrably the reading under which the irreducibility criterion's
-worked counterexample breaks.
+worked counterexample breaks.  The class reports, theorem_search and
+prop2_evidence, build no unit group: the group order is phi_norm(beta),
+a scanned prime is primary already, so its class is its value reduced mod
+beta and pi | beta is a lookup among beta's primary prime factors, and the
+classes' subgroup is one residue._closure (see _class_subgroup).
 """
 
 from __future__ import annotations
@@ -68,7 +72,7 @@ from .gfq import (
 # The single-prime predicates that the SPLITS and ROOT statuses stand for,
 # bound here as well (perfbench's tracer wraps classfield's own reference).
 from .gfq import has_root, splits_completely  # noqa: F401
-from .residue import class_of, residue_ring, subgroup_generated, unit_group
+from .residue import _closure, class_of, phi_norm, residue_ring, unit_group
 from .zipoly import PolyZi, discriminant, to_json_dict
 
 __all__ = [
@@ -385,14 +389,26 @@ def frobenius_orbit_check(beta, pi) -> bool:
     return set(degrees) == {order}
 
 
-def _prime_class(pi: GaussPrime, ring, normalization: str) -> GaussInt:
-    """Class of a scanned prime: the primary value in primary mode, the
-    first-quadrant associate reduced as written in raw mode."""
-    if normalization == "primary":
-        return class_of(pi.value, ring, "primary")
-    if normalization == "raw":
-        return class_of(canonical_associate(pi.value), ring, "raw")
-    raise InputError(f"unknown normalization {normalization!r}")
+def _class_subgroup(primes, beta: GaussInt, normalization: str) -> tuple:
+    """(classes, subgroup order, group order): the classes mod beta of the
+    scanned primes that do not divide beta, sorted by (re, im), the order of
+    the subgroup of (Z[i]/beta)* they generate, and phi_norm(beta).
+
+    Scanned primes are primary, as are the prime factors that factor
+    returns, so pi divides beta exactly when its value is one of them.  A
+    class is the primary value reduced in primary mode, the first-quadrant
+    associate reduced as written in raw mode.
+    """
+    ring = residue_ring(beta)
+    divisors = {prime.value for prime, _ in factor(beta)[1]}
+    raw = normalization == "raw"
+    classes = {
+        ring.canonical_rep(canonical_associate(pi.value) if raw else pi.value)
+        for pi in primes
+        if pi.value not in divisors
+    }
+    classes = sorted(classes, key=lambda c: (c.re, c.im))
+    return classes, len(_closure(ring, classes)[0]), phi_norm(beta)
 
 
 def prop2_evidence(g: PolyZi, beta, bound: int, normalization: str = "primary") -> Prop2Report:
@@ -402,24 +418,17 @@ def prop2_evidence(g: PolyZi, beta, bound: int, normalization: str = "primary") 
     if normalization not in ("primary", "raw"):
         raise InputError(f"unknown normalization {normalization!r}")
     beta = _check_beta(beta)
-    ring = residue_ring(beta)
-    group = unit_group(ring)
     status = _scan(g, bound)
-    hits = [pi for pi in _primes(bound, status, _ROOTS) if not divides(pi.value, beta)]
-    classes = sorted(
-        {_prime_class(pi, ring, normalization) for pi in hits},
-        key=lambda c: (c.re, c.im),
-    )
-    sub = subgroup_generated(group, classes)
+    classes, sub, order = _class_subgroup(_primes(bound, status, _ROOTS), beta, normalization)
     return Prop2Report(
         poly=g,
         beta=beta,
         bound=bound,
         normalization=normalization,
         classes=tuple(classes),
-        subgroup_order=len(sub),
-        group_order=group.order,
-        criterion_satisfied=len(sub) == group.order,
+        subgroup_order=sub,
+        group_order=order,
+        criterion_satisfied=sub == order,
         skipped=tuple(_primes(bound, status, (_SKIP,))),
     )
 
@@ -477,22 +486,8 @@ def theorem_search(
     splitting = _primes(bound, _scan(h, bound), (SPLITS,))
     rows: list[TheoremCandidate] = []
     for beta in candidates:
-        ring = residue_ring(beta)
-        group = unit_group(ring)
-        classes = {
-            _prime_class(pi, ring, normalization)
-            for pi in splitting
-            if not divides(pi.value, beta)
-        }
-        sub = subgroup_generated(group, classes)
-        rows.append(
-            TheoremCandidate(
-                beta=beta,
-                group_order=group.order,
-                subgroup_order=len(sub),
-                witness=len(sub) < group.order,
-            )
-        )
+        _, sub, order = _class_subgroup(splitting, beta, normalization)
+        rows.append(TheoremCandidate(beta, order, sub, witness=sub < order))
     notes.append(
         f"witness verdicts are relative to the splitting scan bound {bound}; "
         "proper subgroups may still grow, full groups are final"

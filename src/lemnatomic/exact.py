@@ -57,11 +57,11 @@ from functools import lru_cache
 from .errors import InputError, InternalInconsistency
 from .gaussint import (
     GaussInt,
-    I,
     ONE,
     UNITS,
     ZERO,
     _check_beta,
+    _unit_to_first_quadrant,
     as_gauss,
     exact_div,
     factor,
@@ -123,15 +123,6 @@ def _reduce_zi_fraction(num: PolyZi, den: PolyZi) -> tuple:
     return num, den
 
 
-def _unit_to_first_quadrant(lead: GaussInt) -> GaussInt:
-    unit = ONE
-    cur = lead
-    while not (cur.re > 0 and cur.im >= 0):
-        unit = unit * I
-        cur = lead * unit
-    return unit
-
-
 # -- multiplication maps in t = s^4 -------------------------------------------
 
 # The map (P, Q) = (beta, Q) of beta with N(beta) <= 4 has Q by norm:
@@ -179,9 +170,12 @@ def _product(u: GaussInt, v: GaussInt, delta: GaussInt) -> tuple:
         Q = (D_u D_v + t A_u A_v) P_delta (1 - t)^parity(delta).
     """
     (a_u, d_u), (a_v, d_v) = _squares(u), _squares(v)
-    p_delta, q_delta = _map(delta)
+    # delta's map is (P0 conj(e), Q0) for delta0 = delta e in the first quadrant, so
+    # i (odd beta = i mod 2) is read off 1's entry and gets none of its own
+    unit = _unit_to_first_quadrant(delta)
+    p_delta, q_delta = _map(delta * unit)
     p = (a_u * d_v - a_v * d_u) * q_delta
-    q = (d_u * d_v + _times_t(a_u * a_v)) * p_delta
+    q = (d_u * d_v + _times_t(a_u * a_v)) * (p_delta * unit.conjugate())
     return p, (q if delta.is_odd() else q - _times_t(q))
 
 
@@ -284,10 +278,10 @@ def _compose(outer: tuple, inner: tuple) -> tuple:
 # Keyed by beta itself; an associate reads its map off the first-quadrant
 # entry, so only first-quadrant beta run the product formula or a
 # composition, and _squares reads a half off its first-quadrant associate,
-# so an off-quadrant half has no entry.  The exact ladder leaves 15 entries
-# here (each prime or even beta brings its halves and delta) and 29 with
-# beta = 13, 13+10i, 17 and -19 added, so no workload evicts; 3+4i's entry is
-# there when 11-2i needs it.
+# so an off-quadrant half has no entry, nor does delta = i.  The exact ladder
+# leaves 14 entries here (each prime or even beta brings its halves and
+# delta) and 28 with beta = 13, 13+10i, 17 and -19 added, so no workload
+# evicts; 3+4i's entry is there when 11-2i needs it.
 @lru_cache(maxsize=64)
 def _map(beta: GaussInt) -> tuple:
     """(P, Q) with sl(beta z) = c^parity s P(s^4) / Q(s^4) in lowest terms,

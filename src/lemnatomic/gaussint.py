@@ -150,16 +150,18 @@ def exact_div(a: GaussIntLike, d: GaussIntLike) -> GaussInt:
     return q
 
 
+def _unit_to_first_quadrant(z: GaussInt) -> GaussInt:
+    """The unit u with u*z in the first quadrant, re > 0 and im >= 0 (z != 0)."""
+    unit = ONE
+    while not ((w := z * unit).re > 0 and w.im >= 0):
+        unit = unit * I
+    return unit
+
+
 def canonical_associate(z: GaussIntLike) -> GaussInt:
     """The first-quadrant associate: re > 0 and im >= 0 (zero maps to zero)."""
     z = as_gauss(z)
-    if z.is_zero():
-        return z
-    for u in UNITS:
-        w = u * z
-        if w.re > 0 and w.im >= 0:
-            return w
-    raise AssertionError("unreachable: one of four associates lies in the first quadrant")
+    return z if z.is_zero() else z * _unit_to_first_quadrant(z)
 
 
 def gauss_gcd(a: GaussIntLike, b: GaussIntLike) -> GaussInt:
@@ -174,20 +176,16 @@ def gauss_gcd(a: GaussIntLike, b: GaussIntLike) -> GaussInt:
 
 
 def primary_normalize(z: GaussIntLike) -> tuple[GaussInt, GaussInt]:
-    """Return (u, p) with p = u*z the unique associate with p = 1 mod (1+i)^3.
+    """Return (u, p) with p = u*z the unique associate with p = 1 mod (1+i)^3,
+    read off _primary_parts.
 
-    Requires z odd (not divisible by 1+i). (1+i)^3 = -2+2i, an associate of
-    2(1+i), so the congruence can be tested by exact division.
+    Requires z odd (not divisible by 1+i).
     """
     z = as_gauss(z)
     if z.is_zero() or not z.is_odd():
         raise NotOdd(f"{z} has no primary associate (it is divisible by 1+i)")
-    modulus = GaussInt(-2, 2)  # (1+i)^3
-    for u in UNITS:
-        p = u * z
-        if divides(modulus, p - ONE):
-            return u, p
-    raise AssertionError("unreachable: exactly one associate of an odd z is primary")
+    p = GaussInt(*_primary_parts(z.re, z.im))
+    return next(u for u in UNITS if u * z == p), p
 
 
 def _check_beta(beta) -> GaussInt:
@@ -203,7 +201,7 @@ def _check_beta(beta) -> GaussInt:
 def is_primary(z: GaussIntLike) -> bool:
     """True when z is odd and congruent to 1 mod (1+i)^3."""
     z = as_gauss(z)
-    return z.is_odd() and divides(GaussInt(-2, 2), z - ONE)
+    return z.is_odd() and _primary_parts(z.re, z.im) == (z.re, z.im)
 
 
 # -- rational integer helpers ----------------------------------------------

@@ -19,15 +19,15 @@ _kernel(f.field); the root scan passes p and the int list of h mod pi
 straight to _root_status, the entry under root_status, so a split prime
 costs it no GaussPrime, ResidueField or PolyFq.
 
-root_status, the root scan's test, and squarefree first write f as X^k * g(X^e)
+root_status, the root scan's test, first writes f as X^k * g(X^e)
 with g(0) != 0 and e = gcd(d, q - 1), d the gcd of the exponents of f's
 nonzero terms (_deflate), and then work on g.  root_status reads complete
 splitting and the existence of a root off one power Y^((q-1)/e) mod g, so a
 scan that needs both pays for one power modulo g per prime.  Complex
 multiplication (sl(iz) = i*sl(z)) puts every lemnatomic polynomial in
 Z[i][X^4], and q = 1 mod 4 at every odd prime, so there 4 divides e and g
-has at most a quarter of the degree.  splits_completely, has_root and
-factor_degrees keep X^q mod f on f itself: they are the single-prime
+has at most a quarter of the degree.  splits_completely, has_root,
+squarefree and factor_degrees work on f itself: they are the single-prime
 predicates the scans are checked against.
 """
 
@@ -425,8 +425,8 @@ def _deflate(K, cs) -> tuple:
     with y^((q-1)/e) = 1, and p does not divide e: a root y of g of
     multiplicity m gives e roots of f of multiplicity m if y is an e-th power,
     none otherwise.  So f / X^k has a root iff g has one with
-    y^((q-1)/e) = 1, splits into distinct linear factors iff
-    Y^((q-1)/e) = 1 (mod g), and is squarefree iff g is.
+    y^((q-1)/e) = 1, and splits into distinct linear factors iff
+    Y^((q-1)/e) = 1 (mod g).
     """
     zero, q = (0, K) if type(K) is int else (K.zero(), K.size)
     exponents = [j for j, c in enumerate(cs) if c != zero]
@@ -445,21 +445,18 @@ def poly_gcd(f: PolyFq, g: PolyFq) -> PolyFq:
 
 
 def squarefree(f: PolyFq) -> bool:
-    """True iff gcd(f, f') is constant, read off g for f = X^k * g(X^e) (_deflate)."""
+    """True iff gcd(f, f') is constant."""
     if f.is_zero():
         raise InputError("squarefree test of the zero polynomial")
-    K = _kernel(f.field)
-    k, g, _ = _deflate(K, f.coeffs)
-    if k > 1:
-        return False  # X^2 divides f
+    K, cs = _kernel(f.field), f.coeffs
     if type(K) is int:
-        d = _int_trim([j * c % K for j, c in enumerate(g)][1:])
+        d = _int_trim([j * c % K for j, c in enumerate(cs)][1:])
     else:
-        d = _pderiv(K, g)
+        d = _pderiv(K, cs)
     if not d:
         # constant: vacuously squarefree; nonconstant with zero derivative is a p-th power
-        return len(g) == 1
-    return len(_gcd(K, g, d)) == 1
+        return len(cs) == 1
+    return len(_gcd(K, cs, d)) == 1
 
 
 def splits_completely(f: PolyFq) -> bool:

@@ -1,12 +1,14 @@
 """Residue rings Z[i]/(beta) for odd beta: canonical representatives from a
 column-echelon basis of the lattice beta*Z[i], unit groups with invariant
-factors, subgroup closure, the primary/raw class map for odd elements, and
-the norm-phi function that gives the unit-group order.
+factors, one incremental subgroup closure (_closure, which both
+subgroup_generated and the unit group's generating set run), the
+primary/raw class map for odd elements, and the norm-phi function that
+gives the unit-group order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 
 from .errors import InputError, NotCoprime, NotOdd
@@ -16,7 +18,6 @@ from .gaussint import (
     ONE,
     _factor_int,
     as_gauss,
-    canonical_associate,
     factor,
     gauss_gcd,
     primary_normalize,
@@ -216,43 +217,39 @@ def unit_group(ring: ResidueRing) -> UnitGroup:
     elements = [r for r in ring.representatives() if ring.is_invertible(r)]
     order = len(elements)
     invariants = _invariant_factors(ring, elements, order)
-    generators = _greedy_generators(ring, elements, order)
+    generators = _greedy_generators(ring, elements)
     return UnitGroup(ring, tuple(elements), order, invariants, generators)
 
 
-def _greedy_generators(ring: ResidueRing, elements: list[GaussInt], order: int) -> tuple[GaussInt, ...]:
+def _greedy_generators(ring: ResidueRing, elements: list[GaussInt]) -> tuple[GaussInt, ...]:
     """A deterministic generating set: scan representatives in (re, im) order,
     keeping any element that enlarges the subgroup generated so far."""
-    gens: list[GaussInt] = []
-    current = {ring.canonical_rep(ONE)}
-    for x in sorted(elements, key=lambda r: (r.re, r.im)):
-        if x in current:
-            continue
-        gens.append(x)
-        current = _closure(ring, gens)
-        if len(current) == order:
-            break
-    return tuple(gens)
+    return tuple(_closure(ring, sorted(elements, key=lambda r: (r.re, r.im)))[1])
 
 
-def _closure(ring: ResidueRing, gens) -> set[GaussInt]:
-    """The subgroup generated by the invertible classes gens.
+def _closure(ring: ResidueRing, gens) -> tuple[set[GaussInt], list[GaussInt]]:
+    """The subgroup generated by the invertible classes gens, and the gens
+    that enlarged it, grown one generator at a time.
 
-    In a finite group every inverse is a positive power, so the products of
-    generators reached from 1 already form the subgroup: order * len(gens)
-    multiplications.
+    A g outside the subgroup H built so far gives <H, g> = H u Hg u ... u
+    Hg^(m-1), each coset the previous one times g, up to the first coset
+    whose first element, g^m, is already in H.  A kept generator costs one
+    product per element it adds and one for g^m, so the subgroup costs
+    |subgroup| - 1 + len(kept) products; a g already in it costs none.
     """
     one = ring.canonical_rep(ONE)
-    closed = {one}
-    frontier = [one]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            z = ring.mul(x, g)
-            if z not in closed:
-                closed.add(z)
-                frontier.append(z)
-    return closed
+    closed, elements, kept = {one}, [one], []
+    for g in gens:
+        if g in closed:
+            continue
+        kept.append(g)
+        coset, added = elements, []
+        while (first := ring.mul(coset[0], g)) not in closed:
+            coset = [first] + [ring.mul(x, g) for x in coset[1:]]
+            closed.update(coset)
+            added += coset
+        elements += added
+    return closed, kept
 
 
 def subgroup_generated(group: UnitGroup, gens) -> tuple[GaussInt, ...]:
@@ -267,8 +264,7 @@ def subgroup_generated(group: UnitGroup, gens) -> tuple[GaussInt, ...]:
         if not ring.is_invertible(rep):
             raise InputError(f"generator {g} is not invertible mod {ring.modulus}")
         reps.append(rep)
-    closed = _closure(ring, reps)
-    return tuple(sorted(closed, key=lambda r: (r.re, r.im)))
+    return tuple(sorted(_closure(ring, reps)[0], key=lambda r: (r.re, r.im)))
 
 
 def class_of(z: GaussIntLike, ring: ResidueRing, normalization: str = "primary") -> GaussInt:

@@ -26,7 +26,13 @@ from lemnatomic.classfield import (
 )
 from lemnatomic.errors import InputError
 from lemnatomic.exact import lemnatomic_exact
-from lemnatomic.gaussint import GaussInt, divides, format_gauss, primes_up_to_norm
+from lemnatomic.gaussint import (
+    GaussInt,
+    canonical_associate,
+    divides,
+    format_gauss,
+    primes_up_to_norm,
+)
 from lemnatomic.gfq import (
     NO_ROOT,
     ROOT,
@@ -38,7 +44,7 @@ from lemnatomic.gfq import (
     splits_completely,
     squarefree,
 )
-from lemnatomic.residue import class_of, phi_norm, residue_ring, unit_group
+from lemnatomic.residue import class_of, phi_norm, residue_ring, subgroup_generated, unit_group
 from lemnatomic.zipoly import discriminant, poly
 
 X_MINUS_1 = poly([-1, 1])
@@ -330,6 +336,54 @@ class TestTheoremSearch:
         }
         assert d["witnesses"] == ["-1+2i", "-3-4i"]
         json.dumps(d, sort_keys=True)
+
+
+def unit_group_reference(primes, beta, normalization):
+    """(sorted classes, group order, subgroup order) mod beta of the primes
+    not dividing beta, through unit_group, class_of and subgroup_generated."""
+    ring = residue_ring(beta)
+    group = unit_group(ring)
+    as_written = canonical_associate if normalization == "raw" else lambda z: z
+    classes = {
+        class_of(as_written(pi.value), ring, normalization)
+        for pi in primes
+        if not divides(pi.value, beta)
+    }
+    classes = tuple(sorted(classes, key=lambda c: (c.re, c.im)))
+    return classes, group.order, len(subgroup_generated(group, classes))
+
+
+class TestClassReportsMatchUnitGroup:
+    """The class reports take the group order from phi_norm and the classes
+    off primary values; the unit group and class_of must agree."""
+
+    POLYS = ("X^2-105", "-3", "-3-4i")
+
+    @staticmethod
+    def scan_poly(name):
+        return X_SQ_MINUS_105 if name == "X^2-105" else lam(name)
+
+    @pytest.mark.parametrize("normalization", ["primary", "raw"])
+    @pytest.mark.parametrize("name", POLYS)
+    def test_theorem_search(self, name, normalization):
+        h = self.scan_poly(name)
+        report = theorem_search(h, 2000, normalization=normalization)
+        assert report.candidates
+        splitting = splitting_primes(h, 2000).primes
+        for c in report.candidates:
+            _, order, sub = unit_group_reference(splitting, c.beta, normalization)
+            assert (c.group_order, c.subgroup_order) == (order, sub)
+
+    @pytest.mark.parametrize("normalization", ["primary", "raw"])
+    @pytest.mark.parametrize("name", POLYS)
+    def test_prop2_evidence(self, name, normalization):
+        h = self.scan_poly(name)
+        hits = semisplit_primes(h, 2000)
+        for beta in ("-3", "-7", "-1+2i", "-3-4i", "3-6i", "9"):
+            report = prop2_evidence(h, gi(beta), 2000, normalization)
+            classes, order, sub = unit_group_reference(hits, report.beta, normalization)
+            assert report.classes == classes
+            assert (report.group_order, report.subgroup_order) == (order, sub)
 
 
 class TestDensityReport:

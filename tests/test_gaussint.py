@@ -12,7 +12,9 @@ from conftest import gi
 from lemnatomic import gaussint
 from lemnatomic.errors import InputError, NotOdd, ParseError
 from lemnatomic.gaussint import (
+    UNITS,
     GaussInt,
+    _unit_to_first_quadrant,
     canonical_associate,
     divides,
     exact_div,
@@ -130,6 +132,19 @@ class TestGcd:
                 continue
             g = gauss_gcd(a, b)
             assert g.re > 0 and g.im >= 0
+
+    def test_unit_to_first_quadrant_matches_definition(self):
+        # every nonzero z on the grid, the axes included: exactly one unit u
+        # puts u * z at re > 0, im >= 0, and canonical_associate is u * z
+        assert canonical_associate(gi("0")) == gi("0")
+        for re in range(-20, 21):
+            for im in range(-20, 21):
+                z = GaussInt(re, im)
+                if z.is_zero():
+                    continue
+                hits = [u for u in UNITS if (u * z).re > 0 and (u * z).im >= 0]
+                assert hits == [_unit_to_first_quadrant(z)]
+                assert canonical_associate(z) == hits[0] * z
 
 
 class TestPrimaryNormalize:

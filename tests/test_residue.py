@@ -7,6 +7,7 @@ from lemnatomic.errors import InputError, NotCoprime, NotOdd
 from lemnatomic.gaussint import GaussInt, _factor_int, gauss_gcd, is_primary
 from lemnatomic.residue import (
     ResidueRing,
+    _greedy_generators,
     class_of,
     phi_norm,
     residue_ring,
@@ -230,6 +231,17 @@ class TestClosure:
             calls.clear()
             sub = subgroup_generated(group, gens)
             assert len(calls) <= len(sub) * len(gens)
+
+    @pytest.mark.parametrize("b", CLOSURE_MODULI + ("-43",))
+    def test_generators_take_under_twice_the_order_in_products(self, b, monkeypatch):
+        # the generator pass of unit_group grows one subgroup, a coset at a time
+        ring = residue_ring(gi(b))
+        group = unit_group(ring)
+        calls = []
+        real = ResidueRing.mul
+        monkeypatch.setattr(ResidueRing, "mul", lambda self, x, y: calls.append(1) or real(self, x, y))
+        assert _greedy_generators(ring, list(group.elements)) == group.generators
+        assert len(calls) < 2 * group.order
 
 
 class TestClassOf:

@@ -1,16 +1,19 @@
-"""Compare the scan, single-prime and exact-route commands' --json output between two source trees.
+"""Compare the scan, class, single-prime and exact-route commands' --json output between two source trees.
 
     python3 tools/compare_cli_json.py OLD_SRC NEW_SRC [--max-norm 30000]
 
 The scan commands run at the norm bound on the lemnatomic polynomials of
--3, -3-4i, 3-6i and 9 (degree 72) and on four integer polynomials, and
-``verify-prop1`` on -3, -3-4i, 3-6i, 9 and -11 (degree 120); ``reduce``,
-``split-test`` and
+-3, -3-4i, 3-6i and 9 (degree 72) and on four integer polynomials, the
+class reports ``prop2-evidence`` and ``verify-theorem`` in both
+normalizations, and ``verify-prop1`` on -3, -3-4i, 3-6i, 9 and -11 (degree
+120); ``reduce``, ``split-test`` and
 ``orbit-check`` (which runs ``factor_degrees``) run at the split prime -1+2i
-and the inert primes -3 and -7; ``lemnatomic BETA --method exact`` runs on
+and the inert primes -3 and -7; ``primary`` and ``factor`` run on 3i, -7,
+2+i and 45; ``lemnatomic BETA --method exact`` runs on
 the exact ladder of the benchmark plus 13, 17, -19, 29 (the product of the
 split primes 5 +/- 2i), 33, -31 (a prime whose halves recurse through even
-maps) and 19+10i.  The product formula's unreduced pair can share a factor
+maps) and 19+10i, and ``unitgroup`` on the same beta plus -7, 21 and -43.
+The product formula's unreduced pair can share a factor
 (t - 1)^a (t + 1)^b, which the exact route strips: t^2 - 1 under -19, and
 t - 1, (t - 1)^2 and (t - 1)^3 (t + 1) under 19+10i.
 
@@ -48,6 +51,8 @@ EXACT_BETAS = (
     "-1+2i", "-3", "-3-4i", "3-6i", "9", "-11", "11-2i", "13", "17", "-19", "29", "33", "-31",
     "19+10i",
 )
+UNIT_GROUP_BETAS = EXACT_BETAS + ("-7", "21", "-43")
+NORMALIZE_INPUTS = ("3i", "-7", "2+i", "45")
 
 
 def commands(max_norm: int) -> list:
@@ -60,13 +65,16 @@ def commands(max_norm: int) -> list:
             ["prop2-evidence", poly, "--beta", beta, *bound],
             ["prop2-evidence", poly, "--beta", beta, "--normalization", "raw", *bound],
             ["verify-theorem", poly, *bound],
+            ["verify-theorem", poly, "--normalization", "raw", *bound],
             ["density", poly, *bound],
         ]
     out += [["verify-prop1", beta, *bound] for beta in PROP1_BETAS]
     for pi in SINGLE_PRIMES:
         out += [[cmd, poly, pi, "--json"] for cmd in ("reduce", "split-test") for poly in SINGLE_POLYS]
         out += [["orbit-check", beta, pi, "--json"] for beta in ORBIT_BETAS]
+    out += [[cmd, z, "--json"] for z in NORMALIZE_INPUTS for cmd in ("primary", "factor")]
     out += [["lemnatomic", beta, "--method", "exact", "--json"] for beta in EXACT_BETAS]
+    out += [["unitgroup", beta, "--json"] for beta in UNIT_GROUP_BETAS]
     return out
 
 
