@@ -21,10 +21,12 @@ itself is left to the single-prime predicates splits_completely and
 has_root and to factor_degrees.
 
 A split prime a + bi of norm p (all but 21 of the 3243 primes at norm
-3e4) costs the root scan ints alone: i -> -a * b^(-1) mod p, one reduction
-of disc(h) and of h's coefficients, then gfq's int-level entry on the int
-list, whose one power is a packed square-and-multiply.  Only the inert
-primes build a ResidueField and a PolyFq.
+3e4) costs the root scan ints alone, and only the work that depends on p:
+the image of i is read off the prime walk, which stores it beside the
+prime; h's nonzero terms are listed once per scan, and per prime only
+those are reduced, a term that vanishes mod p dropped; gfq's int-level
+entry deflates what is left and takes one packed square-and-multiply.
+Only the inert primes build a ResidueField and a PolyFq.
 
 Class computations default to primary normalization (classes of primes
 taken through their primary associates); raw mode, which reduces the
@@ -72,7 +74,7 @@ from .gfq import (
 # The single-prime predicates that the SPLITS and ROOT statuses stand for,
 # bound here as well (perfbench's tracer wraps classfield's own reference).
 from .gfq import has_root, splits_completely  # noqa: F401
-from .residue import _closure, class_of, phi_norm, residue_ring, unit_group
+from .residue import _closure, _order_of, class_of, phi_norm, residue_ring
 from .zipoly import PolyZi, discriminant, to_json_dict
 
 __all__ = [
@@ -277,21 +279,21 @@ def _scan(h: PolyZi, bound: int) -> bytes:
 
     h is monic with a nonzero discriminant.  pi | disc(h) is read as a zero
     image of disc(h) in Z[i]/(pi).  A split prime a + bi (norm p) is worked
-    on ints alone: i maps to -a * b^(-1) mod p, and h mod pi goes to
-    gfq._root_status as an int list.  An inert prime builds its
-    ResidueField and calls root_status.  Memoised on (h, bound), so the
-    splitting and root reports on h share one scan; bytes keep the memo
-    small.
+    on ints alone: i maps to the image the walk stores beside the prime, and
+    only h's nonzero terms are reduced, once listed per scan; a term that
+    vanishes mod p is dropped, and gfq._root_status deflates what is left.
+    An inert prime builds its ResidueField and calls root_status.  Memoised
+    on (h, bound), so the splitting and root reports on h share one scan;
+    bytes keep the memo small.
     """
     disc = _root_disc(h)
     walk = _odd_prime_walk(bound)
-    parts = [(c.re, c.im) for c in h.coeffs]
+    terms = [(j, c.re, c.im) for j, c in enumerate(h.coeffs) if not c.is_zero()]
     out = bytearray()
-    for k, (a, b, p) in enumerate(zip(walk[::3], walk[1::3], walk[2::3])):
+    for k, (a, b, p, i) in enumerate(zip(walk[::4], walk[1::4], walk[2::4], walk[3::4])):
         if b:
-            i = -a * pow(b, -1, p) % p
             if (disc.re + disc.im * i) % p:
-                out.append(_root_status(p, [(x + y * i) % p for x, y in parts]))
+                out.append(_root_status(p, [(j, c) for j, x, y in terms if (c := (x + y * i) % p)]))
             else:
                 out.append(_SKIP)
             continue
@@ -311,16 +313,15 @@ def _sweep(h: PolyZi, bound: int, modulus: GaussInt) -> bytes:
     h is monic, so h mod pi keeps its degree and its discriminant is
     disc(h) mod pi, which vanishes exactly when h mod pi has a repeated
     root: h mod pi is squarefree iff pi does not divide disc(h).  Both
-    divisibilities are read on ints, with _scan's image of i for a split
+    divisibilities are read on ints, with the walk's image of i for a split
     prime a + bi, and as p | re and p | im for an inert prime -p.  No
     reduction of h runs.  A zero disc(h) fails every prime not skipped.
     """
     disc = _check_scan_poly(h)
     walk = _odd_prime_walk(bound)
     out = bytearray()
-    for a, b, p in zip(walk[::3], walk[1::3], walk[2::3]):
+    for a, b, p, i in zip(walk[::4], walk[1::4], walk[2::4], walk[3::4]):
         if b:
-            i = -a * pow(b, -1, p) % p
             skip, fails = [not (z.re + z.im * i) % p for z in (modulus, disc)]
         else:
             skip, fails = [not (z.re % a or z.im % a) for z in (modulus, disc)]
@@ -380,8 +381,7 @@ def frobenius_orbit_check(beta, pi) -> bool:
     if divides(pi_val, rec.beta):
         raise InputError(f"pi = {format_gauss(pi_val)} divides beta = {format_gauss(rec.beta)}")
     ring = residue_ring(rec.beta)
-    group = unit_group(ring)
-    order = group.element_order(class_of(pi_val, ring, "primary"))
+    order = _order_of(ring, class_of(pi_val, ring, "primary"), phi_norm(rec.beta))
     try:
         degrees = factor_degrees(reduce_poly(rec.coefficients, pi))
     except InputError:
@@ -394,13 +394,13 @@ def _class_subgroup(primes, beta: GaussInt, normalization: str) -> tuple:
     scanned primes that do not divide beta, sorted by (re, im), the order of
     the subgroup of (Z[i]/beta)* they generate, and phi_norm(beta).
 
-    Scanned primes are primary, as are the prime factors that factor
-    returns, so pi divides beta exactly when its value is one of them.  A
+    Scanned primes are primary, as are the ring's prime factors, so pi
+    divides beta exactly when its value is one of them.  A
     class is the primary value reduced in primary mode, the first-quadrant
     associate reduced as written in raw mode.
     """
     ring = residue_ring(beta)
-    divisors = {prime.value for prime, _ in factor(beta)[1]}
+    divisors = {prime.value for prime in ring.primes}
     raw = normalization == "raw"
     classes = {
         ring.canonical_rep(canonical_associate(pi.value) if raw else pi.value)

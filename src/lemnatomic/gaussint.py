@@ -6,6 +6,11 @@ factorization driven by norm factorization over Z, primary normalization
 (the unique associate congruent to 1 mod (1+i)^3), prime enumeration by
 norm, and the `a+bi` literal grammar used across the CLI and JSON layers.
 
+The prime walk behind the enumeration (_odd_prime_walk) stores, next to
+each split prime, the image of i in its residue field F_p, which
+Cornacchia's square root of -1 mod p already gives, so a scan over the
+walk reduces mod a split prime without a modular inverse.
+
 All values are immutable and all operations are pure, so everything here is
 safe for concurrent use.
 """
@@ -283,15 +288,17 @@ def _sqrt_minus_one(p: int) -> int:
     raise AssertionError("unreachable: nonresidues exist for every odd prime")
 
 
-def _split_prime_above(p: int) -> GaussInt:
+def _split_prime_above(p: int, s: int | None = None) -> GaussInt:
     """The Gaussian prime above a rational prime p = 1 mod 4 that divides
-    s + i, s = _sqrt_minus_one(p), as its first-quadrant associate.
+    s + i, as its first-quadrant associate; s is a square root of -1 mod p,
+    _sqrt_minus_one(p) unless given.
 
     Cornacchia: Euclid on (p, s), stopped at the first remainder a < sqrt(p),
     gives p = a^2 + b^2.  a + bi divides s + i iff a = s*b (mod p); otherwise
     its conjugate does, whose first-quadrant associate is b + ai.
     """
-    s = _sqrt_minus_one(p)
+    if s is None:
+        s = _sqrt_minus_one(p)
     x, a, root = p, s, isqrt(p)
     while a > root:
         x, a = a, x % a
@@ -418,13 +425,20 @@ def primes_up_to_norm(bound: int, odd_only: bool = True) -> list[GaussPrime]:
     """
     walk = _odd_prime_walk(bound)
     out = [] if odd_only else [GaussPrime(ONE_PLUS_I, 2, "ramified")]
-    out.extend(_walk_prime(walk, k) for k in range(len(walk) // 3))
+    out.extend(_walk_prime(walk, k) for k in range(len(walk) // 4))
     return out
 
 
 @lru_cache(maxsize=8)
 def _odd_prime_walk(bound: int) -> array:
-    """re, im, norm of each odd primary prime with norm <= bound, in scan order.
+    """re, im, norm and the image of i of each odd primary prime with norm
+    <= bound, in scan order.
+
+    The image of i is the residue i takes in Z[i]/(pi) = F_p at a split
+    prime, so a + bi = 0 there reads a + b*image = 0 (mod p).  Cornacchia's
+    s = sqrt(-1) mod p gives it with no inverse: the prime dividing s + i
+    sends i to p - s, its conjugate, which divides s - i, sends i to s.  An
+    inert prime stores 0 there; its residue field is F_p[i].
 
     Kept flat in one int array: a memo of thousands of live GaussPrime
     objects pins small allocations all over the heap, and repeated scans
@@ -435,19 +449,20 @@ def _odd_prime_walk(bound: int) -> array:
     keys = []
     for p in _rational_primes_up_to(bound):
         if p % 4 == 1:
-            pi = _split_prime_above(p)
-            # the conjugate of a primary prime is primary
+            s = _sqrt_minus_one(p)
+            pi = _split_prime_above(p, s)
+            # the conjugate of a primary prime is primary; pi = a + bi divides s + i
             a, b = _primary_parts(pi.re, pi.im)
-            keys += [(p, a, -b), (p, a, b)]
+            keys += [(p, a, -b, p - s), (p, a, b, s)]
         elif p % 4 == 3 and p * p <= bound:
-            keys.append((p * p, -p, 0))  # -p = 1 (mod 4)
+            keys.append((p * p, -p, 0, 0))  # -p = 1 (mod 4)
     keys.sort()
-    return array("q", [x for norm, re, neg_im in keys for x in (re, -neg_im, norm)])
+    return array("q", [x for norm, re, neg_im, image in keys for x in (re, -neg_im, norm, image)])
 
 
 def _walk_prime(walk: array, k: int) -> GaussPrime:
     """The k-th prime of an _odd_prime_walk."""
-    re, im, norm = walk[3 * k : 3 * k + 3]
+    re, im, norm = walk[4 * k : 4 * k + 3]
     return GaussPrime(GaussInt(re, im), norm, "inert" if im == 0 else "split")
 
 

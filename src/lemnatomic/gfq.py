@@ -10,20 +10,22 @@ degree 2, so equality is structural and hashing is free.
 
 The internal helpers take the field as K: the bare int p for F_p, or the
 ResidueField of an inert prime.  Over F_p the polynomial work runs on int
-coefficient lists: Euclid for gcd and squarefree, and powers modulo f as a
-square-and-multiply on Kronecker-packed ints (_PackedModulus), whose slots
-are wide enough that the low ones are taken mod p only after every other
-squaring.  Over an inert prime it runs on the pairs through ResidueField,
-one field operation per coefficient.  The public functions pass
-_kernel(f.field); the root scan passes p and the int list of h mod pi
-straight to _root_status, the entry under root_status, so a split prime
-costs it no GaussPrime, ResidueField or PolyFq.
+coefficient lists: Euclid for gcd and squarefree, updating the remainder in
+place slot by slot, and powers modulo f as a square-and-multiply on
+Kronecker-packed ints (_PackedModulus), whose slots are wide enough that
+the low ones are taken mod p only after every other squaring.  Over an
+inert prime it runs on the pairs through ResidueField, one field operation
+per coefficient.  The public functions pass _kernel(f.field); the root scan
+passes p and the nonzero terms (j, c) of h mod pi straight to _root_status,
+the entry under root_status, so a split prime costs it no GaussPrime,
+ResidueField or PolyFq, and no work on the zero coefficients.
 
 root_status, the root scan's test, first writes f as X^k * g(X^e)
 with g(0) != 0 and e = gcd(d, q - 1), d the gcd of the exponents of f's
-nonzero terms (_deflate), and then work on g.  root_status reads complete
-splitting and the existence of a root off one power Y^((q-1)/e) mod g, so a
-scan that needs both pays for one power modulo g per prime.  Complex
+nonzero terms (_deflate, which reads those terms alone), and then works on
+g.  root_status reads complete splitting and the existence of a root off
+one power Y^((q-1)/e) mod g, so a scan that needs both pays for one power
+modulo g per prime.  Complex
 multiplication (sl(iz) = i*sl(z)) puts every lemnatomic polynomial in
 Z[i][X^4], and q = 1 mod 4 at every odd prime, so there 4 divides e and g
 has at most a quarter of the degree.  splits_completely, has_root,
@@ -218,17 +220,19 @@ def _int_gcd(p: int, a: tuple, b: tuple) -> tuple:
     """Monic gcd over F_p by Euclid; a and b trimmed, reduced mod p, not both zero.
 
     The divisor is never rescaled: each quotient coefficient carries its
-    leading inverse instead, and only the result is made monic.
+    leading inverse instead, and only the result is made monic.  The
+    remainder is updated in place, one slot at a time.
     """
     a, b = list(a), list(b)
     while b:
         inv = pow(b[-1], -1, p)
-        low, db = b[:-1], len(b) - 1
+        db = len(b) - 1
         while len(a) > db:
             q = a.pop() * inv % p
             if q:
                 s = len(a) - db
-                a[s:] = [(x - q * y) % p for x, y in zip(a[s:], low)]
+                for j in range(db):
+                    a[s + j] = (a[s + j] - q * b[j]) % p
         a, b = b, _int_trim(a)
     inv = pow(a[-1], -1, p)
     return tuple(c * inv % p for c in a)
@@ -416,23 +420,26 @@ def _minus_x(K, a: tuple, k: int = 1) -> tuple:
     return tuple(out)
 
 
-def _deflate(K, cs) -> tuple:
-    """(k, g, e) with f = X^k * g(X^e) and g(0) != 0, for nonzero f.
+def _deflate(K, terms) -> tuple:
+    """(k, g, e) with f = X^k * g(X^e) and g(0) != 0, for nonzero f given by
+    its nonzero terms (j, c), exponents j ascending.
 
-    e = gcd(d, q - 1), where d is the gcd of the exponents of the nonzero
-    terms of f / X^k, so g is every e-th coefficient of f / X^k.  As e divides
+    e = gcd(d, q - 1), where d is the gcd of the exponents of the terms of
+    f / X^k, so a term c*X^j is g's coefficient (j - k) / e.  As e divides
     q - 1, X -> X^e maps F_q^* e-to-1 onto the e-th powers, which are the y
     with y^((q-1)/e) = 1, and p does not divide e: a root y of g of
-    multiplicity m gives e roots of f of multiplicity m if y is an e-th power,
-    none otherwise.  So f / X^k has a root iff g has one with
+    multiplicity m gives e roots of f of multiplicity m if y is an e-th
+    power, none otherwise.  So f / X^k has a root iff g has one with
     y^((q-1)/e) = 1, and splits into distinct linear factors iff
     Y^((q-1)/e) = 1 (mod g).
     """
     zero, q = (0, K) if type(K) is int else (K.zero(), K.size)
-    exponents = [j for j, c in enumerate(cs) if c != zero]
-    k = exponents[0]
-    e = gcd(q - 1, *[j - k for j in exponents])
-    return k, cs[k::e], e
+    k = terms[0][0]
+    e = gcd(q - 1, *[j - k for j, _ in terms])
+    g = [zero] * ((terms[-1][0] - k) // e + 1)
+    for j, c in terms:
+        g[(j - k) // e] = c
+    return k, tuple(g), e
 
 
 def poly_gcd(f: PolyFq, g: PolyFq) -> PolyFq:
@@ -500,13 +507,14 @@ def root_status(f: PolyFq) -> int:
     """
     if f.degree() < 1 or not f.is_monic():
         raise InputError("root_status requires a monic nonconstant polynomial")
-    return _root_status(_kernel(f.field), f.coeffs)
+    F = f.field
+    return _root_status(_kernel(F), [(j, c) for j, c in enumerate(f.coeffs) if not F.is_zero(c)])
 
 
-def _root_status(K, cs) -> int:
-    """root_status on the coefficients cs, monic, of degree >= 1, over K:
-    the split scan's entry."""
-    k, g, e = _deflate(K, cs)
+def _root_status(K, terms) -> int:
+    """root_status on the nonzero terms (j, c) of a monic f of degree >= 1
+    over K, exponents ascending: the split scan's entry."""
+    k, g, e = _deflate(K, terms)
     if k > 1:
         return ROOT
     if len(g) == 1:

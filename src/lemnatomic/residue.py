@@ -3,7 +3,8 @@ column-echelon basis of the lattice beta*Z[i], unit groups with invariant
 factors, one incremental subgroup closure (_closure, which both
 subgroup_generated and the unit group's generating set run), the
 primary/raw class map for odd elements, and the norm-phi function that
-gives the unit-group order.
+gives the unit-group order.  A ring keeps its modulus's prime factors, and
+a residue is a unit exactly when none of them divides it.
 """
 
 from __future__ import annotations
@@ -15,11 +16,11 @@ from .errors import InputError, NotCoprime, NotOdd
 from .gaussint import (
     GaussInt,
     GaussIntLike,
+    GaussPrime,
     ONE,
     _factor_int,
     as_gauss,
     factor,
-    gauss_gcd,
     primary_normalize,
 )
 
@@ -46,7 +47,8 @@ class ResidueRing:
     (n1, 0) and (c, n2) form a column-echelon basis of the lattice beta*Z[i],
     so n1*n2 = N(beta) and the representative set is complete and
     irredundant. The modulus is stored primary-normalized; associates
-    generate the same lattice, hence the same ring.
+    generate the same lattice, hence the same ring.  primes holds its
+    distinct prime factors, primary, as factor returns them.
     """
 
     modulus: GaussInt
@@ -54,6 +56,7 @@ class ResidueRing:
     n2: int
     shear: int
     size: int
+    primes: tuple[GaussPrime, ...]
 
     def canonical_rep(self, z: GaussIntLike) -> GaussInt:
         """The unique representative of z's coset; idempotent."""
@@ -85,10 +88,14 @@ class ResidueRing:
         return result
 
     def is_invertible(self, z: GaussIntLike) -> bool:
-        rep = self.canonical_rep(z)
-        if rep.is_zero():
-            return False
-        return gauss_gcd(rep, self.modulus).is_unit()
+        """True when no prime factor pi of the modulus divides z, i.e. when
+        z * conj(pi) / N(pi) is not in Z[i] for every pi."""
+        z = as_gauss(z)
+        for pi in self.primes:
+            a, b, n = pi.value.re, pi.value.im, pi.norm
+            if (z.re * a + z.im * b) % n == 0 and (z.im * a - z.re * b) % n == 0:
+                return False
+        return True
 
 
 def residue_ring(beta: GaussIntLike) -> ResidueRing:
@@ -106,7 +113,7 @@ def residue_ring(beta: GaussIntLike) -> ResidueRing:
     n2 = g
     n1 = n // g
     shear = (s * a - t * b) % n1
-    return ResidueRing(beta, n1, n2, shear, n)
+    return ResidueRing(beta, n1, n2, shear, n, tuple(prime for prime, _ in factor(beta)[1]))
 
 
 def phi_norm(beta: GaussIntLike) -> int:
@@ -134,14 +141,21 @@ class UnitGroup:
     generators: tuple[GaussInt, ...]
 
     def element_order(self, g: GaussIntLike) -> int:
-        g = self.ring.canonical_rep(g)
-        if not self.ring.is_invertible(g):
-            raise NotCoprime(f"{g} is not invertible mod {self.ring.modulus}")
-        order = self.order
-        for p in sorted(_factor_int(self.order)):
-            while order % p == 0 and self.ring.pow(g, order // p) == self.ring.canonical_rep(ONE):
-                order //= p
-        return order
+        return _order_of(self.ring, g, self.order)
+
+
+def _order_of(ring: ResidueRing, g: GaussIntLike, group_order: int) -> int:
+    """The multiplicative order of the invertible class g mod ring.modulus,
+    found by dividing group_order (phi_norm of the modulus) by each prime
+    for as long as g^order stays 1; no unit group is built."""
+    g = ring.canonical_rep(g)
+    if not ring.is_invertible(g):
+        raise NotCoprime(f"{g} is not invertible mod {ring.modulus}")
+    order = group_order
+    for p in sorted(_factor_int(group_order)):
+        while order % p == 0 and ring.pow(g, order // p) == ring.canonical_rep(ONE):
+            order //= p
+    return order
 
 
 def _element_orders(ring: ResidueRing, elements: list[GaussInt]) -> dict[GaussInt, int]:

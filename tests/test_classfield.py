@@ -57,6 +57,9 @@ X_SQ_MINUS_105 = poly([-105, 0, 1])
 # term of X^4 + 5X^2 + 3 vanishes (e = 4, not 2; disc = 2^4 * 3 * 13^2), and
 # X^3 + X + 5 becomes X(X^2 + 1) (k = 1, not 0; disc = -7 * 97).
 LOSES_TERMS_AT_5 = {"X^4+5X^2+3": poly([3, 0, 5, 0, 1]), "X^3+X+5": poly([5, 1, 0, 1])}
+# X^8 + (4+i)X^4 + 1 loses its X^4 term at 1 - 4i (i -> 13 mod 17) but not at
+# its conjugate 1 + 4i (i -> 4); disc = (1+i)^32 (-1+2i)^4 (-1+6i)^4.
+LOSES_X4_AT_1_MINUS_4I = poly([1, 0, 0, 0, GaussInt(4, 1), 0, 0, 0, 1])
 
 
 def lam(text: str):
@@ -542,6 +545,22 @@ class TestSharedScan:
         status = classfield._sweep(h, 500, gi("-3"))
         primes = odd_primaries(500)
         assert list(status) == [classfield._SKIP if pi.value == gi("-3") else 0 for pi in primes]
+
+    def test_term_wise_reduction_where_conjugate_primes_differ(self, fresh_scan):
+        # h = X^8 + 1 = g(X^8), g = Y + 1, at 1 - 4i; g = Y^2 + 8Y + 1 (e = 4) at 1 + 4i
+        h = LOSES_X4_AT_1_MINUS_4I
+        cases = (("1-4i", (0, (1, 1), 8), SPLITS), ("1+4i", (0, (1, 8, 1), 4), NO_ROOT))
+        for pi, deflated, status in cases:
+            f = reduce_poly(h, gi(pi))
+            assert gfq._deflate(17, [(j, c) for j, c in enumerate(f.coeffs) if c]) == deflated
+            assert root_status(f) == status
+        primes = odd_primaries(3000)
+        scan = classfield._scan(h, 3000)
+        skipped = [pi.value for pi, s in zip(primes, scan) if s == classfield._SKIP]
+        assert skipped == [gi("-1+2i"), gi("-1+6i")]
+        for pi, s in zip(primes, scan):
+            if s != classfield._SKIP:
+                assert s == root_status(reduce_poly(h, pi)), pi
 
     def test_memo_is_bounded_and_holds_bytes(self, fresh_scan):
         info = classfield._scan.cache_info()

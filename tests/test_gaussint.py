@@ -260,7 +260,8 @@ class TestPrimesUpToNorm:
 
 
 def reference_walk(bound):
-    """re, im, norm of each odd primary prime with norm <= bound, built from
+    """re, im, norm and the image of i (-re / im mod p at a split prime, 0 at
+    an inert one) of each odd primary prime with norm <= bound, built from
     Gaussian gcds and primary_normalize, ordered by norm, re, then -im."""
     keys = []
     for p in range(3, bound + 1):
@@ -274,14 +275,27 @@ def reference_walk(bound):
             primes = [primary_normalize(GaussInt(p, 0))[1]]
         else:
             continue
-        keys += [(z.norm(), z.re, -z.im) for z in primes]
-    return [x for norm, re, neg_im in sorted(keys) for x in (re, -neg_im, norm)]
+        keys += [(z.norm(), z.re, -z.im, -z.re * pow(z.im, -1, p) % p if z.im else 0) for z in primes]
+    return [x for norm, re, neg_im, image in sorted(keys) for x in (re, -neg_im, norm, image)]
 
 
 class TestOddPrimeWalk:
     @pytest.mark.parametrize("bound", [2, 5, 9, 10, 49, 50, 1000, 5000])
     def test_matches_gaussian_gcds(self, bound):
         assert list(gaussint._odd_prime_walk(bound)) == reference_walk(bound)
+
+    def test_image_of_i_is_the_residue_of_i(self):
+        # a + bi = 0 in Z[i]/(pi) = F_p reads a + b*image = 0 (mod p), and image^2 = -1
+        walk = gaussint._odd_prime_walk(10**5)
+        split = 0
+        for a, b, p, image in zip(walk[::4], walk[1::4], walk[2::4], walk[3::4]):
+            if b:
+                split += 1
+                assert (a + b * image) % p == 0 and (image * image + 1) % p == 0, (a, b)
+                assert 0 < image < p
+            else:
+                assert image == 0 and p == a * a
+        assert split == 2 * sum(1 for p in range(5, 10**5, 4) if gaussint._is_rational_prime(p))
 
     def test_split_prime_above_divides_the_root_plus_i(self):
         for p in [p for p in range(5, 5000, 4) if gaussint._is_rational_prime(p)] + [4611686018427387817]:

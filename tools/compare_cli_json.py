@@ -3,10 +3,12 @@
     python3 tools/compare_cli_json.py OLD_SRC NEW_SRC [--max-norm 30000]
 
 The scan commands run at the norm bound on the lemnatomic polynomials of
--3, -3-4i, 3-6i and 9 (degree 72) and on four integer polynomials, the
-class reports ``prop2-evidence`` and ``verify-theorem`` in both
-normalizations, and ``verify-prop1`` on -3, -3-4i, 3-6i, 9 and -11 (degree
-120); ``reduce``, ``split-test`` and
+-3, -3-4i, 3-6i and 9 (degree 72), on four integer polynomials and on
+X^8 + (4+i)X^4 + 1, whose X^4 term vanishes at 1-4i but not at its
+conjugate 1+4i; so do the class reports ``prop2-evidence`` and
+``verify-theorem`` in both normalizations, and ``verify-prop1`` on -3,
+-3-4i, 3-6i, 9 and -11 (degree 120); ``primes`` lists the prime walk at the
+norm bound, with and without ``--include-even``; ``reduce``, ``split-test`` and
 ``orbit-check`` (which runs ``factor_degrees``) run at the split prime -1+2i
 and the inert primes -3 and -7; ``primary`` and ``factor`` run on 3i, -7,
 2+i and 45; ``lemnatomic BETA --method exact`` runs on
@@ -42,6 +44,7 @@ POLYS = (
     ("coeffs:-2,0,0,1", "-3"),  # X^3 - 2 deflates only at p = 1 mod 3
     ("coeffs:3,0,5,0,1", "-3"),  # X^4 + 5X^2 + 3 loses its X^2 term above 5
     ("coeffs:5,1,0,1", "-3"),  # X^3 + X + 5 has a root at 0 above 5
+    ("coeffs:1,0,0,0,4+i,0,0,0,1", "-3"),  # X^8 + (4+i)X^4 + 1 loses its X^4 term at 1-4i
 )
 PROP1_BETAS = ("-3", "-3-4i", "3-6i", "9", "-11")
 SINGLE_PRIMES = ("-1+2i", "-3", "-7")  # one split prime, two inert ones
@@ -69,6 +72,7 @@ def commands(max_norm: int) -> list:
             ["density", poly, *bound],
         ]
     out += [["verify-prop1", beta, *bound] for beta in PROP1_BETAS]
+    out += [["primes", *bound], ["primes", "--include-even", *bound]]
     for pi in SINGLE_PRIMES:
         out += [[cmd, poly, pi, "--json"] for cmd in ("reduce", "split-test") for poly in SINGLE_POLYS]
         out += [["orbit-check", beta, pi, "--json"] for beta in ORBIT_BETAS]
