@@ -42,7 +42,6 @@ classes' subgroup is one residue._closure (see _class_subgroup).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InputError
@@ -373,17 +372,19 @@ def verify_prop1(beta, bound: int) -> Prop1Report:
 def frobenius_orbit_check(beta, pi) -> bool:
     """True when every irreducible factor of the lemnatomic polynomial of
     beta mod pi has degree equal to the multiplicative order of the primary
-    class of pi in the unit group mod beta."""
+    class of pi in the unit group mod beta.  InputError unless pi is an odd
+    Gaussian prime not dividing beta."""
     pi_val = pi.value if isinstance(pi, GaussPrime) else as_gauss(pi)
     if not pi_val.is_odd():
         raise InputError("pi must be odd")
+    field = residue_field(pi)
     rec = lemnatomic_exact(beta)
     if divides(pi_val, rec.beta):
         raise InputError(f"pi = {format_gauss(pi_val)} divides beta = {format_gauss(rec.beta)}")
     ring = residue_ring(rec.beta)
     order = _order_of(ring, class_of(pi_val, ring, "primary"), phi_norm(rec.beta))
     try:
-        degrees = factor_degrees(reduce_poly(rec.coefficients, pi))
+        degrees = factor_degrees(reduce_poly(rec.coefficients, field))
     except InputError:
         return False  # reduction not squarefree: the predicted orbit structure fails
     return set(degrees) == {order}
@@ -514,5 +515,5 @@ def density_report(h: PolyZi, bound: int) -> DensityReport:
         count_p=count_p,
         count_all_odd=count_all,
         ratio=ratio,
-        expected=float(Fraction(1, h.degree())),
+        expected=1 / h.degree(),
     )

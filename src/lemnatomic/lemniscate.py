@@ -96,7 +96,10 @@ every coefficient lies within 2^-30 of a Gaussian integer and the rounding
 survives one doubling of precision, and the pole floor 2^-(bits - GUARD) of
 sl_eval and the addition law and the collision floor 2^-(bits // 2) are
 compared exactly on the ints.  mpmath computes omega and the series
-coefficients, places torsion_points, and carries the public types.
+coefficients, places torsion_points, and carries the public types.  It is
+imported inside the functions that use it, so importing this module loads
+no mpmath: only the numeric route and the mpmath-typed API do, and the
+exact route, the scans and every other command start without it.
 """
 
 from __future__ import annotations
@@ -104,10 +107,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Union
-
-from mpmath import mp, mpc, mpf
-from mpmath.libmp import from_man_exp
+from typing import TYPE_CHECKING, Optional, Union
 
 from .errors import InputError, PoleProximity, PrecisionLoss, RoundingUnstable
 from .gaussint import (
@@ -122,6 +122,9 @@ from .gaussint import (
 )
 from .residue import phi_norm, residue_ring
 from .zipoly import PolyZi
+
+if TYPE_CHECKING:
+    from mpmath import mpc, mpf
 
 __all__ = [
     "GUARD",
@@ -163,6 +166,8 @@ class BigComplex:
     precision_bits: int
 
     def _coerce(self, other) -> "BigComplex":
+        from mpmath import mpc, mpf
+
         if isinstance(other, BigComplex):
             return other
         if isinstance(other, GaussInt):
@@ -174,6 +179,8 @@ class BigComplex:
         return NotImplemented
 
     def _binary(self, other, op) -> "BigComplex":
+        from mpmath import mp, mpc
+
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -211,19 +218,27 @@ class BigComplex:
         return BigComplex(self.re, -self.im, self.precision_bits)
 
     def __abs__(self) -> mpf:
+        from mpmath import mp, mpc
+
         with mp.workprec(self.precision_bits + GUARD):
             return abs(mpc(self.re, self.im))
 
     def to_mpc(self) -> mpc:
+        from mpmath import mpc
+
         return mpc(self.re, self.im)
 
     def __str__(self) -> str:
+        from mpmath import mpc
+
         return str(mpc(self.re, self.im))
 
 
 def big_complex(re: Realish = 0, im: Realish = 0, precision_bits: int = 256) -> BigComplex:
     if precision_bits < 1:
         raise InputError("precision_bits must be positive")
+    from mpmath import mp, mpf
+
     with mp.workprec(precision_bits + GUARD):
         return BigComplex(mpf(re), mpf(im), precision_bits)
 
@@ -260,6 +275,8 @@ class NumericReport:
 
 def pair_defect(pair: SlPair) -> mpf:
     """|c^2 - (1 - s^4)|; bounded by 2^-(precision_bits - GUARD) for healthy pairs."""
+    from mpmath import mp
+
     bits = pair.precision_bits
     with mp.workprec(bits + GUARD):
         s = pair.s.to_mpc()
@@ -272,6 +289,8 @@ def _omega(bits: int) -> mpf:
     """omega rounded to bits bits."""
     # AGM(1, sqrt 2) by the defining iteration; quadrature serves as the
     # independent oracle in the test suite, not here.
+    from mpmath import mp, mpf
+
     with mp.workprec(bits + 2 * GUARD):
         a = mpf(1)
         b = mp.sqrt(2)
@@ -302,6 +321,8 @@ def _series_coeffs(bits: int) -> tuple:
     """A[0], A[1], ... at bits + GUARD bits, up to the first term worth less
     than one unit 2^-F where the kernel sums the series, at |z^4| <= 2^-8:
     (4k+1) |A[k]| 2^-8k < 2^-F."""
+    from mpmath import mp, mpf
+
     F = _frac_bits(bits)
     with mp.workprec(bits + GUARD):
         A = [mpf(1)]
@@ -341,6 +362,9 @@ def _omega_fx(bits: int) -> int:
 
 def _big_fx(z: tuple, F: int, bits: int) -> BigComplex:
     """The fixed-point pair z as a BigComplex, exactly."""
+    from mpmath import mp
+    from mpmath.libmp import from_man_exp
+
     re, im = (mp.make_mpf(from_man_exp(x, -F)) for x in z)
     return BigComplex(re, im, bits)
 
@@ -437,6 +461,9 @@ def sl_pair_add(a: SlPair, b: SlPair) -> SlPair:
 
 def _sl_raw(z: mpc, bits: int) -> tuple:
     """(sl z, sl' z) with no lattice reduction; |z| should be cell-sized."""
+    from mpmath import mp
+    from mpmath.libmp import from_man_exp
+
     F = _frac_bits(bits)
     pairs = _sl_fx((_fx(z.real, F), _fx(z.imag, F)), bits)
     return tuple(mp.make_mpc((from_man_exp(re, -F), from_man_exp(im, -F))) for re, im in pairs)
@@ -556,6 +583,8 @@ def _lookup(T: list, x: GaussInt, F: int, bits: int) -> tuple:
 
 def torsion_points(beta, precision_bits: int = 256) -> tuple:
     """All N(beta) division points lam*S, S = (1+i)*omega/beta, lam canonical."""
+    from mpmath import mp, mpc
+
     beta = _check_beta(beta)
     ring = residue_ring(beta)
     bits = precision_bits

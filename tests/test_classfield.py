@@ -30,6 +30,7 @@ from lemnatomic.gaussint import (
     GaussInt,
     canonical_associate,
     divides,
+    factor,
     format_gauss,
     primes_up_to_norm,
 )
@@ -81,17 +82,25 @@ class TestSplittingPrimes:
         assert [pi.value for pi in report.primes] == [pi.value for pi in odd_primaries(300)]
 
     def test_lemnatomic_splitting_law(self):
-        # For beta = -1+2i the split primes are exactly those whose primary
-        # value is 1 modulo 2*(1+i)*beta; checked as an iff over the scan.
-        beta = gi("-1+2i")
-        h = lam("-1+2i")
-        conductor = gi("2") * gi("1+i") * beta
-        split = {pi.value for pi in splitting_primes(h, 500).primes}
-        for pi in odd_primaries(500):
-            if divides(pi.value, beta):
-                continue
-            expected = divides(conductor, pi.value - gi("1"))
-            assert (pi.value in split) == expected
+        # The split primes of Lambda_beta are exactly those whose primary
+        # value is 1 modulo 2*(1+i)*beta, checked as an iff over the scan, and
+        # the primes skipped for dividing the discriminant are exactly beta's
+        # primary prime factors.  Prime, prime-power and composite beta, one
+        # of them (5+2i) not primary.
+        primes = odd_primaries(20000)
+        for text in ("-3", "-3-4i", "-1+2i", "3-6i", "9", "-11", "5+2i"):
+            beta = gi(text)
+            conductor = gi("2") * gi("1+i") * beta
+            report = splitting_primes(lam(text), 20000)
+            assert {pi.value for pi in report.skipped} == {
+                pi.value for pi, _ in factor(beta)[1]
+            }
+            split = {pi.value for pi in report.primes}
+            for pi in primes:
+                if divides(pi.value, beta):
+                    continue
+                expected = divides(conductor, pi.value - gi("1"))
+                assert (pi.value in split) == expected, (text, pi.value)
 
     def test_every_listed_prime_actually_splits(self):
         h = lam("-3")
@@ -198,6 +207,12 @@ class TestFrobeniusOrbitCheck:
     def test_prime_dividing_beta_rejected(self):
         with pytest.raises(InputError):
             frobenius_orbit_check(gi("-3"), gi("-3"))
+
+    @pytest.mark.parametrize("beta, pi", [("-3", "5"), ("-1+2i", "21")])
+    def test_composite_pi_rejected(self, beta, pi):
+        # pi is coprime to beta but not prime: an input error, not a false law.
+        with pytest.raises(InputError, match="not a Gaussian prime"):
+            frobenius_orbit_check(gi(beta), gi(pi))
 
     def test_even_prime_rejected(self):
         with pytest.raises(InputError):

@@ -2,6 +2,10 @@
 polynomial source spellings, caching, and output determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -211,6 +215,14 @@ class TestVerificationCommands:
     def test_orbit_check_pi_divides_beta(self, capsys):
         assert run(capsys, "orbit-check", "-3", "-3")[0] == 1
 
+    @pytest.mark.parametrize("beta, pi", [("-3", "5"), ("-1+2i", "21")])
+    def test_orbit_check_composite_pi_rejected(self, capsys, beta, pi):
+        # A composite pi is malformed input, not a violation of the orbit law.
+        code, out, err = run(capsys, "orbit-check", beta, pi)
+        assert code == 1
+        assert f"{pi} is not a Gaussian prime" in err
+        assert out == ""
+
 
 class TestExitCodes:
     def test_unknown_command(self, capsys):
@@ -333,3 +345,57 @@ class TestDeterminism:
             code, data, _ = run_json(capsys, *argv)
             assert code == 0
             assert data["schema_version"] == 1
+
+
+# Run in a fresh interpreter: every command but the numeric route must leave
+# mpmath (and fractions and decimal, which only a Fraction would pull in)
+# unimported; the numeric route then loads mpmath and agrees with the exact one.
+COLD_START_SCRIPT = """
+import contextlib, io, json, sys
+import lemnatomic, lemnatomic.cli
+from lemnatomic.cli import dispatch
+
+def call(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = dispatch(list(argv))
+    return code, out.getvalue()
+
+def loaded():
+    return [m for m in ("mpmath", "fractions", "decimal") if m in sys.modules]
+
+runs = [
+    call("lemnatomic", "-3", "--json"),
+    call("primes", "--max-norm", "100", "--json"),
+    call("scan-splitting", "lemnatomic:-3", "--max-norm", "500", "--json"),
+    call("verify-theorem", "lemnatomic:-1+2i", "--max-norm", "300", "--json"),
+    call("density", "lemnatomic:-3", "--max-norm", "500", "--json"),
+    call("unitgroup", "-3", "--json"),
+    call("orbit-check", "-1+2i", "-3", "--json"),
+]
+cold = loaded()
+runs.append(call("lemnatomic", "-3", "--method", "numeric", "--json"))
+print(json.dumps({"runs": runs, "cold": cold, "warm": loaded()}))
+"""
+
+
+class TestColdStart:
+    def test_only_the_numeric_route_loads_mpmath(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run(
+            [sys.executable, "-c", COLD_START_SCRIPT],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        result = json.loads(done.stdout)
+        assert [code for code, _ in result["runs"]] == [0] * 8
+        assert result["cold"] == []
+        assert result["warm"] == ["mpmath"]
+        exact = json.loads(result["runs"][0][1])
+        numeric = json.loads(result["runs"][-1][1])
+        assert numeric["method"] == "numeric"
+        assert numeric["coefficients"] == exact["coefficients"]
+        assert numeric["checksum"] == exact["checksum"]

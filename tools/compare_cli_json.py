@@ -1,4 +1,4 @@
-"""Compare the scan, class, single-prime and exact-route commands' --json output between two source trees.
+"""Compare the scan, class, single-prime, exact-route and numeric-route commands' --json output between two source trees.
 
     python3 tools/compare_cli_json.py OLD_SRC NEW_SRC [--max-norm 30000]
 
@@ -18,12 +18,15 @@ maps) and 19+10i, and ``unitgroup`` on the same beta plus -7, 21 and -43.
 The product formula's unreduced pair can share a factor
 (t - 1)^a (t + 1)^b, which the exact route strips: t^2 - 1 under -19, and
 t - 1, (t - 1)^2 and (t - 1)^3 (t + 1) under 19+10i.
+``lemnatomic BETA --method numeric`` runs on the benchmark's numeric ladder,
+``--method both`` on -3 and -19, ``--precision-bits 64`` on -19 (which
+escalates) and ``--precision-bits 8192`` on -3, above the ceiling (exit 1).
 
 OLD_SRC and NEW_SRC are directories holding the ``lemnatomic`` package (the
 ``src`` directory of two checkouts).  Each command runs in a fresh
-interpreter on either tree; the line per command gives both wall times and
-whether stdout and the exit code are identical byte for byte.  The exit
-status is 1 when any command differs.
+interpreter on either tree; the line per command gives both wall times,
+start-up included, and whether stdout and the exit code are identical byte
+for byte.  The exit status is 1 when any command differs.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ EXACT_BETAS = (
     "19+10i",
 )
 UNIT_GROUP_BETAS = EXACT_BETAS + ("-7", "21", "-43")
+NUMERIC_BETAS = ("-1+2i", "-3", "-3-4i", "3-6i", "9", "-11", "11-2i", "13", "13+10i", "17", "-19")
 NORMALIZE_INPUTS = ("3i", "-7", "2+i", "45")
 
 
@@ -79,6 +83,12 @@ def commands(max_norm: int) -> list:
     out += [[cmd, z, "--json"] for z in NORMALIZE_INPUTS for cmd in ("primary", "factor")]
     out += [["lemnatomic", beta, "--method", "exact", "--json"] for beta in EXACT_BETAS]
     out += [["unitgroup", beta, "--json"] for beta in UNIT_GROUP_BETAS]
+    out += [["lemnatomic", beta, "--method", "numeric", "--json"] for beta in NUMERIC_BETAS]
+    out += [["lemnatomic", beta, "--method", "both", "--json"] for beta in ("-3", "-19")]
+    out += [
+        ["lemnatomic", "-19", "--method", "numeric", "--precision-bits", "64", "--json"],
+        ["lemnatomic", "-3", "--method", "numeric", "--precision-bits", "8192", "--json"],
+    ]
     return out
 
 
