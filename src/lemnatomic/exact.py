@@ -449,6 +449,12 @@ class LemnatomicRecord:
             )
         if not poly.is_monic():
             raise InternalInconsistency(f"lemnatomic polynomial for beta={beta} is not monic")
+        # Lambda_beta lies in Z[i][X^4]: its roots come in unit orbits
+        # v, iv, -v, -iv, as sl(iz) = i sl(z).
+        if any(not c.is_zero() for j in (1, 2, 3) for c in poly.coeffs[j::4]):
+            raise InternalInconsistency(
+                f"lemnatomic polynomial for beta={beta} is not a polynomial in X^4"
+            )
         # Lambda_beta(0) is the primary prime pi when beta = unit * pi^k, and
         # 1 when beta has two distinct prime factors.
         _, facs = factor(beta)

@@ -20,27 +20,27 @@ lam/(2 beta) of the chain's period lattice 2(1+i)*omega*Z[i], so the even
 lift of lam (re + im even) is reduced exactly, by dividing it by 2 beta in
 Z[i], to r = a + bi with |r*w| <= 2*omega.
 
-Addition-law table.  sl is Z[i]-linear on these points: sl(r*w) is the sum
-by the addition law of sl(a*w) and sl(i*b*w) = i*sl(b*w), since sl' is even
-and sl'(iz) = sl'(z).  So one series evaluation at w, per precision, seeds
-a table T[k] = (sl(k*w), sl'(k*w)) for 0 <= k <= K, K the largest |a| or
-|b| in use, built by balanced splits T[k] = T[k // 2] + T[k - k // 2]:
-T[k] is ceil(log2 k) additions deep.  Each unit orbit costs one more
-addition, and its other three values follow from sl(iz) = i*sl(z).
+Addition-law table.  The even r is m*(1+i) + n*(1-i), with m = (a+b)/2 and
+n = (a-b)/2, so with u = (1+i)*w = 2i*omega/beta, r*w = m*u - i*n*u.  sl is
+Z[i]-linear on these points: sl(r*w) is the sum by the addition law of
+sl(m*u) and sl(-i*n*u) = -i*sl(n*u), since sl' is even and
+sl'(iz) = sl'(z).  So one series evaluation at u, per precision, seeds a
+table T[k] = (sl(k*u), sl'(k*u)) for 0 <= k <= K, K the largest |m| or |n|
+in use, built by balanced splits T[k] = T[k // 2] + T[k - k // 2]: T[k] is
+ceil(log2 k) additions deep.  Each unit orbit costs at most one more
+addition, and its other three values follow from sl(iz) = i*sl(z).  The
+orbits, their (m, n) and which of them are invertible are found once per
+beta.
 
-Pole rule.  The poles of sl are (1+i)*omega times the odd Gaussian
-integers, so x*w is a pole exactly when beta | x with an odd quotient, and
-the addition law's denominator vanishes only where the sum or the
-difference of its arguments is a pole.  r*w is no pole, as lam is nonzero
-mod beta, and for a split r = x + y neither is (x - y)*w: r is even, so
-x - y is too.  A table index k <= max(|a|, |b|) is a pole only for
-rational beta = +-q, at k = q: any other beta is c*gamma with c rational
-and gamma a primitive non-unit, and beta | k needs c*N(gamma) | k, so
-k >= sqrt(5)*|beta|, beyond the sqrt(2)*|beta| a part of r reaches.  An
-orbit with a = +-q takes two additions, (a -+ 1)*w + (+-1 + bi)*w, and
-b = +-q likewise, so the table up to K, the largest part in use, holds no
-pole.  The split is chosen by this integer test once per beta, with the
-orbits, their reduced lifts and which of them are invertible.
+No addition meets a pole.  The poles of sl are (1+i)*omega times the odd
+Gaussian integers, so x*w is a pole exactly when x is beta times an odd
+Gaussian integer, and x is then odd, as beta is.  The addition law's
+denominator vanishes only where the sum or the difference of its arguments
+is a pole.  Every table entry k*u, every sum or difference of two entries
+and the difference (m + i*n)*u of an orbit's two terms is a multiple of
+(1+i)*w, so an even multiple of w, and so is an orbit's sum r*w: none is a
+pole, and each lies at least |w| from one, its multiple of w differing from
+a pole's by an odd, so nonzero, Gaussian integer.
 
 The numeric lemnatomic polynomial uses the same symmetry: an orbit's four
 roots v, iv, -v, -iv contribute the factor X^4 - v^4, so the product is
@@ -73,23 +73,23 @@ series coefficients come from mpmath at bits + GUARD bits, up to the first
 term worth less than one unit at |u| = 2^-8, and are converted once per
 precision from the set for that precision rounded up to a multiple of 32.
 
-The table's seed w, built from the same omega, is rounded by under one
+The table's seed u, built from the same omega, is rounded by under one
 unit per part, and T[k] joins k copies of it by additions, so T[k] lies on
-sl at an argument off k*w by k times that rounding plus a few units per
+sl at an argument off k*u by k times that rounding plus a few units per
 addition on its path, and its value errs by that argument error times
 |sl'| <= 1 + |sl|^2.  Every table and orbit point lies at least |w| from
-a pole (its Gaussian multiple of w differs from a pole's by a nonzero
-one), where |sl| stays below K (at most 0.8*K, measured on every primary
-beta of norm <= 400), so the error is of order K^3 <= 2^(3 ceil(log2 K))
-units.  The table therefore runs at the working precision
-bits + 3*ceil(log2 K), 3 bits per level of depth, with HALVING_GUARD
-covering the constant, and its orbit values are truncated to the fraction
-bits of bits.  Against the series at bits + 96 with the same omega, the
-worst orbit value then errs by 2^-(bits + GUARD + 4) (every primary beta
-of norm <= 400 at 256 bits, 46 sampled of norm 400 to 2000 at 256, 512
-and 1024), within 2^-(bits + GUARD), where a series evaluation at each
-orbit point errs by up to 2^-(bits + GUARD - 5) near a pole (-43 at 1024
-bits).
+a pole, where |sl| stays of order K (at most 1.23*K, at -1-2i with K = 1,
+measured on every primary beta of norm <= 400), so the error is of order
+K^3 <= 2^(3 ceil(log2 K)) units.  The table therefore runs at the working
+precision bits + 3*ceil(log2 K), 3 bits per level of depth, with
+HALVING_GUARD covering the constant, and its orbit values are truncated to
+the fraction bits of bits.  Against the series at bits + 96 with the same
+omega, the worst orbit value then errs by 2^-(bits + GUARD + 1.7) (-1-2i
+at 512 bits, its one addition run at bits as K = 1; every primary beta of
+norm <= 400 and 46 sampled of norm 400 to 2000, at 256, 512 and 1024 bits,
+the sampled ones within 2^-(bits + GUARD + 5)), within 2^-(bits + GUARD),
+where a series evaluation at each orbit point errs by up to
+2^-(bits + GUARD - 5) near a pole (-43 at 1024 bits).
 
 Beyond this budget nothing is assumed: a product is accepted only when
 every coefficient lies within 2^-30 of a Gaussian integer and the rounding
@@ -519,64 +519,46 @@ def _even_lift(lam: GaussInt, beta: GaussInt) -> GaussInt:
     return lam + beta
 
 
-def _is_pole(x: GaussInt, beta: GaussInt) -> bool:
-    """True when x*w, w = (1+i)*omega/beta, is a pole of sl: the poles are
-    (1+i)*omega times the odd Gaussian integers, so beta | x with an odd
-    quotient."""
-    q, rem = gauss_divmod(x, beta)
-    return rem.is_zero() and q.is_odd()
-
-
-def _split(r: GaussInt, beta: GaussInt) -> tuple:
-    """Gaussian integers summing to r, each with no pole on its real or
-    imaginary multiple of w: (r,) unless re(r) or i*im(r) is a pole, which
-    then gives one unit of w to the other part."""
-    for part in (GaussInt(r.re, 0), GaussInt(0, r.im)):
-        if _is_pole(part, beta):
-            unit = GaussInt((part.re > 0) - (part.re < 0), (part.im > 0) - (part.im < 0))
-            return part - unit, r - part + unit
-    return (r,)
-
-
 # Keyed by the ring and the generator class; the numeric route asks for each
 # beta at two or more precisions, so the plan is built once per beta.
 @lru_cache(maxsize=32)
 def _orbit_plan(ring, mult: GaussInt) -> tuple:
-    """(plan, K): per unit orbit (orbit, parts, invertible), where the parts
-    from _split sum to r, the even lift of the orbit's first residue times
-    mult reduced mod 2 beta, and K is the largest |re| or |im| of a part."""
+    """(plan, K): per unit orbit (orbit, (m, n), invertible), where
+    r = m(1+i) + n(1-i) is the even lift of the orbit's first residue times
+    mult reduced mod 2 beta, and K is the largest |m| or |n|."""
     beta = ring.modulus
     plan = []
     for orbit in _unit_orbits(ring):
         r = gauss_divmod(_even_lift(orbit[0], beta) * mult, 2 * beta)[1]
-        plan.append((orbit, _split(r, beta), ring.is_invertible(orbit[0])))
-    K = max(max(abs(p.re), abs(p.im)) for _, parts, _ in plan for p in parts)
+        mn = ((r.re + r.im) // 2, (r.re - r.im) // 2)
+        plan.append((orbit, mn, ring.is_invertible(orbit[0])))
+    K = max(abs(x) for _, mn, _ in plan for x in mn)
     return tuple(plan), K
 
 
-def _sl_table(w: tuple, K: int, tbits: int, bits: int) -> list:
-    """[(sl k*w, sl' k*w) for k = 0..K] at the fixed point of tbits: one
-    series evaluation at w, then T[k] = T[k // 2] + T[k - k // 2] by the
+def _sl_table(u: tuple, K: int, tbits: int, bits: int) -> list:
+    """[(sl k*u, sl' k*u) for k = 0..K] at the fixed point of tbits: one
+    series evaluation at u, then T[k] = T[k // 2] + T[k - k // 2] by the
     addition law, whose floor stays at bits."""
     F = _frac_bits(tbits)
-    T = [((0, 0), (1 << F, 0)), _sl_fx(w, tbits)]
+    T = [((0, 0), (1 << F, 0)), _sl_fx(u, tbits)]
     for k in range(2, K + 1):
         T.append(_add_fx(*T[k // 2], *T[k - k // 2], F, bits))
     return T
 
 
-def _lookup(T: list, x: GaussInt, F: int, bits: int) -> tuple:
-    """(sl x*w, sl' x*w) from the table by sl(-z) = -sl(z) and
-    sl(iz) = i sl(z), sl' being even and invariant under z -> iz; one
-    addition when x lies on neither axis."""
-    s, c = T[abs(x.re)]
-    if x.re < 0:
+def _lookup(T: list, m: int, n: int, F: int, bits: int) -> tuple:
+    """(sl z, sl' z) at z = m*u - i*n*u from the table by sl(-z) = -sl(z)
+    and sl(iz) = i sl(z), sl' being even and invariant under z -> iz; one
+    addition when neither m nor n is zero."""
+    s, c = T[abs(m)]
+    if m < 0:
         s = (-s[0], -s[1])
-    if x.im == 0:
+    if n == 0:
         return s, c
-    t, d = T[abs(x.im)]
-    t = (-t[1], t[0]) if x.im > 0 else (t[1], -t[0])
-    if x.re == 0:
+    t, d = T[abs(n)]
+    t = (t[1], -t[0]) if n > 0 else (-t[1], t[0])
+    if m == 0:
         return t, d
     return _add_fx(s, c, t, d, F, bits)
 
@@ -609,25 +591,23 @@ def _orbit_values(ring, bits: int, mult: GaussInt = ONE) -> list:
     orbit's first residue lam as a fixed-point pair at _frac_bits(bits);
     PrecisionLoss when two of the N(beta) values, 0 included, collide.
 
-    With w = S = (1+i)*omega/beta and r = a + bi the orbit's reduced lift,
-    v = sl(a*w + i*b*w): one addition of two table entries, two on the orbits
-    the pole rule splits.
+    With w = S = (1+i)*omega/beta, u = (1+i)*w and r = m(1+i) + n(1-i) the
+    orbit's reduced lift, v = sl(m*u - i*n*u): at most one addition of two
+    table entries.
     """
     plan, K = _orbit_plan(ring, mult)
     beta = ring.modulus
-    n = beta.norm()
-    g = GaussInt(1, 1) * beta.conjugate()
+    norm = beta.norm()
+    g = GaussInt(2 * beta.im, 2 * beta.re)  # 2i*conj(beta), u = omega*g/norm
     # 3 guard bits per level of the table's depth ceil(log2 K); see the
     # module docstring.
     tbits = bits + 3 * (K - 1).bit_length()
     tF, F = _frac_bits(tbits), _frac_bits(bits)
     om = _fx(_omega(bits + GUARD), tF)
-    T = _sl_table((om * g.re // n, om * g.im // n), K, tbits, bits)
+    T = _sl_table((om * g.re // norm, om * g.im // norm), K, tbits, bits)
     out = []
-    for orbit, parts, invertible in plan:
-        s, c = _lookup(T, parts[0], tF, bits)
-        for part in parts[1:]:
-            s, c = _add_fx(s, c, *_lookup(T, part, tF, bits), tF, bits)
+    for orbit, (m, n), invertible in plan:
+        s, _ = _lookup(T, m, n, tF, bits)
         out.append((orbit, invertible, (s[0] >> (tF - F), s[1] >> (tF - F))))
     _check_distinct([(0, 0)] + [u for _, _, v in out for u in _rotations(v)], F, bits)
     return out

@@ -9,7 +9,6 @@ CLI commands and cache files.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Iterator, Optional, Union
@@ -142,10 +141,6 @@ def _unpack(packed: int, count: int, nbytes: int) -> Iterator[int]:
 def _half_slots(count: int, nbytes: int) -> int:
     """2^(8 nbytes - 1) in each of count slots of nbytes bytes."""
     return int.from_bytes((bytes(nbytes - 1) + b"\x80") * count, "little")
-
-
-X = PolyZi.make([0, 1])
-POLY_ONE = PolyZi.make([1])
 
 
 def poly(coeffs: Iterable[GaussIntLike]) -> PolyZi:
@@ -313,14 +308,3 @@ def from_json_dict(data: dict) -> PolyZi:
         raise ParseError('"coeffs" must be a list of Gaussian literals')
     return PolyZi.make([parse_gauss(c) for c in coeffs])
 
-
-def dumps(f: PolyZi) -> str:
-    return json.dumps(to_json_dict(f), sort_keys=True)
-
-
-def loads(text: str) -> PolyZi:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid polynomial JSON: {exc}") from exc
-    return from_json_dict(data)

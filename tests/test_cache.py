@@ -98,6 +98,16 @@ class TestMissPaths:
         rewrite(path, negate_constant)
         assert cache_load(record.beta, tmp_path) is None
 
+    def test_coefficient_off_x4_with_matching_checksum(self, tmp_path):
+        record, path = stored(tmp_path)
+
+        def fill_x2(d):
+            d["coefficients"]["coeffs"][2] = "1"
+            d["checksum"] = record_checksum(record.beta, from_json_dict(d["coefficients"]))
+
+        rewrite(path, fill_x2)
+        assert cache_load(record.beta, tmp_path) is None
+
     def test_degree_tamper(self, tmp_path):
         record, path = stored(tmp_path)
         rewrite(path, lambda d: d.update(degree=4))

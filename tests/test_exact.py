@@ -710,6 +710,16 @@ class TestLemnatomicRecord:
         with pytest.raises(InternalInconsistency):
             LemnatomicRecord.build(gi("-3"), bad, "exact", 0)
 
+    @pytest.mark.parametrize("b", ["-1+2i", "-3", "3-6i"])
+    def test_build_rejects_a_coefficient_off_x4(self, b):
+        good = lemnatomic_exact(gi(b)).coefficients
+        for k in range(1, good.degree()):
+            if k % 4:
+                bad = PolyZi.make(good.coeffs[:k] + (gi("i"),) + good.coeffs[k + 1 :])
+                for method in ("exact", "numeric"):
+                    with pytest.raises(InternalInconsistency, match="polynomial in X\\^4"):
+                        LemnatomicRecord.build(gi(b), bad, method, 0)
+
     @pytest.mark.parametrize(
         "b, constant", [("-3", "3"), ("-3", "0"), ("-3-4i", "-1-2i"), ("3-6i", "-3"), ("3-6i", "0")]
     )

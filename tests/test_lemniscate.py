@@ -11,14 +11,13 @@ from conftest import gi
 from lemnatomic import lemniscate
 from lemnatomic.errors import InputError, PoleProximity, PrecisionLoss, RoundingUnstable
 from lemnatomic.exact import LemnatomicRecord, lemnatomic_exact, record_checksum
-from lemnatomic.gaussint import ONE, GaussInt, gauss_divmod
+from lemnatomic.gaussint import ONE, GaussInt, gauss_divmod, is_primary
 from lemnatomic.lemniscate import (
     GUARD,
     _check_distinct,
     _even_lift,
     _frac_bits,
     _fx,
-    _is_pole,
     _omega,
     _orbit_plan,
     _series_coeffs,
@@ -297,7 +296,20 @@ class TestFixedPointKernel:
 
 
 TABLE_BETAS = ["-3", "9", "-11", "13", "17", "-19", "21", "33", "3-6i", "11-2i", "13+10i"]
-RATIONAL_TABLE_BETAS = [b for b in TABLE_BETAS if "i" not in b]
+PRIMARY_BETAS_400 = [
+    GaussInt(a, b)
+    for a in range(-20, 21)
+    for b in range(-20, 21)
+    if 1 < a * a + b * b <= 400 and is_primary(GaussInt(a, b))
+]
+
+
+def _is_pole(x, beta):
+    """True when x*w, w = (1+i)*omega/beta, is a pole of sl: the poles are
+    (1+i)*omega times the odd Gaussian integers, so beta | x with an odd
+    quotient."""
+    q, rem = gauss_divmod(x, beta)
+    return rem.is_zero() and q.is_odd()
 
 
 def _series_reference(beta, r, bits):
@@ -326,12 +338,12 @@ class TestAdditionTable:
         ring = residue_ring(gi(b))
         beta = ring.modulus
         plan, _ = _orbit_plan(ring, ONE)
-        for (orbit, parts, _), (same_orbit, _, v) in zip(
+        for (orbit, (m, n), _), (same_orbit, _, v) in zip(
             plan, lemniscate._orbit_values(ring, bits)
         ):
             assert same_orbit == orbit
             r = gauss_divmod(_even_lift(orbit[0], beta), 2 * beta)[1]
-            assert sum(parts, GaussInt(0, 0)) == r
+            assert GaussInt(m + n, m - n) == r
             assert _within_budget(v, _series_reference(beta, r, bits)[0], bits)
 
     @pytest.mark.parametrize(
@@ -353,32 +365,29 @@ class TestAdditionTable:
                 assert _within_budget(got, want, BITS)
                 want = (-want[1], want[0])
 
-    @pytest.mark.parametrize("b", TABLE_BETAS)
-    def test_pole_rule(self, b):
-        ring = residue_ring(gi(b))
-        beta = ring.modulus
-        plan, K = _orbit_plan(ring, ONE)
-        assert not any(_is_pole(GaussInt(k, 0), beta) for k in range(K + 1))
-        two_additions = 0
-        for orbit, parts, _ in plan:
-            r = gauss_divmod(_even_lift(orbit[0], beta), 2 * beta)[1]
-            pole = _is_pole(GaussInt(r.re, 0), beta) or _is_pole(GaussInt(0, r.im), beta)
-            assert len(parts) == (2 if pole else 1)
-            two_additions += len(parts) == 2
-            for part in parts:
-                assert max(abs(part.re), abs(part.im)) <= K
-        if b in RATIONAL_TABLE_BETAS:
-            assert two_additions > 0
-            assert K == abs(beta.re) - 1
-        else:
-            assert two_additions == 0
-
-    def test_is_pole(self):
-        beta = gi("-3")
-        assert [k for k in range(-9, 10) if _is_pole(GaussInt(k, 0), beta)] == [-9, -3, 3, 9]
-        assert _is_pole(gi("3+6i"), beta) and not _is_pole(gi("3+3i"), beta)
-        assert not _is_pole(gi("0"), beta)
+    def test_no_pole_on_the_table_or_an_orbit(self):
+        # Every point the table on u = (1+i)*w and the orbit sums reach is an
+        # even multiple x*w, and a pole is an odd one.  The table on w itself
+        # would reach the pole q*w of every rational beta = +-q.
+        assert [k for k in range(-9, 10) if _is_pole(GaussInt(k, 0), gi("-3"))] == [-9, -3, 3, 9]
+        assert _is_pole(gi("3+6i"), gi("-3")) and not _is_pole(gi("3+3i"), gi("-3"))
         assert _is_pole(gi("-1+2i"), gi("-1+2i")) and not _is_pole(gi("-1-2i"), gi("-1+2i"))
+        u = GaussInt(1, 1)
+        rational = set()
+        for beta in PRIMARY_BETAS_400:
+            plan, K = _orbit_plan(residue_ring(beta), ONE)
+            assert not any(_is_pole(u * k, beta) for k in range(K + 1))
+            lifts = []
+            for orbit, (m, n), _ in plan:
+                r = gauss_divmod(_even_lift(orbit[0], beta), 2 * beta)[1]
+                difference = u * m - u.conjugate() * n
+                assert not _is_pole(r, beta) and not _is_pole(difference, beta)
+                lifts.append(r)
+            assert K <= max(max(abs(r.re), abs(r.im)) for r in lifts)
+            if beta.im == 0:
+                rational.add(abs(beta.re))
+                assert any(_is_pole(GaussInt(r.re, 0), beta) for r in lifts)
+        assert {3, 9, 11, 13, 17, 19} <= rational
 
     def test_orbit_plan_built_once_per_beta(self):
         _orbit_plan.cache_clear()
@@ -396,7 +405,7 @@ class TestAdditionTable:
         beta = gi(b)
         want = lemnatomic_exact(beta).coefficients
         plan, K = _orbit_plan(residue_ring(beta), ONE)
-        read = {abs(x) for _, parts, inv in plan if inv for p in parts for x in (p.re, p.im)}
+        read = {abs(x) for _, mn, inv in plan if inv for x in mn}
         real = lemniscate._sl_table
         monkeypatch.setattr(lemniscate, "PRECISION_CEILING", 1024)
         for k in range(1, K + 1):

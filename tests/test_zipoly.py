@@ -14,10 +14,8 @@ from lemnatomic.zipoly import (
     _bareiss_det,
     _divmod,
     discriminant,
-    dumps,
     exact_divide,
     from_json_dict,
-    loads,
     poly,
     resultant,
     to_json_dict,
@@ -320,11 +318,10 @@ class TestSerialization:
     def test_round_trip_random(self, rng):
         for _ in range(100):
             f = rand_poly(rng, 8, 10**5)
-            assert loads(dumps(f)) == f
             assert from_json_dict(to_json_dict(f)) == f
 
     def test_malformed(self):
         with pytest.raises((InputError, ParseError)):
-            loads('{"coeffs": ["1+j"]}')
+            from_json_dict({"coeffs": ["1+j"]})
         with pytest.raises(InputError):
             from_json_dict({"nope": []})

@@ -18,7 +18,10 @@ maps) and 19+10i, and ``unitgroup`` on the same beta plus -7, 21 and -43.
 The product formula's unreduced pair can share a factor
 (t - 1)^a (t + 1)^b, which the exact route strips: t^2 - 1 under -19, and
 t - 1, (t - 1)^2 and (t - 1)^3 (t + 1) under 19+10i.
-``lemnatomic BETA --method numeric`` runs on the benchmark's numeric ladder,
+``lemnatomic BETA --method numeric`` runs on the benchmark's numeric ladder
+and on the rational beta 29, -31 and 45 (29 and -31 escalate once), for
+which a table on the multiples of w = (1+i)*omega/beta would reach the pole
+|beta|*w,
 ``--method both`` on -3 and -19, ``--precision-bits 64`` on -19 (which
 escalates) and ``--precision-bits 8192`` on -3, above the ceiling (exit 1).
 
@@ -58,7 +61,9 @@ EXACT_BETAS = (
     "19+10i",
 )
 UNIT_GROUP_BETAS = EXACT_BETAS + ("-7", "21", "-43")
-NUMERIC_BETAS = ("-1+2i", "-3", "-3-4i", "3-6i", "9", "-11", "11-2i", "13", "13+10i", "17", "-19")
+NUMERIC_BETAS = (
+    "-1+2i", "-3", "-3-4i", "3-6i", "9", "-11", "11-2i", "13", "13+10i", "17", "-19", "29", "-31", "45",
+)
 NORMALIZE_INPUTS = ("3i", "-7", "2+i", "45")
 
 
