@@ -38,7 +38,6 @@ from .classfield import (
 from .errors import InputError, PrecisionError, VerificationError
 from .exact import LemnatomicRecord, lemnatomic_exact
 from .gaussint import (
-    GaussInt,
     _check_beta,
     factor,
     format_gauss,
@@ -65,14 +64,10 @@ def _emit(args, data: dict, human_lines: list) -> None:
             print(line)
 
 
-def _parse_beta(text: str) -> GaussInt:
-    return parse_gauss(text.strip())
-
-
 def _load_poly(spec: str) -> PolyZi:
     spec = spec.strip()
     if spec.startswith("lemnatomic:"):
-        return lemnatomic_exact(_parse_beta(spec[len("lemnatomic:"):])).coefficients
+        return lemnatomic_exact(parse_gauss(spec[len("lemnatomic:"):])).coefficients
     if spec.startswith("coeffs:"):
         body = spec[len("coeffs:"):]
         return PolyZi.make([parse_gauss(tok.strip()) for tok in body.split(",")])
@@ -145,7 +140,7 @@ def _cmd_primes(args) -> int:
 
 
 def _cmd_factor(args) -> int:
-    unit, facs = factor(_parse_beta(args.value))
+    unit, facs = factor(parse_gauss(args.value))
     _emit(
         args,
         {
@@ -162,7 +157,7 @@ def _cmd_factor(args) -> int:
 
 
 def _cmd_primary(args) -> int:
-    z = _parse_beta(args.value)
+    z = parse_gauss(args.value)
     unit, primary = primary_normalize(z)
     _emit(
         args,
@@ -173,7 +168,7 @@ def _cmd_primary(args) -> int:
 
 
 def _cmd_unitgroup(args) -> int:
-    group = unit_group(residue_ring(_parse_beta(args.beta)))
+    group = unit_group(residue_ring(parse_gauss(args.beta)))
     _emit(
         args,
         {
@@ -193,7 +188,7 @@ def _cmd_unitgroup(args) -> int:
 
 
 def _cmd_lemnatomic(args) -> int:
-    beta = _check_beta(_parse_beta(args.beta))
+    beta = _check_beta(parse_gauss(args.beta))
     record = None
     cached = False
     if args.cache_dir and args.method in ("exact", "numeric"):
@@ -245,7 +240,7 @@ def _cmd_lemnatomic(args) -> int:
 
 def _cmd_reduce(args) -> int:
     poly = _load_poly(args.poly)
-    reduced = reduce_poly(poly, _parse_beta(args.pi))
+    reduced = reduce_poly(poly, parse_gauss(args.pi))
     field = reduced.field
     _emit(
         args,
@@ -266,7 +261,7 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_split_test(args) -> int:
     poly = _load_poly(args.poly)
-    pi = _parse_beta(args.pi)
+    pi = parse_gauss(args.pi)
     result = splits_completely(reduce_poly(poly, pi))
     _emit(
         args,
@@ -313,7 +308,7 @@ def _cmd_semisplit(args) -> int:
 
 
 def _cmd_verify_prop1(args) -> int:
-    report = verify_prop1(_parse_beta(args.beta), args.max_norm)
+    report = verify_prop1(parse_gauss(args.beta), args.max_norm)
     _emit(
         args,
         report.to_json_dict(),
@@ -329,7 +324,7 @@ def _cmd_verify_prop1(args) -> int:
 
 def _cmd_prop2(args) -> int:
     report = prop2_evidence(
-        _load_poly(args.poly), _parse_beta(args.beta), args.max_norm, args.normalization
+        _load_poly(args.poly), parse_gauss(args.beta), args.max_norm, args.normalization
     )
     _emit(
         args,
@@ -385,8 +380,8 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_orbit_check(args) -> int:
-    beta = _parse_beta(args.beta)
-    pi = _parse_beta(args.pi)
+    beta = parse_gauss(args.beta)
+    pi = parse_gauss(args.pi)
     holds = frobenius_orbit_check(beta, pi)
     _emit(
         args,

@@ -37,10 +37,11 @@ through 0, so f = sl(beta z) (see mult_map).  For odd beta the cheap
 invariants deg P = (N(beta) - 1) / 4 and Q = unit * t^deg P * P(1/t) are
 checked too, and for even beta deg Q = ceil((N(beta) - 1) / 4).
 
-For odd beta the numerator N, made monic, is the all-torsion polynomial
-T_beta of degree N(beta).  Dividing out the lemnatomic polynomials of all
-proper divisors (with Lambda_1 := X for the zero torsion value) leaves
-Lambda_beta.
+For odd beta the numerator s P(t), made monic, is the all-torsion
+polynomial T_beta = X P~(X^4) of degree N(beta), its factor X for the zero
+torsion value.  Every other Lambda_d lies in Z[i][X^4], so
+Lambda_beta = G(X^4), where G is P~ divided in t by the G_d of every
+divisor d other than 1 and beta.
 
 Fraction reduction: the product formula's pair shares only factors
 (t - 1)^a (t + 1)^b, so both terms are divided by t - 1 while both vanish
@@ -385,25 +386,25 @@ def mult_map(beta) -> tuple:
 # -- all-torsion and lemnatomic polynomials -----------------------------------
 
 
+def _torsion_t(beta: GaussInt) -> PolyZi:
+    """P~ with T_beta = X P~(X^4): P of the first-quadrant associate's map
+    (certified once, for every associate), times conj(lc P) when lc P != 1.
+
+    lc P is a unit.  A product-formula map has joint content one, and
+    Q = unit * rev(P), so content(P) = 1; T_beta is monic over Z[i], so lc P
+    divides every coefficient of P.  A composed map has
+    lc P = lc(P_in)^(4m+1) lc(P_out), and an associate's map is P times a unit.
+    """
+    p, _ = _map(beta * _unit_to_first_quadrant(beta))
+    lead = p.leading()
+    if not lead.is_unit():
+        raise InternalInconsistency(f"all-torsion numerator of beta={beta} has leading coefficient {lead}")
+    return p if lead == ONE else p * lead.conjugate()
+
+
 def all_torsion_poly(beta) -> PolyZi:
     """T_beta: monic, degree N(beta), roots are all beta-torsion sl values."""
-    beta = _check_beta(beta)
-    # every associate has this T_beta; the first-quadrant one's map is the
-    # memo entry its associates are read off, so it is certified only once
-    (num, _), _ = mult_map(beta * _unit_to_first_quadrant(beta))
-    n = beta.norm()
-    content = _zi_content(num)
-    lead_unit = exact_div(num.leading(), content)
-    if not lead_unit.is_unit():
-        raise InternalInconsistency(
-            "all-torsion numerator is not a unit times a monic integer polynomial"
-        )
-    t = PolyZi.make([exact_div(exact_div(c, content), lead_unit) for c in num.coeffs])
-    if t.degree() != n:
-        raise InternalInconsistency(f"T_{beta} has degree {t.degree()} != N(beta) = {n}")
-    if not t.is_monic():
-        raise InternalInconsistency(f"T_{beta} is not monic after normalization")
-    return t
+    return _from_t(_torsion_t(_check_beta(beta)), 1)
 
 
 def divisors_up_to_units(beta) -> list:
@@ -479,17 +480,14 @@ def record_checksum(beta: GaussInt, poly: PolyZi) -> str:
 
 
 # Keyed by the primary beta from _check_beta, so associates share one entry.
-# The exact ladder (N(beta) up to 125) leaves 8 entries, Lambda_1 included,
-# and 16 with beta = 13, 13+10i, 17 and -19 added, so no workload evicts.
+# The exact ladder (N(beta) up to 125) leaves 7 entries, and 15 with
+# beta = 13, 13+10i, 17 and -19 added, so no workload evicts.
 @lru_cache(maxsize=64)
 def _lemnatomic_poly(beta: GaussInt) -> PolyZi:
-    """Lambda_beta for primary beta, with Lambda_1 := X."""
-    if beta == ONE:
-        return PolyZi.make([ZERO, ONE])
-    quotient = all_torsion_poly(beta)
-    for d in divisors_up_to_units(beta):
-        if d == beta:
-            continue
+    """G with Lambda_beta = G(X^4), for primary non-unit beta: P~ divided by
+    G_d for every divisor d other than 1 and beta."""
+    quotient = _torsion_t(beta)
+    for d in divisors_up_to_units(beta)[1:-1]:  # sorted by norm: 1 first, beta last
         quotient = exact_divide(quotient, _lemnatomic_poly(d))
     return quotient
 
@@ -497,5 +495,5 @@ def _lemnatomic_poly(beta: GaussInt) -> PolyZi:
 def lemnatomic_exact(beta) -> LemnatomicRecord:
     """Lemnatomic polynomial of beta by the exact pipeline."""
     beta = _check_beta(beta)
-    poly = _lemnatomic_poly(beta)
+    poly = _from_t(_lemnatomic_poly(beta), 0)
     return LemnatomicRecord.build(beta, poly, method="exact", precision_bits=0)

@@ -1,16 +1,15 @@
 """Residue rings Z[i]/(beta) for odd beta: canonical representatives from a
 column-echelon basis of the lattice beta*Z[i], unit groups with invariant
-factors, one incremental subgroup closure (_closure, which both
-subgroup_generated and the unit group's generating set run), the
-primary/raw class map for odd elements, and the norm-phi function that
-gives the unit-group order.  A ring keeps its modulus's prime factors, and
-a residue is a unit exactly when none of them divides it.
+factors read off beta's factorization, one incremental subgroup closure
+(_closure, which both subgroup_generated and the unit group's generating
+set run), the primary/raw class map for odd elements, and the norm-phi
+function that gives the unit-group order.  A ring keeps its modulus's prime
+factors, and a residue is a unit exactly when none of them divides it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from .errors import InputError, NotCoprime, NotOdd
 from .gaussint import (
@@ -158,79 +157,44 @@ def _order_of(ring: ResidueRing, g: GaussIntLike, group_order: int) -> int:
     return order
 
 
-def _element_orders(ring: ResidueRing, elements: list[GaussInt]) -> dict[GaussInt, int]:
-    """The order of every element, one cyclic subgroup at a time: walking the
-    powers of an element x of order n gives each x^k its order n / gcd(k, n).
-    A walk starts only from an element no earlier walk reached, so it reaches
-    the phi(n) generators of <x> for the first time: n products for at least
-    phi(n) new orders, a small multiple of the group order in all."""
-    one = ring.canonical_rep(ONE)
-    orders: dict[GaussInt, int] = {}
-    for x in elements:
-        if x in orders:
-            continue
-        powers = [x]
-        while powers[-1] != one:
-            powers.append(ring.mul(powers[-1], x))
-        n = len(powers)
-        for k, y in enumerate(powers, start=1):
-            orders.setdefault(y, n // gcd(k, n))
-    return orders
+def _invariant_factors(beta: GaussInt) -> tuple[int, ...]:
+    """Invariant factors d1 | d2 | ... of (Z[i]/beta)*, read off beta's
+    factorization.
 
-
-def _invariant_factors(ring: ResidueRing, elements: list[GaussInt], order: int) -> tuple[int, ...]:
-    """Invariant factors d1 | d2 | ... via p-power counting.
-
-    For each prime p | order, counting the solutions of x^(p^j) = 1 gives the
-    conjugate of the partition formed by the p-exponents of the invariant
-    factors; combining primes componentwise (largest exponents together)
-    yields the divisibility chain.  The solutions of x^(p^j) = 1 are the x
-    whose order divides p^j, so the kernels are counted from the element
-    orders, each found once.
+    By the Chinese remainder theorem the group is the product of the unit
+    groups mod each prime power pi^e dividing beta: cyclic of order
+    p^(e-1) (p - 1) for a split pi of norm p, as Z[i]/pi^e is Z/p^e, and
+    C_(p^2-1) x C_(p^(e-1))^2 for an inert odd p.  Each cyclic order is split
+    into prime powers, and combining primes componentwise (largest exponents
+    together) yields the divisibility chain.
     """
-    orders = _element_orders(ring, elements).values()
-    exponents_by_prime: dict[int, list[int]] = {}
-    for p in sorted(_factor_int(order)):
-        counts = [0]  # log_p of |kernel of x -> x^(p^j)|, strictly increasing
-        j = 1
-        while True:
-            pj = p**j
-            kernel = sum(1 for d in orders if pj % d == 0)
-            s = 0
-            while p**s < kernel:
-                s += 1
-            if p**s != kernel:
-                raise AssertionError("kernel size must be a power of p in an abelian group")
-            if s == counts[-1]:
-                break
-            counts.append(s)
-            j += 1
-        rows = [counts[k] - counts[k - 1] for k in range(1, len(counts))]
-        # rows[k-1] = number of cyclic p-factors with exponent >= k
-        exps: list[int] = []
-        for k, row in enumerate(rows, start=1):
-            nxt = rows[k] if k < len(rows) else 0
-            exps.extend([k] * (row - nxt))
-        exponents_by_prime[p] = sorted(exps, reverse=True)
-    width = max((len(v) for v in exponents_by_prime.values()), default=0)
-    factors = []
-    for idx in range(width):
-        d = 1
-        for p, exps in exponents_by_prime.items():
-            if idx < len(exps):
-                d *= p ** exps[idx]
-        factors.append(d)
+    cyclic: list[int] = []
+    for prime, e in factor(beta)[1]:
+        if prime.kind == "split":
+            cyclic.append(prime.norm ** (e - 1) * (prime.norm - 1))
+        else:
+            p = abs(prime.value.re)  # an inert prime is -p, p = 3 (mod 4)
+            cyclic += [p * p - 1, p ** (e - 1), p ** (e - 1)]
+    exponents: dict[int, list[int]] = {}
+    for order in cyclic:
+        for p, k in _factor_int(order).items():
+            exponents.setdefault(p, []).append(k)
+    factors = [1] * max(map(len, exponents.values()), default=0)
+    for p, exps in exponents.items():
+        for idx, k in enumerate(sorted(exps, reverse=True)):
+            factors[idx] *= p**k
     return tuple(sorted(factors))
 
 
 def unit_group(ring: ResidueRing) -> UnitGroup:
-    """Enumerate the invertible classes and compute the group structure.
+    """Enumerate the invertible classes; the invariant factors come from the
+    modulus's factorization and the generators from one greedy closure.
 
     Brute-force enumeration; intended scale N(beta) <= 1e5.
     """
     elements = [r for r in ring.representatives() if ring.is_invertible(r)]
     order = len(elements)
-    invariants = _invariant_factors(ring, elements, order)
+    invariants = _invariant_factors(ring.modulus)
     generators = _greedy_generators(ring, elements)
     return UnitGroup(ring, tuple(elements), order, invariants, generators)
 

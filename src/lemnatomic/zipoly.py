@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Union
 
 from .errors import InputError, NotDivisible, ParseError
 from .gaussint import GaussInt, GaussIntLike, ZERO, ONE, as_gauss, format_gauss, parse_gauss
@@ -148,48 +148,31 @@ def poly(coeffs: Iterable[GaussIntLike]) -> PolyZi:
     return PolyZi.make(coeffs)
 
 
-def _divmod(f: PolyZi, g: PolyZi) -> Optional[tuple[PolyZi, PolyZi]]:
-    """(q, r) with f = q*g + r and deg r < deg g, or None when a quotient
-    coefficient is not a multiple of lc(g) in Z[i] (never for monic g).
+def exact_divide(f: PolyZi, g: PolyZi) -> PolyZi:
+    """Quotient f/g for a monic divisor g dividing f exactly.
 
-    Fraction-free long division on the re/im int lists: each quotient
-    coefficient is a division by lc(g) in Z[i], exact whenever g is
-    primitive and divides f over Q(i) (Gauss's lemma).
+    Long division on the re/im int lists: g is monic, so each quotient
+    coefficient is the leading coefficient of the remainder so far.  Raises
+    NotDivisible (carrying the remainder) when the division leaves a nonzero
+    remainder.
     """
-    dg = g.degree()
+    if not g.is_monic():
+        raise InputError("exact_divide requires a monic divisor")
     rem_re = [c.re for c in f.coeffs]
     rem_im = [c.im for c in f.coeffs]
     g_re = [c.re for c in g.coeffs[:-1]]
     g_im = [c.im for c in g.coeffs[:-1]]
-    lead = g.leading()
-    norm = lead.norm()
-    quotient = [ZERO] * max(len(rem_re) - dg, 0)
+    quotient = [ZERO] * max(len(rem_re) - g.degree(), 0)
     for k in range(len(quotient) - 1, -1, -1):
-        xr, xi = rem_re.pop(), rem_im.pop()
-        # (xr + xi i) / (lr + li i) = (xr + xi i)(lr - li i) / norm
-        qr, rr = divmod(xr * lead.re + xi * lead.im, norm)
-        qi, ri = divmod(xi * lead.re - xr * lead.im, norm)
-        if rr or ri:
-            return None
+        qr, qi = rem_re.pop(), rem_im.pop()
         if qr or qi:
             quotient[k] = GaussInt(qr, qi)
             rem_re[k:] = [x - qr * yr + qi * yi for x, yr, yi in zip(rem_re[k:], g_re, g_im)]
             rem_im[k:] = [x - qr * yi - qi * yr for x, yr, yi in zip(rem_im[k:], g_re, g_im)]
-    return PolyZi(tuple(quotient)), PolyZi(_trim(list(map(GaussInt, rem_re, rem_im))))
-
-
-def exact_divide(f: PolyZi, g: PolyZi) -> PolyZi:
-    """Quotient f/g for a monic divisor g dividing f exactly.
-
-    Raises NotDivisible (carrying the remainder) when the division leaves
-    a nonzero remainder.
-    """
-    if not g.is_monic():
-        raise InputError("exact_divide requires a monic divisor")
-    quotient, remainder = _divmod(f, g)
+    remainder = PolyZi(_trim(list(map(GaussInt, rem_re, rem_im))))
     if not remainder.is_zero():
         raise NotDivisible(f"{g} does not divide {f}", remainder=remainder)
-    return quotient
+    return PolyZi(tuple(quotient))
 
 
 def _bareiss_det(matrix: list[list[GaussInt]]) -> GaussInt:

@@ -508,6 +508,19 @@ class TestAllTorsionPoly:
         with pytest.raises(InputError):
             all_torsion_poly(gi("1"))
 
+    def test_nonunit_leading_coefficient_rejected(self, monkeypatch):
+        # a map pair scaled by 1+i still has the right quotient, but its
+        # numerator is no unit times T_beta / X; 3's map is built unscaled
+        # first, so only the pair read off its memo entry is scaled
+        all_torsion_poly(gi("-3"))
+        exact._lemnatomic_poly.cache_clear()
+        real = exact._map
+        monkeypatch.setattr(exact, "_map", lambda beta: tuple(f * gi("1+i") for f in real(beta)))
+        with pytest.raises(InternalInconsistency, match="leading coefficient"):
+            all_torsion_poly(gi("-3"))
+        with pytest.raises(InternalInconsistency, match="leading coefficient"):
+            lemnatomic_exact(gi("-3"))
+
 
 class TestLemnatomicExact:
     def test_corpus_frozen_values(self, corpus_polys):
@@ -594,13 +607,13 @@ class TestMemos:
 
     def test_associate_reuses_lemnatomic_memo(self, monkeypatch):
         calls = []
-        real = exact.mult_map
+        real = exact._map
 
         def counting(beta):
             calls.append(beta)
             return real(beta)
 
-        monkeypatch.setattr(exact, "mult_map", counting)
+        monkeypatch.setattr(exact, "_map", counting)
         lemnatomic_exact(gi("-3"))
         assert calls
         calls.clear()
@@ -666,8 +679,9 @@ def test_exact_33_by_composition_matches_the_numeric_route():
 @pytest.mark.slow
 @pytest.mark.parametrize("b", ["45", "-31"])
 def test_exact_matches_the_numeric_route_at_large_norm(b):
-    """45 (N = 2025) composes four prime maps; -31 (N = 961) is prime, so
-    it comes from the product formula on -15 and -16, each certified."""
+    """45 (N = 2025) composes four prime maps and divides P~ by the G_d of
+    its 10 other divisors, the longest chain in t; -31 (N = 961) is prime,
+    so it comes from the product formula on -15 and -16, each certified."""
     beta = gi(b)
     numeric, _ = lemnatomic_numeric(beta, 256)
     record = lemnatomic_exact(beta)

@@ -1,5 +1,7 @@
 """Residue rings R/beta, unit groups, subgroup closure, class maps."""
 
+import math
+
 import pytest
 
 from conftest import gi
@@ -8,6 +10,7 @@ from lemnatomic.gaussint import GaussInt, _factor_int, gauss_gcd, is_primary
 from lemnatomic.residue import (
     ResidueRing,
     _greedy_generators,
+    _order_of,
     class_of,
     phi_norm,
     residue_ring,
@@ -97,6 +100,20 @@ class TestUnitGroup:
             group = unit_group(residue_ring(gi(b)))
             sub = subgroup_generated(group, group.generators)
             assert len(sub) == group.order
+
+    @pytest.mark.parametrize("b", ["-3-4i", "11-2i", "9", "27", "45", "63", "3-6i"])
+    def test_invariant_factors_count_the_elements_of_each_order(self, b):
+        # the number of x with x^k = 1 is prod gcd(k, d_i) for the group
+        # C_d1 x C_d2 x ..., and these counts over the divisors k of the
+        # order fix a finite abelian group up to isomorphism; 27 and 63 hold
+        # inert prime powers, 45 and 63 mix them with other primes
+        group = unit_group(residue_ring(gi(b)))
+        orders = [_order_of(group.ring, x, group.order) for x in group.elements]
+        for k in (k for k in range(1, group.order + 1) if group.order % k == 0):
+            want = 1
+            for d in group.invariant_factors:
+                want *= math.gcd(k, d)
+            assert sum(1 for n in orders if k % n == 0) == want
 
 
 class TestSubgroupGenerated:

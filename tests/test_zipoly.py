@@ -12,7 +12,6 @@ from lemnatomic.gaussint import primes_up_to_norm
 from lemnatomic.zipoly import (
     PolyZi,
     _bareiss_det,
-    _divmod,
     discriminant,
     exact_divide,
     from_json_dict,
@@ -287,16 +286,12 @@ class TestExactDivide:
             g, q, r = rand_poly(rng, 4), rand_poly(rng, 4), rand_poly(rng, 4)
             g = PolyZi.make(list(g.coeffs) + [GaussInt(1, 0)])  # monic, degree >= 0
             r = PolyZi.make(r.coeffs[: g.degree()])
-            assert _divmod(g * q + r, g) == (q, r)
-
-    def test_nonmonic_divisor_exact_or_none(self, rng):
-        for _ in range(60):
-            g, q = rand_poly(rng, 4), rand_poly(rng, 4)
-            if g.is_zero():
-                continue
-            assert _divmod(g * q, g) == (q, PolyZi(()))
-        # X^2 + 1 over 2X + 1: the leading quotient coefficient 1/2 is not in Z[i]
-        assert _divmod(poly([1, 0, 1]), poly([1, 2])) is None
+            if r.is_zero():
+                assert exact_divide(g * q, g) == q
+            else:
+                with pytest.raises(NotDivisible) as err:
+                    exact_divide(g * q + r, g)
+                assert err.value.remainder == r
 
     def test_product_then_divide_random(self, rng):
         for _ in range(60):
