@@ -35,7 +35,13 @@ together with the initial condition f(0) = 0, f'(0) = beta
 (P(0) = beta Q(0) != 0): then f' = beta sqrt(1 - f^4) has a unique solution
 through 0, so f = sl(beta z) (see mult_map).  For odd beta the cheap
 invariants deg P = (N(beta) - 1) / 4 and Q = unit * t^deg P * P(1/t) are
-checked too, and for even beta deg Q = ceil((N(beta) - 1) / 4).
+checked too, and for even beta deg Q = ceil((N(beta) - 1) / 4).  The
+identity is compared on Kronecker images: the first-level products come
+from zipoly's one list-level product, and the final squarings are packed
+once at one slot width w and never unpacked, so each side is a pair of
+ints, its value at t = 2^w.  w bounds every coefficient of the difference,
+so the pairs agree exactly when the polynomials do, and rev(P^4) is P^4's
+packed value with its slots reversed.
 
 For odd beta the numerator s P(t), made monic, is the all-torsion
 polynomial T_beta = X P~(X^4) of degree N(beta), its factor X for the zero
@@ -71,7 +77,15 @@ from .gaussint import (
     primary_normalize,
 )
 from .residue import phi_norm
-from .zipoly import PolyZi, exact_divide
+from .zipoly import (
+    PolyZi,
+    _max_abs,
+    complex_mul,
+    exact_divide,
+    kronecker_mul,
+    pack_slots,
+    reverse_slots,
+)
 
 __all__ = [
     "LemnatomicRecord",
@@ -200,6 +214,23 @@ def _verify_first_integral(p: PolyZi, q: PolyZi, beta: GaussInt) -> None:
     after t = s^4, which is injective on polynomials, at a quarter of the
     degree.  Once the reversal holds, Q^4 is P^4 reversed and is not computed.
 
+    The identity runs on (re, im) int lists.  R = A Q - P B with
+    A = sum (4k + 1) p_k t^k and B = sum 4k q_k t^k, P^2, and for even beta
+    P Q and Q^2, come from zipoly.kronecker_mul.  The final squarings, R^2
+    and P^4 for odd beta and R1^2, Q^4 and ((1 - t) P^2)^2 for even beta,
+    are packed once at one slot width w (_slot_width) and never unpacked:
+    each side is held as the pair of ints (Re, Im) of its value at t = 2^w,
+    where (1 - t) X is X - (X << w), t X is X << w and beta^2 is a complex
+    scalar.  rev(P^4) is P^4's packed value with its 4m + 1 slots reversed
+    (zipoly.reverse_slots).  Evaluation at 2^w is a ring homomorphism, and
+    an integer polynomial whose coefficients are below 2^(w - 1) in absolute
+    value vanishes at 2^w only if it is zero: its top nonzero term, of
+    degree K, is at least 2^(wK) in absolute value, and the terms below it
+    sum to at most 2^(w - 1) (2^(wK) - 1) / (2^w - 1) < 2^(wK).
+    _slot_width bounds every coefficient of lhs - beta^2 rhs, and of P^4,
+    below 2^(w - 1), so the two pairs are equal exactly when the identity
+    holds, and the reversed slots are P^4's coefficients.
+
     The degrees certify lowest terms, since a common factor of P and Q
     raises both.  On the curve c^2 = 1 - s^4, f = sl o [beta] has degree
     2 N(beta), and the poles of the reduced pair count it: a root
@@ -226,20 +257,36 @@ def _verify_first_integral(p: PolyZi, q: PolyZi, beta: GaussInt) -> None:
             raise InternalInconsistency(
                 f"denominator of sl({beta} z) is not a unit times the reversed numerator"
             )
-    r = PolyZi.make([c * (4 * k + 1) for k, c in enumerate(p.coeffs)]) * q - p * PolyZi.make(
-        [c * (4 * k) for k, c in enumerate(q.coeffs)]
-    )
-    p2 = p * p
+    pl = [c.re for c in p.coeffs], [c.im for c in p.coeffs]
+    ql = [c.re for c in q.coeffs], [c.im for c in q.coeffs]
+    a = tuple([(4 * k + 1) * x for k, x in enumerate(part)] for part in pl)
+    b = tuple([4 * k * x for k, x in enumerate(part)] for part in ql)
+    r = tuple([u - v for u, v in zip(x, y)] for x, y in zip(kronecker_mul(a, ql), kronecker_mul(pl, b)))
+    p2 = kronecker_mul(pl, pl)
     if beta.is_odd():
-        r2, p4 = r * r, p2 * p2
-        lhs = r2 - _times_t(r2)
-        rhs = PolyZi.make(reversed(p4.coeffs)) - _times_t(p4)
+        lhs, rhs = [r], [p2]
     else:
-        r = r - _times_t(r) - _times_t(p * q) * 2
-        q2, wp2 = q * q, p2 - _times_t(p2)
-        lhs = r * r
-        rhs = q2 * q2 - _times_t(wp2 * wp2)
-    if lhs != rhs * (beta * beta):
+        # R1 = (1 - t) R - 2t P Q and (1 - t) P^2, slot by slot
+        pq = kronecker_mul(pl, ql)
+        r1 = tuple(
+            [x - y - 2 * z for x, y, z in zip(rp + [0], [0] + rp, [0] + pqp)] for rp, pqp in zip(r, pq)
+        )
+        wp2 = tuple([x - y for x, y in zip(part + [0], [0] + part)] for part in p2)
+        lhs, rhs = [r1], [kronecker_mul(ql, ql), wp2]
+    beta2 = beta * beta
+    w = _slot_width(lhs, rhs, beta2)
+    nbytes = w // 8
+    packed = [(pack_slots(re, nbytes), pack_slots(im, nbytes)) for re, im in lhs + rhs]
+    r2, *squares = [complex_mul(v, v) for v in packed]
+    if beta.is_odd():
+        (p4,) = squares
+        left = tuple(x - (x << w) for x in r2)
+        right = tuple(reverse_slots(x, 2 * len(p2[0]) - 1, nbytes) - (x << w) for x in p4)
+    else:
+        q4, wp4 = squares
+        left = r2
+        right = tuple(x - (y << w) for x, y in zip(q4, wp4))
+    if left != complex_mul((beta2.re, beta2.im), right):
         raise InternalInconsistency(
             f"sl({beta} z) violates the first integral of the defining equation"
         )
@@ -248,6 +295,38 @@ def _verify_first_integral(p: PolyZi, q: PolyZi, beta: GaussInt) -> None:
             f"denominator degree {q.degree()} != ceil((N(beta) - 1) / 4) = {(n + 2) // 4}"
             f" for beta={beta}"
         )
+
+
+def _slot_width(lhs: list, rhs: list, beta2: GaussInt) -> int:
+    """The slot width w, a multiple of 8, of the first integral's check
+    lhs = beta2 rhs, where each side is a sum of at most two terms, each a
+    square (shifted by t or not) of one of the side's (re, im) lists: R for
+    the odd lhs (1 - t) R^2 and R1 for the even lhs R1^2, P^2 for the odd rhs
+    rev(P^4) - t P^4, and Q^2 and (1 - t) P^2 for the even rhs
+    Q^4 - t ((1 - t) P^2)^2.
+
+    Every part of lhs - beta2 rhs, and of P^4, is below 2^(w - 1):
+      - a coefficient of the square of a list of length n whose parts are at
+        most M is a sum of at most n products of two coefficients, each with
+        parts at most 2 M^2, so its parts are at most 2 n M^2, below
+        2^(1 + bits(n) + 2 bits(M));
+      - a sum of two terms below 2^b is below 2^(b + 1), which covers the
+        factor (1 - t);
+      - |Re(beta2 x)| and |Im(beta2 x)| are at most (|Re beta2| + |Im beta2|)
+        times the larger part of x, below 2^bits(|Re beta2| + |Im beta2|)
+        times its bound;
+      - lhs - beta2 rhs is below twice the larger of the two sides' bounds,
+        one more bit, and the sign takes one more.
+    P^4 is a term of the odd rhs, so its bound is below the rhs's and w
+    covers it; so is every list packed, whose parts are below their
+    square's bound.
+    """
+
+    def side(lists: list) -> int:
+        return 1 + max(1 + len(x[0]).bit_length() + 2 * _max_abs(x).bit_length() for x in lists)
+
+    bits = max(side(lhs), side(rhs) + (abs(beta2.re) + abs(beta2.im)).bit_length())
+    return (bits + 2 + 7) // 8 * 8
 
 
 def _compose(outer: tuple, inner: tuple) -> tuple:
@@ -441,6 +520,23 @@ class LemnatomicRecord:
 
     @staticmethod
     def build(beta: GaussInt, poly: PolyZi, method: str, precision_bits: int) -> "LemnatomicRecord":
+        """The record of poly as Lambda_beta, after the invariants every
+        lemnatomic polynomial has: degree phi(beta), monic, in Z[i][X^4],
+        Lambda_beta(0), and Lambda_beta(1) a unit times 2^(phi(beta) / 4).
+
+        Lambda_beta(1): the roots of Lambda_beta fall into phi / 4 unit
+        orbits v, iv, -v, -iv, so Lambda_beta(1) is the product of 1 - v^4
+        over them.  With sl((1+i) z) = (1+i) s c / (1 - s^4) and c^2 = 1 - s^4,
+        sl((1+i) z)^2 = 2i s^2 / (1 - s^4), so 1 - v^4 = 2i v^2 / w^2 for
+        v = sl(z0) and w = sl((1+i) z0), z0 a primitive beta-torsion point (v
+        and w are finite and nonzero, and v^4 != 1, since beta is odd).
+        Multiplication by 1+i permutes the primitive beta-torsion points and
+        commutes with the units, so it permutes the orbits, on which s^4 is
+        constant: the product of w^4 over the orbits is that of v^4, the
+        product of v^2 / w^2 is +-1, and Lambda_beta(1) = +-(2i)^(phi / 4).
+        The check is O(deg) additions, and a single coefficient off by any
+        nonzero amount breaks it.
+        """
         if method not in ("exact", "numeric", "both"):
             raise InputError(f"unknown method {method!r}")
         want = phi_norm(beta)
@@ -463,6 +559,12 @@ class LemnatomicRecord:
         if poly[0] != constant:
             raise InternalInconsistency(
                 f"lemnatomic polynomial for beta={beta} has constant term {poly[0]}, not {constant}"
+            )
+        value_at_1 = GaussInt(sum(c.re for c in poly.coeffs), sum(c.im for c in poly.coeffs))
+        if not any(value_at_1 == u * 2 ** (want // 4) for u in UNITS):
+            raise InternalInconsistency(
+                f"lemnatomic polynomial for beta={beta} has value {value_at_1} at 1,"
+                f" not a unit times 2^{want // 4}"
             )
         return LemnatomicRecord(
             beta=beta,

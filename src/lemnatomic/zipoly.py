@@ -1,10 +1,14 @@
 """Exact polynomials over Z[i].
 
 Dense ascending-coefficient polynomials with GaussInt entries: ring
-arithmetic (products by Kronecker substitution), formal derivative,
-evaluation, exact division by a monic divisor, a fraction-free
-resultant/discriminant, and the JSON form {"coeffs": ["a+bi", ...]} used by
-CLI commands and cache files.
+arithmetic, formal derivative, evaluation, exact division by a monic
+divisor, a fraction-free resultant/discriminant, and the JSON form
+{"coeffs": ["a+bi", ...]} used by CLI commands and cache files.
+
+Products go through one Kronecker product on (re, im) int lists,
+kronecker_mul, which PolyZi.__mul__ wraps; the slot packing, the complex
+product of packed values and the slot reversal it is built from also serve
+the exact route's certificate, which compares packed values directly.
 """
 
 from __future__ import annotations
@@ -68,32 +72,11 @@ class PolyZi:
             return PolyZi(_trim([c * scalar for c in self.coeffs]))
         if self.is_zero() or other.is_zero():
             return PolyZi(())
-        # Kronecker substitution: a polynomial becomes its value at 2^width,
-        # so one big-integer product gives every coefficient at once.  With
-        # (ar + ai i)(br + bi i) = ar br - ai bi + ((ar + ai)(br + bi) - ar br - ai bi) i
-        # three products cover the real and imaginary parts.  Each part of a
-        # product coefficient is a sum of 2 * min(len) terms below
-        # max|a| * max|b|; one more bit holds its sign.  A square packs once
-        # and its three products are big-int squares, which CPython computes
-        # faster than general products.
-        a, b = self.coeffs, other.coeffs
-        bits_a = max(max(abs(c.re).bit_length(), abs(c.im).bit_length()) for c in a)
-        bits_b = max(max(abs(c.re).bit_length(), abs(c.im).bit_length()) for c in b)
-        nbytes = (bits_a + bits_b + min(len(a), len(b)).bit_length() + 2 + 7) // 8
-        ar, ai = _pack([c.re for c in a], nbytes), _pack([c.im for c in a], nbytes)
-        if b is a:
-            br, bi = ar, ai
-        else:
-            br, bi = _pack([c.re for c in b], nbytes), _pack([c.im for c in b], nbytes)
-        rr = ar * br
-        ii = ai * bi
-        sa = ar + ai
-        sb = sa if b is a else br + bi
-        mixed = sa * sb - rr - ii
-        n = len(a) + len(b) - 1
-        return PolyZi(
-            tuple(map(GaussInt, _unpack(rr - ii, n, nbytes), _unpack(mixed, n, nbytes)))
-        )
+        a = [c.re for c in self.coeffs], [c.im for c in self.coeffs]
+        b = a
+        if other.coeffs is not self.coeffs:
+            b = [c.re for c in other.coeffs], [c.im for c in other.coeffs]
+        return PolyZi(tuple(map(GaussInt, *kronecker_mul(a, b))))
 
     __rmul__ = __mul__
 
@@ -124,7 +107,49 @@ class PolyZi:
         return " + ".join(parts)
 
 
-def _pack(values: list[int], nbytes: int) -> int:
+def kronecker_mul(a: tuple, b: tuple) -> tuple:
+    """(re, im) int lists of the product of the polynomials whose ascending
+    coefficients have the nonempty (re, im) int lists a and b.
+
+    Kronecker substitution: a polynomial becomes its value at 2^(8 nbytes),
+    so one big-integer product gives every coefficient at once.  Each part
+    of a product coefficient is a sum of 2 * min(len) terms below
+    max|a| * max|b|; one more bit holds its sign.  When b is a, the operands
+    pack once and the products are big-int squares (see complex_mul).  The
+    result keeps every slot, so a leading zero is not trimmed.
+    """
+    bits = _max_abs(a).bit_length() + _max_abs(b).bit_length()
+    nbytes = (bits + min(len(a[0]), len(b[0])).bit_length() + 2 + 7) // 8
+    x = pack_slots(a[0], nbytes), pack_slots(a[1], nbytes)
+    y = x if b is a else (pack_slots(b[0], nbytes), pack_slots(b[1], nbytes))
+    re, im = complex_mul(x, y)
+    n = len(a[0]) + len(b[0]) - 1
+    return list(_unpack(re, n, nbytes)), list(_unpack(im, n, nbytes))
+
+
+def complex_mul(x: tuple, y: tuple) -> tuple:
+    """(xr + xi i)(yr + yi i) as an (re, im) int pair, by three products:
+    xr yr - xi yi and (xr + xi)(yr + yi) - xr yr - xi yi.  When y is x all
+    three are squares, which CPython computes faster than general products.
+    A real factor needs two products, and a real square one: the maps of a
+    rational beta have real coefficients (sl has a real Taylor series)."""
+    if not x[1]:
+        return x[0] * y[0], x[0] * y[1]
+    if not y[1]:
+        return x[0] * y[0], x[1] * y[0]
+    rr = x[0] * y[0]
+    ii = x[1] * y[1]
+    sx = x[0] + x[1]
+    sy = sx if y is x else y[0] + y[1]
+    return rr - ii, sx * sy - rr - ii
+
+
+def _max_abs(a: tuple) -> int:
+    """The largest |part| of the (re, im) int lists a."""
+    return max(max(map(abs, a[0])), max(map(abs, a[1])))
+
+
+def pack_slots(values: list[int], nbytes: int) -> int:
     """sum(v_k * 2^(8 nbytes k)) for signed v_k with |v_k| < 2^(8 nbytes - 1)."""
     half = 1 << (8 * nbytes - 1)
     biased = b"".join((v + half).to_bytes(nbytes, "little") for v in values)
@@ -132,10 +157,23 @@ def _pack(values: list[int], nbytes: int) -> int:
 
 
 def _unpack(packed: int, count: int, nbytes: int) -> Iterator[int]:
-    """The signed slots v_0 .. v_(count-1) of a value built as by _pack."""
+    """The signed slots v_0 .. v_(count-1) of a value built as by pack_slots."""
     half = 1 << (8 * nbytes - 1)
     view = memoryview((packed + _half_slots(count, nbytes)).to_bytes(count * nbytes, "little"))
     return (int.from_bytes(view[k : k + nbytes], "little") - half for k in range(0, count * nbytes, nbytes))
+
+
+def reverse_slots(packed: int, count: int, nbytes: int) -> int:
+    """The value built as by pack_slots from the slots v_(count-1) .. v_0 of
+    packed, that is the reversed polynomial of degree count - 1 at
+    2^(8 nbytes), read without unpacking a slot: the bias 2^(8 nbytes - 1)
+    makes every slot a nonnegative byte string, and the same bias in every
+    slot is removed after the chunks are reversed."""
+    half = _half_slots(count, nbytes)
+    raw = (packed + half).to_bytes(count * nbytes, "little")
+    chunks = [raw[k : k + nbytes] for k in range(0, count * nbytes, nbytes)]
+    chunks.reverse()
+    return int.from_bytes(b"".join(chunks), "little") - half
 
 
 def _half_slots(count: int, nbytes: int) -> int:

@@ -6,6 +6,7 @@ import json
 from conftest import gi
 from lemnatomic.cache import SCHEMA_VERSION, cache_load, cache_path, cache_store
 from lemnatomic.exact import lemnatomic_exact, record_checksum
+from lemnatomic.gaussint import format_gauss
 from lemnatomic.zipoly import from_json_dict
 
 
@@ -106,6 +107,16 @@ class TestMissPaths:
             d["checksum"] = record_checksum(record.beta, from_json_dict(d["coefficients"]))
 
         rewrite(path, fill_x2)
+        assert cache_load(record.beta, tmp_path) is None
+
+    def test_value_at_1_off_with_matching_checksum(self, tmp_path):
+        record, path = stored(tmp_path)
+
+        def bump_x4(d):
+            d["coefficients"]["coeffs"][4] = format_gauss(record.coefficients[4] + 1)
+            d["checksum"] = record_checksum(record.beta, from_json_dict(d["coefficients"]))
+
+        rewrite(path, bump_x4)
         assert cache_load(record.beta, tmp_path) is None
 
     def test_degree_tamper(self, tmp_path):

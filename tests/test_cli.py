@@ -239,9 +239,9 @@ class TestExitCodes:
 
     def test_verification_failure_exit_two(self, capsys, monkeypatch):
         # Force the cross-pipeline comparison to see different polynomials;
-        # the wrong one keeps every record invariant, the X^4 shape and
-        # Lambda(0) = -3 included (X^8 + 6X^4 - 3 is right).
-        wrong = LemnatomicRecord.build(gi("-3"), poly([-3, 0, 0, 0, 7, 0, 0, 0, 1]), "exact", 0)
+        # the wrong one keeps every record invariant, the X^4 shape,
+        # Lambda(0) = -3 and Lambda(1) = -4 included (X^8 + 6X^4 - 3 is right).
+        wrong = LemnatomicRecord.build(gi("-3"), poly([-3, 0, 0, 0, -2, 0, 0, 0, 1]), "exact", 0)
         monkeypatch.setattr("lemnatomic.cli.lemnatomic_exact", lambda beta: wrong)
         code, _, err = run(capsys, "lemnatomic", "-3", "--method", "both")
         assert code == 2

@@ -231,6 +231,56 @@ def assert_s_identity(n: PolyZi, parity: int, d: PolyZi, beta: GaussInt) -> None
         assert m * m == (d2 * d2 - n2 * n2 * W * W) * (beta * beta)
 
 
+def reference_sides(p: PolyZi, q: PolyZi, beta: GaussInt) -> tuple:
+    """(lhs, rhs, P^4) of the first integral lhs = beta^2 rhs, computed on
+    PolyZi values coefficient by coefficient: (1 - t) R^2 and
+    rev(P^4) - t P^4 for odd beta, R1^2 and Q^4 - t (1 - t)^2 P^4 for even
+    beta.  The reference for the packed identity in _verify_first_integral."""
+    a = PolyZi.make([c * (4 * k + 1) for k, c in enumerate(p.coeffs)])
+    b = PolyZi.make([c * (4 * k) for k, c in enumerate(q.coeffs)])
+    r = a * q - p * b
+    p2 = p * p
+    p4 = p2 * p2
+    if beta.is_odd():
+        r2 = r * r
+        return r2 - exact._times_t(r2), PolyZi.make(reversed(p4.coeffs)) - exact._times_t(p4), p4
+    r = r - exact._times_t(r) - exact._times_t(p * q) * 2
+    q2, wp2 = q * q, p2 - exact._times_t(p2)
+    return r * r, q2 * q2 - exact._times_t(wp2 * wp2), p4
+
+
+def reference_verify(p: PolyZi, q: PolyZi, beta: GaussInt) -> None:
+    """_verify_first_integral with the identity compared on PolyZi values:
+    the same checks in the same order, with the same messages."""
+    if q[0] == exact.ZERO or p[0] != beta * q[0]:
+        raise InternalInconsistency(
+            f"sl({beta} z) = s P(t) / Q(t) fails the initial condition P(0) = beta Q(0) != 0"
+        )
+    n = beta.norm()
+    if beta.is_odd():
+        if 4 * p.degree() + 1 != n:
+            raise InternalInconsistency(
+                f"numerator degree {4 * p.degree() + 1} != N(beta) = {n} for beta={beta}"
+            )
+        rev = PolyZi.make(reversed(p.coeffs))
+        if not any(q == rev * u for u in UNITS):
+            raise InternalInconsistency(
+                f"denominator of sl({beta} z) is not a unit times the reversed numerator"
+            )
+    lhs, rhs, _ = reference_sides(p, q, beta)
+    if lhs != rhs * (beta * beta):
+        raise InternalInconsistency(f"sl({beta} z) violates the first integral of the defining equation")
+    if not beta.is_odd() and q.degree() != (n + 2) // 4:
+        raise InternalInconsistency(
+            f"denominator degree {q.degree()} != ceil((N(beta) - 1) / 4) = {(n + 2) // 4}"
+            f" for beta={beta}"
+        )
+
+
+def largest_part_bits(*polys: PolyZi) -> int:
+    return max(max(abs(c.re).bit_length(), abs(c.im).bit_length()) for f in polys for c in f.coeffs)
+
+
 class TestChainVerifier:
     """mult_map certifies every map, in t = s^4, by the first integral
     (sl')^2 = 1 - sl^4 with the initial condition P(0) = beta Q(0) != 0, and
@@ -245,15 +295,22 @@ class TestChainVerifier:
         yield
         clear_memos()  # corrupted pairs must not outlive the test
 
+    # Each corruption is also run with reference_verify in place of the
+    # certificate, which must catch exactly as many faults.
     @pytest.mark.parametrize("kind", list(CHAIN_CORRUPTIONS))
     def test_corrupted_chain_step_is_caught_or_harmless(self, kind, cold_memos, monkeypatch):
-        caught = count_caught(
-            CHAIN_CORRUPTIONS[kind],
-            monkeypatch,
-            lambda b: lemnatomic_exact(b).checksum,
-            FROZEN_CHECKSUMS,
-        )
+        def run():
+            return count_caught(
+                CHAIN_CORRUPTIONS[kind],
+                monkeypatch,
+                lambda b: lemnatomic_exact(b).checksum,
+                FROZEN_CHECKSUMS,
+            )
+
+        caught = run()
         assert caught, f"{kind} was never caught"
+        monkeypatch.setattr(exact, "_verify_first_integral", reference_verify)
+        assert run() == caught
 
     @pytest.mark.parametrize("kind", list(CHAIN_CORRUPTIONS))
     def test_corrupted_chain_step_on_even_beta_is_caught_or_harmless(
@@ -262,6 +319,8 @@ class TestChainVerifier:
         want = {b: mult_map(gi(b)) for b in EVEN_BETAS}
         caught = count_caught(CHAIN_CORRUPTIONS[kind], monkeypatch, mult_map, want)
         assert caught, f"{kind} was never caught"
+        monkeypatch.setattr(exact, "_verify_first_integral", reference_verify)
+        assert count_caught(CHAIN_CORRUPTIONS[kind], monkeypatch, mult_map, want) == caught
 
     def test_swapped_pair_is_not_of_the_t_form(self):
         # i B / N = i / sl(beta z) satisfies the first integral as well, but
@@ -371,6 +430,35 @@ class TestChainVerifier:
         real = exact._product
         monkeypatch.setattr(exact, "_product", lambda *a: tuple(f * STRIPPED_PAD for f in real(*a)))
         assert {b: mult_map(gi(b)) for b in want} == want
+
+
+class TestPackedIdentity:
+    """_verify_first_integral compares the first integral's two sides as
+    (Re, Im) int pairs of their values at t = 2^w; reference_sides computes
+    them coefficient by coefficient."""
+
+    def test_every_grid_map_is_accepted_with_a_sign_bit_to_spare(self, monkeypatch):
+        # every map the radius-7 grid builds, halves and delta included
+        clear_memos()
+        maps = []
+        certify = exact._verify_first_integral
+        monkeypatch.setattr(exact, "_verify_first_integral", lambda *a: maps.append(a) or certify(*a))
+        for re in range(-7, 8):
+            for im in range(-7, 8):
+                if re or im:
+                    mult_map(GaussInt(re, im))
+        monkeypatch.undo()
+        widths = []
+        slot_width = exact._slot_width
+        monkeypatch.setattr(exact, "_slot_width", lambda *a: widths.append(slot_width(*a)) or widths[-1])
+        assert len(maps) >= 224
+        for p, q, beta in maps:
+            certify(p, q, beta)
+            reference_verify(p, q, beta)
+            lhs, rhs, p4 = reference_sides(p, q, beta)
+            # the slots of P^4 are reversed only for odd beta
+            sides = (lhs, rhs, rhs * (beta * beta)) + ((p4,) if beta.is_odd() else ())
+            assert largest_part_bits(*sides) <= widths[-1] - 1, f"beta={beta}"
 
 
 def conjugate_map(pq):
@@ -733,6 +821,22 @@ class TestLemnatomicRecord:
                 for method in ("exact", "numeric"):
                     with pytest.raises(InternalInconsistency, match="polynomial in X\\^4"):
                         LemnatomicRecord.build(gi(b), bad, method, 0)
+
+    @pytest.mark.parametrize("b, value", [("-3", "4"), ("-3-4i", "32i"), ("13", str(2**36))])
+    def test_value_at_1_is_a_unit_times_a_power_of_2(self, b, value):
+        coeffs = lemnatomic_exact(gi(b)).coefficients.coeffs
+        assert sum(coeffs, gi("0")) == gi(value)
+
+    @pytest.mark.parametrize("b", ["-3", "-3-4i", "3-6i"])
+    def test_build_rejects_a_wrong_value_at_1(self, b):
+        # +1 on the X^4 coefficient keeps the degree, monicity, the X^4 shape
+        # and the constant term
+        good = lemnatomic_exact(gi(b)).coefficients
+        bad = PolyZi.make(good.coeffs[:4] + (good.coeffs[4] + 1,) + good.coeffs[5:])
+        assert bad.degree() == good.degree() > 4 and bad[0] == good[0]
+        for method in ("exact", "numeric"):
+            with pytest.raises(InternalInconsistency, match="at 1"):
+                LemnatomicRecord.build(gi(b), bad, method, 0)
 
     @pytest.mark.parametrize(
         "b, constant", [("-3", "3"), ("-3", "0"), ("-3-4i", "-1-2i"), ("3-6i", "-3"), ("3-6i", "0")]

@@ -15,8 +15,11 @@ from lemnatomic.zipoly import (
     discriminant,
     exact_divide,
     from_json_dict,
+    kronecker_mul,
+    pack_slots,
     poly,
     resultant,
+    reverse_slots,
     to_json_dict,
 )
 
@@ -70,9 +73,69 @@ def schoolbook_mul(f: PolyZi, g: PolyZi) -> PolyZi:
     return PolyZi.make(out)
 
 
+def schoolbook_lists(a: tuple, b: tuple) -> tuple:
+    """Reference list product: every slot kept, leading zeros included."""
+    n = len(a[0]) + len(b[0]) - 1
+    re, im = [0] * n, [0] * n
+    for j, (ar, ai) in enumerate(zip(*a)):
+        for k, (br, bi) in enumerate(zip(*b)):
+            re[j + k] += ar * br - ai * bi
+            im[j + k] += ar * bi + ai * br
+    return re, im
+
+
 class TestKroneckerMultiply:
-    """PolyZi.__mul__ packs coefficients into big integers; the schoolbook
-    product above is the reference."""
+    """PolyZi.__mul__ and kronecker_mul pack coefficients into big integers;
+    the schoolbook products above are the reference."""
+
+    @staticmethod
+    def random_lists(rng):
+        """Signed (re, im) lists: length 1 often, zero coefficients at either
+        end, and real and imaginary operands, which take fewer products."""
+        length = rng.choice([1, 1, 2, 3, rng.randint(4, 40)])
+        bits = rng.choice([1, 3, 30, 64, 200, 333])
+        re = [rng.randint(-(2**bits), 2**bits) for _ in range(length)]
+        im = [rng.randint(-(2**bits), 2**bits) for _ in range(length)]
+        for end in rng.sample((0, -1, None, None), 2):
+            if end is not None:
+                re[end] = im[end] = 0
+        shape = rng.choice(["complex", "complex", "real", "imaginary"])
+        if shape == "real":
+            im = [0] * length
+        elif shape == "imaginary":
+            re = [0] * length
+        return re, im
+
+    def test_list_product_matches_schoolbook_random(self, rng):
+        for _ in range(300):
+            a, b = self.random_lists(rng), self.random_lists(rng)
+            assert kronecker_mul(a, b) == schoolbook_lists(a, b)
+            square = schoolbook_lists(a, a)
+            assert kronecker_mul(a, a) == square  # the same object: squares
+            assert kronecker_mul(a, (list(a[0]), list(a[1]))) == square
+
+    def test_list_product_edge_cases(self):
+        big = 2**250 + 12345
+        cases = [
+            (([0], [0]), ([1, 2, 3], [0, -1, 0])),
+            (([3], [-4]), ([-1, 0, 5], [1, 0, 0])),
+            (([-big], [big]), ([big, -big], [-1, -big])),
+            (([0, 0, 7], [0, 0, 0]), ([0, -7], [0, 0])),
+            (([-1] * 64, [-1] * 64), ([-1] * 64, [-1] * 64)),
+            (([5, 0, 0], [0, 0, 0]), ([0, 0, 2], [0, 0, -3])),
+        ]
+        for a, b in cases:
+            assert kronecker_mul(a, b) == schoolbook_lists(a, b)
+            assert kronecker_mul(b, a) == schoolbook_lists(b, a)
+            assert kronecker_mul(a, a) == schoolbook_lists(a, a)
+
+    def test_reverse_slots(self, rng):
+        for nbytes in (1, 2, 7, 40):
+            top = 2 ** (8 * nbytes - 1) - 1
+            for count in (1, 2, 3, 50):
+                values = [rng.choice([-top, top, 0, rng.randint(-top, top)]) for _ in range(count)]
+                packed = pack_slots(values, nbytes)
+                assert reverse_slots(packed, count, nbytes) == pack_slots(values[::-1], nbytes)
 
     @staticmethod
     def random_pair(rng):

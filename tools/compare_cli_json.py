@@ -14,10 +14,11 @@ and the inert primes -3 and -7; ``primary`` and ``factor`` run on 3i, -7,
 2+i and 45; ``lemnatomic BETA --method exact`` runs on
 the exact ladder of the benchmark plus 13, 17, -19, 29 (the product of the
 split primes 5 +/- 2i), 33, -31 (a prime whose halves recurse through even
-maps), 19+10i, and 15, 21, 27 and 45, whose lemnatomic polynomials divide
-out chains of 8, 4, 4 and 12 divisors in t = X^4; ``unitgroup`` runs on the
-same beta (among them the inert prime power 27 and the mixed 45) plus -7,
--43, 63 and 125.
+maps), 19+10i, 15, 21, 27 and 45, whose lemnatomic polynomials divide
+out chains of 8, 4, 4 and 12 divisors in t = X^4, and -43 (N = 1849, a
+prime whose map's certificate packs the widest slots, about 2 s); ``unitgroup``
+runs on the same beta (among them the inert prime power 27 and the mixed 45)
+plus -7, 63 and 125.
 The product formula's unreduced pair can share a factor
 (t - 1)^a (t + 1)^b, which the exact route strips: t^2 - 1 under -19, and
 t - 1, (t - 1)^2 and (t - 1)^3 (t + 1) under 19+10i.
@@ -61,9 +62,9 @@ SINGLE_POLYS = ("lemnatomic:-3", "coeffs:-2,0,0,1")
 ORBIT_BETAS = ("-1-2i", "5+4i")  # divisible by none of SINGLE_PRIMES
 EXACT_BETAS = (
     "-1+2i", "-3", "-3-4i", "3-6i", "9", "-11", "11-2i", "13", "17", "-19", "29", "33", "-31",
-    "19+10i", "15", "21", "27", "45",
+    "19+10i", "15", "21", "27", "45", "-43",
 )
-UNIT_GROUP_BETAS = EXACT_BETAS + ("-7", "-43", "63", "125")
+UNIT_GROUP_BETAS = EXACT_BETAS + ("-7", "63", "125")
 NUMERIC_BETAS = (
     "-1+2i", "-3", "-3-4i", "3-6i", "9", "-11", "11-2i", "13", "13+10i", "17", "-19", "29", "-31", "45",
 )
