@@ -85,35 +85,6 @@ def _load_poly(spec: str) -> PolyZi:
     raise InputError(f"polynomial source not found: {spec}")
 
 
-def _poly_str(f: PolyZi) -> str:
-    if f.is_zero():
-        return "0"
-    terms = []
-    for k in range(f.degree(), -1, -1):
-        c = f[k]
-        if c.is_zero():
-            continue
-        lit = format_gauss(c)
-        if "i" in lit or (len(lit) > 1 and ("+" in lit[1:] or "-" in lit[1:])):
-            lit = f"({lit})"
-        power = "" if k == 0 else "X" if k == 1 else f"X^{k}"
-        if not power:
-            terms.append(lit)
-        elif lit == "1":
-            terms.append(power)
-        elif lit == "-1":
-            terms.append(f"-{power}")
-        else:
-            terms.append(f"{lit}{power}")
-    out = terms[0]
-    for term in terms[1:]:
-        if term.startswith("-") and not term.startswith("(-"):
-            out += " - " + term[1:]
-        else:
-            out += " + " + term
-    return out
-
-
 def _fq_coeff_json(c):
     return list(c) if isinstance(c, tuple) else c
 
@@ -223,7 +194,7 @@ def _cmd_lemnatomic(args) -> int:
     human = [
         f"beta: {format_gauss(record.beta)} (primary)",
         f"degree: {record.degree}",
-        f"polynomial: {_poly_str(record.coefficients)}",
+        f"polynomial: {record.coefficients}",
         "coefficients: " + ", ".join(format_gauss(c) for c in record.coefficients.coeffs),
         f"method: {record.method}",
         f"precision bits: {record.precision_bits}",
@@ -277,7 +248,7 @@ def _cmd_scan_splitting(args) -> int:
         args,
         report.to_json_dict(),
         [
-            f"polynomial: {_poly_str(report.poly)}",
+            f"polynomial: {report.poly}",
             f"bound: {report.bound}",
             f"splitting primes ({len(report.primes)}): "
             + ", ".join(format_gauss(p.value) for p in report.primes),
@@ -300,7 +271,7 @@ def _cmd_semisplit(args) -> int:
             "count": len(hits),
         },
         [
-            f"polynomial: {_poly_str(poly)}",
+            f"polynomial: {poly}",
             f"semi-split primes ({len(hits)}): " + ", ".join(format_gauss(p.value) for p in hits),
         ],
     )
@@ -330,7 +301,7 @@ def _cmd_prop2(args) -> int:
         args,
         report.to_json_dict(),
         [
-            f"field polynomial: {_poly_str(report.poly)}",
+            f"field polynomial: {report.poly}",
             f"beta: {format_gauss(report.beta)}",
             f"normalization: {report.normalization}",
             f"semi-split classes: {[format_gauss(c) for c in report.classes]}",
@@ -350,7 +321,7 @@ def _cmd_verify_theorem(args) -> int:
         normalization=args.normalization,
     )
     human = [
-        f"polynomial: {_poly_str(report.poly)}",
+        f"polynomial: {report.poly}",
         f"discriminant: {format_gauss(report.disc)}",
         f"candidates: {len(report.candidates)}",
     ]
@@ -371,7 +342,7 @@ def _cmd_density(args) -> int:
         args,
         report.to_json_dict(),
         [
-            f"polynomial: {_poly_str(report.poly)}",
+            f"polynomial: {report.poly}",
             f"splitting primes: {report.count_p} of {report.count_all_odd}",
             f"ratio: {report.ratio:.6f} (heuristic 1/deg = {report.expected:.6f})",
         ],

@@ -8,7 +8,7 @@ series after argument halving, followed by doublings through the addition law
 
 whose derivative component is obtained by differentiating along u with
 D(s) = c, D(c) = -2 s^3.  The lemniscate constant satisfies
-2*omega = pi / AGM(1, sqrt 2).
+2*omega = pi / AGM(1, sqrt 2); it is computed as the zero of sl' near 1.311.
 
 Arguments are reduced modulo the lattice L = (1+i)*omega*Z[i] before
 evaluation, so sl_eval is L-periodic by construction; the reduced cell
@@ -47,31 +47,42 @@ roots v, iv, -v, -iv contribute the factor X^4 - v^4, so the product is
 expanded as G(Y) = prod (Y - v^4) over one value per invertible orbit, with
 phi/4 roots instead of phi, and G(X^4) is the polynomial.
 
-Fixed point.  The lattice reductions, the series, the doublings, the table,
-the orbit rotation, the collision scan and the product G run on Python
-ints.  At working precision `bits` a real x is the int x*2^F, truncated,
-with F = bits + GUARD + HALVING_GUARD, and a complex value is a pair of such
-ints.  A real product is one multiply and one shift right by F; a complex
-quotient multiplies by the conjugate and divides each part by the squared
-modulus.  Every operation errs by less than one unit 2^-F, an absolute
-error, so a value of size M carries a finer relative error than a float of
-bits + GUARD bits would.
+Fixed point.  omega, the lattice reductions, the series, the doublings, the
+table, the orbit rotation, the collision scan and the product G run on
+Python ints.  At working precision `bits` a real x is the int x*2^F,
+truncated, with F = bits + GUARD + HALVING_GUARD, and a complex value is a
+pair of such ints.  A real product is one multiply and one shift right by
+F; a complex quotient multiplies by the conjugate and divides each part by
+the squared modulus.  Every operation errs by less than one unit 2^-F, an
+absolute error, so a value of size M carries a finer relative error than a
+float of bits + GUARD bits would.  The series coefficients are the exact
+A_k = c_k / (4k+1)!, made once at import, so one set serves every precision.
 
 Error budget.  omega is held to bits + GUARD bits, as lemniscate_constant
 carries it, so an argument at an exact multiple of it reduces exactly; its
 rounding moves the whole lattice and costs at most 2^9 units at
-|z| <= 2*omega.  Against that omega an argument, the floor of
-omega*2^F*g/N(beta) for a Gaussian integer g, errs by under one unit.
-Halving to |w| <= 1/4 truncates w by at most one unit, and Horner in
-u = w^4 (|u| <= 2^-8) sums the series within a few units.  Each doubling
-by the addition law about doubles the error carried in.  An argument of
-the reduced cell (|z| <= 2*omega) needs at most four halvings, |z| <= 8 at
-most five, so HALVING_GUARD = 8 bits keep the doubled value within
+|z| <= 2*omega.  Newton's method on sl' finds it at max(F, 104) + GUARD
+fraction bits, whatever bits is, and it is rounded to nearest: bit for bit
+pi / (2 AGM(1, sqrt 2)) rounded by mpmath (tested from 1 to 4096 bits).
+Against that omega an argument, the floor of omega*2^F*g/N(beta) for a
+Gaussian integer g, errs by under one unit.
+
+A series evaluation halves z h times, to w = z/2^h with |w| <= 1/4, and on
+until the last sl' term (4N+1) |A_N| |w|^(4N), N = SERIES_TERMS, is below
+one unit 2^-G at G = F + h + HALVING_GUARD fraction bits, where w is exact.
+Horner in w^4 sums both series, their coefficients truncated once at G,
+over the terms of one unit or more within a few units.  The omitted tail is
+under 1.001 times its first term: the term ratio is |w|^4 <= 2^-8 times
+|A_(k+1) / A_k| (4k+5) / (4k+1), which is at most 0.15 for k >= 1 and
+0.0873 from k = 32 (checked exactly to k = 150; it tends to
+1/(4 omega^4) = 0.0846, the poles nearest 0 lying at sqrt(2)*omega).  The
+h + HALVING_GUARD guard bits absorb the h doublings, each about doubling
+the error carried in, so the value truncated to F errs by a few units
+beyond |sl'(z)| times the argument's own error: within
 |sl'(z)| * 2^-(bits + GUARD), the error of a floating evaluation at
-bits + GUARD bits; near a pole, where |sl'| ~ |sl|^2, that is large.  The
-series coefficients come from mpmath at bits + GUARD bits, up to the first
-term worth less than one unit at |u| = 2^-8, and are converted once per
-precision from the set for that precision rounded up to a multiple of 32.
+bits + GUARD bits, where sl' is not near 0 (at most two units against the
+kernel 300 bits finer, on seeded points with |re|, |im| <= 1.3 at 256 to
+2048 bits).  Near a pole, where |sl'| ~ |sl|^2, that is large.
 
 The table's seed u, built from the same omega, is rounded by under one
 unit per part, and T[k] joins k copies of it by additions, so T[k] lies on
@@ -84,22 +95,21 @@ K^3 <= 2^(3 ceil(log2 K)) units.  The table therefore runs at the working
 precision bits + 3*ceil(log2 K), 3 bits per level of depth, with
 HALVING_GUARD covering the constant, and its orbit values are truncated to
 the fraction bits of bits.  Against the series at bits + 96 with the same
-omega, the worst orbit value then errs by 2^-(bits + GUARD + 1.7) (-1-2i
-at 512 bits, its one addition run at bits as K = 1; every primary beta of
-norm <= 400 and 46 sampled of norm 400 to 2000, at 256, 512 and 1024 bits,
-the sampled ones within 2^-(bits + GUARD + 5)), within 2^-(bits + GUARD),
+omega, the worst orbit value then errs by 2^-(bits + GUARD + 5.2) (-1-2i
+at 256 and 1024 bits, its one addition run at bits as K = 1; every primary
+beta of norm <= 400 at 256, 512 and 1024 bits), within 2^-(bits + GUARD),
 where a series evaluation at each orbit point errs by up to
-2^-(bits + GUARD - 5) near a pole (-43 at 1024 bits).
+2^-(bits + GUARD - 1.2) near a pole (-15-12i at 512 bits).
 
 Beyond this budget nothing is assumed: a product is accepted only when
 every coefficient lies within 2^-30 of a Gaussian integer and the rounding
 survives one doubling of precision, and the pole floor 2^-(bits - GUARD) of
 sl_eval and the addition law and the collision floor 2^-(bits // 2) are
-compared exactly on the ints.  mpmath computes omega and the series
-coefficients, places torsion_points, and carries the public types.  It is
-imported inside the functions that use it, so importing this module loads
-no mpmath: only the numeric route and the mpmath-typed API do, and the
-exact route, the scans and every other command start without it.
+compared exactly on the ints.  mpmath only places torsion_points and
+carries the public types (BigComplex, SlPair).  It is imported inside the
+functions that use it, so importing this module loads no mpmath: only the
+mpmath-typed API does, and every command, the numeric route included,
+starts and runs without it.
 """
 
 from __future__ import annotations
@@ -147,8 +157,9 @@ __all__ = [
 # |c^2 - (1 - s^4)| stays below 2^-(precision_bits - GUARD).
 GUARD = 32
 
-# Fraction bits beyond bits + GUARD in the fixed-point kernel; they absorb
-# the error growth of the halving-doubling chain.
+# Fraction bits beyond bits + GUARD in the fixed-point kernel, and beyond
+# F + h in a series evaluation that halves its argument h times; they absorb
+# the error growth of the additions and of the halving-doubling chain.
 HALVING_GUARD = 8
 
 # Escalation ceiling for automatic precision doubling.
@@ -284,57 +295,38 @@ def pair_defect(pair: SlPair) -> mpf:
         return abs(c * c - (1 - s**4))
 
 
-@lru_cache(maxsize=None)
-def _omega(bits: int) -> mpf:
-    """omega rounded to bits bits."""
-    # AGM(1, sqrt 2) by the defining iteration; quadrature serves as the
-    # independent oracle in the test suite, not here.
-    from mpmath import mp, mpf
-
-    with mp.workprec(bits + 2 * GUARD):
-        a = mpf(1)
-        b = mp.sqrt(2)
-        eps = mpf(2) ** (-(bits + GUARD))
-        while abs(a - b) > eps:
-            a, b = (a + b) / 2, mp.sqrt(a * b)
-        omega = mp.pi / (2 * a)
-    with mp.workprec(bits):
-        return +omega
-
-
 def lemniscate_constant(precision_bits: int) -> BigComplex:
     """The lemniscate constant omega = pi / (2 AGM(1, sqrt 2))."""
     if precision_bits < 64:
         raise InputError("precision_bits must be at least 64")
-    return big_complex(_omega(precision_bits + GUARD), 0, precision_bits)
+    return _big_fx((_omega_fx(precision_bits), 0), _frac_bits(precision_bits), precision_bits)
 
 
 # -- Maclaurin coefficients ---------------------------------------------------
-#
-# sl(z) = sum A[k] z^(4k+1); the ODE sl'' = -2 sl^3 gives
-# (4k+1)(4k) A[k] = -2 * [z^(4k-1)] sl^3, and the cube coefficient at
-# 4(k-1)+3 is b[k-1] = sum_{i+j+l=k-1} A[i]A[j]A[l].
 
-# One entry per working precision; escalation alone uses seven (64 to 4096 bits).
-@lru_cache(maxsize=8)
-def _series_coeffs(bits: int) -> tuple:
-    """A[0], A[1], ... at bits + GUARD bits, up to the first term worth less
-    than one unit 2^-F where the kernel sums the series, at |z^4| <= 2^-8:
-    (4k+1) |A[k]| 2^-8k < 2^-F."""
-    from mpmath import mp, mpf
+# sl(z) = sum A_k z^(4k+1) is summed over k <= SERIES_TERMS at most; the
+# kernel halves its argument until that is enough.
+SERIES_TERMS = 32
 
-    F = _frac_bits(bits)
-    with mp.workprec(bits + GUARD):
-        A = [mpf(1)]
-        S2 = []  # S2[t] = [z^(4t+2)] sl^2
-        while (4 * len(A) - 3) * abs(A[-1]) >= mp.ldexp(1, 8 * (len(A) - 1) - F):
-            k = len(A)
-            m = k - 1
-            S2.append(mp.fsum(A[i] * A[m - i] for i in range(m + 1)))
-            b = mp.fsum(S2[t] * A[m - t] for t in range(m + 1))
-            n = 4 * k - 1
-            A.append(-2 * b / ((n + 1) * (n + 2)))
-    return tuple(A)
+
+def _taylor() -> tuple:
+    """(c_k, (4k+1)!) for k <= SERIES_TERMS, A_k = c_k / (4k+1)! exactly.
+
+    The c_k are integers: with sl^2 = sum d_m z^(4m+2) / (4m+2)!, the
+    products of exponential generating functions give
+    d_m = sum_i C(4m+2, 4i+1) c_i c_(m-i), and sl'' = -2 sl^3 gives
+    c_(m+1) = -2 sum_t C(4m+3, 4t+2) d_t c_(m-t)."""
+    c, d = [1], []
+    for m in range(SERIES_TERMS):
+        d.append(sum(math.comb(4 * m + 2, 4 * i + 1) * c[i] * c[m - i] for i in range(m + 1)))
+        c.append(-2 * sum(math.comb(4 * m + 3, 4 * t + 2) * d[t] * c[m - t] for t in range(m + 1)))
+    return tuple((ck, math.factorial(4 * k + 1)) for k, ck in enumerate(c))
+
+
+_TAYLOR = _taylor()
+
+# log2 of an upper bound on (4N+1) |A_N| = |c_N| / (4N)!, N = SERIES_TERMS.
+_TAIL_LOG2 = _TAYLOR[-1][0].bit_length() - math.factorial(4 * SERIES_TERMS).bit_length() + 1
 
 
 # -- fixed-point kernel -------------------------------------------------------
@@ -352,12 +344,6 @@ def _fx(x: mpf, F: int) -> int:
     e = exp + F
     n = man << e if e >= 0 else man >> -e
     return -n if sign else n
-
-
-def _omega_fx(bits: int) -> int:
-    """omega at bits + GUARD bits, the value lemniscate_constant carries, as
-    a fixed-point int."""
-    return _fx(_omega(bits + GUARD), _frac_bits(bits))
 
 
 def _big_fx(z: tuple, F: int, bits: int) -> BigComplex:
@@ -387,16 +373,21 @@ def _cdiv(a: tuple, b: tuple, F: int) -> tuple:
     return ((ar * br + ai * bi) << F) // q, ((ai * br - ar * bi) << F) // q
 
 
-def _add_fx(s1: tuple, c1: tuple, s2: tuple, c2: tuple, F: int, bits: int) -> tuple:
-    """The addition law on fixed-point pairs; raises PrecisionLoss when the
-    denominator falls below 2^-(bits - GUARD)."""
-    q1 = _cmul(s1, s1, F)
-    q2 = _cmul(s2, s2, F)
-    p = _cmul(q1, q2, F)
+def _denominator(p: tuple, F: int, bits: int) -> tuple:
+    """1 + p, the addition law's denominator for p = sl^2 u sl^2 v; raises
+    PrecisionLoss when it falls below 2^-(bits - GUARD)."""
     den = ((1 << F) + p[0], p[1])
     floor = 1 << (F - bits + GUARD)
     if den[0] * den[0] + den[1] * den[1] < floor * floor:
         raise PrecisionLoss("addition-law denominator below the precision floor")
+    return den
+
+
+def _add_fx(s1: tuple, c1: tuple, s2: tuple, c2: tuple, F: int, bits: int) -> tuple:
+    """The addition law on fixed-point pairs."""
+    q1 = _cmul(s1, s1, F)
+    q2 = _cmul(s2, s2, F)
+    den = _denominator(_cmul(q1, q2, F), F, bits)
     a = _cmul(s1, c2, F)
     b = _cmul(s2, c1, F)
     num = (a[0] + b[0], a[1] + b[1])
@@ -411,43 +402,86 @@ def _add_fx(s1: tuple, c1: tuple, s2: tuple, c2: tuple, F: int, bits: int) -> tu
     return s, c
 
 
-# One entry per working precision: the escalation precisions and, for each,
-# the table's precision at every depth in use.
-@lru_cache(maxsize=32)
-def _series_fx(bits: int) -> tuple:
-    """(A[k], (4k+1) A[k]) as fixed-point ints, highest k first, for Horner.
+def _double_fx(s: tuple, c: tuple, F: int, bits: int) -> tuple:
+    """_add_fx(s, c, s, c, F, bits) with each shared product taken once:
+    sl 2u = 2 s c / (1 + s^4), sl' 2u = (c^2 - 2 s^4 - 2 s^3 c sl 2u) / (1 + s^4)."""
+    q = _cmul(s, s, F)
+    p = _cmul(q, q, F)
+    den = _denominator(p, F, bits)
+    sc = _cmul(s, c, F)
+    cc = _cmul(c, c, F)
+    s2 = _cdiv((2 * sc[0], 2 * sc[1]), den, F)
+    v = _cmul(s2, _cmul(sc, q, F), F)
+    return s2, _cdiv((cc[0] - 2 * p[0] - 2 * v[0], cc[1] - 2 * p[1] - 2 * v[1]), den, F)
 
-    The coefficients come from the set for bits rounded up to a multiple of
-    32, which is as long and as precise as bits needs, so the table
-    precisions bits + 3*depth of one escalation round share one set."""
-    F = _frac_bits(bits)
-    A = [_fx(a, F) for a in _series_coeffs(-(-bits // 32) * 32)]
-    return tuple((A[k], (4 * k + 1) * A[k]) for k in reversed(range(len(A))))
+
+# Keyed by G and the bound q on |w|^2: a working precision uses a few q, and
+# an escalation round a few G.
+@lru_cache(maxsize=64)
+def _series_terms(G: int, q: int) -> tuple:
+    """(A_k, (4k+1) A_k) * 2^G, floored, highest k first, for Horner, over
+    the k before the first whose sl' term (4k+1) |A_k| |w|^(4k) lies below
+    one unit 2^-G when |w|^2 < 2^-q."""
+    terms = []
+    for k, (c, f) in enumerate(_TAYLOR):
+        f4 = f // (4 * k + 1)  # (4k)!
+        if abs(c) << G < f4 << (2 * q * k):
+            break
+        terms.append(((c << G) // f, (c << G) // f4))
+    return tuple(reversed(terms))
 
 
 def _sl_fx(z: tuple, bits: int) -> tuple:
     """(sl z, sl' z) on fixed-point pairs, no lattice reduction; |z| should
-    be cell-sized.  Halve until |w| <= 1/4, sum both series by Horner in
-    u = w^4, double back."""
+    be cell-sized.  Halve h times to w (see the module docstring), sum both
+    series by Horner in w^4 at G fraction bits, double back, truncate to F."""
     F = _frac_bits(bits)
-    wr, wi = z
-    halvings = 0
-    quarter_sq = 1 << (2 * F - 4)
-    while wr * wr + wi * wi > quarter_sq:
-        wr >>= 1
-        wi >>= 1
-        halvings += 1
-    ur, ui = _pow4((wr, wi), F)
-    terms = _series_fx(bits)
+    x, y = z
+    norm = x * x + y * y
+    h = 0
+    while norm > 1 << (2 * (F + h) - 4):
+        h += 1
+    q = 2 * (F + h) - norm.bit_length()  # |w|^2 < 2^-q
+    while _TAIL_LOG2 - 2 * SERIES_TERMS * q > -(F + h + HALVING_GUARD):
+        h += 1
+        q += 2
+    G = F + h + HALVING_GUARD
+    w = (x << HALVING_GUARD, y << HALVING_GUARD)
+    ur, ui = _pow4(w, G)
+    terms = _series_terms(G, q)
     sr, cr = terms[0]
     si = ci = 0
     for a, b in terms[1:]:
-        sr, si = ((sr * ur - si * ui) >> F) + a, (sr * ui + si * ur) >> F
-        cr, ci = ((cr * ur - ci * ui) >> F) + b, (cr * ui + ci * ur) >> F
-    s, c = _cmul((sr, si), (wr, wi), F), (cr, ci)
-    for _ in range(halvings):
-        s, c = _add_fx(s, c, s, c, F, bits)
-    return s, c
+        sr, si = ((sr * ur - si * ui) >> G) + a, (sr * ui + si * ur) >> G
+        cr, ci = ((cr * ur - ci * ui) >> G) + b, (cr * ui + ci * ur) >> G
+    s, c = _cmul((sr, si), w, G), (cr, ci)
+    for _ in range(h):
+        s, c = _double_fx(s, c, G, bits)
+    extra = G - F
+    return (s[0] >> extra, s[1] >> extra), (c[0] >> extra, c[1] >> extra)
+
+
+# One entry per precision in use.
+@lru_cache(maxsize=None)
+def _omega_fx(bits: int) -> int:
+    """omega rounded to nearest at bits + GUARD significant bits, the value
+    lemniscate_constant carries, as a fixed-point int at _frac_bits(bits).
+
+    Newton's method on sl', x <- x + sl'(x) / (2 sl(x)^3) as sl'' = -2 sl^3,
+    converges cubically to omega (sl''' = -6 sl^2 sl' vanishes there too).
+    It runs at W = max(F, 104) + GUARD fraction bits from a float, and stops
+    after a step below 2^-(W/2)."""
+    wbits = max(bits, 64) + GUARD
+    W = _frac_bits(wbits)
+    x = int(1.3110287771460599 * (1 << 52)) << (W - 52)
+    while True:
+        (s, _), (c, _) = _sl_fx((x, 0), wbits)
+        step = (c << (3 * W)) // (2 * s * s * s)
+        x += step
+        if abs(step) < 1 << (W // 2):
+            break
+    p = bits + GUARD - 1  # the fraction bits of bits + GUARD significant bits, as 1 < omega < 2
+    return ((x + (1 << (W - p - 1))) >> (W - p)) << (_frac_bits(bits) - p)
 
 
 def sl_pair_add(a: SlPair, b: SlPair) -> SlPair:
@@ -457,16 +491,6 @@ def sl_pair_add(a: SlPair, b: SlPair) -> SlPair:
     s1, c1, s2, c2 = ((_fx(v.re, F), _fx(v.im, F)) for v in (a.s, a.c, b.s, b.c))
     s, c = _add_fx(s1, c1, s2, c2, F, bits)
     return SlPair(s=_big_fx(s, F, bits), c=_big_fx(c, F, bits))
-
-
-def _sl_raw(z: mpc, bits: int) -> tuple:
-    """(sl z, sl' z) with no lattice reduction; |z| should be cell-sized."""
-    from mpmath import mp
-    from mpmath.libmp import from_man_exp
-
-    F = _frac_bits(bits)
-    pairs = _sl_fx((_fx(z.real, F), _fx(z.imag, F)), bits)
-    return tuple(mp.make_mpc((from_man_exp(re, -F), from_man_exp(im, -F))) for re, im in pairs)
 
 
 def sl_eval(z: BigComplex, precision_bits: Optional[int] = None) -> SlPair:
@@ -570,8 +594,8 @@ def torsion_points(beta, precision_bits: int = 256) -> tuple:
     beta = _check_beta(beta)
     ring = residue_ring(beta)
     bits = precision_bits
+    om = _big_fx((_omega_fx(bits), 0), _frac_bits(bits), bits).re
     with mp.workprec(bits + GUARD):
-        om = _omega(bits + GUARD)
         s_gen = mpc(om, om) / mpc(beta.re, beta.im)
         pts = []
         for lam in ring.representatives():
@@ -603,7 +627,7 @@ def _orbit_values(ring, bits: int, mult: GaussInt = ONE) -> list:
     # module docstring.
     tbits = bits + 3 * (K - 1).bit_length()
     tF, F = _frac_bits(tbits), _frac_bits(bits)
-    om = _fx(_omega(bits + GUARD), tF)
+    om = _omega_fx(bits) << (tF - F)
     T = _sl_table((om * g.re // norm, om * g.im // norm), K, tbits, bits)
     out = []
     for orbit, (m, n), invertible in plan:

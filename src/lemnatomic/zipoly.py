@@ -91,20 +91,24 @@ class PolyZi:
         return acc
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
+        out = ""
         for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if c.is_zero():
+            lit = format_gauss(self.coeffs[k])
+            if lit == "0":
                 continue
-            lit = format_gauss(c)
-            if k == 0:
-                parts.append(lit)
+            if "i" in lit or "+" in lit[1:] or "-" in lit[1:]:
+                lit = f"({lit})"
+            power = "" if k == 0 else "X" if k == 1 else f"X^{k}"
+            if power and lit in ("1", "-1"):
+                lit = lit[:-1]  # a unit coefficient shows as its sign
+            term = lit + power
+            if not out:
+                out = term
+            elif term[0] == "-":
+                out += " - " + term[1:]
             else:
-                mono = "X" if k == 1 else f"X^{k}"
-                parts.append(mono if lit == "1" else f"({lit})*{mono}")
-        return " + ".join(parts)
+                out += " + " + term
+        return out or "0"
 
 
 def kronecker_mul(a: tuple, b: tuple) -> tuple:

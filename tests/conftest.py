@@ -1,4 +1,5 @@
-"""Shared fixtures: the frozen polynomial corpus and a seeded RNG.
+"""Shared fixtures: the frozen polynomial corpus, a seeded RNG and sl as
+mpmath numbers.
 
 Corpus values were computed once by the exact pipeline, cross-checked against
 the numeric pipeline, and frozen here as oracles; tests compare fresh
@@ -8,8 +9,11 @@ computations against these literals, never the other way around.
 import random
 
 import pytest
+from mpmath import mp
+from mpmath.libmp import from_man_exp
 
 from lemnatomic.gaussint import GaussInt, parse_gauss
+from lemnatomic.lemniscate import _frac_bits, _fx, _sl_fx
 from lemnatomic.zipoly import PolyZi
 
 SEED = 20260814
@@ -17,6 +21,14 @@ SEED = 20260814
 
 def gi(text: str) -> GaussInt:
     return parse_gauss(text)
+
+
+def sl_raw(z, bits: int) -> tuple:
+    """(sl z, sl' z) for an mpc z by the fixed-point kernel, with no lattice
+    reduction; |z| should be cell-sized."""
+    F = _frac_bits(bits)
+    pairs = _sl_fx((_fx(z.real, F), _fx(z.imag, F)), bits)
+    return tuple(mp.make_mpc((from_man_exp(re, -F), from_man_exp(im, -F))) for re, im in pairs)
 
 
 def sparse_poly(degree: int, entries: dict) -> PolyZi:

@@ -348,9 +348,10 @@ class TestDeterminism:
             assert data["schema_version"] == 1
 
 
-# Run in a fresh interpreter: every command but the numeric route must leave
-# mpmath (and fractions and decimal, which only a Fraction would pull in)
-# unimported; the numeric route then loads mpmath and agrees with the exact one.
+# Run in a fresh interpreter: every command, the numeric route included, must
+# leave mpmath (and fractions and decimal, which only a Fraction would pull in)
+# unimported; the mpmath-typed lemniscate_constant then loads mpmath, and the
+# numeric routes agree with the exact one.
 COLD_START_SCRIPT = """
 import contextlib, io, json, sys
 import lemnatomic, lemnatomic.cli
@@ -373,15 +374,17 @@ runs = [
     call("density", "lemnatomic:-3", "--max-norm", "500", "--json"),
     call("unitgroup", "-3", "--json"),
     call("orbit-check", "-1+2i", "-3", "--json"),
+    call("lemnatomic", "-3", "--method", "numeric", "--json"),
+    call("lemnatomic", "-3", "--method", "both", "--json"),
 ]
 cold = loaded()
-runs.append(call("lemnatomic", "-3", "--method", "numeric", "--json"))
+lemnatomic.lemniscate_constant(64)
 print(json.dumps({"runs": runs, "cold": cold, "warm": loaded()}))
 """
 
 
 class TestColdStart:
-    def test_only_the_numeric_route_loads_mpmath(self):
+    def test_only_the_mpmath_typed_api_loads_mpmath(self):
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
         done = subprocess.run(
@@ -392,11 +395,12 @@ class TestColdStart:
             check=True,
         )
         result = json.loads(done.stdout)
-        assert [code for code, _ in result["runs"]] == [0] * 8
+        assert [code for code, _ in result["runs"]] == [0] * 9
         assert result["cold"] == []
         assert result["warm"] == ["mpmath"]
         exact = json.loads(result["runs"][0][1])
-        numeric = json.loads(result["runs"][-1][1])
-        assert numeric["method"] == "numeric"
-        assert numeric["coefficients"] == exact["coefficients"]
-        assert numeric["checksum"] == exact["checksum"]
+        for (_, out), method in zip(result["runs"][-2:], ("numeric", "both")):
+            numeric = json.loads(out)
+            assert numeric["method"] == method
+            assert numeric["coefficients"] == exact["coefficients"]
+            assert numeric["checksum"] == exact["checksum"]

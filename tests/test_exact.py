@@ -8,7 +8,7 @@ import time
 import pytest
 from mpmath import mp, mpc, mpf
 
-from conftest import CORPUS_ALL_TORSION, CORPUS_BETAS, gi, sparse_poly
+from conftest import CORPUS_ALL_TORSION, CORPUS_BETAS, gi, sl_raw, sparse_poly
 from lemnatomic import exact
 from lemnatomic.errors import InputError, InternalInconsistency
 from lemnatomic.exact import (
@@ -27,7 +27,7 @@ from lemnatomic.gaussint import (
     format_gauss,
     primary_normalize,
 )
-from lemnatomic.lemniscate import _sl_raw, big_complex, lemnatomic_numeric, sl_eval, torsion_values
+from lemnatomic.lemniscate import big_complex, lemnatomic_numeric, sl_eval, torsion_values
 from lemnatomic.residue import phi_norm
 from lemnatomic.zipoly import PolyZi, discriminant, exact_divide, poly
 
@@ -119,7 +119,7 @@ class TestMultMap:
                 # modulo (1+i)*omega*Z[i] first, which shifts large arguments
                 # by quasi-periods (only 2(1+i)*omega*Z[i] are true periods).
                 bz = z.to_mpc() * mpc(beta.re, beta.im)
-                want = _sl_raw(bz, 280)[0]
+                want = sl_raw(bz, 280)[0]
                 got = eval_poly(n, s) * c**parity / eval_poly(d, s)
                 assert abs(got - want) < mpf(2) ** -180
 

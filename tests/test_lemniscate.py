@@ -1,28 +1,31 @@
 """Arbitrary-precision numerics: the constant, the sl pair, torsion values,
 and the numeric lemnatomic pipeline."""
 
+import functools
 import itertools
+import math
 import random
+from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpc, mpf
 
-from conftest import gi
+from conftest import gi, sl_raw
 from lemnatomic import lemniscate
 from lemnatomic.errors import InputError, PoleProximity, PrecisionLoss, RoundingUnstable
 from lemnatomic.exact import LemnatomicRecord, lemnatomic_exact, record_checksum
 from lemnatomic.gaussint import ONE, GaussInt, gauss_divmod, is_primary
 from lemnatomic.lemniscate import (
     GUARD,
+    SERIES_TERMS,
+    _TAYLOR,
     _check_distinct,
     _even_lift,
     _frac_bits,
     _fx,
-    _omega,
+    _omega_fx,
     _orbit_plan,
-    _series_coeffs,
     _sl_fx,
-    _sl_raw,
     _unit_orbits,
     big_complex,
     lemniscate_constant,
@@ -44,6 +47,35 @@ ESCALATING = {
     "29": "4d3cbd902b26bc387b52da5ba299b0078ac3028fa72e961552bea9d152c9f3be",
     "-31": "42e97162aa9cfe450f082f5f80385beee0c88efe00436de6128d18776348424d",
 }
+
+
+@functools.lru_cache(maxsize=None)
+def _omega(bits):
+    """omega = pi / (2 AGM(1, sqrt 2)) by mpmath, rounded to bits bits."""
+    with mp.workprec(bits + 2 * GUARD):
+        omega = mp.pi / (2 * mp.agm(1, mp.sqrt(2)))
+    with mp.workprec(bits):
+        return +omega
+
+
+@functools.lru_cache(maxsize=None)
+def _series_coeffs(bits):
+    """The Maclaurin coefficients A[0], A[1], ... of sl by mpmath floats at
+    bits + GUARD bits, from sl'' = -2 sl^3: (4k+1)(4k) A[k] is -2 times the
+    z^(4k-1) coefficient of sl^3.  They run up to the first term worth less
+    than 2^-F at |z^4| <= 2^-8."""
+    F = _frac_bits(bits)
+    with mp.workprec(bits + GUARD):
+        A = [mpf(1)]
+        S2 = []  # S2[t] = [z^(4t+2)] sl^2
+        while (4 * len(A) - 3) * abs(A[-1]) >= mp.ldexp(1, 8 * (len(A) - 1) - F):
+            k = len(A)
+            m = k - 1
+            S2.append(mp.fsum(A[i] * A[m - i] for i in range(m + 1)))
+            b = mp.fsum(S2[t] * A[m - t] for t in range(m + 1))
+            n = 4 * k - 1
+            A.append(-2 * b / ((n + 1) * (n + 2)))
+    return tuple(A)
 
 
 def rand_point(rng, scale=0.4, bits=BITS):
@@ -153,12 +185,12 @@ class TestSlEval:
             omv = om.re
             for _ in range(10):
                 z = mpc(rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4))
-                s = _sl_raw(z, BITS)[0]
-                true_period = _sl_raw(z + 2 * mpc(omv, omv), BITS)[0]
+                s = sl_raw(z, BITS)[0]
+                true_period = sl_raw(z + 2 * mpc(omv, omv), BITS)[0]
                 assert abs(true_period - s) < mpf(2) ** -200
-                anti = _sl_raw(z + 2 * omv, BITS)[0]
+                anti = sl_raw(z + 2 * omv, BITS)[0]
                 assert abs(anti + s) < mpf(2) ** -200
-                quasi = _sl_raw(z + mpc(omv, omv), BITS)[0]
+                quasi = sl_raw(z + mpc(omv, omv), BITS)[0]
                 assert abs(quasi * s + mpc(0, 1)) < mpf(2) ** -200
 
     def test_i_scaling_and_oddness(self, rng):
@@ -238,7 +270,7 @@ class TestFixedPointKernel:
                 s_ref, c_ref, h = _sl_mpmath_reference(z, bits)
                 if abs(s_ref) > 16:
                     continue
-                s, c = _sl_raw(z, bits)
+                s, c = sl_raw(z, bits)
                 assert abs(s - s_ref) < mpf(2) ** -bits
                 assert abs(c - c_ref) < mpf(2) ** -bits
                 halvings.add(h)
@@ -293,6 +325,60 @@ class TestFixedPointKernel:
         _check_distinct([(0, 0), (floor, 0), (0, floor)], F, bits)
         with pytest.raises(PrecisionLoss):
             _check_distinct([(5, 7), (0, 0), (5 + floor - 1, 7)], F, bits)
+
+    @pytest.mark.parametrize("bits", [256, 512, 1024, 2048])
+    def test_sl_fx_within_budget(self, bits):
+        # Seeded points with |re|, |im| <= 1.3, some near the poles
+        # (+-1 +- i)*omega, against the kernel 300 bits finer: each value
+        # lies within |sl'(z)| * 2^-(bits + GUARD).
+        rng = random.Random(bits)
+        F = _frac_bits(bits)
+        bound = 13 * 2**F // 10
+        for _ in range(20):
+            z = (rng.randint(-bound, bound), rng.randint(-bound, bound))
+            (sr, si), _ = _sl_fx(z, bits)
+            (tr, ti), (cr, ci) = _sl_fx((z[0] << 300, z[1] << 300), bits + 300)
+            dr, di = sr - (tr >> 300), si - (ti >> 300)
+            assert (dr * dr + di * di) << (2 * (bits + GUARD)) < (cr >> 300) ** 2 + (ci >> 300) ** 2
+
+    @pytest.mark.parametrize("bits", [1, 12, 31, 32, 64, 100, 256, 288, 512, 1000, 1024, 2048, 4096])
+    def test_omega_fx_is_omega_rounded(self, bits):
+        assert _omega_fx(bits) == _fx(_omega(bits + GUARD), _frac_bits(bits))
+
+    @pytest.mark.parametrize("bits", [1, 12, 20])
+    def test_tiny_precision_is_pole_proximity(self, bits):
+        # The floor 2^-(bits - GUARD) is then wider than the reduced cell.
+        with pytest.raises(PoleProximity):
+            sl_eval(big_complex(0.3, 0.1, 64), precision_bits=bits)
+
+
+class TestTaylor:
+    def test_head(self):
+        assert len(_TAYLOR) == SERIES_TERMS + 1
+        assert [c for c, _ in _TAYLOR[:5]] == [1, -12, 3024, -4390848, 21224560896]
+        assert all(f == math.factorial(4 * k + 1) for k, (_, f) in enumerate(_TAYLOR))
+
+    def test_matches_mpmath_recurrence(self):
+        A = _series_coeffs(512)
+        assert len(A) > SERIES_TERMS
+        with mp.workprec(512 + GUARD):
+            for (c, f), a in zip(_TAYLOR, A):
+                assert abs(mpf(c) / f - a) <= abs(a) * mpf(2) ** -500
+
+    def test_term_ratio_bounds_the_tail(self, monkeypatch):
+        # The module docstring's tail bound: consecutive sl' terms have the
+        # ratio |A_(k+1) / A_k| (4k+5) / (4k+1) <= 0.15 for k >= 1, and
+        # <= 0.0873 from k = 32, times |w|^4 <= 2^-8.
+        monkeypatch.setattr(lemniscate, "SERIES_TERMS", 150)
+        T = lemniscate._taylor()
+        ratios = [
+            Fraction(abs(c1) * f0 * (4 * k + 5), abs(c0) * f1 * (4 * k + 1))
+            for k, ((c0, f0), (c1, f1)) in enumerate(zip(T, T[1:]))
+        ]
+        assert max(ratios[1:]) == Fraction(3, 20)
+        assert max(ratios[32:]) <= Fraction(873, 10000)
+        c, f = _TAYLOR[-1]
+        assert Fraction(abs(c) * (4 * SERIES_TERMS + 1), f) <= Fraction(2) ** lemniscate._TAIL_LOG2
 
 
 TABLE_BETAS = ["-3", "9", "-11", "13", "17", "-19", "21", "33", "3-6i", "11-2i", "13+10i"]
@@ -589,6 +675,12 @@ class TestLemnatomicNumeric:
         assert report.escalations == 2
         record = LemnatomicRecord.build(beta, poly, "numeric", report.precision_bits)
         assert record.degree == 1848 and record.coefficients[0] == beta
+
+    def test_ceiling_round_at_4096(self):
+        beta = gi("-3")
+        poly, report = lemnatomic_numeric(beta, 4096)
+        assert poly == lemnatomic_exact(beta).coefficients
+        assert (report.precision_bits, report.stability_bits, report.escalations) == (4096, 8192, 0)
 
     def test_non_primary_input_normalized(self):
         via_three, _ = lemnatomic_numeric(gi("3"), BITS)

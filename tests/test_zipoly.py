@@ -383,3 +383,16 @@ class TestSerialization:
             from_json_dict({"coeffs": ["1+j"]})
         with pytest.raises(InputError):
             from_json_dict({"nope": []})
+
+    @pytest.mark.parametrize(
+        "coeffs, text",
+        [
+            ([-3, 0, 0, 0, 6, 0, 0, 0, 1], "X^8 + 6X^4 - 3"),
+            ([gi("-1+2i"), 0, 0, 0, 1], "X^4 + (-1+2i)"),
+            ([-1, gi("i"), -1], "-X^2 + (i)X - 1"),
+            ([gi("2-3i"), -5, 0, gi("-i"), 1], "X^4 + (-i)X^3 - 5X + (2-3i)"),
+            ([], "0"),
+        ],
+    )
+    def test_str(self, coeffs, text):
+        assert str(poly(coeffs)) == text

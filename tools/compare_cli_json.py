@@ -1,4 +1,4 @@
-"""Compare the scan, class, single-prime, exact-route and numeric-route commands' --json output between two source trees.
+"""Compare the scan, class, single-prime, exact-route and numeric-route commands' output between two source trees.
 
     python3 tools/compare_cli_json.py OLD_SRC NEW_SRC [--max-norm 30000]
 
@@ -22,12 +22,17 @@ plus -7, 63 and 125.
 The product formula's unreduced pair can share a factor
 (t - 1)^a (t + 1)^b, which the exact route strips: t^2 - 1 under -19, and
 t - 1, (t - 1)^2 and (t - 1)^3 (t + 1) under 19+10i.
-``lemnatomic BETA --method numeric`` runs on the benchmark's numeric ladder
-and on the rational beta 29, -31 and 45 (29 and -31 escalate once), for
+``lemnatomic BETA --method numeric`` runs on the benchmark's numeric ladder,
+on the rational beta 29, -31 and 45 (29 and -31 escalate once), for
 which a table on the multiples of w = (1+i)*omega/beta would reach the pole
-|beta|*w,
-``--method both`` on -3 and -19, ``--precision-bits 64`` on -19 (which
-escalates) and ``--precision-bits 8192`` on -3, above the ceiling (exit 1).
+|beta|*w, and on -43, accepted at 1024 bits after two escalations (about
+7 s); ``--method both`` on -3 and -19, ``--precision-bits 64`` on -19 (which
+escalates), ``--precision-bits 4096`` on -3, whose stability round runs at
+8192 bits, and ``--precision-bits 8192`` on -3, above the ceiling (exit 1).
+All of these print JSON.  Six commands that print a polynomial also run
+once in human form at the norm bound: ``lemnatomic -3``,
+``scan-splitting``, ``semisplit``, ``prop2-evidence`` and ``density`` on
+lemnatomic:-3, and ``verify-theorem`` on X^2 - 105.
 
 OLD_SRC and NEW_SRC are directories holding the ``lemnatomic`` package (the
 ``src`` directory of two checkouts).  Each command runs in a fresh
@@ -67,6 +72,7 @@ EXACT_BETAS = (
 UNIT_GROUP_BETAS = EXACT_BETAS + ("-7", "63", "125")
 NUMERIC_BETAS = (
     "-1+2i", "-3", "-3-4i", "3-6i", "9", "-11", "11-2i", "13", "13+10i", "17", "-19", "29", "-31", "45",
+    "-43",
 )
 NORMALIZE_INPUTS = ("3i", "-7", "2+i", "45")
 
@@ -96,7 +102,17 @@ def commands(max_norm: int) -> list:
     out += [["lemnatomic", beta, "--method", "both", "--json"] for beta in ("-3", "-19")]
     out += [
         ["lemnatomic", "-19", "--method", "numeric", "--precision-bits", "64", "--json"],
+        ["lemnatomic", "-3", "--method", "numeric", "--precision-bits", "4096", "--json"],
         ["lemnatomic", "-3", "--method", "numeric", "--precision-bits", "8192", "--json"],
+    ]
+    norm = ["--max-norm", str(max_norm)]
+    out += [
+        ["lemnatomic", "-3"],
+        ["scan-splitting", "lemnatomic:-3", *norm],
+        ["semisplit", "lemnatomic:-3", *norm],
+        ["prop2-evidence", "lemnatomic:-3", "--beta", "-3", *norm],
+        ["verify-theorem", "coeffs:-105,0,1", *norm],
+        ["density", "lemnatomic:-3", *norm],
     ]
     return out
 
