@@ -3,8 +3,8 @@
 One JSON file per beta, named lemnatomic_<beta literal>.json, holding the
 record fields plus a schema version.  Writes go through a temporary file and
 an atomic rename; loads re-validate everything (schema version, degree,
-monicity, the X^4 shape, constant term, checksum), so a corrupted or stale
-entry degrades to a cache miss and is recomputed rather than trusted.
+monicity, the X^4 shape, the values at 0 and 1, checksum), so a corrupted
+or stale entry degrades to a cache miss and is recomputed, not trusted.
 """
 
 from __future__ import annotations
@@ -81,9 +81,9 @@ def cache_load(beta: GaussInt, cache_dir) -> Optional[LemnatomicRecord]:
         return None
     if stored_beta != beta:
         return None
-    # build re-validates the record invariants (degree phi(beta), monic,
-    # Lambda_beta in Z[i][X^4], constant term Lambda_beta(0)) and computes
-    # the checksum
+    # build re-validates the record invariants (degree phi(beta), monic, in
+    # Z[i][X^4], Lambda_beta(0), Lambda_beta(1) = unit * 2^(phi(beta) / 4))
+    # and computes the checksum
     try:
         record = LemnatomicRecord.build(beta, poly, method=method, precision_bits=precision_bits)
     except Exception:

@@ -26,7 +26,7 @@ the image of i is read off the prime walk, which stores it beside the
 prime; h's nonzero terms are listed once per scan, and per prime only
 those are reduced, a term that vanishes mod p dropped; gfq's int-level
 entry deflates what is left and takes one packed square-and-multiply.
-Only the inert primes build a ResidueField and a PolyFq.
+Only the inert primes build a ResidueField, for the same entry on pairs.
 
 Class computations default to primary normalization (classes of primes
 taken through their primary associates); raw mode, which reduces the
@@ -67,7 +67,6 @@ from .gfq import (
     factor_degrees,
     reduce_poly,
     residue_field,
-    root_status,
 )
 
 # The single-prime predicates that the SPLITS and ROOT statuses stand for,
@@ -281,7 +280,8 @@ def _scan(h: PolyZi, bound: int) -> bytes:
     on ints alone: i maps to the image the walk stores beside the prime, and
     only h's nonzero terms are reduced, once listed per scan; a term that
     vanishes mod p is dropped, and gfq._root_status deflates what is left.
-    An inert prime builds its ResidueField and calls root_status.  Memoised
+    An inert prime -p (norm p^2) reads pi | disc(h) as in _sweep and takes
+    the same entry over its ResidueField, on the terms reduced mod p.  Memoised
     on (h, bound), so the splitting and root reports on h share one scan;
     bytes keep the memo small.
     """
@@ -296,11 +296,11 @@ def _scan(h: PolyZi, bound: int) -> bytes:
             else:
                 out.append(_SKIP)
             continue
-        field = residue_field(_walk_prime(walk, k))
-        if field.reduce_gauss(disc) == field.zero():
-            out.append(_SKIP)
+        if disc.re % a or disc.im % a:
+            field = residue_field(_walk_prime(walk, k))
+            out.append(_root_status(field, [(j, c) for j, x, y in terms if any(c := (x % -a, y % -a))]))
         else:
-            out.append(root_status(reduce_poly(h, field)))
+            out.append(_SKIP)
     return bytes(out)
 
 

@@ -160,6 +160,8 @@ def _cmd_unitgroup(args) -> int:
 
 def _cmd_lemnatomic(args) -> int:
     beta = _check_beta(parse_gauss(args.beta))
+    if args.method != "exact":  # before a cache hit or the minutes of the exact route
+        _check_precision(args.precision_bits)
     record = None
     cached = False
     if args.cache_dir and args.method in ("exact", "numeric"):
@@ -173,7 +175,6 @@ def _cmd_lemnatomic(args) -> int:
             poly, report = lemnatomic_numeric(beta, args.precision_bits)
             record = LemnatomicRecord.build(beta, poly, "numeric", report.precision_bits)
         else:
-            _check_precision(args.precision_bits)  # the exact route can run for minutes first
             exact_record = lemnatomic_exact(beta)
             poly, report = lemnatomic_numeric(beta, args.precision_bits)
             if exact_record.coefficients != poly:

@@ -106,10 +106,11 @@ every coefficient lies within 2^-30 of a Gaussian integer and the rounding
 survives one doubling of precision, and the pole floor 2^-(bits - GUARD) of
 sl_eval and the addition law and the collision floor 2^-(bits // 2) are
 compared exactly on the ints.  mpmath only places torsion_points and
-carries the public types (BigComplex, SlPair).  It is imported inside the
-functions that use it, so importing this module loads no mpmath: only the
-mpmath-typed API does, and every command, the numeric route included,
-starts and runs without it.
+carries the public types (BigComplex, SlPair), plain values with no
+arithmetic: a caller computes on to_mpc() under its own mp.workprec.  It is
+imported inside the functions that use it, so importing this module loads
+no mpmath: only the mpmath-typed API does, and every command, the numeric
+route included, starts and runs without it.
 """
 
 from __future__ import annotations
@@ -170,69 +171,11 @@ Realish = Union[int, float, str]
 
 @dataclass(frozen=True, slots=True)
 class BigComplex:
-    """Complex number with explicit precision; operations keep the coarsest."""
+    """re + i*im at precision_bits: a plain value; compute on to_mpc()."""
 
     re: mpf
     im: mpf
     precision_bits: int
-
-    def _coerce(self, other) -> "BigComplex":
-        from mpmath import mpc, mpf
-
-        if isinstance(other, BigComplex):
-            return other
-        if isinstance(other, GaussInt):
-            return big_complex(other.re, other.im, self.precision_bits)
-        if isinstance(other, (int, float, mpf)):
-            return big_complex(other, 0, self.precision_bits)
-        if isinstance(other, (complex, mpc)):
-            return big_complex(other.real, other.imag, self.precision_bits)
-        return NotImplemented
-
-    def _binary(self, other, op) -> "BigComplex":
-        from mpmath import mp, mpc
-
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        bits = min(self.precision_bits, other.precision_bits)
-        with mp.workprec(bits + GUARD):
-            z = op(mpc(self.re, self.im), mpc(other.re, other.im))
-        return BigComplex(z.real, z.imag, bits)
-
-    def __add__(self, other):
-        return self._binary(other, lambda a, b: a + b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._binary(other, lambda a, b: a - b)
-
-    def __rsub__(self, other):
-        return self._binary(other, lambda a, b: b - a)
-
-    def __mul__(self, other):
-        return self._binary(other, lambda a, b: a * b)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self._binary(other, lambda a, b: a / b)
-
-    def __rtruediv__(self, other):
-        return self._binary(other, lambda a, b: b / a)
-
-    def __neg__(self):
-        return BigComplex(-self.re, -self.im, self.precision_bits)
-
-    def conjugate(self) -> "BigComplex":
-        return BigComplex(self.re, -self.im, self.precision_bits)
-
-    def __abs__(self) -> mpf:
-        from mpmath import mp, mpc
-
-        with mp.workprec(self.precision_bits + GUARD):
-            return abs(mpc(self.re, self.im))
 
     def to_mpc(self) -> mpc:
         from mpmath import mpc
@@ -240,14 +183,17 @@ class BigComplex:
         return mpc(self.re, self.im)
 
     def __str__(self) -> str:
-        from mpmath import mpc
+        return str(self.to_mpc())
 
-        return str(mpc(self.re, self.im))
+
+def _check_bits(precision_bits: int) -> None:
+    """InputError for a precision below 1 bit, at every entry point that takes one."""
+    if precision_bits < 1:
+        raise InputError("precision_bits must be positive")
 
 
 def big_complex(re: Realish = 0, im: Realish = 0, precision_bits: int = 256) -> BigComplex:
-    if precision_bits < 1:
-        raise InputError("precision_bits must be positive")
+    _check_bits(precision_bits)
     from mpmath import mp, mpf
 
     with mp.workprec(precision_bits + GUARD):
@@ -498,6 +444,7 @@ def sl_eval(z: BigComplex, precision_bits: Optional[int] = None) -> SlPair:
     coordinates rounded half toward -infinity; raises PoleProximity when the
     reduced argument lies within 2^-(bits - GUARD) of a pole (+-1 +- i)*omega."""
     bits = z.precision_bits if precision_bits is None else precision_bits
+    _check_bits(bits)
     F = _frac_bits(bits)
     om = _omega_fx(bits)
     x, y = _fx(z.re, F), _fx(z.im, F)
@@ -592,6 +539,7 @@ def torsion_points(beta, precision_bits: int = 256) -> tuple:
     from mpmath import mp, mpc
 
     beta = _check_beta(beta)
+    _check_bits(precision_bits)
     ring = residue_ring(beta)
     bits = precision_bits
     om = _big_fx((_omega_fx(bits), 0), _frac_bits(bits), bits).re
@@ -645,6 +593,7 @@ def torsion_values(beta, precision_bits: int = 256, generator_class: Optional[Ga
     then permuted, not changed).
     """
     beta = _check_beta(beta)
+    _check_bits(precision_bits)
     ring = residue_ring(beta)
     mult = ONE if generator_class is None else as_gauss(generator_class)
     if not gauss_gcd(mult, beta).is_unit():
@@ -716,7 +665,8 @@ def _attempt(beta: GaussInt, ring, bits: int) -> tuple:
 
 
 def _check_precision(precision_bits: int) -> None:
-    """InputError for a starting precision above PRECISION_CEILING, read at call time."""
+    """InputError for a start below 1 bit or above PRECISION_CEILING, read at call time."""
+    _check_bits(precision_bits)
     if precision_bits > PRECISION_CEILING:
         raise InputError(
             f"precision_bits = {precision_bits} is above the ceiling of {PRECISION_CEILING} bits"
@@ -733,7 +683,8 @@ def lemnatomic_numeric(beta, precision_bits: int = 256):
     doubling.  Precision escalates by doubling up to PRECISION_CEILING; each
     precision is computed at most once, the doubled result becoming the next
     round's lower one, and the doubling is skipped when the lower result
-    already misses the tolerance.  A start above the ceiling is an InputError.
+    already misses the tolerance.  A start from 1 to 63 bits runs at 64; one
+    below 1 bit or above the ceiling is an InputError.
     """
     beta = _check_beta(beta)
     _check_precision(precision_bits)

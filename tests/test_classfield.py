@@ -61,6 +61,9 @@ LOSES_TERMS_AT_5 = {"X^4+5X^2+3": poly([3, 0, 5, 0, 1]), "X^3+X+5": poly([5, 1, 
 # X^8 + (4+i)X^4 + 1 loses its X^4 term at 1 - 4i (i -> 13 mod 17) but not at
 # its conjugate 1 + 4i (i -> 4); disc = (1+i)^32 (-1+2i)^4 (-1+6i)^4.
 LOSES_X4_AT_1_MINUS_4I = poly([1, 0, 0, 0, GaussInt(4, 1), 0, 0, 0, 1])
+# X^4 + 21X^2 + 2 loses its X^2 term at the inert primes 3 and 7, neither of
+# which divides its discriminant 5999648 = 2^5 * 187489.
+LOSES_X2_AT_3_AND_7 = poly([2, 0, 21, 0, 1])
 
 
 def lam(text: str):
@@ -496,15 +499,21 @@ class TestSharedScan:
         assert len(calls) == len(odd_primaries(2000)) - len(report.skipped)
 
     @pytest.mark.parametrize(
-        "name", ["X^2-105", "-1+2i", "-3", "-3-4i", "3-6i", "-7", *LOSES_TERMS_AT_5]
+        "name",
+        ["X^2-105", "-1+2i", "-3", "-3-4i", "3-6i", "-7", *LOSES_TERMS_AT_5, "X^4+21X^2+2"],
     )
     def test_splitting_skips_match_division(self, name, fresh_scan):
-        h = {"X^2-105": X_SQ_MINUS_105, **LOSES_TERMS_AT_5}.get(name) or lam(name)
+        named = {"X^2-105": X_SQ_MINUS_105, "X^4+21X^2+2": LOSES_X2_AT_3_AND_7, **LOSES_TERMS_AT_5}
+        h = named.get(name) or lam(name)
         skipped, tested = divides_reference(2000, discriminant(h))
         report = splitting_primes(h, 2000)
         assert list(report.skipped) == skipped
         assert list(report.primes) == [pi for pi in tested if splits_completely(reduce_poly(h, pi))]
         assert semisplit_primes(h, 2000) == [pi for pi in tested if has_root(reduce_poly(h, pi))]
+        assert list(classfield._scan(h, 2000)) == [
+            classfield._SKIP if pi in skipped else root_status(reduce_poly(h, pi))
+            for pi in odd_primaries(2000)
+        ]
 
     @pytest.mark.parametrize("beta", ["-3", "-7", "-1+2i", "3-6i", "-11"])
     def test_prop2_matches_division_when_beta_shares_a_prime(self, beta, fresh_scan):

@@ -112,6 +112,25 @@ class TestLemnatomicCommand:
         assert (code, out, seen) == (1, "", [])
         assert err.startswith("error:") and "ceiling of 4096 bits" in err
 
+    @pytest.mark.parametrize("bits", ["0", "-5"])
+    @pytest.mark.parametrize("method", ["numeric", "both"])
+    def test_precision_below_one_bit_rejected_before_any_route(self, capsys, monkeypatch, method, bits):
+        seen = []
+        monkeypatch.setattr("lemnatomic.cli.lemnatomic_exact", lambda *args: seen.append(args))
+        monkeypatch.setattr(lemniscate, "_numeric_poly_at", lambda *args: seen.append(args))
+        code, out, err = run(
+            capsys, "lemnatomic", "-3", "--method", method, "--precision-bits", bits, "--json"
+        )
+        assert (code, out, seen) == (1, "", [])
+        assert err.startswith("error:") and "precision_bits must be positive" in err
+
+    def test_precision_rejected_on_a_cache_hit(self, capsys, tmp_path):
+        argv = ("lemnatomic", "-3", "--method", "numeric", "--cache-dir", str(tmp_path))
+        assert run(capsys, *argv)[0] == 0
+        for bits in ("0", "8192"):
+            code, out, err = run(capsys, *argv, "--precision-bits", bits)
+            assert (code, out) == (1, "") and err.startswith("error:"), bits
+
     def test_even_beta_rejected(self, capsys):
         code, _, err = run(capsys, "lemnatomic", "1+i")
         assert code == 1

@@ -232,7 +232,7 @@ class TestSlPairAdd:
             for _ in range(25):
                 u, v = rand_point(rng), rand_point(rng)
                 lhs = sl_pair_add(sl_eval(u), sl_eval(v))
-                direct = sl_eval(u + v)
+                direct = sl_eval(big_complex(u.re + v.re, u.im + v.im, BITS))
                 assert abs(lhs.s.to_mpc() - direct.s.to_mpc()) < mpf(2) ** -180
                 assert abs(lhs.c.to_mpc() - direct.c.to_mpc()) < mpf(2) ** -180
 
@@ -350,6 +350,31 @@ class TestFixedPointKernel:
         # The floor 2^-(bits - GUARD) is then wider than the reduced cell.
         with pytest.raises(PoleProximity):
             sl_eval(big_complex(0.3, 0.1, 64), precision_bits=bits)
+
+
+class TestPrecisionRule:
+    """One rule for every entry point that takes a precision: below 1 bit is
+    an InputError, the class the CLI maps to exit 1."""
+
+    ENTRY_POINTS = {
+        "big_complex": lambda bits: big_complex(0.3, 0.1, bits),
+        "sl_eval": lambda bits: sl_eval(big_complex(0.3, 0.1, 64), precision_bits=bits),
+        "torsion_points": lambda bits: torsion_points(gi("-3"), bits),
+        "torsion_values": lambda bits: torsion_values(gi("-3"), bits),
+        "lemnatomic_numeric": lambda bits: lemnatomic_numeric(gi("-3"), bits),
+    }
+
+    @pytest.mark.parametrize("bits", [0, -3])
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_below_one_bit_is_input_error(self, entry, bits):
+        with pytest.raises(InputError, match="precision_bits must be positive"):
+            self.ENTRY_POINTS[entry](bits)
+
+    @pytest.mark.parametrize("bits", [1, 63])
+    def test_numeric_starts_below_64_bits_at_64(self, bits):
+        poly, report = lemnatomic_numeric(gi("-1+2i"), bits)
+        assert poly[0] == gi("-1+2i")
+        assert report.precision_bits == 64
 
 
 class TestTaylor:

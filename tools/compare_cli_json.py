@@ -3,7 +3,8 @@
     python3 tools/compare_cli_json.py OLD_SRC NEW_SRC [--max-norm 30000]
 
 The scan commands run at the norm bound on the lemnatomic polynomials of
--3, -3-4i, 3-6i and 9 (degree 72), on four integer polynomials and on
+-3, -3-4i, 3-6i and 9 (degree 72), on four integer polynomials, on
+X^4 + 21X^2 + 2, whose X^2 term vanishes at the inert primes 3 and 7, and on
 X^8 + (4+i)X^4 + 1, whose X^4 term vanishes at 1-4i but not at its
 conjugate 1+4i; so do the class reports ``prop2-evidence`` and
 ``verify-theorem`` in both normalizations, and ``verify-prop1`` on -3,
@@ -59,6 +60,7 @@ POLYS = (
     ("coeffs:-2,0,0,1", "-3"),  # X^3 - 2 deflates only at p = 1 mod 3
     ("coeffs:3,0,5,0,1", "-3"),  # X^4 + 5X^2 + 3 loses its X^2 term above 5
     ("coeffs:5,1,0,1", "-3"),  # X^3 + X + 5 has a root at 0 above 5
+    ("coeffs:2,0,21,0,1", "-3"),  # X^4 + 21X^2 + 2 loses its X^2 term at the inert 3 and 7
     ("coeffs:1,0,0,0,4+i,0,0,0,1", "-3"),  # X^8 + (4+i)X^4 + 1 loses its X^4 term at 1-4i
 )
 PROP1_BETAS = ("-3", "-3-4i", "3-6i", "9", "-11")
