@@ -26,7 +26,8 @@ the image of i is read off the prime walk, which stores it beside the
 prime; h's nonzero terms are listed once per scan, and per prime only
 those are reduced, a term that vanishes mod p dropped; gfq's int-level
 entry deflates what is left and takes one packed square-and-multiply.
-Only the inert primes build a ResidueField, for the same entry on pairs.
+An inert prime -p hands the same entry h's terms reduced to GaussInts mod
+p, its residues in F_{p^2}, and builds no field object either.
 
 Class computations default to primary normalization (classes of primes
 taken through their primary associates); raw mode, which reduces the
@@ -51,7 +52,6 @@ from .gaussint import (
     GaussPrime,
     _check_beta,
     _odd_prime_walk,
-    _walk_prime,
     as_gauss,
     canonical_associate,
     divides,
@@ -67,6 +67,7 @@ from .gfq import (
     factor_degrees,
     reduce_poly,
     residue_field,
+    squarefree,
 )
 
 # The single-prime predicates that the SPLITS and ROOT statuses stand for,
@@ -281,15 +282,15 @@ def _scan(h: PolyZi, bound: int) -> bytes:
     only h's nonzero terms are reduced, once listed per scan; a term that
     vanishes mod p is dropped, and gfq._root_status deflates what is left.
     An inert prime -p (norm p^2) reads pi | disc(h) as in _sweep and takes
-    the same entry over its ResidueField, on the terms reduced mod p.  Memoised
-    on (h, bound), so the splitting and root reports on h share one scan;
-    bytes keep the memo small.
+    the same entry at field degree 2, on the terms reduced to GaussInts mod
+    p.  Memoised on (h, bound), so the splitting and root reports on h share
+    one scan; bytes keep the memo small.
     """
     disc = _root_disc(h)
     walk = _odd_prime_walk(bound)
     terms = [(j, c.re, c.im) for j, c in enumerate(h.coeffs) if not c.is_zero()]
     out = bytearray()
-    for k, (a, b, p, i) in enumerate(zip(walk[::4], walk[1::4], walk[2::4], walk[3::4])):
+    for a, b, p, i in zip(walk[::4], walk[1::4], walk[2::4], walk[3::4]):
         if b:
             if (disc.re + disc.im * i) % p:
                 out.append(_root_status(p, [(j, c) for j, x, y in terms if (c := (x + y * i) % p)]))
@@ -297,8 +298,7 @@ def _scan(h: PolyZi, bound: int) -> bytes:
                 out.append(_SKIP)
             continue
         if disc.re % a or disc.im % a:
-            field = residue_field(_walk_prime(walk, k))
-            out.append(_root_status(field, [(j, c) for j, x, y in terms if any(c := (x % -a, y % -a))]))
+            out.append(_root_status(-a, [(j, c) for j, x, y in terms if (c := GaussInt(x % -a, y % -a))], 2))
         else:
             out.append(_SKIP)
     return bytes(out)
@@ -372,8 +372,9 @@ def verify_prop1(beta, bound: int) -> Prop1Report:
 def frobenius_orbit_check(beta, pi) -> bool:
     """True when every irreducible factor of the lemnatomic polynomial of
     beta mod pi has degree equal to the multiplicative order of the primary
-    class of pi in the unit group mod beta.  InputError unless pi is an odd
-    Gaussian prime not dividing beta."""
+    class of pi in the unit group mod beta, and False when the reduction is
+    not squarefree.  InputError unless pi is an odd Gaussian prime not
+    dividing beta."""
     pi_val = pi.value if isinstance(pi, GaussPrime) else as_gauss(pi)
     if not pi_val.is_odd():
         raise InputError("pi must be odd")
@@ -383,11 +384,10 @@ def frobenius_orbit_check(beta, pi) -> bool:
         raise InputError(f"pi = {format_gauss(pi_val)} divides beta = {format_gauss(rec.beta)}")
     ring = residue_ring(rec.beta)
     order = _order_of(ring, class_of(pi_val, ring, "primary"), phi_norm(rec.beta))
-    try:
-        degrees = factor_degrees(reduce_poly(rec.coefficients, field))
-    except InputError:
-        return False  # reduction not squarefree: the predicted orbit structure fails
-    return set(degrees) == {order}
+    reduced = reduce_poly(rec.coefficients, field)
+    if not squarefree(reduced):
+        return False  # the predicted orbit structure fails
+    return set(factor_degrees(reduced)) == {order}
 
 
 def _class_subgroup(primes, beta: GaussInt, normalization: str) -> tuple:

@@ -38,6 +38,7 @@ from .classfield import (
 from .errors import InputError, PrecisionError, VerificationError
 from .exact import LemnatomicRecord, lemnatomic_exact
 from .gaussint import (
+    GaussInt,
     _check_beta,
     factor,
     format_gauss,
@@ -86,7 +87,7 @@ def _load_poly(spec: str) -> PolyZi:
 
 
 def _fq_coeff_json(c):
-    return list(c) if isinstance(c, tuple) else c
+    return [c.re, c.im] if isinstance(c, GaussInt) else c
 
 
 # -- command handlers ----------------------------------------------------------

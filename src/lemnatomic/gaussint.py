@@ -1,10 +1,12 @@
 """Exact arithmetic in the ring Z[i] of Gaussian integers.
 
 Provides the GaussInt value type (ring operations, Euclidean division with a
-deterministic rounding rule, gcd with a canonical associate), primality and
-factorization driven by norm factorization over Z, primary normalization
-(the unique associate congruent to 1 mod (1+i)^3), prime enumeration by
-norm, and the `a+bi` literal grammar used across the CLI and JSON layers.
+deterministic rounding rule, gcd with a canonical associate, and reduction
+and inversion modulo a rational integer p, which make it the element of
+Z[i]/(p) = F_{p^2} at an inert p), primality and factorization driven by
+norm factorization over Z, primary normalization (the unique associate
+congruent to 1 mod (1+i)^3), prime enumeration by norm, and the `a+bi`
+literal grammar used across the CLI and JSON layers.
 
 The prime walk behind the enumeration (_odd_prime_walk) stores, next to
 each split prime, the image of i in its residue field F_p, which
@@ -63,7 +65,14 @@ class GaussInt:
     def __neg__(self) -> "GaussInt":
         return GaussInt(-self.re, -self.im)
 
-    def __pow__(self, n: int) -> "GaussInt":
+    def __pow__(self, n: int, mod: int | None = None) -> "GaussInt":
+        """z^n for n >= 0.  pow(z, -1, m) is the inverse of z modulo the
+        rational integer m, conj(z) * N(z)^-1 with both parts in [0, m); a
+        ValueError, as for ints, when N(z) is not invertible mod m."""
+        if mod is not None:
+            if n != -1:
+                raise InputError("pow(z, n, m) is defined for n = -1 only")
+            return self.conjugate() * pow(self.norm(), -1, mod) % mod
         if n < 0:
             raise InputError("negative powers leave Z[i]")
         result, base = ONE, self
@@ -73,6 +82,13 @@ class GaussInt:
             base = base * base
             n >>= 1
         return result
+
+    def __mod__(self, m: int) -> "GaussInt":
+        """Both parts reduced mod the rational integer m."""
+        return GaussInt(self.re % m, self.im % m)
+
+    def __bool__(self) -> bool:
+        return bool(self.re or self.im)
 
     def conjugate(self) -> "GaussInt":
         return GaussInt(self.re, -self.im)

@@ -1,24 +1,26 @@
 """Residue fields of Z[i] at odd Gaussian primes, and polynomial arithmetic over them.
 
-A split prime pi (norm p) gives F_p; the image of i is determined by the
-reduction map Z[i] -> Z[i]/(pi), not by an abstract choice of square root.
-An inert prime pi (norm p^2) gives F_{p^2}, represented as pairs (x, y)
-meaning x + y*iota with iota^2 = -1; reduction of a+bi is then coefficientwise.
+An element of Z[i]/(pi) is a Gaussian integer reduced mod pi.  A split
+prime pi (norm p) gives F_p: the element is an int in [0, p), and i maps to
+the image that the reduction map Z[i] -> Z[i]/(pi) forces, not to an
+abstract choice of square root.  An inert prime pi = -p (norm p^2) gives
+F_{p^2} = F_p[i]: the element is a GaussInt x + yi with 0 <= x, y < p,
+a + bi reduces coefficientwise, and i maps to i.  Either kind does its
+field arithmetic with its own operators mod p (a GaussInt inverts by
+pow(z, -1, p)), so equality is structural and hashing is free.
 
-Field elements are plain ints in [0, p) for degree 1 and int pairs for
-degree 2, so equality is structural and hashing is free.
-
-The internal helpers take the field as K: the bare int p for F_p, or the
-ResidueField of an inert prime.  Over F_p the polynomial work runs on int
-coefficient lists: Euclid for gcd and squarefree, updating the remainder in
-place slot by slot, and powers modulo f as a square-and-multiply on
-Kronecker-packed ints (_PackedModulus), whose slots are wide enough that
-the low ones are taken mod p only after every other squaring.  Over an
-inert prime it runs on the pairs through ResidueField, one field operation
-per coefficient.  The public functions pass _kernel(f.field); the root scan
-passes p and the nonzero terms (j, c) of h mod pi straight to _root_status,
-the entry under root_status, so a split prime costs it no GaussPrime,
-ResidueField or PolyFq, and no work on the zero coefficients.
+The internal helpers take p and polynomials as coefficient lists,
+ascending, whose coefficients bring their own arithmetic: one Euclid for
+gcd and squarefree, updating the remainder in place slot by slot, one long
+division, and the same deflation and root tests serve both fields.  Only
+powers modulo f part them, by the coefficients' type: over F_p a
+square-and-multiply on Kronecker-packed ints (_PackedModulus), whose slots
+are wide enough that the low ones are taken mod p only after every other
+squaring; over F_{p^2} a square-and-multiply on (re, im) int lists, each
+product one zipoly.kronecker_mul reduced mod p and f.  The root scan passes p, the
+nonzero terms (j, c) of h mod pi and the field degree straight to
+_root_status, the entry under root_status, so a prime costs it no
+GaussPrime, ResidueField or PolyFq, and no work on the zero coefficients.
 
 root_status, the root scan's test, first writes f as X^k * g(X^e)
 with g(0) != 0 and e = gcd(d, q - 1), d the gcd of the exponents of f's
@@ -38,11 +40,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 from operator import lshift
-from typing import Union
 
-from .errors import InputError
-from .gaussint import GaussPrime, _make_prime, as_gauss, is_prime
-from .zipoly import PolyZi
+from .errors import InputError, InternalInconsistency
+from .gaussint import I, ONE, ZERO, GaussInt, GaussPrime, _make_prime, as_gauss, is_prime
+from .zipoly import PolyZi, kronecker_mul
 
 __all__ = [
     "ResidueField",
@@ -57,15 +58,17 @@ __all__ = [
     "factor_degrees",
 ]
 
-Element = Union[int, tuple]
+# A PEP 604 union, not typing.Union, whose process-wide cache would keep
+# GaussInt, and with it a replaced gaussint module, alive across a re-import.
+Element = int | GaussInt
 
 
 @dataclass(frozen=True, slots=True)
 class ResidueField:
-    """The field Z[i]/(pi) for an odd Gaussian prime pi.
+    """The field Z[i]/(pi) for an odd Gaussian prime pi, as a plain value.
 
-    degree 1 (split): elements are ints mod p, i_image is an int.
-    degree 2 (inert): elements are (x, y) pairs meaning x + y*iota, i_image = (0, 1).
+    degree 1 (split): elements are ints in [0, p), i_image is an int.
+    degree 2 (inert): elements are GaussInts x + yi with 0 <= x, y < p, i_image = i.
     """
 
     pi: GaussPrime
@@ -78,53 +81,16 @@ class ResidueField:
         return self.p**self.degree
 
     def zero(self) -> Element:
-        return 0 if self.degree == 1 else (0, 0)
+        return 0 if self.degree == 1 else ZERO
 
     def one(self) -> Element:
-        return 1 if self.degree == 1 else (1, 0)
-
-    def from_int(self, n: int) -> Element:
-        return n % self.p if self.degree == 1 else (n % self.p, 0)
+        return 1 if self.degree == 1 else ONE
 
     def reduce_gauss(self, z) -> Element:
         z = as_gauss(z)
         if self.degree == 1:
             return (z.re + z.im * self.i_image) % self.p
-        return (z.re % self.p, z.im % self.p)
-
-    def add(self, a: Element, b: Element) -> Element:
-        if self.degree == 1:
-            return (a + b) % self.p
-        return ((a[0] + b[0]) % self.p, (a[1] + b[1]) % self.p)
-
-    def neg(self, a: Element) -> Element:
-        if self.degree == 1:
-            return (-a) % self.p
-        return ((-a[0]) % self.p, (-a[1]) % self.p)
-
-    def sub(self, a: Element, b: Element) -> Element:
-        return self.add(a, self.neg(b))
-
-    def mul(self, a: Element, b: Element) -> Element:
-        if self.degree == 1:
-            return (a * b) % self.p
-        x1, y1 = a
-        x2, y2 = b
-        # iota^2 = -1
-        return ((x1 * x2 - y1 * y2) % self.p, (x1 * y2 + y1 * x2) % self.p)
-
-    def inv(self, a: Element) -> Element:
-        if a == self.zero():
-            raise InputError("division by zero in residue field")
-        if self.degree == 1:
-            return pow(a, -1, self.p)
-        x, y = a
-        # (x + y*iota)(x - y*iota) = x^2 + y^2
-        n_inv = pow((x * x + y * y) % self.p, -1, self.p)
-        return ((x * n_inv) % self.p, (-y * n_inv) % self.p)
-
-    def is_zero(self, a: Element) -> bool:
-        return a == self.zero()
+        return z % self.p
 
 
 def residue_field(pi) -> ResidueField:
@@ -146,7 +112,7 @@ def residue_field(pi) -> ResidueField:
         return ResidueField(pi=prime, p=p, degree=1, i_image=image)
     # inert: value is -p for a rational prime p = 3 mod 4
     p = -a
-    return ResidueField(pi=prime, p=p, degree=2, i_image=(0, 1))
+    return ResidueField(pi=prime, p=p, degree=2, i_image=I)
 
 
 @dataclass(frozen=True, slots=True)
@@ -158,10 +124,7 @@ class PolyFq:
 
     @staticmethod
     def make(field: ResidueField, coeffs) -> "PolyFq":
-        cs = list(coeffs)
-        while cs and field.is_zero(cs[-1]):
-            cs.pop()
-        return PolyFq(field=field, coeffs=tuple(cs))
+        return PolyFq(field=field, coeffs=tuple(_trim(list(coeffs))))
 
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -183,9 +146,9 @@ class PolyFq:
         parts = []
         for k in range(self.degree(), -1, -1):
             c = self.coeffs[k]
-            if self.field.is_zero(c):
+            if not c:
                 continue
-            cs = str(c) if self.field.degree == 1 else f"({c[0]}+{c[1]}j)"
+            cs = str(c) if self.field.degree == 1 else f"({c.re}+{c.im}j)"
             if k == 0:
                 parts.append(cs)
             elif k == 1:
@@ -198,26 +161,32 @@ class PolyFq:
 def reduce_poly(f: PolyZi, pi) -> PolyFq:
     """Coefficientwise reduction of f through Z[i] -> Z[i]/(pi)."""
     field = pi if isinstance(pi, ResidueField) else residue_field(pi)
+    p, i = field.p, field.i_image
     if field.degree == 1:
-        p, i = field.p, field.i_image
         return PolyFq.make(field, [(c.re + c.im * i) % p for c in f.coeffs])
-    return PolyFq.make(field, [field.reduce_gauss(c) for c in f.coeffs])
+    return PolyFq.make(field, [c % p for c in f.coeffs])
 
 
-# -- split primes: int lists over F_p -------------------------------------------
+# -- coefficient lists over F_p or F_{p^2} ------------------------------------
 #
-# For degree 1 the coefficients are already ints in [0, p), so these helpers
-# work on them directly instead of calling ResidueField once per coefficient.
+# The helpers take p and lists of ints or of GaussInts reduced mod p; +, -,
+# *, % p, truth and pow(c, -1, p) act on either, so one body serves both
+# fields.  _power alone branches on the coefficient type.
 
 
-def _int_trim(cs: list) -> list:
+def _trim(cs: list) -> list:
     while cs and not cs[-1]:
         cs.pop()
     return cs
 
 
-def _int_gcd(p: int, a: tuple, b: tuple) -> tuple:
-    """Monic gcd over F_p by Euclid; a and b trimmed, reduced mod p, not both zero.
+def _monic(p: int, a: tuple) -> tuple:
+    inv = pow(a[-1], -1, p)
+    return tuple(c * inv % p for c in a)
+
+
+def _gcd(p: int, a: tuple, b: tuple) -> tuple:
+    """Monic gcd by Euclid; a and b trimmed, reduced mod p, not both zero.
 
     The divisor is never rescaled: each quotient coefficient carries its
     leading inverse instead, and only the result is made monic.  The
@@ -233,9 +202,26 @@ def _int_gcd(p: int, a: tuple, b: tuple) -> tuple:
                 s = len(a) - db
                 for j in range(db):
                     a[s + j] = (a[s + j] - q * b[j]) % p
-        a, b = b, _int_trim(a)
-    inv = pow(a[-1], -1, p)
-    return tuple(c * inv % p for c in a)
+        a, b = b, _trim(a)
+    return _monic(p, a)
+
+
+def _divmod(p: int, a: tuple, b: tuple) -> tuple:
+    """(quotient, remainder) of a by nonzero b, both trimmed: _gcd's long
+    division, with the quotient kept.  _gcd keeps its own copy of the loop,
+    as a call per division step there cost the root scan about 5% on a
+    2-core host."""
+    a, quotient = list(a), []
+    inv = pow(b[-1], -1, p)
+    db = len(b) - 1
+    while len(a) > db:
+        q = a.pop() * inv % p
+        quotient.append(q)
+        if q:
+            s = len(a) - db
+            for j in range(db):
+                a[s + j] = (a[s + j] - q * b[j]) % p
+    return tuple(_trim(quotient[::-1])), tuple(_trim(a))
 
 
 class _PackedModulus:
@@ -308,121 +294,56 @@ class _PackedModulus:
             if lazy:
                 x = sum([((x >> s & mask) % p) << s for s in slots])
             lazy = not lazy
-        return tuple(_int_trim([(x >> s & mask) % p for s in slots]))
+        return tuple(_trim([(x >> s & mask) % p for s in slots]))
 
 
-# -- inert primes: pairs through ResidueField ------------------------------------
+def _power(p: int, f: tuple, e: int, a: tuple | None = None) -> tuple:
+    """a^e mod monic f of degree n >= 1, with a = X by default, a reduced mod f.
+
+    Int coefficients run on _PackedModulus.  GaussInt coefficients run a
+    square-and-multiply from the top bit of e on (re, im) int lists of n
+    slots: each product is one zipoly.kronecker_mul, and a multiply by X a
+    shift, reduced mod f by a long division, which needs no inverse as f is
+    monic.  A slot is taken mod p
+    when it is read as a quotient coefficient or kept as a result, not at
+    each update.
+    """
+    if type(f[-1]) is int:
+        return _PackedModulus(p, f).pow_mod((0, 1) if a is None else a, e)
+    n = len(f) - 1
+    f_re, f_im = [c.re for c in f[:-1]], [c.im for c in f[:-1]]
+
+    def mod_f(re: list, im: list) -> tuple:
+        for k in range(len(re) - 1, n - 1, -1):
+            q_re, q_im = re[k] % p, im[k] % p  # slots s .. k less q * X^s * f
+            if q_re or q_im:
+                s = k - n
+                for j in range(n):
+                    re[s + j] -= q_re * f_re[j] - q_im * f_im[j]
+                    im[s + j] -= q_re * f_im[j] + q_im * f_re[j]
+        pad = [0] * (n - len(re))
+        return [x % p for x in re[:n]] + pad, [y % p for y in im[:n]] + pad
+
+    base = mod_f([0, 1], [0, 0]) if a is None else mod_f([c.re for c in a], [c.im for c in a])
+    x = base if e else mod_f([1], [0])
+    for bit in format(e, "b")[1:]:
+        x = mod_f(*kronecker_mul(x, x))
+        if bit == "1":  # a multiply by X is a shift
+            x = mod_f([0] + x[0], [0] + x[1]) if a is None else mod_f(*kronecker_mul(x, base))
+    return tuple(_trim([GaussInt(re, im) for re, im in zip(*x)]))
 
 
-def _pmul(F: ResidueField, a: tuple, b: tuple) -> tuple:
-    if not a or not b:
-        return ()
-    out = [F.zero()] * (len(a) + len(b) - 1)
-    for j, x in enumerate(a):
-        if F.is_zero(x):
-            continue
-        for k, y in enumerate(b):
-            out[j + k] = F.add(out[j + k], F.mul(x, y))
-    while out and F.is_zero(out[-1]):
-        out.pop()
-    return tuple(out)
+def _minus_x(p: int, a: tuple, k: int = 1) -> tuple:
+    """a - X^k.  A short a is padded with int zeros, which GaussInt
+    arithmetic takes as well: the result is only tested or fed to a gcd."""
+    out = list(a) + [0] * (k + 1 - len(a))
+    out[k] = (out[k] - 1) % p
+    return tuple(_trim(out))
 
 
-def _pdivmod(F: ResidueField, a: tuple, b: tuple) -> tuple:
-    """(quotient, remainder) of a by nonzero b."""
-    if not b:
-        raise InputError("polynomial division by zero")
-    lead_inv = F.inv(b[-1])
-    r = list(a)
-    db = len(b) - 1
-    out = [F.zero()] * max(len(a) - db, 0)
-    while len(r) - 1 >= db and r:
-        if F.is_zero(r[-1]):
-            r.pop()
-            continue
-        q = F.mul(r[-1], lead_inv)
-        shift = len(r) - 1 - db
-        out[shift] = q
-        for k in range(len(b)):
-            r[shift + k] = F.sub(r[shift + k], F.mul(q, b[k]))
-        while r and F.is_zero(r[-1]):
-            r.pop()
-    while out and F.is_zero(out[-1]):
-        out.pop()
-    return tuple(out), tuple(r)
-
-
-def _pmonic(F: ResidueField, a: tuple) -> tuple:
-    if not a or a[-1] == F.one():
-        return a
-    s = F.inv(a[-1])
-    return tuple(F.mul(c, s) for c in a)
-
-
-def _pderiv(F: ResidueField, a: tuple) -> tuple:
-    out = [F.mul(c, F.from_int(k)) for k, c in enumerate(a)][1:]
-    while out and F.is_zero(out[-1]):
-        out.pop()
-    return tuple(out)
-
-
-def _pgcd(F: ResidueField, a: tuple, b: tuple) -> tuple:
-    while b:
-        a, b = b, _pdivmod(F, a, b)[1]
-    return _pmonic(F, a)
-
-
-def _ppow_mod(F: ResidueField, a: tuple, e: int, f: tuple) -> tuple:
-    result = _pdivmod(F, (F.one(),), f)[1]
-    base = _pdivmod(F, a, f)[1]
-    while e:
-        if e & 1:
-            result = _pdivmod(F, _pmul(F, result, base), f)[1]
-        e >>= 1
-        if e:
-            base = _pdivmod(F, _pmul(F, base, base), f)[1]
-    return result
-
-
-# -- either kind: K is the int p for F_p, or a ResidueField ----------------------
-#
-# The split path passes the bare int p, so a scan needs no field object per
-# prime; the public functions pass _kernel(f.field).  A ResidueField of
-# degree 1 is also accepted, and then runs the per-element path.
-
-
-def _kernel(F: ResidueField):
-    """K for the field F: p when F = F_p, else F itself."""
-    return F.p if F.degree == 1 else F
-
-
-def _gcd(K, a: tuple, b: tuple) -> tuple:
-    return _int_gcd(K, a, b) if type(K) is int else _pgcd(K, a, b)
-
-
-def _power(K, f: tuple, e: int, a: tuple | None = None) -> tuple:
-    """a^e mod monic f of degree >= 1, with a = X by default."""
-    if type(K) is int:
-        return _PackedModulus(K, f).pow_mod((0, 1) if a is None else a, e)
-    return _ppow_mod(K, (K.zero(), K.one()) if a is None else a, e, f)
-
-
-def _minus_x(K, a: tuple, k: int = 1) -> tuple:
-    """a - X^k."""
-    if type(K) is int:
-        out = list(a) + [0] * (k + 1 - len(a))
-        out[k] = (out[k] - 1) % K
-        return tuple(_int_trim(out))
-    out = list(a) + [K.zero()] * (k + 1 - len(a))
-    out[k] = K.sub(out[k], K.one())
-    while out and K.is_zero(out[-1]):
-        out.pop()
-    return tuple(out)
-
-
-def _deflate(K, terms) -> tuple:
-    """(k, g, e) with f = X^k * g(X^e) and g(0) != 0, for nonzero f given by
-    its nonzero terms (j, c), exponents j ascending.
+def _deflate(q: int, terms) -> tuple:
+    """(k, g, e) with f = X^k * g(X^e) and g(0) != 0, for nonzero f over F_q
+    given by its nonzero terms (j, c), exponents j ascending.
 
     e = gcd(d, q - 1), where d is the gcd of the exponents of the terms of
     f / X^k, so a term c*X^j is g's coefficient (j - k) / e.  As e divides
@@ -433,10 +354,9 @@ def _deflate(K, terms) -> tuple:
     y^((q-1)/e) = 1, and splits into distinct linear factors iff
     Y^((q-1)/e) = 1 (mod g).
     """
-    zero, q = (0, K) if type(K) is int else (K.zero(), K.size)
     k = terms[0][0]
     e = gcd(q - 1, *[j - k for j, _ in terms])
-    g = [zero] * ((terms[-1][0] - k) // e + 1)
+    g = [0 * terms[0][1]] * ((terms[-1][0] - k) // e + 1)  # zeros of the coefficients' type
     for j, c in terms:
         g[(j - k) // e] = c
     return k, tuple(g), e
@@ -448,22 +368,19 @@ def poly_gcd(f: PolyFq, g: PolyFq) -> PolyFq:
         raise InputError("gcd of polynomials over different fields")
     if f.is_zero() and g.is_zero():
         raise InputError("gcd(0, 0) is undefined")
-    return PolyFq(field=f.field, coeffs=_gcd(_kernel(f.field), f.coeffs, g.coeffs))
+    return PolyFq(field=f.field, coeffs=_gcd(f.field.p, f.coeffs, g.coeffs))
 
 
 def squarefree(f: PolyFq) -> bool:
     """True iff gcd(f, f') is constant."""
     if f.is_zero():
         raise InputError("squarefree test of the zero polynomial")
-    K, cs = _kernel(f.field), f.coeffs
-    if type(K) is int:
-        d = _int_trim([j * c % K for j, c in enumerate(cs)][1:])
-    else:
-        d = _pderiv(K, cs)
+    p, cs = f.field.p, f.coeffs
+    d = _trim([j * c % p for j, c in enumerate(cs)][1:])
     if not d:
         # constant: vacuously squarefree; nonconstant with zero derivative is a p-th power
         return len(cs) == 1
-    return len(_gcd(K, cs, d)) == 1
+    return len(_gcd(p, cs, d)) == 1
 
 
 def splits_completely(f: PolyFq) -> bool:
@@ -478,18 +395,17 @@ def splits_completely(f: PolyFq) -> bool:
     if not f.is_monic():
         raise InputError("splits_completely requires a monic polynomial")
     F = f.field
-    return _power(_kernel(F), f.coeffs, F.size) == _pdivmod(F, (F.zero(), F.one()), f.coeffs)[1]
+    return _power(F.p, f.coeffs, F.size) == _divmod(F.p, (F.zero(), F.one()), f.coeffs)[1]
 
 
 def has_root(f: PolyFq) -> bool:
     """True iff f has a root in the field: deg gcd(X^q - X, f) >= 1."""
     if f.is_zero():
         raise InputError("has_root of the zero polynomial")
-    F = f.field
     if f.degree() < 1:
         return False
-    K, monic = _kernel(F), _pmonic(F, f.coeffs)
-    return len(_gcd(K, monic, _minus_x(K, _power(K, monic, F.size)))) > 1
+    p, monic = f.field.p, _monic(f.field.p, f.coeffs)
+    return len(_gcd(p, monic, _minus_x(p, _power(p, monic, f.field.size)))) > 1
 
 
 # root_status values, ordered: a polynomial that splits also has a root.
@@ -508,53 +424,53 @@ def root_status(f: PolyFq) -> int:
     if f.degree() < 1 or not f.is_monic():
         raise InputError("root_status requires a monic nonconstant polynomial")
     F = f.field
-    return _root_status(_kernel(F), [(j, c) for j, c in enumerate(f.coeffs) if not F.is_zero(c)])
+    return _root_status(F.p, [(j, c) for j, c in enumerate(f.coeffs) if c], F.degree)
 
 
-def _root_status(K, terms) -> int:
+def _root_status(p: int, terms, degree: int = 1) -> int:
     """root_status on the nonzero terms (j, c) of a monic f of degree >= 1
-    over K, exponents ascending: the split scan's entry."""
-    k, g, e = _deflate(K, terms)
+    over F_q, q = p^degree, exponents ascending: the root scan's entry."""
+    q = p**degree
+    k, g, e = _deflate(q, terms)
     if k > 1:
         return ROOT
     if len(g) == 1:
         return SPLITS  # f = X
-    q = K if type(K) is int else K.size
-    r = _minus_x(K, _power(K, g, (q - 1) // e), 0)  # Y^((q-1)/e) - 1 mod g
+    r = _minus_x(p, _power(p, g, (q - 1) // e), 0)  # Y^((q-1)/e) - 1 mod g
     if not r:
         return SPLITS
-    return ROOT if k or len(_gcd(K, g, r)) > 1 else NO_ROOT
+    return ROOT if k or len(_gcd(p, g, r)) > 1 else NO_ROOT
 
 
 def factor_degrees(f: PolyFq) -> tuple:
     """Degrees of the irreducible factors of squarefree monic f, nondecreasing.
 
     Distinct-degree factorization: the degree-d part of f is gcd(f, X^(q^d) - X).
+    That gcd divides f by construction, so a remainder there is an
+    InternalInconsistency.
     """
     if f.is_zero() or not f.is_monic():
         raise InputError("factor_degrees requires a monic polynomial")
     if not squarefree(f):
         raise InputError("factor_degrees requires a squarefree polynomial")
     F = f.field
-    K, rem = _kernel(F), f.coeffs
+    p, rem = F.p, f.coeffs
     degrees: list[int] = []
-    h = _pdivmod(F, (F.zero(), F.one()), rem)[1]
+    h = _divmod(p, (F.zero(), F.one()), rem)[1]
     d = 0
-    while len(rem) - 1 > 0:
+    while len(rem) > 1:
         d += 1
-        if (len(rem) - 1) < 2 * d:
+        if len(rem) - 1 < 2 * d:
             # remainder is irreducible
             degrees.append(len(rem) - 1)
             break
-        h = _power(K, rem, F.size, h)
-        g = _gcd(K, rem, _minus_x(K, h))
-        if len(g) - 1 > 0:
-            part = len(g) - 1
-            degrees.extend([d] * (part // d))
-            rem, inexact = _pdivmod(F, rem, g)
+        h = _power(p, rem, F.size, h)
+        g = _gcd(p, rem, _minus_x(p, h))
+        if len(g) > 1:
+            degrees.extend([d] * ((len(g) - 1) // d))
+            rem, inexact = _divmod(p, rem, g)  # monic, as rem and g are
             if inexact:
-                raise InputError("inexact polynomial division")
-            rem = _pmonic(F, rem)
-            h = _pdivmod(F, h, rem)[1]
+                raise InternalInconsistency(f"inexact polynomial division by the degree-{d} part {g}")
+            h = _divmod(p, h, rem)[1]
     degrees.sort()
     return tuple(degrees)

@@ -24,7 +24,8 @@ from lemnatomic.classfield import (
     theorem_search,
     verify_prop1,
 )
-from lemnatomic.errors import InputError
+from lemnatomic.cli import dispatch
+from lemnatomic.errors import InputError, InternalInconsistency
 from lemnatomic.exact import lemnatomic_exact
 from lemnatomic.gaussint import (
     GaussInt,
@@ -220,6 +221,42 @@ class TestFrobeniusOrbitCheck:
     def test_even_prime_rejected(self):
         with pytest.raises(InputError):
             frobenius_orbit_check(gi("-3"), gi("1+i"))
+
+    def test_reduction_not_squarefree_reads_false(self, monkeypatch):
+        monkeypatch.setattr(classfield, "squarefree", lambda f: False)
+        assert frobenius_orbit_check(gi("-1+2i"), gi("-3")) is False
+        assert dispatch(["orbit-check", "-1+2i", "-3"]) == 2
+
+    @pytest.mark.parametrize("fault", ["division", "gcd"])
+    @pytest.mark.parametrize("beta, pi", [("-1+2i", None), ("-3-4i", "-7")])
+    def test_corrupted_distinct_degree_step_raises(self, monkeypatch, fault, beta, pi):
+        # factor_degrees divides f by gcd(f, X^(q^d) - X), which divides it by
+        # construction: a remainder there is a fault, raised through the CLI,
+        # never a failed law (exit 2).  At the first split prime of -1+2i the
+        # quartic splits (d = 1); at the inert -7, Lambda_{-3-4i} has five
+        # quartic factors (d = 4, over F_49).
+        pi = gi(pi) if pi else splitting_primes(lam(beta), 500).primes[0].value
+        assert frobenius_orbit_check(gi(beta), pi) is True
+        if fault == "division":
+            real_divmod = gfq._divmod
+
+            def corrupted(p, a, b):
+                q, r = real_divmod(p, a, b)
+                return q, r or (1,)
+
+            monkeypatch.setattr(gfq, "_divmod", corrupted)
+        else:
+            real_gcd = gfq._gcd
+
+            def corrupted(p, a, b):
+                g = real_gcd(p, a, b)
+                return g if len(g) == 1 else ((g[0] + 1) % p,) + g[1:]
+
+            monkeypatch.setattr(gfq, "_gcd", corrupted)
+        with pytest.raises(InternalInconsistency, match="inexact polynomial division"):
+            frobenius_orbit_check(gi(beta), pi)
+        with pytest.raises(InternalInconsistency):
+            dispatch(["orbit-check", beta, format_gauss(pi)])
 
 
 class TestProp2Evidence:

@@ -72,6 +72,12 @@ class TestGaussCommands:
         assert data["order"] == 8
         assert data["invariant_factors"] == [8]
 
+    def test_unitgroup_above_the_enumeration_limit_fails_fast(self, capsys):
+        # N(1001) = 1002001 residues would take seconds and hundreds of MB
+        code, out, err = run(capsys, "unitgroup", "1001")
+        assert code == 1 and not out
+        assert "enumeration limit of 1000000" in err
+
 
 class TestLemnatomicCommand:
     def test_both_methods_agree(self, capsys):
@@ -177,6 +183,27 @@ class TestPolySources:
         path = tmp_path / "bad.json"
         path.write_text("not json", encoding="ascii")
         assert run(capsys, "reduce", str(path), "-3")[0] == 1
+
+
+class TestReduceOutput:
+    # Lambda_{-3-4i} mod the inert -7: residues in F_49 with nonzero
+    # imaginary parts, pinned byte for byte in both output forms
+    def test_inert_reduction_json(self, capsys):
+        code, out, _ = run(capsys, "reduce", "lemnatomic:-3-4i", "-7", "--json")
+        assert code == 0
+        assert out == (
+            '{"coeffs": [[6, 2], [0, 0], [0, 0], [0, 0], [2, 1], [0, 0], [0, 0], [0, 0], [5, 1], '
+            "[0, 0], [0, 0], [0, 0], [3, 2], [0, 0], [0, 0], [0, 0], [4, 5], [0, 0], [0, 0], [0, 0], "
+            '[1, 0]], "field_degree": 2, "i_image": [0, 1], "p": 7, "prime": "-7", "schema_version": 1}\n'
+        )
+
+    def test_inert_reduction_human(self, capsys):
+        code, out, _ = run(capsys, "reduce", "lemnatomic:-3-4i", "-7")
+        assert code == 0
+        assert out == (
+            "prime: -7 (q = 49)\n"
+            "reduction: (1+0j)*X^20 + (4+5j)*X^16 + (3+2j)*X^12 + (5+1j)*X^8 + (2+1j)*X^4 + (6+2j)\n"
+        )
 
 
 class TestVerificationCommands:

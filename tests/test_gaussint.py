@@ -4,6 +4,7 @@ seeded RNG so failures reproduce."""
 
 import gc
 import importlib.util
+import sys
 import weakref
 
 import pytest
@@ -63,6 +64,35 @@ class TestRingArithmetic:
         for _ in range(100):
             z = rand_gauss(rng)
             assert (z.norm() == 0) == (z == GaussInt(0, 0))
+
+
+class TestModularArithmetic:
+    @pytest.mark.parametrize("p", [3, 7, 11])
+    def test_mod_truth_and_inverse_on_every_residue(self, p):
+        # p = 3 mod 4 is inert, so every nonzero residue x + yi is a unit of F_{p^2}
+        for x in range(p):
+            for y in range(p):
+                z, lifted = GaussInt(x, y), GaussInt(x - 5 * p, y + 3 * p)
+                assert lifted % p == z and -lifted % p == GaussInt(-x % p, -y % p)
+                assert bool(z) == (x != 0 or y != 0) and bool(lifted) and not lifted - lifted
+                if not z:
+                    continue
+                inv = pow(z, -1, p)
+                assert 0 <= inv.re < p and 0 <= inv.im < p
+                assert z * inv % p == GaussInt(1, 0)
+                assert pow(lifted, -1, p) == inv
+
+    @pytest.mark.parametrize(
+        "z, p", [(GaussInt(0, 0), 3), (GaussInt(7, -14), 7), (GaussInt(1, 2), 5), (GaussInt(3, 4), 5)]
+    )
+    def test_inverse_rejected_when_p_divides_the_norm(self, z, p):
+        with pytest.raises(ValueError):
+            pow(z, -1, p)
+
+    def test_only_the_inverse_takes_a_modulus(self):
+        with pytest.raises(InputError):
+            pow(GaussInt(1, 2), 2, 7)
+        assert GaussInt(1, 2) ** 2 == GaussInt(-3, 4)
 
 
 class TestDivmod:
@@ -349,5 +379,26 @@ def test_a_second_copy_of_the_module_is_freed():
     assert copy.GaussInt is not GaussInt
     alive = weakref.ref(copy.GaussInt)
     del copy
+    gc.collect()
+    assert alive() is None
+
+
+def test_a_reimported_package_is_freed():
+    """The same for the whole package, which the benchmark imports afresh
+    for every pass: no module may pin GaussInt process-wide, as a
+    typing.Union over it would, in typing's cache."""
+    def ours(name):
+        return name == "lemnatomic" or name.startswith("lemnatomic.")
+
+    saved = {name: module for name, module in sys.modules.items() if ours(name)}
+    try:
+        for name in saved:
+            del sys.modules[name]
+        alive = weakref.ref(importlib.import_module("lemnatomic").gaussint.GaussInt)
+        assert alive() is not GaussInt
+    finally:
+        for name in [name for name in sys.modules if ours(name)]:
+            del sys.modules[name]
+        sys.modules.update(saved)
     gc.collect()
     assert alive() is None

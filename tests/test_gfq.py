@@ -5,15 +5,17 @@ import pytest
 from conftest import gi
 from lemnatomic.errors import InputError
 from lemnatomic.exact import lemnatomic_exact
-from lemnatomic.gaussint import GaussInt, _split_prime_above, divides, primes_up_to_norm
+from lemnatomic.gaussint import GaussInt, _split_prime_above, as_gauss, divides, primes_up_to_norm
 from lemnatomic.gfq import (
     NO_ROOT,
     ROOT,
     SPLITS,
     PolyFq,
     _deflate,
+    _divmod,
+    _gcd,
     _PackedModulus,
-    _int_gcd,
+    _power,
     factor_degrees,
     has_root,
     poly_gcd,
@@ -41,17 +43,12 @@ def rand_zipoly(rng, max_deg=5, span=9):
 
 def brute_roots(f: PolyFq):
     field = f.field
-    if field.degree == 1:
-        elements = range(field.p)
-    else:
-        elements = [(x, y) for x in range(field.p) for y in range(field.p)]
     roots = []
-    for e in elements:
-        e = e if field.degree == 2 else e % field.p
+    for e in field_elements(field):
         acc = field.zero()
         for c in reversed(f.coeffs):
-            acc = field.add(field.mul(acc, e), c)
-        if field.is_zero(acc):
+            acc = (acc * e + c) % field.p
+        if not acc:
             roots.append(e)
     return roots
 
@@ -62,7 +59,7 @@ class TestResidueField:
         assert field.p == 5 and field.degree == 1 and field.size == 5
         # the reduction map is authoritative: i maps to 3 mod -1+2i
         assert field.i_image == 3
-        assert field.mul(field.i_image, field.i_image) == field.p - 1
+        assert field.i_image * field.i_image % field.p == field.p - 1
 
     def test_conjugate_prime_swaps_root(self):
         field = residue_field(gi("-1-2i"))
@@ -72,7 +69,7 @@ class TestResidueField:
         field = residue_field(gi("-3"))
         assert field.p == 3 and field.degree == 2 and field.size == 9
         iota = field.i_image
-        assert field.mul(iota, iota) == field.neg(field.one())
+        assert iota == GaussInt(0, 1) and iota * iota % field.p == GaussInt(2, 0)
 
     def test_ramified_rejected(self):
         with pytest.raises(InputError):
@@ -81,7 +78,7 @@ class TestResidueField:
     def test_iota_squares_to_minus_one_everywhere(self):
         for pi in primes_up_to_norm(200):
             field = residue_field(pi.value)
-            assert field.mul(field.i_image, field.i_image) == field.neg(field.one())
+            assert field.i_image * field.i_image % field.p == -field.one() % field.p
 
 
 class TestReducePoly:
@@ -93,7 +90,7 @@ class TestReducePoly:
         field = residue_field(gi("-3"))
         f = reduce_poly(poly([1, 0, 1]), gi("-3"))
         roots = brute_roots(f)
-        assert field.i_image in roots and field.neg(field.i_image) in roots
+        assert field.i_image in roots and -field.i_image % field.p in roots
 
     def test_zero(self):
         assert reduce_poly(poly([]), gi("-3")).is_zero()
@@ -109,7 +106,7 @@ class TestReducePoly:
                 acc = [field.zero()] * max(1, len(rhs_f.coeffs) + len(rhs_g.coeffs))
                 for a_k, a in enumerate(rhs_f.coeffs):
                     for b_k, b in enumerate(rhs_g.coeffs):
-                        acc[a_k + b_k] = field.add(acc[a_k + b_k], field.mul(a, b))
+                        acc[a_k + b_k] = (acc[a_k + b_k] + a * b) % field.p
                 assert lhs == PolyFq.make(field, acc)
 
 
@@ -148,12 +145,8 @@ class TestSplitsCompletely:
                 if fbar.is_zero() or fbar.degree() < 1 or not fbar.is_monic():
                     continue
                 roots = brute_roots(fbar)
-                expected = len(set(map(tuple_key, roots))) == fbar.degree()
+                expected = len(set(roots)) == fbar.degree()
                 assert splits_completely(fbar) == expected
-
-
-def tuple_key(e):
-    return e if isinstance(e, tuple) else (e,)
 
 
 def planted(field, roots) -> PolyFq:
@@ -162,7 +155,7 @@ def planted(field, roots) -> PolyFq:
     for r in roots:
         shifted = [field.zero()] + coeffs
         for k, c in enumerate(coeffs):
-            shifted[k] = field.sub(shifted[k], field.mul(r, c))
+            shifted[k] = (shifted[k] - r * c) % field.p
         coeffs = shifted
     return PolyFq.make(field, coeffs)
 
@@ -409,8 +402,8 @@ class TestIntGcd:
             b = rand_fp_poly(rng, p, rng.randrange(0, 12))
             common = rand_fp_poly(rng, p, rng.randrange(0, 4))
             for x, y in ((a, b), (ref_mul(a, common, p), ref_mul(b, common, p))):
-                assert _int_gcd(p, x, y) == ref_gcd(x, y, p), (p, x, y)
-                assert _int_gcd(p, x, y)[-1] == 1
+                assert _gcd(p, x, y) == ref_gcd(x, y, p), (p, x, y)
+                assert _gcd(p, x, y)[-1] == 1
 
     @pytest.mark.parametrize("p", (3, 5, 13, 30011, 2**31 - 1, 2**61 - 1))
     def test_sparse_inputs_of_degree_0_to_30(self, rng, p):
@@ -424,19 +417,73 @@ class TestIntGcd:
                 a, b = sparse(degree), sparse(rng.randrange(31))
                 common = sparse(rng.randrange(4))
                 for x, y in ((a, b), (b, a), (ref_mul(a, common, p), ref_mul(b, common, p))):
-                    assert _int_gcd(p, x, y) == ref_gcd(x, y, p), (p, x, y)
+                    assert _gcd(p, x, y) == ref_gcd(x, y, p), (p, x, y)
 
     @pytest.mark.parametrize("p", SMALL_SPLIT + BIG_SPLIT)
     def test_equal_degrees_and_divisors(self, rng, p):
         for degree in range(0, 10):
             a, b = rand_fp_poly(rng, p, degree), rand_fp_poly(rng, p, degree)
-            assert _int_gcd(p, a, b) == ref_gcd(a, b, p), (p, a, b)
+            assert _gcd(p, a, b) == ref_gcd(a, b, p), (p, a, b)
             multiple = ref_mul(a, rand_fp_poly(rng, p, rng.randrange(0, 5)), p)
             monic_a = ref_gcd(a, (), p)
             # one argument divides the other, in either order, and gcd(a, 0)
-            assert _int_gcd(p, multiple, a) == monic_a
-            assert _int_gcd(p, a, multiple) == monic_a
-            assert _int_gcd(p, a, ()) == _int_gcd(p, (), a) == monic_a
+            assert _gcd(p, multiple, a) == monic_a
+            assert _gcd(p, a, multiple) == monic_a
+            assert _gcd(p, a, ()) == _gcd(p, (), a) == monic_a
+
+
+# -- the Gaussian power and the shared division against the schoolbook -----------
+#
+# ref_mul, ref_mod and ref_pow_mod take GaussInt coefficients as they are;
+# lift() compares across their int zeros.
+
+
+def lift(cs):
+    return tuple(map(as_gauss, cs))
+
+
+INERT_FIELDS = [residue_field(gi(p)) for p in ("-3", "-7", "-11")]
+DIVMOD_FIELDS = [residue_field(gi(p)) for p in ("-1+2i", "3+2i", "-3", "-7")]  # q = 5, 13, 9, 49
+
+
+class TestGaussianPower:
+    @pytest.mark.parametrize("field", INERT_FIELDS, ids=lambda F: f"q={F.size}")
+    def test_matches_schoolbook(self, rng, field):
+        p, q, elements = field.p, field.size, field_elements(field)
+        for degree in range(1, 9):
+            f = tuple(rng.choice(elements) for _ in range(degree)) + (field.one(),)
+            a = ref_mod(tuple(rng.choice(elements) for _ in range(degree + 3)), f, p)
+            for base in (None, a, ()):  # X, a general a, and a = 0 mod f
+                for e in (0, 1, 2, degree, q, q**3 + 12345, rng.randrange(q**8)):
+                    want = lift(ref_pow_mod((0, 1) if base is None else base, e, f, p))
+                    assert _power(p, f, e, base) == want, (f, base, e)
+
+    def test_inverse_and_frobenius(self):
+        # over F_{p^2}: c^(q-2) = c^-1 and c^p = conj(c), read off X mod X - c
+        for field in INERT_FIELDS:
+            p, q = field.p, field.size
+            for c in field_elements(field)[1:]:
+                f = (-c % p, field.one())
+                assert _power(p, f, q - 2) == (pow(c, -1, p),)
+                assert _power(p, f, p) == (c.conjugate() % p,)
+
+
+class TestDivmod:
+    @pytest.mark.parametrize("field", DIVMOD_FIELDS, ids=lambda F: f"q={F.size}")
+    def test_quotient_times_divisor_plus_remainder(self, rng, field):
+        p, elements = field.p, field_elements(field)
+        for _ in range(60):
+            a = PolyFq.make(field, [rng.choice(elements) for _ in range(rng.randrange(0, 12))]).coeffs
+            b = tuple(rng.choice(elements) for _ in range(rng.randrange(0, 6))) + (rng.choice(elements[1:]),)
+            quotient, remainder = _divmod(p, a, b)
+            assert len(remainder) < len(b) and (not remainder or remainder[-1])
+            assert (not quotient or quotient[-1]) and len(quotient) == max(len(a) - len(b) + 1, 0)
+            product = ref_mul(quotient, b, p)
+            total = [(x + y) % p for x, y in zip(product + (0,) * len(a), remainder + (0,) * len(a))]
+            assert lift(PolyFq.make(field, total).coeffs) == lift(a), (a, b)
+            # an exact multiple leaves no remainder and gives the cofactor back
+            if quotient:
+                assert lift(_divmod(p, product, b)[0]) == lift(quotient) and not _divmod(p, product, b)[1]
 
 
 # -- root_status and squarefree on f = X^k * g(X^e) against the X^q oracles ------
@@ -451,7 +498,7 @@ DEFLATION_FIELDS = [residue_field(_split_prime_above(p)) for p in (5, 13, 17, 29
 def field_elements(field):
     if field.degree == 1:
         return list(range(field.p))
-    return [(x, y) for x in range(field.p) for y in range(field.p)]
+    return [GaussInt(x, y) for x in range(field.p) for y in range(field.p)]
 
 
 def inflate(field, g, e):
@@ -473,19 +520,19 @@ def rand_deflation_g(field, rng, zero_root=False):
     out = [field.zero()] * (len(g) + len(extra) - 1)
     for j, x in enumerate(g):
         for k, y in enumerate(extra):
-            out[j + k] = field.add(out[j + k], field.mul(x, y))
+            out[j + k] = (out[j + k] + x * y) % field.p
     return PolyFq.make(field, out).coeffs
 
 
 def nonzero_terms(f):
     """The terms (j, c) of f with c != 0, the form _deflate reads."""
-    return [(j, c) for j, c in enumerate(f.coeffs) if c != f.field.zero()]
+    return [(j, c) for j, c in enumerate(f.coeffs) if c]
 
 
 def squarefree_reference(f):
     """gcd(f, f') on f as given, no deflation."""
     field = f.field
-    d = PolyFq.make(field, [field.mul(field.from_int(k), c) for k, c in enumerate(f.coeffs)][1:])
+    d = PolyFq.make(field, [k * c % field.p for k, c in enumerate(f.coeffs)][1:])
     if d.is_zero():
         return f.degree() <= 0
     return poly_gcd(f, d).degree() == 0
@@ -496,7 +543,7 @@ def check_against_oracles(f):
     roots and gcd(f, f'); returns the status."""
     status = root_status(f)
     roots = brute_roots(f)
-    assert (status == SPLITS) == splits_completely(f) == (len(set(map(tuple_key, roots))) == f.degree()), f
+    assert (status == SPLITS) == splits_completely(f) == (len(set(roots)) == f.degree()), f
     assert (status >= ROOT) == has_root(f) == bool(roots), f
     assert squarefree(f) == squarefree_reference(f), f
     return status
@@ -512,7 +559,7 @@ class TestDeflation:
                 if len(g) < 2:
                     continue
                 f = inflate(field, g, e)
-                k, h, e_found = _deflate(field, nonzero_terms(f))
+                k, h, e_found = _deflate(field.size, nonzero_terms(f))
                 # f = X^k * h(X^e_found), h(0) != 0, e_found | q - 1
                 assert h[0] != field.zero() and (field.size - 1) % e_found == 0
                 assert f == PolyFq.make(field, [field.zero()] * k + list(inflate(field, h, e_found).coeffs))
@@ -536,9 +583,9 @@ class TestDeflation:
         assert check_against_oracles(PolyFq.make(field, (field.zero(),) * 3 + (field.one(),))) == ROOT
         # X * (X^2 + c) with a non-square c: a root at 0 only
         zero, one = field.zero(), field.one()
-        c = next(c for c in elements if not brute_roots(PolyFq.make(field, (field.neg(c), zero, one))))
-        f = PolyFq.make(field, (zero, field.neg(c), zero, one))
-        assert _deflate(field, nonzero_terms(f))[:2] == (1, (field.neg(c), one))
+        c = next(c for c in elements if not brute_roots(PolyFq.make(field, (-c % field.p, zero, one))))
+        f = PolyFq.make(field, (zero, -c % field.p, zero, one))
+        assert _deflate(field.size, nonzero_terms(f))[:2] == (1, (-c % field.p, one))
         assert check_against_oracles(f) == ROOT
 
     def test_coefficients_vanishing_mod_pi_raise_d(self, rng):
@@ -550,7 +597,7 @@ class TestDeflation:
                 h = PolyZi.make([b, pi, 0, 0, a, pi, 0, 0, 1])
                 f = reduce_poly(h, pi)
                 assert f.degree() == 8 and f.coeffs[1] == f.coeffs[5] == field.zero()
-                k, g, e = _deflate(field, nonzero_terms(f))
+                k, g, e = _deflate(field.size, nonzero_terms(f))
                 if k == 0:
                     assert e in (4, 8) and len(g) == 8 // e + 1
                 check_against_oracles(f)
@@ -567,7 +614,7 @@ class TestDeflation:
             if len(g) < 2 or g[0] == field.zero():
                 continue
             f = inflate(field, g, e)
-            assert _deflate(field, nonzero_terms(f))[2] == e_found
+            assert _deflate(field.size, nonzero_terms(f))[2] == e_found
             check_against_oracles(f)
 
     def test_inert_nine_with_e_three(self, rng):
@@ -577,7 +624,7 @@ class TestDeflation:
             if len(g) < 2 or g[0] == field.zero():
                 continue
             f = inflate(field, g, 3)
-            assert _deflate(field, nonzero_terms(f))[2] == 1
+            assert _deflate(field.size, nonzero_terms(f))[2] == 1
             check_against_oracles(f)
 
     def test_linear_g_quartic_lemnatomic(self):
@@ -587,7 +634,7 @@ class TestDeflation:
         statuses = set()
         for pi in primes_up_to_norm(400):
             f = reduce_poly(h, pi)
-            k, g, e = _deflate(f.field, nonzero_terms(f))
+            k, g, e = _deflate(f.field.size, nonzero_terms(f))
             if k:
                 assert divides(pi.value, gi("-1+2i"))
                 continue

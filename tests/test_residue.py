@@ -5,6 +5,7 @@ import math
 import pytest
 
 from conftest import gi
+from lemnatomic import residue
 from lemnatomic.errors import InputError, NotCoprime, NotOdd
 from lemnatomic.gaussint import GaussInt, _factor_int, gauss_gcd, is_primary
 from lemnatomic.residue import (
@@ -60,6 +61,18 @@ class TestResidueRing:
 
 
 class TestUnitGroup:
+    def test_above_the_enumeration_limit_rejected_up_front(self, monkeypatch):
+        assert residue.UNIT_GROUP_MAX_NORM == 10**6
+        with pytest.raises(InputError, match="enumeration limit"):
+            unit_group(residue_ring(gi("1001")))  # N = 1002001
+        # the limit is read at call time and admits N(beta) equal to it;
+        # nothing is enumerated past it
+        monkeypatch.setattr(residue, "UNIT_GROUP_MAX_NORM", 45)
+        assert unit_group(residue_ring(gi("3-6i"))).order == phi_norm(gi("3-6i"))
+        monkeypatch.setattr(ResidueRing, "representatives", None)
+        with pytest.raises(InputError, match="N\\(beta\\) = 81 is above"):
+            unit_group(residue_ring(gi("9")))
+
     def test_inert_nine(self):
         group = unit_group(residue_ring(gi("-3")))
         assert group.order == 8

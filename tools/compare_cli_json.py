@@ -11,7 +11,9 @@ conjugate 1+4i; so do the class reports ``prop2-evidence`` and
 -3-4i, 3-6i, 9 and -11 (degree 120); ``primes`` lists the prime walk at the
 norm bound, with and without ``--include-even``; ``reduce``, ``split-test`` and
 ``orbit-check`` (which runs ``factor_degrees``) run at the split prime -1+2i
-and the inert primes -3 and -7; ``primary`` and ``factor`` run on 3i, -7,
+and the inert primes -3 and -7, ``reduce`` and ``split-test`` on the
+lemnatomic polynomials of -3 and -3-4i (whose residues at -3 and -7 have
+nonzero imaginary parts) and on X^3 - 2; ``primary`` and ``factor`` run on 3i, -7,
 2+i and 45; ``lemnatomic BETA --method exact`` runs on
 the exact ladder of the benchmark plus 13, 17, -19, 29 (the product of the
 split primes 5 +/- 2i), 33, -31 (a prime whose halves recurse through even
@@ -30,10 +32,11 @@ which a table on the multiples of w = (1+i)*omega/beta would reach the pole
 7 s); ``--method both`` on -3 and -19, ``--precision-bits 64`` on -19 (which
 escalates), ``--precision-bits 4096`` on -3, whose stability round runs at
 8192 bits, and ``--precision-bits 8192`` on -3, above the ceiling (exit 1).
-All of these print JSON.  Six commands that print a polynomial also run
-once in human form at the norm bound: ``lemnatomic -3``,
-``scan-splitting``, ``semisplit``, ``prop2-evidence`` and ``density`` on
-lemnatomic:-3, and ``verify-theorem`` on X^2 - 105.
+All of these print JSON, 170 commands in all.  Seven commands that print
+a polynomial also run once in human form, the reports at the norm bound:
+``lemnatomic -3``, ``scan-splitting``, ``semisplit``, ``prop2-evidence``
+and ``density`` on lemnatomic:-3, ``verify-theorem`` on X^2 - 105, and
+``reduce lemnatomic:-3-4i -7``.  That makes 177 commands.
 
 OLD_SRC and NEW_SRC are directories holding the ``lemnatomic`` package (the
 ``src`` directory of two checkouts).  Each command runs in a fresh
@@ -65,7 +68,7 @@ POLYS = (
 )
 PROP1_BETAS = ("-3", "-3-4i", "3-6i", "9", "-11")
 SINGLE_PRIMES = ("-1+2i", "-3", "-7")  # one split prime, two inert ones
-SINGLE_POLYS = ("lemnatomic:-3", "coeffs:-2,0,0,1")
+SINGLE_POLYS = ("lemnatomic:-3", "lemnatomic:-3-4i", "coeffs:-2,0,0,1")
 ORBIT_BETAS = ("-1-2i", "5+4i")  # divisible by none of SINGLE_PRIMES
 EXACT_BETAS = (
     "-1+2i", "-3", "-3-4i", "3-6i", "9", "-11", "11-2i", "13", "17", "-19", "29", "33", "-31",
@@ -115,6 +118,7 @@ def commands(max_norm: int) -> list:
         ["prop2-evidence", "lemnatomic:-3", "--beta", "-3", *norm],
         ["verify-theorem", "coeffs:-105,0,1", *norm],
         ["density", "lemnatomic:-3", *norm],
+        ["reduce", "lemnatomic:-3-4i", "-7"],
     ]
     return out
 
