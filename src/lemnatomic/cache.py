@@ -1,7 +1,7 @@
 """On-disk cache of computed lemnatomic polynomials.
 
 One JSON file per beta, named lemnatomic_<beta literal>.json, holding the
-record fields plus a schema version.  Writes go through a temporary file and
+record's fields as zipoly.to_json writes them plus a schema version.  Writes go through a temporary file and
 an atomic rename; loads re-validate everything (schema version, degree,
 monicity, the X^4 shape, the values at 0 and 1, checksum), so a corrupted
 or stale entry degrades to a cache miss and is recomputed, not trusted.
@@ -17,7 +17,7 @@ from typing import Optional
 
 from .exact import LemnatomicRecord
 from .gaussint import GaussInt, format_gauss, parse_gauss
-from .zipoly import from_json_dict, to_json_dict
+from .zipoly import from_json_dict, to_json
 
 __all__ = ["SCHEMA_VERSION", "cache_path", "cache_store", "cache_load"]
 
@@ -29,15 +29,7 @@ def cache_path(cache_dir, beta: GaussInt) -> Path:
 
 
 def entry_dict(record: LemnatomicRecord) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "beta": format_gauss(record.beta),
-        "degree": record.degree,
-        "coefficients": to_json_dict(record.coefficients),
-        "method": record.method,
-        "precision_bits": record.precision_bits,
-        "checksum": record.checksum,
-    }
+    return {"schema_version": SCHEMA_VERSION, **to_json(record)}
 
 
 def cache_store(record: LemnatomicRecord, cache_dir) -> bool:

@@ -74,7 +74,7 @@ from .gfq import (
 # bound here as well (perfbench's tracer wraps classfield's own reference).
 from .gfq import has_root, splits_completely  # noqa: F401
 from .residue import _closure, _order_of, class_of, phi_norm, residue_ring
-from .zipoly import PolyZi, discriminant, to_json_dict
+from .zipoly import PolyZi, discriminant, to_json
 
 __all__ = [
     "SplittingReport",
@@ -106,13 +106,7 @@ class SplittingReport:
     skipped: tuple  # primes dividing the discriminant, excluded from the scan
 
     def to_json_dict(self) -> dict:
-        return {
-            "poly": to_json_dict(self.poly),
-            "bound": self.bound,
-            "primes": [format_gauss(pi.value) for pi in self.primes],
-            "skipped": [format_gauss(pi.value) for pi in self.skipped],
-            "count": len(self.primes),
-        }
+        return {**to_json(self), "count": len(self.primes)}
 
 
 @dataclass(frozen=True, slots=True)
@@ -130,13 +124,7 @@ class Prop1Report:
         return not self.failures
 
     def to_json_dict(self) -> dict:
-        return {
-            "beta": format_gauss(self.beta),
-            "bound": self.bound,
-            "checked": self.checked,
-            "failures": [format_gauss(pi.value) for pi in self.failures],
-            "passed": self.passed,
-        }
+        return {**to_json(self), "passed": self.passed}
 
 
 @dataclass(frozen=True, slots=True)
@@ -159,17 +147,7 @@ class Prop2Report:
     skipped: tuple  # semi-split test skipped: primes dividing disc(poly)
 
     def to_json_dict(self) -> dict:
-        return {
-            "poly": to_json_dict(self.poly),
-            "beta": format_gauss(self.beta),
-            "bound": self.bound,
-            "normalization": self.normalization,
-            "classes": [format_gauss(c) for c in self.classes],
-            "subgroup_order": self.subgroup_order,
-            "group_order": self.group_order,
-            "criterion_satisfied": self.criterion_satisfied,
-            "skipped": [format_gauss(pi.value) for pi in self.skipped],
-        }
+        return to_json(self)
 
 
 @dataclass(frozen=True, slots=True)
@@ -180,12 +158,7 @@ class TheoremCandidate:
     witness: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "beta": format_gauss(self.beta),
-            "group_order": self.group_order,
-            "subgroup_order": self.subgroup_order,
-            "witness": self.witness,
-        }
+        return to_json(self)
 
 
 @dataclass(frozen=True, slots=True)
@@ -207,15 +180,7 @@ class TheoremReport:
         return tuple(c for c in self.candidates if c.witness)
 
     def to_json_dict(self) -> dict:
-        return {
-            "poly": to_json_dict(self.poly),
-            "disc": format_gauss(self.disc),
-            "bound": self.bound,
-            "normalization": self.normalization,
-            "candidates": [c.to_json_dict() for c in self.candidates],
-            "witnesses": [format_gauss(c.beta) for c in self.witnesses],
-            "notes": self.notes,
-        }
+        return {**to_json(self), "witnesses": to_json([c.beta for c in self.witnesses])}
 
 
 @dataclass(frozen=True, slots=True)
@@ -230,14 +195,7 @@ class DensityReport:
     expected: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "poly": to_json_dict(self.poly),
-            "bound": self.bound,
-            "count_P": self.count_p,
-            "count_all_odd": self.count_all_odd,
-            "ratio": self.ratio,
-            "expected": self.expected,
-        }
+        return {("count_P" if k == "count_p" else k): v for k, v in to_json(self).items()}
 
 
 # -- scans ---------------------------------------------------------------------

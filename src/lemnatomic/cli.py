@@ -12,10 +12,14 @@ found violated; 3 precision failure after the escalation ceiling.  Internal
 invariant violations are bugs and raise straight through.
 
 --json emits one machine-readable object with schema_version and sorted
-keys, so identical invocations produce byte-identical output.  Polynomial
-arguments accept three spellings: a path to a JSON file {"coeffs": [...]},
-an inline "coeffs:c0,c1,..." list of Gaussian literals (ascending), or
-"lemnatomic:<beta>" for the exact lemnatomic polynomial of beta.
+keys, so identical invocations produce byte-identical output.  Each handler
+hands its payload, Gaussian integers, primes, polynomials and tuples raw, to
+zipoly.to_json once; only an F_{p^2} residue is written by hand, as [re, im].
+
+Polynomial arguments accept three spellings: a path to a JSON file
+{"coeffs": [...]}, an inline "coeffs:c0,c1,..." list of Gaussian literals
+(ascending), or "lemnatomic:<beta>" for the exact lemnatomic polynomial of
+beta.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import json
 import sys
 from pathlib import Path
 
-from .cache import SCHEMA_VERSION, cache_load, cache_store, entry_dict
+from .cache import SCHEMA_VERSION, cache_load, cache_store
 from .classfield import (
     density_report,
     frobenius_orbit_check,
@@ -49,7 +53,7 @@ from .gaussint import (
 from .gfq import reduce_poly, splits_completely
 from .lemniscate import _check_precision, lemnatomic_numeric
 from .residue import residue_ring, unit_group
-from .zipoly import PolyZi, from_json_dict, to_json_dict
+from .zipoly import PolyZi, from_json_dict, to_json
 
 __all__ = ["dispatch", "main"]
 
@@ -97,14 +101,13 @@ def _cmd_primes(args) -> int:
     primes = primes_up_to_norm(args.max_norm, odd_only=not args.include_even)
     _emit(
         args,
-        {
-            "bound": args.max_norm,
-            "primes": [
-                {"value": format_gauss(p.value), "norm": p.norm, "kind": p.kind}
-                for p in primes
-            ],
-            "count": len(primes),
-        },
+        to_json(
+            {
+                "bound": args.max_norm,
+                "primes": [{"value": p.value, "norm": p.norm, "kind": p.kind} for p in primes],
+                "count": len(primes),
+            }
+        ),
         [f"{format_gauss(p.value):>12s}  norm={p.norm:<8d} {p.kind}" for p in primes]
         + [f"count: {len(primes)}"],
     )
@@ -115,10 +118,7 @@ def _cmd_factor(args) -> int:
     unit, facs = factor(parse_gauss(args.value))
     _emit(
         args,
-        {
-            "unit": format_gauss(unit),
-            "factors": [[format_gauss(p.value), e] for p, e in facs],
-        },
+        to_json({"unit": unit, "factors": facs}),
         [
             f"unit: {format_gauss(unit)}",
             "factors: "
@@ -133,7 +133,7 @@ def _cmd_primary(args) -> int:
     unit, primary = primary_normalize(z)
     _emit(
         args,
-        {"input": format_gauss(z), "unit": format_gauss(unit), "primary": format_gauss(primary)},
+        to_json({"input": z, "unit": unit, "primary": primary}),
         [f"primary associate: {format_gauss(primary)}", f"unit applied: {format_gauss(unit)}"],
     )
     return 0
@@ -143,12 +143,14 @@ def _cmd_unitgroup(args) -> int:
     group = unit_group(residue_ring(parse_gauss(args.beta)))
     _emit(
         args,
-        {
-            "modulus": format_gauss(group.ring.modulus),
-            "order": group.order,
-            "invariant_factors": list(group.invariant_factors),
-            "generators": [format_gauss(g) for g in group.generators],
-        },
+        to_json(
+            {
+                "modulus": group.ring.modulus,
+                "order": group.order,
+                "invariant_factors": group.invariant_factors,
+                "generators": group.generators,
+            }
+        ),
         [
             f"modulus: {format_gauss(group.ring.modulus)}",
             f"order: {group.order}",
@@ -190,9 +192,7 @@ def _cmd_lemnatomic(args) -> int:
                 f"warning: cache directory {args.cache_dir} is not writable; result not cached",
                 file=sys.stderr,
             )
-    data = entry_dict(record)
-    del data["schema_version"]  # _emit adds it once
-    data["cached"] = cached
+    data = {**to_json(record), "cached": cached}
     human = [
         f"beta: {format_gauss(record.beta)} (primary)",
         f"degree: {record.degree}",
@@ -217,13 +217,15 @@ def _cmd_reduce(args) -> int:
     field = reduced.field
     _emit(
         args,
-        {
-            "prime": format_gauss(field.pi.value),
-            "p": field.p,
-            "field_degree": field.degree,
-            "i_image": _fq_coeff_json(field.i_image),
-            "coeffs": [_fq_coeff_json(c) for c in reduced.coeffs],
-        },
+        to_json(
+            {
+                "prime": field.pi,
+                "p": field.p,
+                "field_degree": field.degree,
+                "i_image": _fq_coeff_json(field.i_image),
+                "coeffs": [_fq_coeff_json(c) for c in reduced.coeffs],
+            }
+        ),
         [
             f"prime: {format_gauss(field.pi.value)} (q = {field.size})",
             f"reduction: {reduced}",
@@ -238,7 +240,7 @@ def _cmd_split_test(args) -> int:
     result = splits_completely(reduce_poly(poly, pi))
     _emit(
         args,
-        {"prime": format_gauss(pi), "splits_completely": result},
+        to_json({"prime": pi, "splits_completely": result}),
         [f"splits completely mod {format_gauss(pi)}: {str(result).lower()}"],
     )
     return 0
@@ -266,12 +268,7 @@ def _cmd_semisplit(args) -> int:
     hits = semisplit_primes(poly, args.max_norm)
     _emit(
         args,
-        {
-            "poly": to_json_dict(poly),
-            "bound": args.max_norm,
-            "primes": [format_gauss(p.value) for p in hits],
-            "count": len(hits),
-        },
+        to_json({"poly": poly, "bound": args.max_norm, "primes": hits, "count": len(hits)}),
         [
             f"polynomial: {poly}",
             f"semi-split primes ({len(hits)}): " + ", ".join(format_gauss(p.value) for p in hits),
@@ -358,7 +355,7 @@ def _cmd_orbit_check(args) -> int:
     holds = frobenius_orbit_check(beta, pi)
     _emit(
         args,
-        {"beta": format_gauss(beta), "pi": format_gauss(pi), "holds": holds},
+        to_json({"beta": beta, "pi": pi, "holds": holds}),
         [f"orbit law for beta={format_gauss(beta)}, pi={format_gauss(pi)}: {str(holds).lower()}"],
     )
     return 0 if holds else 2

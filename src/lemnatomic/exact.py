@@ -74,7 +74,6 @@ from .gaussint import (
     factor,
     format_gauss,
     gauss_gcd,
-    primary_normalize,
 )
 from .residue import phi_norm
 from .zipoly import (
@@ -501,10 +500,8 @@ def divisors_up_to_units(beta) -> list:
         for _ in range(exp):
             power = power * prime.value
             divisors.extend(d * power for d in current)
-    return sorted(
-        (primary_normalize(d)[1] for d in divisors),
-        key=lambda g: (g.norm(), g.re, g.im),
-    )
+    # a product of primary primes is primary: = 1 mod (1+i)^3 is multiplicative
+    return sorted(divisors, key=lambda g: (g.norm(), g.re, g.im))
 
 
 @dataclass(frozen=True, slots=True)

@@ -68,14 +68,8 @@ class ResidueRing:
         """All N(beta) canonical representatives, (im, re)-major order."""
         return [GaussInt(x, y) for y in range(self.n2) for x in range(self.n1)]
 
-    def add(self, a: GaussIntLike, b: GaussIntLike) -> GaussInt:
-        return self.canonical_rep(as_gauss(a) + as_gauss(b))
-
     def mul(self, a: GaussIntLike, b: GaussIntLike) -> GaussInt:
         return self.canonical_rep(as_gauss(a) * as_gauss(b))
-
-    def neg(self, a: GaussIntLike) -> GaussInt:
-        return self.canonical_rep(-as_gauss(a))
 
     def pow(self, a: GaussIntLike, e: int) -> GaussInt:
         result, base = self.canonical_rep(ONE), self.canonical_rep(a)

@@ -2,8 +2,9 @@
 
 Dense ascending-coefficient polynomials with GaussInt entries: ring
 arithmetic, formal derivative, evaluation, exact division by a monic
-divisor, a fraction-free resultant/discriminant, and the JSON form
-{"coeffs": ["a+bi", ...]} used by CLI commands and cache files.
+divisor, a fraction-free resultant/discriminant, the JSON form
+{"coeffs": ["a+bi", ...]}, and to_json, the one encoder that writes every
+report, cache record and CLI payload on top of it.
 
 Products go through one Kronecker product on (re, im) int lists,
 kronecker_mul, which PolyZi.__mul__ wraps; the slot packing, the complex
@@ -13,12 +14,12 @@ the exact route's certificate, which compares packed values directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import gcd
 from typing import Iterable, Iterator, Union
 
 from .errors import InputError, NotDivisible, ParseError
-from .gaussint import GaussInt, GaussIntLike, ZERO, ONE, as_gauss, format_gauss, parse_gauss
+from .gaussint import GaussInt, GaussIntLike, GaussPrime, ZERO, ONE, as_gauss, format_gauss, parse_gauss
 
 
 def _trim(coeffs: list[GaussInt]) -> tuple[GaussInt, ...]:
@@ -323,6 +324,32 @@ def discriminant(f: PolyZi) -> GaussInt:
 def to_json_dict(f: PolyZi) -> dict:
     """JSON form: ascending Gaussian literals."""
     return {"coeffs": [format_gauss(c) for c in f.coeffs]}
+
+
+def to_json(value):
+    """The JSON-ready form of value, the one rule for every report, record
+    and CLI payload: str, int, float, bool and None as they are, a Gaussian
+    integer or prime as its literal, a polynomial as to_json_dict, a tuple or
+    list as a list, a dict value by value, and any other dataclass as the
+    dict of its fields, so each JSON key is a field name.
+
+    Cache files are written from this, so renaming a record field changes
+    them on disk; the cache and CLI tests pin their bytes, and a deliberate
+    format change must bump cache.SCHEMA_VERSION.
+    """
+    if value is None or isinstance(value, (str, int, float)):
+        return value
+    if isinstance(value, GaussInt):
+        return format_gauss(value)
+    if isinstance(value, GaussPrime):
+        return format_gauss(value.value)
+    if isinstance(value, PolyZi):
+        return to_json_dict(value)
+    if isinstance(value, (tuple, list)):
+        return [to_json(v) for v in value]
+    if isinstance(value, dict):
+        return {k: to_json(v) for k, v in value.items()}
+    return {f.name: to_json(getattr(value, f.name)) for f in fields(value)}
 
 
 def from_json_dict(data: dict) -> PolyZi:

@@ -5,7 +5,7 @@ import json
 
 from conftest import gi
 from lemnatomic.cache import SCHEMA_VERSION, cache_load, cache_path, cache_store
-from lemnatomic.exact import lemnatomic_exact, record_checksum
+from lemnatomic.exact import LemnatomicRecord, lemnatomic_exact, record_checksum
 from lemnatomic.gaussint import format_gauss
 from lemnatomic.zipoly import from_json_dict
 
@@ -159,3 +159,60 @@ class TestUnwritable:
         blocker.write_text("", encoding="ascii")
         record = lemnatomic_exact(gi("-3"))
         assert cache_store(record, blocker / "sub") is False
+
+
+# A cache file's full bytes: indent 2, sorted keys, trailing newline.  A change
+# to them changes the files already on disk, so it must bump SCHEMA_VERSION.
+EXACT_FILE = """{
+  "beta": "-1+2i",
+  "checksum": "ecfcace1540795b0f0c666480ef20a86803e9cadccdce90454074ee938812e94",
+  "coefficients": {
+    "coeffs": [
+      "-1+2i",
+      "0",
+      "0",
+      "0",
+      "1"
+    ]
+  },
+  "degree": 4,
+  "method": "exact",
+  "precision_bits": 0,
+  "schema_version": 1
+}
+"""
+BOTH_FILE = """{
+  "beta": "-3",
+  "checksum": "b4fd06d303e256e44d9c428f470e8717e1ab2e77b51310e8266973104afe27f2",
+  "coefficients": {
+    "coeffs": [
+      "-3",
+      "0",
+      "0",
+      "0",
+      "6",
+      "0",
+      "0",
+      "0",
+      "1"
+    ]
+  },
+  "degree": 8,
+  "method": "both",
+  "precision_bits": 256,
+  "schema_version": 1
+}
+"""
+
+
+class TestWireFormat:
+    def test_exact_record_bytes(self, tmp_path):
+        _, path = stored(tmp_path, "-1+2i")
+        assert path.read_bytes() == EXACT_FILE.encode("ascii")
+
+    def test_both_record_bytes(self, tmp_path):
+        # the record lemnatomic -3 --method both stores at its default 256 bits
+        poly = lemnatomic_exact(gi("-3")).coefficients
+        record = LemnatomicRecord.build(gi("-3"), poly, "both", 256)
+        assert cache_store(record, tmp_path) is True
+        assert cache_path(tmp_path, record.beta).read_bytes() == BOTH_FILE.encode("ascii")

@@ -394,6 +394,49 @@ class TestDeterminism:
             assert data["schema_version"] == 1
 
 
+# The exact --json stdout of commands whose payloads the handlers pass raw
+# (Gaussian integers, primes, polynomials, tuples) to one encoder.
+PINNED_STDOUT = [
+    (
+        ("factor", "5"),
+        '{"factors": [["-1+2i", 1], ["-1-2i", 1]], "schema_version": 1, "unit": "1"}',
+    ),
+    (("primary", "3i"), '{"input": "3i", "primary": "-3", "schema_version": 1, "unit": "i"}'),
+    (
+        ("unitgroup", "-3"),
+        '{"generators": ["i", "1+i"], "invariant_factors": [8], "modulus": "-3", "order": 8, '
+        '"schema_version": 1}',
+    ),
+    (
+        ("primes", "--max-norm", "30", "--include-even"),
+        '{"bound": 30, "count": 10, "primes": [{"kind": "ramified", "norm": 2, "value": "1+i"}, '
+        '{"kind": "split", "norm": 5, "value": "-1+2i"}, {"kind": "split", "norm": 5, "value": "-1-2i"}, '
+        '{"kind": "inert", "norm": 9, "value": "-3"}, {"kind": "split", "norm": 13, "value": "3+2i"}, '
+        '{"kind": "split", "norm": 13, "value": "3-2i"}, {"kind": "split", "norm": 17, "value": "1+4i"}, '
+        '{"kind": "split", "norm": 17, "value": "1-4i"}, {"kind": "split", "norm": 29, "value": "-5+2i"}, '
+        '{"kind": "split", "norm": 29, "value": "-5-2i"}], "schema_version": 1}',
+    ),
+    (
+        ("semisplit", "coeffs:-2,0,1", "--max-norm", "50"),
+        '{"bound": 50, "count": 6, "poly": {"coeffs": ["-2", "0", "1"]}, '
+        '"primes": ["-3", "1+4i", "1-4i", "5+4i", "5-4i", "-7"], "schema_version": 1}',
+    ),
+    (
+        ("split-test", "lemnatomic:-1+2i", "-3"),
+        '{"prime": "-3", "schema_version": 1, "splits_completely": false}',
+    ),
+    (("orbit-check", "-1+2i", "-3"), '{"beta": "-1+2i", "holds": true, "pi": "-3", "schema_version": 1}'),
+]
+
+
+class TestWireFormat:
+    @pytest.mark.parametrize("argv, line", PINNED_STDOUT, ids=[" ".join(a) for a, _ in PINNED_STDOUT])
+    def test_json_stdout_bytes(self, capsys, argv, line):
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0
+        assert out == line + "\n"
+
+
 # Run in a fresh interpreter: every command, the numeric route included, must
 # leave mpmath (and fractions and decimal, which only a Fraction would pull in)
 # unimported; the mpmath-typed lemniscate_constant then loads mpmath, and the

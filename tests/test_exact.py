@@ -3,6 +3,7 @@ formula and by composition, their certificate, all-torsion polynomials, and
 lemnatomic polynomials by divisor recovery."""
 
 import hashlib
+import math
 import time
 
 import pytest
@@ -25,6 +26,7 @@ from lemnatomic.gaussint import (
     GaussInt,
     factor,
     format_gauss,
+    is_primary,
     primary_normalize,
 )
 from lemnatomic.lemniscate import big_complex, lemnatomic_numeric, sl_eval, torsion_values
@@ -566,6 +568,17 @@ class TestDivisors:
         divs = divisors_up_to_units(gi("3-6i") * gi("-1+2i"))
         norms = [d.norm() for d in divs]
         assert norms == sorted(norms)
+
+    def test_every_divisor_primary(self):
+        # products of primary primes, returned with no normalization
+        for a in range(-15, 16):
+            for b in range(-15, 16):
+                beta = GaussInt(a, b)
+                if not beta.is_odd() or beta.norm() == 1:
+                    continue
+                divs = divisors_up_to_units(beta)
+                assert all(is_primary(d) for d in divs), beta
+                assert len(set(divs)) == math.prod(e + 1 for _, e in factor(beta)[1])
 
 
 class TestAllTorsionPoly:

@@ -12,6 +12,7 @@ from mpmath import mp, mpc, mpf
 
 from conftest import gi, sl_raw
 from lemnatomic import lemniscate
+from lemnatomic.cli import dispatch
 from lemnatomic.errors import InputError, PoleProximity, PrecisionLoss, RoundingUnstable
 from lemnatomic.exact import LemnatomicRecord, lemnatomic_exact, record_checksum
 from lemnatomic.gaussint import ONE, GaussInt, gauss_divmod, is_primary
@@ -37,6 +38,7 @@ from lemnatomic.lemniscate import (
     torsion_values,
 )
 from lemnatomic.residue import phi_norm, residue_ring
+from lemnatomic.zipoly import PolyZi
 
 BITS = 256
 OMEGA_DIGITS = "1.311028777146059905232419794945559706841377475715811581408410851900395"
@@ -661,6 +663,25 @@ class TestLemnatomicNumeric:
         assert seen == [64, 128, 256, 512]
         assert (report.precision_bits, report.escalations) == (256, 2)
         assert poly[0] == gi("-1+2i")
+
+    # Lambda_-3 = X^8 + 6X^4 - 3; each rounding below is stable at every
+    # precision but fails one of _validate_numeric's checks.
+    @pytest.mark.parametrize(
+        "coeffs, message",
+        [
+            ([-3, 0, 0, 0, 1], "degree 4 != phi_norm 8"),
+            ([-3, 0, 0, 0, 6, 0, 0, 0, 2], "not monic"),
+            ([0, 0, 0, 0, 6, 0, 0, 0, 1], "zero constant term"),
+        ],
+        ids=["degree", "monic", "constant"],
+    )
+    def test_stable_but_invalid_rounding_is_rejected(self, coeffs, message, monkeypatch, capsys):
+        wrong = PolyZi.make(coeffs)
+        monkeypatch.setattr(lemniscate, "_numeric_poly_at", lambda beta, ring, bits: (wrong, 0.0))
+        with pytest.raises(RoundingUnstable, match=message):
+            lemnatomic_numeric(gi("-3"), 64)
+        assert dispatch(["lemnatomic", "-3", "--method", "numeric"]) == 3
+        assert "precision failure" in capsys.readouterr().err
 
     def test_start_above_the_ceiling_fails_before_any_round(self, monkeypatch):
         seen = []

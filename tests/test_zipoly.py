@@ -1,5 +1,7 @@
 """Exact Z[i] polynomials: arithmetic, discriminant/resultant, exact division,
-JSON round-trips, and the discriminant-vs-squarefree bridge."""
+JSON round-trips, the JSON encoder, and the discriminant-vs-squarefree bridge."""
+
+from dataclasses import dataclass
 
 import pytest
 
@@ -8,7 +10,7 @@ from lemnatomic.errors import InputError, NotDivisible, ParseError
 from lemnatomic.exact import lemnatomic_exact
 from lemnatomic.gaussint import GaussInt
 from lemnatomic.gfq import reduce_poly, squarefree
-from lemnatomic.gaussint import primes_up_to_norm
+from lemnatomic.gaussint import GaussPrime, primes_up_to_norm
 from lemnatomic.zipoly import (
     PolyZi,
     _bareiss_det,
@@ -20,6 +22,7 @@ from lemnatomic.zipoly import (
     poly,
     resultant,
     reverse_slots,
+    to_json,
     to_json_dict,
 )
 
@@ -396,3 +399,43 @@ class TestSerialization:
     )
     def test_str(self, coeffs, text):
         assert str(poly(coeffs)) == text
+
+
+@dataclass(frozen=True)
+class _Report:
+    poly: PolyZi
+    primes: tuple
+    ratio: float
+
+
+class TestToJson:
+    @pytest.mark.parametrize("value", ["-1+2i", "", 0, -7, 10**40, 0.25, True, False, None])
+    def test_leaves_unchanged(self, value):
+        assert to_json(value) is value
+
+    def test_gaussian_integer_and_prime_as_literals(self):
+        assert to_json(gi("-1+2i")) == "-1+2i"
+        assert to_json(GaussInt(0, -1)) == "-i"
+        assert to_json(GaussPrime(gi("-1+2i"), 5, "split")) == "-1+2i"
+
+    def test_polynomial_as_its_json_form(self):
+        f = poly([gi("2-3i"), 0, 1])
+        assert to_json(f) == to_json_dict(f) == {"coeffs": ["2-3i", "0", "1"]}
+
+    def test_containers(self):
+        pi = primes_up_to_norm(5)[0]
+        assert to_json((pi, 1)) == ["-1+2i", 1]
+        assert to_json([(pi, 2), ()]) == [["-1+2i", 2], []]
+        assert to_json({"unit": gi("i"), "factors": [(pi, 1)]}) == {"unit": "i", "factors": [["-1+2i", 1]]}
+
+    def test_dataclass_as_its_fields(self):
+        report = _Report(poly([1, 1]), tuple(primes_up_to_norm(10)), 0.5)
+        assert to_json(report) == {
+            "poly": {"coeffs": ["1", "1"]},
+            "primes": ["-1+2i", "-1-2i", "-3"],
+            "ratio": 0.5,
+        }
+
+    def test_not_a_dataclass(self):
+        with pytest.raises(TypeError):
+            to_json(object())

@@ -1,4 +1,4 @@
-"""Compare the scan, class, single-prime, exact-route and numeric-route commands' output between two source trees.
+"""Compare the scan, class, single-prime, exact-route and numeric-route commands' output and cache files between two source trees.
 
     python3 tools/compare_cli_json.py OLD_SRC NEW_SRC [--max-norm 30000]
 
@@ -32,17 +32,21 @@ which a table on the multiples of w = (1+i)*omega/beta would reach the pole
 7 s); ``--method both`` on -3 and -19, ``--precision-bits 64`` on -19 (which
 escalates), ``--precision-bits 4096`` on -3, whose stability round runs at
 8192 bits, and ``--precision-bits 8192`` on -3, above the ceiling (exit 1).
-All of these print JSON, 170 commands in all.  Seven commands that print
+``lemnatomic BETA --method exact --cache-dir DIR`` runs twice on -1+2i and
+-3-4i, a miss that writes the cache file and then a hit that reads it, and
+``lemnatomic -3 --method both --cache-dir DIR`` once.
+All of these print JSON, 175 commands in all.  Seven commands that print
 a polynomial also run once in human form, the reports at the norm bound:
 ``lemnatomic -3``, ``scan-splitting``, ``semisplit``, ``prop2-evidence``
 and ``density`` on lemnatomic:-3, ``verify-theorem`` on X^2 - 105, and
-``reduce lemnatomic:-3-4i -7``.  That makes 177 commands.
+``reduce lemnatomic:-3-4i -7``.  That makes 182 commands.
 
 OLD_SRC and NEW_SRC are directories holding the ``lemnatomic`` package (the
 ``src`` directory of two checkouts).  Each command runs in a fresh
-interpreter on either tree; the line per command gives both wall times,
-start-up included, and whether stdout and the exit code are identical byte
-for byte.  The exit status is 1 when any command differs.
+interpreter on either tree, and each tree has its own fresh cache
+directory; the line per command gives both wall times, start-up included,
+and whether stdout, the exit code and every file in the cache directory
+are identical byte for byte.  The exit status is 1 when any command differs.
 """
 
 from __future__ import annotations
@@ -51,7 +55,9 @@ import argparse
 import os
 import subprocess
 import sys
+import tempfile
 import time
+from pathlib import Path
 
 # (scan polynomial, beta of the criterion evidence)
 POLYS = (
@@ -80,6 +86,8 @@ NUMERIC_BETAS = (
     "-43",
 )
 NORMALIZE_INPUTS = ("3i", "-7", "2+i", "45")
+CACHED_BETAS = ("-1+2i", "-3-4i")
+CACHE_DIR = "{cache}"  # stands for the tree's own cache directory
 
 
 def commands(max_norm: int) -> list:
@@ -110,6 +118,9 @@ def commands(max_norm: int) -> list:
         ["lemnatomic", "-3", "--method", "numeric", "--precision-bits", "4096", "--json"],
         ["lemnatomic", "-3", "--method", "numeric", "--precision-bits", "8192", "--json"],
     ]
+    for beta in CACHED_BETAS:  # a miss, then a hit
+        out += [["lemnatomic", beta, "--method", "exact", "--json", "--cache-dir", CACHE_DIR]] * 2
+    out += [["lemnatomic", "-3", "--method", "both", "--json", "--cache-dir", CACHE_DIR]]
     norm = ["--max-norm", str(max_norm)]
     out += [
         ["lemnatomic", "-3"],
@@ -123,13 +134,17 @@ def commands(max_norm: int) -> list:
     return out
 
 
-def run(src: str, argv: list) -> tuple:
+def run(src: str, argv: list, cache_dir: str) -> tuple:
+    """Exit code, stdout and the cache directory's files after the command, and its wall time."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    argv = [cache_dir if arg == CACHE_DIR else arg for arg in argv]
     start = time.perf_counter()
     done = subprocess.run(
         [sys.executable, "-m", "lemnatomic.cli", *argv], env=env, capture_output=True, check=False
     )
-    return done.returncode, done.stdout, time.perf_counter() - start
+    elapsed = time.perf_counter() - start
+    files = {path.name: path.read_bytes() for path in sorted(Path(cache_dir).iterdir())}
+    return done.returncode, done.stdout, files, elapsed
 
 
 def main() -> int:
@@ -139,13 +154,14 @@ def main() -> int:
     parser.add_argument("--max-norm", type=int, default=30000)
     args = parser.parse_args()
     differ = 0
-    for argv in commands(args.max_norm):
-        old_code, old_out, old_s = run(args.old_src, argv)
-        new_code, new_out, new_s = run(args.new_src, argv)
-        same = (old_code, old_out) == (new_code, new_out)
-        differ += not same
-        verdict = "same" if same else "DIFFERS"
-        print(f"{verdict:7} {old_s:6.2f}s {new_s:6.2f}s  exit {old_code}/{new_code}  {' '.join(argv)}")
+    with tempfile.TemporaryDirectory() as old_cache, tempfile.TemporaryDirectory() as new_cache:
+        for argv in commands(args.max_norm):
+            *old, old_s = run(args.old_src, argv, old_cache)
+            *new, new_s = run(args.new_src, argv, new_cache)
+            same = old == new
+            differ += not same
+            verdict = "same" if same else "DIFFERS"
+            print(f"{verdict:7} {old_s:6.2f}s {new_s:6.2f}s  exit {old[0]}/{new[0]}  {' '.join(argv)}")
     print(f"{differ} of {len(commands(args.max_norm))} commands differ")
     return 1 if differ else 0
 
