@@ -26,6 +26,9 @@ the image of i is read off the prime walk, which stores it beside the
 prime; h's nonzero terms are listed once per scan, and per prime only
 those are reduced, a term that vanishes mod p dropped; gfq's int-level
 entry deflates what is left and takes one packed square-and-multiply.
+The conjugate prime a - bi, next in the walk, maps i to -image; where that
+leaves h's reduced terms unchanged, as it does for every real h, it reuses
+the status of a + bi, so a real h costs one power per rational prime.
 An inert prime -p hands the same entry h's terms reduced to GaussInts mod
 p, its residues in F_{p^2}, and builds no field object either.
 
@@ -239,6 +242,10 @@ def _scan(h: PolyZi, bound: int) -> bytes:
     on ints alone: i maps to the image the walk stores beside the prime, and
     only h's nonzero terms are reduced, once listed per scan; a term that
     vanishes mod p is dropped, and gfq._root_status deflates what is left.
+    The two conjugate primes above p are adjacent in the walk, and a prime
+    whose reduced terms equal those of the split prime worked just before
+    it, of the same p, has the same h mod pi over the same F_p and reuses
+    its status byte: a real h costs one power per rational prime p.
     An inert prime -p (norm p^2) reads pi | disc(h) as in _sweep and takes
     the same entry at field degree 2, on the terms reduced to GaussInts mod
     p.  Memoised on (h, bound), so the splitting and root reports on h share
@@ -248,10 +255,14 @@ def _scan(h: PolyZi, bound: int) -> bytes:
     walk = _odd_prime_walk(bound)
     terms = [(j, c.re, c.im) for j, c in enumerate(h.coeffs) if not c.is_zero()]
     out = bytearray()
+    last_p = last_terms = last = None  # the split prime last worked
     for a, b, p, i in zip(walk[::4], walk[1::4], walk[2::4], walk[3::4]):
         if b:
             if (disc.re + disc.im * i) % p:
-                out.append(_root_status(p, [(j, c) for j, x, y in terms if (c := (x + y * i) % p)]))
+                reduced = [(j, c) for j, x, y in terms if (c := (x + y * i) % p)]
+                if p != last_p or reduced != last_terms:
+                    last_p, last_terms, last = p, reduced, _root_status(p, reduced)
+                out.append(last)
             else:
                 out.append(_SKIP)
             continue

@@ -441,7 +441,10 @@ def primes_up_to_norm(bound: int, odd_only: bool = True) -> list[GaussPrime]:
     """
     walk = _odd_prime_walk(bound)
     out = [] if odd_only else [GaussPrime(ONE_PLUS_I, 2, "ramified")]
-    out.extend(_walk_prime(walk, k) for k in range(len(walk) // 4))
+    out.extend(
+        GaussPrime(GaussInt(re, im), norm, "inert" if im == 0 else "split")
+        for re, im, norm in zip(walk[::4], walk[1::4], walk[2::4])
+    )
     return out
 
 
@@ -474,12 +477,6 @@ def _odd_prime_walk(bound: int) -> array:
             keys.append((p * p, -p, 0, 0))  # -p = 1 (mod 4)
     keys.sort()
     return array("q", [x for norm, re, neg_im, image in keys for x in (re, -neg_im, norm, image)])
-
-
-def _walk_prime(walk: array, k: int) -> GaussPrime:
-    """The k-th prime of an _odd_prime_walk."""
-    re, im, norm = walk[4 * k : 4 * k + 3]
-    return GaussPrime(GaussInt(re, im), norm, "inert" if im == 0 else "split")
 
 
 # -- literal grammar ---------------------------------------------------------

@@ -47,6 +47,28 @@ roots v, iv, -v, -iv contribute the factor X^4 - v^4, so the product is
 expanded as G(Y) = prod (Y - v^4) over one value per invertible orbit, with
 phi/4 roots instead of phi, and G(X^4) is the polynomial.
 
+Conjugate pairs.  A primary beta is an associate of its conjugate only when
+it is rational, beta = +-q, and conjugation then permutes the residues mod
+beta, the invertible ones among themselves.  sl has a real Taylor series,
+so conj(sl z) = sl(conj z), and conj(S) = -i*S for S = (1+i)*omega/beta:
+conj(sl(lam*S)) = -i*sl(conj(lam)*S), whose fourth power is
+sl(conj(lam)*S)^4.  So the w = v^4 of the orbit of conj(lam) is conj(w),
+and G, hence Lambda_beta, has rational integer coefficients.  _orbit_plan
+pairs each invertible orbit with the orbit of its conjugate residues, once
+per beta, and G is expanded in real fixed point: prod (Y^2 - 2 Re(w) Y +
+|w|^2) over the pairs of two orbits, each quadratic read off both values,
+times (Y - a)(Y - b) over the real w of the self-conjugate orbits, taken
+two at a time.  Their count is even.  The paired orbits come two by two,
+so the self-conjugate count has the parity of the phi/4 invertible orbits,
+and 8 divides phi: phi(q) is the product of phi(p^k) = p^(2k-2) (p^2 - 1)
+over the inert p and p^(2k-2) (p - 1)^2 over the split p, p^k exactly
+dividing q, and p^2 - 1 and (p - 1)^2 are multiples of 8 for odd p.  Each
+quadratic costs one truncation for |w|^2 and one per coefficient of the
+product it multiplies into, c1*g[k-1] + c0*g[k] shifted once, where the
+complex product's two linear factors cost two per part; Im G is exactly
+zero and is not carried.  Every other beta keeps the complex schoolbook
+product, one truncation per part per coefficient per factor.
+
 Fixed point.  omega, the lattice reductions, the series, the doublings, the
 table, the orbit rotation, the collision scan and the product G run on
 Python ints.  At working precision `bits` a real x is the int x*2^F,
@@ -118,6 +140,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from typing import TYPE_CHECKING, Optional, Union
 
 from .errors import InputError, PoleProximity, PrecisionLoss, RoundingUnstable
@@ -494,17 +517,31 @@ def _even_lift(lam: GaussInt, beta: GaussInt) -> GaussInt:
 # beta at two or more precisions, so the plan is built once per beta.
 @lru_cache(maxsize=32)
 def _orbit_plan(ring, mult: GaussInt) -> tuple:
-    """(plan, K): per unit orbit (orbit, (m, n), invertible), where
+    """(plan, K, pairs): per unit orbit (orbit, (m, n), invertible), where
     r = m(1+i) + n(1-i) is the even lift of the orbit's first residue times
-    mult reduced mod 2 beta, and K is the largest |m| or |n|."""
+    mult reduced mod 2 beta, and K is the largest |m| or |n|.
+
+    pairs is None unless beta is rational (beta.im == 0, so conjugation
+    permutes the residues): then it holds (i, j), i <= j, for each invertible
+    orbit plan[i], plan[j] being the orbit of its conjugate residues, and
+    i == j for an orbit that is its own conjugate."""
     beta = ring.modulus
+    orbits = _unit_orbits(ring)
     plan = []
-    for orbit in _unit_orbits(ring):
+    for orbit in orbits:
         r = gauss_divmod(_even_lift(orbit[0], beta) * mult, 2 * beta)[1]
         mn = ((r.re + r.im) // 2, (r.re - r.im) // 2)
         plan.append((orbit, mn, ring.is_invertible(orbit[0])))
     K = max(abs(x) for _, mn, _ in plan for x in mn)
-    return tuple(plan), K
+    pairs = None
+    if beta.im == 0:
+        where = {lam: k for k, orbit in enumerate(orbits) for lam in orbit}
+        pairs = tuple(
+            (i, j)
+            for i, (orbit, _, invertible) in enumerate(plan)
+            if invertible and (j := where[ring.canonical_rep(orbit[0].conjugate())]) >= i
+        )
+    return tuple(plan), K, pairs
 
 
 def _sl_table(u: tuple, K: int, tbits: int, bits: int) -> list:
@@ -558,17 +595,15 @@ def _rotations(v: tuple) -> list:
     return [(vr, vi), (-vi, vr), (-vr, -vi), (vi, -vr)]
 
 
-def _orbit_values(ring, bits: int, mult: GaussInt = ONE) -> list:
-    """(orbit, invertible, v) for each unit orbit, v = sl(lam*mult*S) at the
-    orbit's first residue lam as a fixed-point pair at _frac_bits(bits);
+def _orbit_values(beta: GaussInt, plan: tuple, K: int, bits: int) -> list:
+    """v = sl(lam*mult*S) for each entry of _orbit_plan(ring, mult), lam the
+    orbit's first residue, as a fixed-point pair at _frac_bits(bits);
     PrecisionLoss when two of the N(beta) values, 0 included, collide.
 
     With w = S = (1+i)*omega/beta, u = (1+i)*w and r = m(1+i) + n(1-i) the
     orbit's reduced lift, v = sl(m*u - i*n*u): at most one addition of two
     table entries.
     """
-    plan, K = _orbit_plan(ring, mult)
-    beta = ring.modulus
     norm = beta.norm()
     g = GaussInt(2 * beta.im, 2 * beta.re)  # 2i*conj(beta), u = omega*g/norm
     # 3 guard bits per level of the table's depth ceil(log2 K); see the
@@ -578,10 +613,10 @@ def _orbit_values(ring, bits: int, mult: GaussInt = ONE) -> list:
     om = _omega_fx(bits) << (tF - F)
     T = _sl_table((om * g.re // norm, om * g.im // norm), K, tbits, bits)
     out = []
-    for orbit, (m, n), invertible in plan:
+    for _, (m, n), _ in plan:
         s, _ = _lookup(T, m, n, tF, bits)
-        out.append((orbit, invertible, (s[0] >> (tF - F), s[1] >> (tF - F))))
-    _check_distinct([(0, 0)] + [u for _, _, v in out for u in _rotations(v)], F, bits)
+        out.append((s[0] >> (tF - F), s[1] >> (tF - F)))
+    _check_distinct([(0, 0)] + [u for v in out for u in _rotations(v)], F, bits)
     return out
 
 
@@ -600,8 +635,9 @@ def torsion_values(beta, precision_bits: int = 256, generator_class: Optional[Ga
         raise InputError("generator_class must be invertible mod beta")
     bits = precision_bits
     F = _frac_bits(bits)
+    plan, K, _ = _orbit_plan(ring, mult)
     values = {ring.canonical_rep(ZERO): (0, 0)}
-    for orbit, _, v in _orbit_values(ring, bits, mult):
+    for (orbit, _, _), v in zip(plan, _orbit_values(ring.modulus, plan, K, bits)):
         values.update(zip(orbit, _rotations(v)))
     return {lam: _big_fx(values[lam], F, bits) for lam in ring.representatives()}
 
@@ -624,17 +660,11 @@ def _check_distinct(values, F: int, bits: int) -> None:
                 raise PrecisionLoss("torsion values collide at this precision")
 
 
-def _numeric_poly_at(beta: GaussInt, ring, bits: int) -> tuple:
-    """Expand prod (X^4 - v^4) over invertible unit orbits; round to Z[i] coefficients.
-
-    An orbit's factor (X - v)(X - iv)(X + v)(X + iv) is X^4 - v^4, so
-    G(Y) = prod (Y - v^4) is expanded in fixed point and rounded, and its
-    coefficients go to X^(4k); every other coefficient is exactly zero.
-    Returns the polynomial and the largest rounding error.
-    """
-    F = _frac_bits(bits)
-    fourth = [_pow4(v, F) for _, invertible, v in _orbit_values(ring, bits) if invertible]
-    re, im = [1 << F], [0]  # G, lowest degree first
+def _expand_complex(fourth: list, F: int) -> tuple:
+    """(re, im): G(Y) = prod (Y - w) over the fixed-point pairs w, its
+    coefficients lowest degree first, by the schoolbook product, one
+    truncation per part per coefficient per factor."""
+    re, im = [1 << F], [0]
     for wr, wi in fourth:
         re.append(re[-1])
         im.append(im[-1])
@@ -645,8 +675,40 @@ def _numeric_poly_at(beta: GaussInt, ring, bits: int) -> tuple:
         r, i = re[0], im[0]
         re[0] = -((wr * r - wi * i) >> F)
         im[0] = -((wr * i + wi * r) >> F)
+    return re, im
+
+
+def _expand_real(pairs: tuple, values: list, F: int) -> list:
+    """G(Y) = prod (Y - v^4) over the invertible orbits of a rational beta,
+    from _orbit_plan's conjugate pairs, as real fixed-point coefficients,
+    lowest degree first.
+
+    A pair (i, j), i < j, gives Y^2 - (a + b) Y + Re(a*b) from a = w_i and
+    b = w_j = conj(a), so a + b = 2 Re(a) and a*b = |a|^2, read off both
+    values so that a wrong partner shows in G.  The self-conjugate orbits'
+    real values Re(w) are taken two at a time, as (Y - a)(Y - b); their
+    count is even (see the module docstring)."""
+    quads, reals = [], []
+    for i, j in pairs:
+        ar, ai = _pow4(values[i], F)
+        if i == j:
+            reals.append(ar)
+            continue
+        br, bi = _pow4(values[j], F)
+        quads.append((-(ar + br), (ar * br - ai * bi) >> F))
+    quads += [(-(a + b), (a * b) >> F) for a, b in zip(reals[::2], reals[1::2])]
+    g = [1 << F]
+    for c1, c0 in quads:
+        g = [a + ((c1 * b + c0 * c) >> F) for a, b, c in zip([0, 0, *g], [0, *g, 0], [*g, 0, 0])]
+    return g
+
+
+def _round_g(re: list, im, F: int) -> tuple:
+    """G's fixed-point coefficients rounded to Gaussian integers at X^(4k);
+    every other coefficient is exactly zero.  Returns the polynomial and the
+    largest rounding error."""
     half = 1 << (F - 1)
-    rounded = [ZERO] * (4 * len(fourth) + 1)
+    rounded = [ZERO] * (4 * len(re) - 3)
     worst = 0  # largest squared rounding error, scaled by 2^(2F)
     for k, (r, i) in enumerate(zip(re, im)):
         gr, gi = (r + half) >> F, (i + half) >> F
@@ -654,6 +716,25 @@ def _numeric_poly_at(beta: GaussInt, ring, bits: int) -> tuple:
         worst = max(worst, dr * dr + di * di)
         rounded[4 * k] = GaussInt(gr, gi)
     return PolyZi.make(rounded), math.sqrt(worst / (1 << (2 * F)))
+
+
+def _numeric_poly_at(beta: GaussInt, ring, bits: int) -> tuple:
+    """Expand prod (X^4 - v^4) over invertible unit orbits; round to Z[i] coefficients.
+
+    An orbit's factor (X - v)(X - iv)(X + v)(X + iv) is X^4 - v^4, so
+    G(Y) = prod (Y - v^4) is expanded in fixed point and rounded, and its
+    coefficients go to X^(4k).  A rational beta expands G in real fixed
+    point over conjugate pairs (_expand_real), its imaginary part being
+    exactly zero; every other beta by the complex schoolbook product.
+    Returns the polynomial and the largest rounding error.
+    """
+    F = _frac_bits(bits)
+    plan, K, pairs = _orbit_plan(ring, ONE)
+    values = _orbit_values(ring.modulus, plan, K, bits)
+    if pairs is not None:
+        return _round_g(_expand_real(pairs, values, F), repeat(0), F)
+    fourth = [_pow4(v, F) for (_, _, invertible), v in zip(plan, values) if invertible]
+    return _round_g(*_expand_complex(fourth, F), F)
 
 
 def _attempt(beta: GaussInt, ring, bits: int) -> tuple:

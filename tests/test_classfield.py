@@ -518,14 +518,21 @@ def divides_reference(bound, modulus):
     return skipped, tested
 
 
+def norms_not_skipped(bound, skipped):
+    """The distinct norms of the scanned primes not skipped."""
+    return {pi.norm for pi in odd_primaries(bound) if pi not in skipped}
+
+
 class TestSharedScan:
     def test_splitting_scan_runs_once_across_reports(self, monkeypatch, fresh_scan):
-        # one modular power per prime not dividing disc(h), across all five reports
+        # one modular power per norm among the primes not dividing disc(h),
+        # across all five reports: h is real, so the conjugate primes above
+        # p reduce it alike and share one power
         h = lam("-3")
         calls = count_frobenius(monkeypatch)
         report, *_ = all_reports(h, gi("-3"), 3000)
         assert splitting_primes(h, 3000) == report
-        assert len(calls) == len(odd_primaries(3000)) - len(report.skipped)
+        assert len(calls) == len(norms_not_skipped(3000, report.skipped))
 
     def test_root_scan_runs_once_across_reports(self, monkeypatch, fresh_scan):
         calls = count_frobenius(monkeypatch)
@@ -533,7 +540,17 @@ class TestSharedScan:
         semisplit_primes(X_SQ_MINUS_105, 2000)
         prop2_evidence(X_SQ_MINUS_105, gi("-1+2i"), 2000, normalization="raw")
         all_reports(X_SQ_MINUS_105, gi("-7"), 2000)
-        assert len(calls) == len(odd_primaries(2000)) - len(report.skipped)
+        assert len(calls) == len(norms_not_skipped(2000, report.skipped))
+
+    @pytest.mark.parametrize("name", ["-3-4i", "X^8+(4+i)X^4+1"])
+    def test_complex_scan_takes_one_power_per_prime(self, name, monkeypatch, fresh_scan):
+        # Lambda_(-3-4i) and X^8 + (4+i)X^4 + 1 have a coefficient whose
+        # imaginary part no odd p divides, so they reduce differently at the
+        # two conjugate primes above each split p: each takes its own power
+        h = poly([1, 0, 0, 0, gi("4+i"), 0, 0, 0, 1]) if name.startswith("X") else lam(name)
+        calls = count_frobenius(monkeypatch)
+        report, *_ = all_reports(h, gi("-3-4i"), 3000)
+        assert len(calls) == len(odd_primaries(3000)) - len(report.skipped)
 
     @pytest.mark.parametrize(
         "name",

@@ -15,17 +15,21 @@ from lemnatomic import lemniscate
 from lemnatomic.cli import dispatch
 from lemnatomic.errors import InputError, PoleProximity, PrecisionLoss, RoundingUnstable
 from lemnatomic.exact import LemnatomicRecord, lemnatomic_exact, record_checksum
-from lemnatomic.gaussint import ONE, GaussInt, gauss_divmod, is_primary
+from lemnatomic.gaussint import ONE, GaussInt, format_gauss, gauss_divmod, is_primary
 from lemnatomic.lemniscate import (
     GUARD,
     SERIES_TERMS,
     _TAYLOR,
     _check_distinct,
     _even_lift,
+    _expand_complex,
+    _expand_real,
     _frac_bits,
     _fx,
     _omega_fx,
     _orbit_plan,
+    _pow4,
+    _round_g,
     _sl_fx,
     _unit_orbits,
     big_complex,
@@ -450,11 +454,8 @@ class TestAdditionTable:
     def test_orbit_values_match_series(self, b, bits):
         ring = residue_ring(gi(b))
         beta = ring.modulus
-        plan, _ = _orbit_plan(ring, ONE)
-        for (orbit, (m, n), _), (same_orbit, _, v) in zip(
-            plan, lemniscate._orbit_values(ring, bits)
-        ):
-            assert same_orbit == orbit
+        plan, K, _ = _orbit_plan(ring, ONE)
+        for (orbit, (m, n), _), v in zip(plan, lemniscate._orbit_values(beta, plan, K, bits)):
             r = gauss_divmod(_even_lift(orbit[0], beta), 2 * beta)[1]
             assert GaussInt(m + n, m - n) == r
             assert _within_budget(v, _series_reference(beta, r, bits)[0], bits)
@@ -488,7 +489,7 @@ class TestAdditionTable:
         u = GaussInt(1, 1)
         rational = set()
         for beta in PRIMARY_BETAS_400:
-            plan, K = _orbit_plan(residue_ring(beta), ONE)
+            plan, K, _ = _orbit_plan(residue_ring(beta), ONE)
             assert not any(_is_pole(u * k, beta) for k in range(K + 1))
             lifts = []
             for orbit, (m, n), _ in plan:
@@ -517,7 +518,7 @@ class TestAdditionTable:
         # value set, and so Lambda, unchanged).
         beta = gi(b)
         want = lemnatomic_exact(beta).coefficients
-        plan, K = _orbit_plan(residue_ring(beta), ONE)
+        plan, K, _ = _orbit_plan(residue_ring(beta), ONE)
         read = {abs(x) for _, mn, inv in plan if inv for x in mn}
         real = lemniscate._sl_table
         monkeypatch.setattr(lemniscate, "PRECISION_CEILING", 1024)
@@ -562,6 +563,75 @@ class TestAdditionTable:
         assert report.escalations == 1
         assert (report.precision_bits, report.stability_bits) == (2 * BITS, 4 * BITS)
         assert K >= 2
+
+
+RATIONAL_BETAS = [GaussInt(q, 0) for q in range(-31, 32) if abs(q) > 1 and q % 4 == 1]
+
+
+def _rounded_expansions(beta, bits):
+    """G at bits rounded from the real expansion over conjugate pairs and
+    from the complex schoolbook product, on the same orbit values: two
+    (polynomial, largest rounding error) pairs."""
+    ring = residue_ring(beta)
+    plan, K, pairs = _orbit_plan(ring, ONE)
+    values = lemniscate._orbit_values(beta, plan, K, bits)
+    F = _frac_bits(bits)
+    fourth = [_pow4(v, F) for (_, _, invertible), v in zip(plan, values) if invertible]
+    real = _round_g(_expand_real(pairs, values, F), itertools.repeat(0), F)
+    return real, _round_g(*_expand_complex(fourth, F), F)
+
+
+class TestConjugatePairs:
+    @pytest.mark.parametrize("bits", [256, 512])
+    @pytest.mark.parametrize("beta", RATIONAL_BETAS, ids=str)
+    def test_real_expansion_matches_complex(self, beta, bits):
+        (real, real_err), (cplx, cplx_err) = _rounded_expansions(beta, bits)
+        if bits == 256 and format_gauss(beta) in ESCALATING:
+            # both fail the tolerance, so the route escalates as before
+            assert real_err > 2.0**-30 and cplx_err > 2.0**-30
+            return
+        assert real == cplx == lemnatomic_exact(beta).coefficients
+        assert real_err < 2.0**-30 and cplx_err < 2.0**-30
+
+    @pytest.mark.parametrize("beta", RATIONAL_BETAS, ids=str)
+    def test_pairing_is_an_involution_on_conjugate_orbits(self, beta):
+        assert is_primary(beta)
+        ring = residue_ring(beta)
+        plan, _, pairs = _orbit_plan(ring, ONE)
+        partner = {}
+        for i, j in pairs:
+            assert i <= j and i not in partner and j not in partner
+            partner[i], partner[j] = j, i
+            for lam in plan[i][0]:
+                assert ring.canonical_rep(lam.conjugate()) in plan[j][0]
+        assert sorted(partner) == [k for k, (_, _, invertible) in enumerate(plan) if invertible]
+        assert all(partner[partner[k]] == k for k in partner)
+        # the self-conjugate count has the parity of phi_norm(beta) / 4, even
+        assert sum(i == j for i, j in pairs) % 2 == 0
+        assert 2 * len(pairs) - sum(i == j for i, j in pairs) == phi_norm(beta) // 4
+
+    @pytest.mark.parametrize("b", TABLE_BETAS)
+    def test_only_rational_betas_are_paired(self, b):
+        beta = gi(b)
+        pairs = _orbit_plan(residue_ring(beta), ONE)[2]
+        assert (pairs is None) == (beta.im != 0)
+
+    @pytest.mark.parametrize("b", ["9", "-11", "13"])
+    def test_wrong_partner_is_rejected(self, b, monkeypatch):
+        # One conjugate pair made to hold another invertible orbit (itself
+        # included) at every precision: no round is accepted, and the route
+        # never returns another Lambda.
+        beta = gi(b)
+        plan, K, pairs = _orbit_plan(residue_ring(beta), ONE)
+        at = next(n for n, (i, j) in enumerate(pairs) if i < j)
+        i, j = pairs[at]
+        others = [k for k, (_, _, invertible) in enumerate(plan) if invertible and k != j]
+        monkeypatch.setattr(lemniscate, "PRECISION_CEILING", 1024)
+        for k in others:
+            wrong = pairs[:at] + ((i, k),) + pairs[at + 1 :]
+            monkeypatch.setattr(lemniscate, "_orbit_plan", lambda ring, mult, wrong=wrong: (plan, K, wrong))
+            with pytest.raises(RoundingUnstable):
+                lemnatomic_numeric(beta, BITS)
 
 
 class TestTorsion:

@@ -28,18 +28,20 @@ t - 1, (t - 1)^2 and (t - 1)^3 (t + 1) under 19+10i.
 ``lemnatomic BETA --method numeric`` runs on the benchmark's numeric ladder,
 on the rational beta 29, -31 and 45 (29 and -31 escalate once), for
 which a table on the multiples of w = (1+i)*omega/beta would reach the pole
-|beta|*w, and on -43, accepted at 1024 bits after two escalations (about
-7 s); ``--method both`` on -3 and -19, ``--precision-bits 64`` on -19 (which
+|beta|*w, on 21, composite with non-invertible residues, and 37, a split
+rational prime, whose G is expanded over conjugate pairs as for every
+rational beta, and on -43, accepted at 1024 bits after two escalations
+(about 1.5 s); ``--method both`` on -3 and -19, ``--precision-bits 64`` on -19 (which
 escalates), ``--precision-bits 4096`` on -3, whose stability round runs at
 8192 bits, and ``--precision-bits 8192`` on -3, above the ceiling (exit 1).
 ``lemnatomic BETA --method exact --cache-dir DIR`` runs twice on -1+2i and
 -3-4i, a miss that writes the cache file and then a hit that reads it, and
 ``lemnatomic -3 --method both --cache-dir DIR`` once.
-All of these print JSON, 175 commands in all.  Seven commands that print
+All of these print JSON, 177 commands in all.  Seven commands that print
 a polynomial also run once in human form, the reports at the norm bound:
 ``lemnatomic -3``, ``scan-splitting``, ``semisplit``, ``prop2-evidence``
 and ``density`` on lemnatomic:-3, ``verify-theorem`` on X^2 - 105, and
-``reduce lemnatomic:-3-4i -7``.  That makes 182 commands.
+``reduce lemnatomic:-3-4i -7``.  That makes 184 commands.
 
 OLD_SRC and NEW_SRC are directories holding the ``lemnatomic`` package (the
 ``src`` directory of two checkouts).  Each command runs in a fresh
@@ -82,8 +84,8 @@ EXACT_BETAS = (
 )
 UNIT_GROUP_BETAS = EXACT_BETAS + ("-7", "63", "125")
 NUMERIC_BETAS = (
-    "-1+2i", "-3", "-3-4i", "3-6i", "9", "-11", "11-2i", "13", "13+10i", "17", "-19", "29", "-31", "45",
-    "-43",
+    "-1+2i", "-3", "-3-4i", "3-6i", "9", "-11", "11-2i", "13", "13+10i", "17", "-19", "21", "29", "-31",
+    "37", "45", "-43",
 )
 NORMALIZE_INPUTS = ("3i", "-7", "2+i", "45")
 CACHED_BETAS = ("-1+2i", "-3-4i")
