@@ -28,9 +28,11 @@ sl'(iz) = sl'(z).  So one series evaluation at u, per precision, seeds a
 table T[k] = (sl(k*u), sl'(k*u)) for 0 <= k <= K, K the largest |m| or |n|
 in use, built by balanced splits T[k] = T[k // 2] + T[k - k // 2]: T[k] is
 ceil(log2 k) additions deep.  Each unit orbit costs at most one more
-addition, and its other three values follow from sl(iz) = i*sl(z).  The
-orbits, their (m, n) and which of them are invertible are found once per
-beta.
+addition, an sl-only one (_add_sl: its sl' would never be read), and its
+other three values follow from sl(iz) = i*sl(z).  The orbits, their (m, n)
+and which of them are invertible are found once per beta, on the int pairs
+(x, y) of the residues x + yi, with no Gaussian-integer arithmetic per
+residue.
 
 No addition meets a pole.  The poles of sl are (1+i)*omega times the odd
 Gaussian integers, so x*w is a pole exactly when x is beta times an odd
@@ -84,10 +86,11 @@ Error budget.  omega is held to bits + GUARD bits, as lemniscate_constant
 carries it, so an argument at an exact multiple of it reduces exactly; its
 rounding moves the whole lattice and costs at most 2^9 units at
 |z| <= 2*omega.  Newton's method on sl' finds it at max(F, 104) + GUARD
-fraction bits, whatever bits is, and it is rounded to nearest: bit for bit
-pi / (2 AGM(1, sqrt 2)) rounded by mpmath (tested from 1 to 4096 bits).
-Against that omega an argument, the floor of omega*2^F*g/N(beta) for a
-Gaussian integer g, errs by under one unit.
+fraction bits, whatever bits is, its steps below that at rising precision,
+and it is rounded to nearest: bit for bit pi / (2 AGM(1, sqrt 2)) rounded by
+mpmath (tested from 1 to 8192 bits).  Against that omega an argument, the
+floor of omega*2^F*g/N(beta) for a Gaussian integer g, errs by under one
+unit.
 
 A series evaluation halves z h times, to w = z/2^h with |w| <= 1/4, and on
 until the last sl' term (4N+1) |A_N| |w|^(4N), N = SERIES_TERMS, is below
@@ -151,7 +154,6 @@ from .gaussint import (
     _check_beta,
     _round_half_down,
     as_gauss,
-    gauss_divmod,
     gauss_gcd,
 )
 from .residue import phi_norm, residue_ring
@@ -352,18 +354,23 @@ def _denominator(p: tuple, F: int, bits: int) -> tuple:
     return den
 
 
-def _add_fx(s1: tuple, c1: tuple, s2: tuple, c2: tuple, F: int, bits: int) -> tuple:
-    """The addition law on fixed-point pairs."""
+def _add_sl(s1: tuple, c1: tuple, s2: tuple, c2: tuple, F: int, bits: int) -> tuple:
+    """(sl(u+v), sl^2 u, sl^2 v, 1 + sl^2 u sl^2 v): the addition law's sl
+    half, 5 products and one division, with the terms _add_fx reuses."""
     q1 = _cmul(s1, s1, F)
     q2 = _cmul(s2, s2, F)
     den = _denominator(_cmul(q1, q2, F), F, bits)
     a = _cmul(s1, c2, F)
     b = _cmul(s2, c1, F)
-    num = (a[0] + b[0], a[1] + b[1])
+    return _cdiv((a[0] + b[0], a[1] + b[1]), den, F), q1, q2, den
+
+
+def _add_fx(s1: tuple, c1: tuple, s2: tuple, c2: tuple, F: int, bits: int) -> tuple:
+    """The addition law on fixed-point pairs: _add_sl, then sl'."""
+    s, q1, q2, den = _add_sl(s1, c1, s2, c2, F, bits)
     cc = _cmul(c1, c2, F)
     t = _cmul(_cmul(q1, s1, F), s2, F)
     u = _cmul(_cmul(s1, c1, F), q2, F)
-    s = _cdiv(num, den, F)
     # c = (num_d*den - num*den_d) / den^2 = (num_d - s*den_d) / den with
     # num_d = c1 c2 - 2 s1^3 s2 and den_d = 2 s1 c1 s2^2, the derivatives along u.
     v = _cmul(s, u, F)
@@ -438,17 +445,29 @@ def _omega_fx(bits: int) -> int:
 
     Newton's method on sl', x <- x + sl'(x) / (2 sl(x)^3) as sl'' = -2 sl^3,
     converges cubically to omega (sl''' = -6 sl^2 sl' vanishes there too).
-    It runs at W = max(F, 104) + GUARD fraction bits from a float, and stops
-    after a step below 2^-(W/2)."""
-    wbits = max(bits, 64) + GUARD
-    W = _frac_bits(wbits)
-    x = int(1.3110287771460599 * (1 << 52)) << (W - 52)
-    while True:
-        (s, _), (c, _) = _sl_fx((x, 0), wbits)
-        step = (c << (3 * W)) // (2 * s * s * s)
-        x += step
-        if abs(step) < 1 << (W // 2):
+    It starts from a float good to 52 bits, and each step below
+    W = max(F, 104) + GUARD fraction bits runs at a third of the next one's
+    fraction bits plus 32, the last of them at W/2 + 32, so that its error
+    lies below 2^-(W/2).  At W it steps until a step falls below 2^-(W/2),
+    which the first step there does."""
+    W = _frac_bits(max(bits, 64) + GUARD)
+    ladder = [W]
+    Q = W // 2 + 32
+    while Q < ladder[-1]:
+        ladder.append(Q)
+        if Q <= 160:  # one step from 52 bits reaches it
             break
+        Q = Q // 3 + 32
+    x, P = int(1.3110287771460599 * (1 << 52)), 52
+    for Q in reversed(ladder):
+        x <<= Q - P
+        P = Q
+        while True:
+            (s, _), (c, _) = _sl_fx((x, 0), Q - GUARD - HALVING_GUARD)
+            step = (c << (3 * Q)) // (2 * s * s * s)
+            x += step
+            if Q < W or abs(step) < 1 << (W // 2):
+                break
     p = bits + GUARD - 1  # the fraction bits of bits + GUARD significant bits, as 1 < omega < 2
     return ((x + (1 << (W - p - 1))) >> (W - p)) << (_frac_bits(bits) - p)
 
@@ -487,30 +506,31 @@ def sl_eval(z: BigComplex, precision_bits: Optional[int] = None) -> SlPair:
 
 def _unit_orbits(ring) -> list:
     """Partition the nonzero residues into orbits [lam, i*lam, -lam, -i*lam],
-    each listed from its smallest canonical representative."""
-    seen = set()
+    each listed from its smallest canonical representative.
+
+    Runs on the (x, y) of the representatives x + yi of the ring's echelon
+    basis: i*(x + yi) = -y + xi is reduced as canonical_rep reduces it, and a
+    bytearray indexed y*n1 + x marks the residues already in an orbit, so
+    the scan jumps to the next residue not yet seen.  The orbits come back
+    as GaussInt lists, in the order of their first residue's (im, re)."""
+    n1, n2, shear = ring.n1, ring.n2, ring.shear
+    seen = bytearray(ring.size)
+    seen[0] = 1  # the zero residue
     orbits = []
-    for lam in ring.representatives():
-        if lam == ZERO or lam in seen:
-            continue
-        orbit = [lam]
-        cur = lam
+    k = 0
+    while (k := seen.find(0, k)) >= 0:
+        y, x = divmod(k, n1)
+        orbit = [(x, y)]
         for _ in range(3):
-            cur = ring.canonical_rep(cur * GaussInt(0, 1))
-            orbit.append(cur)
-        rep = min(orbit, key=lambda g: (g.re, g.im))
-        k = orbit.index(rep)
-        orbit = orbit[k:] + orbit[:k]
-        seen.update(orbit)
-        orbits.append(orbit)
+            q, im = divmod(x, n2)
+            x, y = (-y - q * shear) % n1, im
+            orbit.append((x, y))
+        first = orbit.index(min(orbit))
+        orbit = orbit[first:] + orbit[:first]
+        for x, y in orbit:
+            seen[y * n1 + x] = 1
+        orbits.append([GaussInt(x, y) for x, y in orbit])
     return orbits
-
-
-def _even_lift(lam: GaussInt, beta: GaussInt) -> GaussInt:
-    """The lift of lam (mod beta) with re+im even; exists since beta is odd."""
-    if (lam.re + lam.im) % 2 == 0:
-        return lam
-    return lam + beta
 
 
 # Keyed by the ring and the generator class; the numeric route asks for each
@@ -521,26 +541,51 @@ def _orbit_plan(ring, mult: GaussInt) -> tuple:
     r = m(1+i) + n(1-i) is the even lift of the orbit's first residue times
     mult reduced mod 2 beta, and K is the largest |m| or |n|.
 
+    It runs on ints: the even lift adds beta, which is odd, to a residue
+    whose re + im is odd; r is the remainder of gauss_divmod by 2 beta, its
+    quotient rounded ties toward -infinity; and a residue is invertible when
+    none of ring.primes divides it, as in ResidueRing.is_invertible.
+
     pairs is None unless beta is rational (beta.im == 0, so conjugation
     permutes the residues): then it holds (i, j), i <= j, for each invertible
     orbit plan[i], plan[j] being the orbit of its conjugate residues, and
     i == j for an orbit that is its own conjugate."""
     beta = ring.modulus
+    br, bi = beta.re, beta.im
+    mr, mi = mult.re, mult.im
+    dr, di = 2 * br, 2 * bi
+    dn = dr * dr + di * di
+    primes = [(p.value.re, p.value.im, p.norm) for p in ring.primes]
     orbits = _unit_orbits(ring)
     plan = []
     for orbit in orbits:
-        r = gauss_divmod(_even_lift(orbit[0], beta) * mult, 2 * beta)[1]
-        mn = ((r.re + r.im) // 2, (r.re - r.im) // 2)
-        plan.append((orbit, mn, ring.is_invertible(orbit[0])))
+        x, y = orbit[0].re, orbit[0].im
+        invertible = not any((x * a + y * b) % p == 0 and (y * a - x * b) % p == 0 for a, b, p in primes)
+        if (x + y) % 2:
+            x, y = x + br, y + bi
+        x, y = x * mr - y * mi, x * mi + y * mr
+        tr, ti = x * dr + y * di, y * dr - x * di  # (x + yi) * conj(2 beta)
+        qr, qi = -((dn - 2 * tr) // (2 * dn)), -((dn - 2 * ti) // (2 * dn))
+        x, y = x - qr * dr + qi * di, y - qr * di - qi * dr
+        plan.append((orbit, ((x + y) // 2, (x - y) // 2), invertible))
     K = max(abs(x) for _, mn, _ in plan for x in mn)
     pairs = None
-    if beta.im == 0:
-        where = {lam: k for k, orbit in enumerate(orbits) for lam in orbit}
-        pairs = tuple(
-            (i, j)
-            for i, (orbit, _, invertible) in enumerate(plan)
-            if invertible and (j := where[ring.canonical_rep(orbit[0].conjugate())]) >= i
-        )
+    if bi == 0:
+        n1, n2, shear = ring.n1, ring.n2, ring.shear
+        where = {(orbit[0].re, orbit[0].im): k for k, orbit in enumerate(orbits)}
+        pairs = []
+        for i, (orbit, _, invertible) in enumerate(plan):
+            if not invertible:
+                continue
+            # conjugation maps the orbit onto an orbit, whose first residue is
+            # the least of the conjugates, reduced as canonical_rep does
+            conj = []
+            for lam in orbit:
+                q, y = divmod(-lam.im, n2)
+                conj.append(((lam.re - q * shear) % n1, y))
+            if (j := where[min(conj)]) >= i:
+                pairs.append((i, j))
+        pairs = tuple(pairs)
     return tuple(plan), K, pairs
 
 
@@ -556,19 +601,19 @@ def _sl_table(u: tuple, K: int, tbits: int, bits: int) -> list:
 
 
 def _lookup(T: list, m: int, n: int, F: int, bits: int) -> tuple:
-    """(sl z, sl' z) at z = m*u - i*n*u from the table by sl(-z) = -sl(z)
-    and sl(iz) = i sl(z), sl' being even and invariant under z -> iz; one
-    addition when neither m nor n is zero."""
+    """sl z at z = m*u - i*n*u from the table by sl(-z) = -sl(z) and
+    sl(iz) = i sl(z), sl' being even and invariant under z -> iz; one
+    sl-only addition (_add_sl) when neither m nor n is zero."""
     s, c = T[abs(m)]
     if m < 0:
         s = (-s[0], -s[1])
     if n == 0:
-        return s, c
+        return s
     t, d = T[abs(n)]
     t = (t[1], -t[0]) if n > 0 else (-t[1], t[0])
     if m == 0:
-        return t, d
-    return _add_fx(s, c, t, d, F, bits)
+        return t
+    return _add_sl(s, c, t, d, F, bits)[0]
 
 
 def torsion_points(beta, precision_bits: int = 256) -> tuple:
@@ -601,8 +646,8 @@ def _orbit_values(beta: GaussInt, plan: tuple, K: int, bits: int) -> list:
     PrecisionLoss when two of the N(beta) values, 0 included, collide.
 
     With w = S = (1+i)*omega/beta, u = (1+i)*w and r = m(1+i) + n(1-i) the
-    orbit's reduced lift, v = sl(m*u - i*n*u): at most one addition of two
-    table entries.
+    orbit's reduced lift, v = sl(m*u - i*n*u): at most one sl-only addition
+    of two table entries (_lookup), as no sl' of an orbit value is used.
     """
     norm = beta.norm()
     g = GaussInt(2 * beta.im, 2 * beta.re)  # 2i*conj(beta), u = omega*g/norm
@@ -614,7 +659,7 @@ def _orbit_values(beta: GaussInt, plan: tuple, K: int, bits: int) -> list:
     T = _sl_table((om * g.re // norm, om * g.im // norm), K, tbits, bits)
     out = []
     for _, (m, n), _ in plan:
-        s, _ = _lookup(T, m, n, tF, bits)
+        s = _lookup(T, m, n, tF, bits)
         out.append((s[0] >> (tF - F), s[1] >> (tF - F)))
     _check_distinct([(0, 0)] + [u for v in out for u in _rotations(v)], F, bits)
     return out

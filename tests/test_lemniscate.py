@@ -15,22 +15,28 @@ from lemnatomic import lemniscate
 from lemnatomic.cli import dispatch
 from lemnatomic.errors import InputError, PoleProximity, PrecisionLoss, RoundingUnstable
 from lemnatomic.exact import LemnatomicRecord, lemnatomic_exact, record_checksum
-from lemnatomic.gaussint import ONE, GaussInt, format_gauss, gauss_divmod, is_primary
+from lemnatomic.gaussint import ONE, GaussInt, format_gauss, gauss_divmod, gauss_gcd, is_primary
 from lemnatomic.lemniscate import (
     GUARD,
     SERIES_TERMS,
     _TAYLOR,
+    _add_fx,
+    _add_sl,
+    _cdiv,
     _check_distinct,
-    _even_lift,
+    _cmul,
+    _denominator,
     _expand_complex,
     _expand_real,
     _frac_bits,
     _fx,
+    _lookup,
     _omega_fx,
     _orbit_plan,
     _pow4,
     _round_g,
     _sl_fx,
+    _sl_table,
     _unit_orbits,
     big_complex,
     lemniscate_constant,
@@ -347,7 +353,8 @@ class TestFixedPointKernel:
             dr, di = sr - (tr >> 300), si - (ti >> 300)
             assert (dr * dr + di * di) << (2 * (bits + GUARD)) < (cr >> 300) ** 2 + (ci >> 300) ** 2
 
-    @pytest.mark.parametrize("bits", [1, 12, 31, 32, 64, 100, 256, 288, 512, 1000, 1024, 2048, 4096])
+    # 8192 bits is the stability round of a 4096-bit start.
+    @pytest.mark.parametrize("bits", [1, 12, 31, 32, 64, 100, 256, 288, 512, 1000, 1024, 2048, 4096, 8192])
     def test_omega_fx_is_omega_rounded(self, bits):
         assert _omega_fx(bits) == _fx(_omega(bits + GUARD), _frac_bits(bits))
 
@@ -438,6 +445,137 @@ def _series_reference(beta, r, bits):
     g = r * GaussInt(1, 1) * beta.conjugate()
     n = beta.norm()
     return _sl_fx((om * g.re // n, om * g.im // n), kbits)
+
+
+def _even_lift(lam, beta):
+    """The lift of lam (mod beta) with re+im even; exists since beta is odd."""
+    if (lam.re + lam.im) % 2 == 0:
+        return lam
+    return lam + beta
+
+
+def _unit_orbits_reference(ring):
+    """_unit_orbits on GaussInt arithmetic: canonical_rep of i*lam per step
+    and a set of the residues seen."""
+    seen = set()
+    orbits = []
+    for lam in ring.representatives():
+        if lam == GaussInt(0, 0) or lam in seen:
+            continue
+        orbit = [lam]
+        cur = lam
+        for _ in range(3):
+            cur = ring.canonical_rep(cur * GaussInt(0, 1))
+            orbit.append(cur)
+        rep = min(orbit, key=lambda g: (g.re, g.im))
+        k = orbit.index(rep)
+        orbit = orbit[k:] + orbit[:k]
+        seen.update(orbit)
+        orbits.append(orbit)
+    return orbits
+
+
+def _orbit_plan_reference(ring, mult):
+    """_orbit_plan on GaussInt arithmetic: gauss_divmod for the reduced lift,
+    ring.is_invertible per orbit and a dict of every residue's orbit."""
+    beta = ring.modulus
+    orbits = _unit_orbits_reference(ring)
+    plan = []
+    for orbit in orbits:
+        r = gauss_divmod(_even_lift(orbit[0], beta) * mult, 2 * beta)[1]
+        mn = ((r.re + r.im) // 2, (r.re - r.im) // 2)
+        plan.append((orbit, mn, ring.is_invertible(orbit[0])))
+    K = max(abs(x) for _, mn, _ in plan for x in mn)
+    pairs = None
+    if beta.im == 0:
+        where = {lam: k for k, orbit in enumerate(orbits) for lam in orbit}
+        pairs = tuple(
+            (i, j)
+            for i, (orbit, _, invertible) in enumerate(plan)
+            if invertible and (j := where[ring.canonical_rep(orbit[0].conjugate())]) >= i
+        )
+    return tuple(plan), K, pairs
+
+
+SMALL_BETAS = [
+    GaussInt(a, b)
+    for a in range(-15, 16)
+    for b in range(-15, 16)
+    if (a + b) % 2 and not GaussInt(a, b).is_unit()
+]
+
+
+class TestOrbitPlan:
+    def test_matches_gaussint_reference(self):
+        # mult = 1 and the first of 2+i, 1+2i, 2 that is invertible mod beta,
+        # on each of the 476 beta
+        for beta in SMALL_BETAS:
+            ring = residue_ring(beta)
+            assert _unit_orbits(ring) == _unit_orbits_reference(ring), beta
+            candidates = (GaussInt(2, 1), GaussInt(1, 2), GaussInt(2, 0))
+            generator = next(g for g in candidates if gauss_gcd(g, beta).is_unit())
+            for mult in (ONE, generator):
+                assert _orbit_plan(ring, mult) == _orbit_plan_reference(ring, mult), (beta, mult)
+
+
+def _add_fx_reference(s1, c1, s2, c2, F, bits):
+    """The addition law on fixed-point pairs, sl and sl' in one body."""
+    q1 = _cmul(s1, s1, F)
+    q2 = _cmul(s2, s2, F)
+    den = _denominator(_cmul(q1, q2, F), F, bits)
+    a = _cmul(s1, c2, F)
+    b = _cmul(s2, c1, F)
+    num = (a[0] + b[0], a[1] + b[1])
+    cc = _cmul(c1, c2, F)
+    t = _cmul(_cmul(q1, s1, F), s2, F)
+    u = _cmul(_cmul(s1, c1, F), q2, F)
+    s = _cdiv(num, den, F)
+    v = _cmul(s, u, F)
+    c = _cdiv((cc[0] - 2 * t[0] - 2 * v[0], cc[1] - 2 * t[1] - 2 * v[1]), den, F)
+    return s, c
+
+
+class TestSlOnlyAddition:
+    @pytest.mark.parametrize("bits", [256, 512])
+    def test_sl_half_matches_add_fx(self, bits):
+        # Pairs from the series at seeded points with |re|, |im| <= 1.
+        rng = random.Random(bits)
+        F = _frac_bits(bits)
+        one = 1 << F
+        for _ in range(30):
+            (s1, c1), (s2, c2) = (_sl_fx((rng.randint(-one, one), rng.randint(-one, one)), bits) for _ in range(2))
+            want = _add_fx_reference(s1, c1, s2, c2, F, bits)
+            assert _add_fx(s1, c1, s2, c2, F, bits) == want
+            assert _add_sl(s1, c1, s2, c2, F, bits)[0] == want[0]
+
+    @pytest.mark.parametrize("bits", [256, 512])
+    def test_lookup_is_add_fx_s(self, bits):
+        # Every (m, n) of a table on a seeded u reads the sl that the full
+        # addition law gives, or a rotated entry when m or n is zero.
+        rng = random.Random(-bits)
+        F = _frac_bits(bits)
+        u = (rng.randint(0, 1 << (F - 2)), rng.randint(0, 1 << (F - 2)))
+        K = 5
+        T = _sl_table(u, K, bits, bits)
+        for m, n in itertools.product(range(-K, K + 1), repeat=2):
+            (s, c), (t, d) = T[abs(m)], T[abs(n)]
+            s = s if m >= 0 else (-s[0], -s[1])
+            t = (t[1], -t[0]) if n > 0 else (-t[1], t[0])
+            want = t if m == 0 else s if n == 0 else _add_fx_reference(s, c, t, d, F, bits)[0]
+            assert _lookup(T, m, n, F, bits) == want
+
+    def test_both_raise_at_the_denominator_floor(self):
+        # sl(u)^4 = -1 at u = (1+i)*omega/2: the addition law's denominator
+        # vanishes when it doubles u.
+        om = lemniscate_constant(BITS)
+        with mp.workprec(BITS + GUARD):
+            p = sl_eval(big_complex(om.re / 2, om.re / 2, BITS))
+        F = _frac_bits(BITS)
+        s, c = ((_fx(v.re, F), _fx(v.im, F)) for v in (p.s, p.c))
+        with pytest.raises(PrecisionLoss):
+            _add_sl(s, c, s, c, F, BITS)
+        with pytest.raises(PrecisionLoss):
+            _add_fx(s, c, s, c, F, BITS)
 
 
 def _within_budget(v, want, bits):

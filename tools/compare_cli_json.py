@@ -31,17 +31,20 @@ which a table on the multiples of w = (1+i)*omega/beta would reach the pole
 |beta|*w, on 21, composite with non-invertible residues, and 37, a split
 rational prime, whose G is expanded over conjugate pairs as for every
 rational beta, and on -43, accepted at 1024 bits after two escalations
-(about 1.5 s); ``--method both`` on -3 and -19, ``--precision-bits 64`` on -19 (which
-escalates), ``--precision-bits 4096`` on -3, whose stability round runs at
-8192 bits, and ``--precision-bits 8192`` on -3, above the ceiling (exit 1).
+(about 1.5 s); on 5+10i, whose prime factor -1-2i is repeated (N = 125), on
+15+6i, the inert prime 3 times a split one (N = 261), and on 13+10i at
+``--precision-bits 1024``; ``--method both`` on -3 and -19,
+``--precision-bits 64`` on -19 (which escalates), ``--precision-bits 4096`` on
+-3, whose stability round runs at 8192 bits, and ``--precision-bits 8192`` on
+-3, above the ceiling (exit 1).
 ``lemnatomic BETA --method exact --cache-dir DIR`` runs twice on -1+2i and
 -3-4i, a miss that writes the cache file and then a hit that reads it, and
 ``lemnatomic -3 --method both --cache-dir DIR`` once.
-All of these print JSON, 177 commands in all.  Seven commands that print
+All of these print JSON, 180 commands in all.  Seven commands that print
 a polynomial also run once in human form, the reports at the norm bound:
 ``lemnatomic -3``, ``scan-splitting``, ``semisplit``, ``prop2-evidence``
 and ``density`` on lemnatomic:-3, ``verify-theorem`` on X^2 - 105, and
-``reduce lemnatomic:-3-4i -7``.  That makes 184 commands.
+``reduce lemnatomic:-3-4i -7``.  That makes 187 commands.
 
 OLD_SRC and NEW_SRC are directories holding the ``lemnatomic`` package (the
 ``src`` directory of two checkouts).  Each command runs in a fresh
@@ -116,6 +119,9 @@ def commands(max_norm: int) -> list:
     out += [["lemnatomic", beta, "--method", "numeric", "--json"] for beta in NUMERIC_BETAS]
     out += [["lemnatomic", beta, "--method", "both", "--json"] for beta in ("-3", "-19")]
     out += [
+        ["lemnatomic", "5+10i", "--method", "numeric", "--json"],
+        ["lemnatomic", "15+6i", "--method", "numeric", "--json"],
+        ["lemnatomic", "13+10i", "--method", "numeric", "--precision-bits", "1024", "--json"],
         ["lemnatomic", "-19", "--method", "numeric", "--precision-bits", "64", "--json"],
         ["lemnatomic", "-3", "--method", "numeric", "--precision-bits", "4096", "--json"],
         ["lemnatomic", "-3", "--method", "numeric", "--precision-bits", "8192", "--json"],
