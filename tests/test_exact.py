@@ -216,6 +216,8 @@ def count_caught(corrupt, monkeypatch, compute, want) -> int:
                 caught += 1
                 continue
             assert got == want[b], f"step {step} of {b} went undetected"
+    # a caller may wrap _product again, as the reference-verifier re-run does
+    monkeypatch.setattr(exact, "_product", real)
     return caught
 
 
@@ -797,6 +799,41 @@ def test_exact_minus_43_matches_the_numeric_checksum_in_budget():
     t0 = time.perf_counter()
     assert lemnatomic_exact(gi("-43")).checksum == NUMERIC_CHECKSUMS["-43"]
     assert time.perf_counter() - t0 < 15.0
+
+
+def primary_grid(max_norm: int) -> list:
+    """Every primary odd non-unit beta with N(beta) <= max_norm, in
+    (N, re, im) order."""
+    r = math.isqrt(max_norm)
+    grid = (GaussInt(re, im) for re in range(-r, r + 1) for im in range(-r, r + 1))
+    return sorted(
+        (b for b in grid if 1 < b.norm() <= max_norm and is_primary(b)), key=lambda b: (b.norm(), b.re, b.im)
+    )
+
+
+# SHA-256 of the exact route's record checksums over primary_grid(600), as
+# ASCII and concatenated, frozen before the exact route's composite step
+# was rewritten
+LAMBDA_GRID_SHA256 = "5061de25578be5365e006d87df37851af85a454b5ab849d423429059e906acc9"
+
+
+def test_lambda_grid_is_byte_identical():
+    grid = primary_grid(600)
+    assert len(grid) == 233
+    digest = hashlib.sha256()
+    for beta in grid:
+        digest.update(lemnatomic_exact(beta).checksum.encode("ascii"))
+    assert digest.hexdigest() == LAMBDA_GRID_SHA256
+
+
+@pytest.mark.slow
+def test_numeric_route_matches_the_exact_route_on_the_grid():
+    """The two routes share no code beyond Gaussian-integer arithmetic, so
+    agreement coefficient by coefficient on all 233 beta of the digest's grid
+    guards the digest against an error common to an old and a new tree."""
+    for beta in primary_grid(600):
+        numeric, _ = lemnatomic_numeric(beta, 256)
+        assert numeric == lemnatomic_exact(beta).coefficients, f"beta={beta}"
 
 
 class TestLemnatomicRecord:
