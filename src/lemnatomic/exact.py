@@ -9,11 +9,8 @@ Complex multiplication by Z[i] gives every map one shape: with t = s^4,
 parity 0 for odd beta and 1 for even beta (see mult_map for why), so every
 map is held as (P, Q) over Z[i][t].
 
-An odd beta with two or more prime factors (counted with multiplicity) is
-built from sl(pi gamma z) = R_pi(sl(gamma z)) by composing the maps of its
-prime factor pi of smallest norm and of gamma = beta / pi, in t, with no
-gcd: two maps in lowest terms compose into one in lowest terms.  Every
-other beta of norm above 4 (a prime, or even) comes from the product formula
+Every first-quadrant beta of norm above 4, prime or composite, comes from
+the product formula
 
     sl(u+v) sl(u-v) = (sl^2 u - sl^2 v) / (1 + sl^2 u sl^2 v),
 
@@ -24,8 +21,8 @@ and their maps and delta's come from the same construction.  1, 1+i and 2
 are written down directly, and a beta off the first quadrant is a unit times
 the map of its first-quadrant associate: sl(e beta z) = e sl(beta z).
 
-Every map f is certified in t, however it was assembled, by the first
-integral (f')^2 = beta^2 (1 - f^4) of the defining equation,
+Every map f is certified in t by the first integral
+(f')^2 = beta^2 (1 - f^4) of the defining equation,
 
     (1 - t) R^2 = beta^2 (Q^4 - t P^4)              (odd beta),
     R1^2        = beta^2 (Q^4 - t (1 - t)^2 P^4)    (even beta),
@@ -46,8 +43,8 @@ packed value with its slots reversed.
 For odd beta the numerator s P(t), made monic, is the all-torsion
 polynomial T_beta = X P~(X^4) of degree N(beta), its factor X for the zero
 torsion value.  Every other Lambda_d lies in Z[i][X^4], so
-Lambda_beta = G(X^4), where G is P~ divided in t by the G_d of every
-divisor d other than 1 and beta.
+Lambda_beta = G(X^4), G = P~ for a prime beta; a composite beta's G is one
+step from its cofactor's at a prime map (see _lemnatomic_poly).
 
 Fraction reduction: the product formula's pair shares only factors
 (t - 1)^a (t + 1)^b, so both terms are divided by t - 1 while both vanish
@@ -75,6 +72,7 @@ from .gaussint import (
     format_gauss,
     gauss_gcd,
 )
+from .gfq import reduce_poly, residue_field
 from .residue import phi_norm
 from .zipoly import (
     PolyZi,
@@ -328,39 +326,11 @@ def _slot_width(lhs: list, rhs: list, beta2: GaussInt) -> int:
     return (bits + 2 + 7) // 8 * 8
 
 
-def _compose(outer: tuple, inner: tuple) -> tuple:
-    """(P, Q) of R_outer(R_inner(s)), where R(s) = s P(s^4) / Q(s^4).
-
-    With t' = R_inner(s)^4 = t P_in^4 / Q_in^4 and m = deg P_out = deg Q_out,
-    R_outer(R_inner(s)) = s P_in hom_m(P_out) / (Q_in hom_m(Q_out)), both
-    homogenised forms hom_m(F)(x, y) = sum f_k x^k y^(m-k) taken at
-    x = t P_in^4, y = Q_in^4.
-    """
-    p_out, q_out = outer
-    p_in, q_in = inner
-    m = p_out.degree()
-    p2, q2 = p_in * p_in, q_in * q_in
-    x = _times_t(p2 * p2)
-    y_powers = [_ZI_ONE, q2 * q2]
-    for _ in range(m - 1):
-        y_powers.append(y_powers[-1] * y_powers[1])
-
-    def hom(f: PolyZi) -> PolyZi:
-        acc = PolyZi.make([f[m]])
-        for k in range(m - 1, -1, -1):
-            acc = acc * x + y_powers[m - k] * f[k]
-        return acc
-
-    return p_in * hom(p_out), q_in * hom(q_out)
-
-
-# Keyed by beta itself; an associate reads its map off the first-quadrant
-# entry, so only first-quadrant beta run the product formula or a
-# composition, and _squares reads a half off its first-quadrant associate,
-# so an off-quadrant half has no entry, nor does delta = i.  The exact ladder
-# leaves 14 entries here (each prime or even beta brings its halves and
-# delta) and 28 with beta = 13, 13+10i, 17 and -19 added, so no workload
-# evicts; 3+4i's entry is there when 11-2i needs it.
+# Keyed by beta itself; only first-quadrant beta run the product formula, and
+# _squares reads a half off its first-quadrant associate, so an off-quadrant
+# half has no entry, nor does delta = i.  Lambda_beta reads prime maps only:
+# the exact ladder leaves 9 entries here and 23 with beta = 13, 13+10i, 17
+# and -19 added, so no workload evicts.
 @lru_cache(maxsize=64)
 def _map(beta: GaussInt) -> tuple:
     """(P, Q) with sl(beta z) = c^parity s P(s^4) / Q(s^4) in lowest terms,
@@ -368,29 +338,15 @@ def _map(beta: GaussInt) -> tuple:
 
     A beta off the first quadrant (re > 0, im >= 0) is e beta0 for a unit e
     and beta0 in it, and sl(e beta0 z) = e sl(beta0 z) gives (e P0, Q0) from
-    beta0's map.
-    Otherwise an odd beta with two or more prime factors is R_pi composed
-    with R_gamma, pi its prime factor of smallest norm and gamma = beta / pi,
-    both read off first-quadrant entries.
-    Every other beta of norm above 4 (a prime, or even) is _product of its
-    halves u = (beta + delta) / 2 and u - delta, delta = beta (mod 2) of
-    smallest norm, with the common factors t -/+ 1 divided out; 1, 1+i and
-    2 are the base cases.
+    beta0's map.  Every other beta of norm above 4 is _product of its halves
+    u = (beta + delta) / 2 and u - delta, delta = beta (mod 2) of smallest
+    norm, with the common factors t -/+ 1 divided out; 1, 1+i and 2 are the
+    base cases.
     """
     unit = _unit_to_first_quadrant(beta)
-    factors = factor(beta)[1] if beta.is_odd() and unit == ONE else ()
     if unit != ONE:
         p, q = _map(beta * unit)
         p = p * unit.conjugate()
-    elif sum(e for _, e in factors) >= 2:
-        pi = factors[0][0].value
-        pi = pi * _unit_to_first_quadrant(pi)
-        gamma = exact_div(beta, pi)
-        # R_gamma = R_gamma0 / e for gamma0 = gamma e, and R_pi(x / e) = R_pi(x) / e
-        e = _unit_to_first_quadrant(gamma)
-        p, q = _compose(_map(pi), _map(gamma * e))
-        unit = _unit_to_first_quadrant(q.leading())
-        p, q = p * (unit * e.conjugate()), q * unit
     else:
         n = beta.norm()
         if n <= 4:
@@ -423,23 +379,14 @@ def mult_map(beta) -> tuple:
     (see _map).
 
     1, 1+i and 2 are written down, and a beta off the first quadrant, e beta0
-    for a unit e, is e sl(beta0 z).  Every other prime or even beta comes
-    from the product formula
+    for a unit e, is e sl(beta0 z).  Every other beta, prime or composite,
+    odd or even, comes from the product formula
     sl(u+v) sl(u-v) = (sl^2 u - sl^2 v) / (1 + sl^2 u sl^2 v) with
     u + v = beta and u - v = delta, delta = beta (mod 2) of smallest norm
     (see _product), and the factors t - 1 and t + 1 that its two terms share
-    are divided out (see _reduce_zi_fraction).  An odd beta with two
-    or more prime factors, counted with multiplicity, is built by
-    composition: sl(pi gamma z) = R_pi(sl(gamma z)) for its prime factor pi
-    of smallest norm, so R_beta = R_pi o R_gamma (see _compose), with no gcd.
-    The composite is in lowest terms because both factors are.  P_pi and
-    Q_pi are coprime and Q_pi has degree m, so the resultant of the
-    homogenised pair (hom_m(P_pi), hom_m(Q_pi)) does not vanish and the pair
-    has no common zero (x : y) on the projective line.  x = t P_gamma^4 and
-    y = Q_gamma^4 never vanish together, and P_gamma, Q_gamma are coprime
-    with Q_gamma(0) != 0, so no t is a zero of both composite terms.
+    are divided out (see _reduce_zi_fraction).
 
-    The finished pair is then certified in t, however it was assembled, by
+    The finished pair is then certified in t by
     _verify_first_integral; the numerator degree N(beta) for odd beta and
     the denominator degree for even beta rule out a common factor of N and
     B.  Put
@@ -470,8 +417,7 @@ def _torsion_t(beta: GaussInt) -> PolyZi:
 
     lc P is a unit.  A product-formula map has joint content one, and
     Q = unit * rev(P), so content(P) = 1; T_beta is monic over Z[i], so lc P
-    divides every coefficient of P.  A composed map has
-    lc P = lc(P_in)^(4m+1) lc(P_out), and an associate's map is P times a unit.
+    divides every coefficient of P.  An associate's map is P times a unit.
     """
     p, _ = _map(beta * _unit_to_first_quadrant(beta))
     lead = p.leading()
@@ -492,14 +438,9 @@ def divisors_up_to_units(beta) -> list:
         raise InputError("beta must be nonzero")
     if not beta.is_odd():
         raise InputError("beta must be odd (coprime to 1+i)")
-    _, facs = factor(beta)
     divisors = [ONE]
-    for prime, exp in facs:
-        current = list(divisors)
-        power = ONE
-        for _ in range(exp):
-            power = power * prime.value
-            divisors.extend(d * power for d in current)
+    for prime, exp in factor(beta)[1]:
+        divisors = [d * prime.value**k for d in divisors for k in range(exp + 1)]
     # a product of primary primes is primary: = 1 mod (1+i)^3 is multiplicative
     return sorted(divisors, key=lambda g: (g.norm(), g.re, g.im))
 
@@ -578,16 +519,67 @@ def record_checksum(beta: GaussInt, poly: PolyZi) -> str:
     return hashlib.sha256(payload.encode("ascii")).hexdigest()
 
 
-# Keyed by the primary beta from _check_beta, so associates share one entry.
-# The exact ladder (N(beta) up to 125) leaves 7 entries, and 15 with
-# beta = 13, 13+10i, 17 and -19 added, so no workload evicts.
+def _hom(g: PolyZi, p: PolyZi, q: PolyZi) -> PolyZi:
+    """H(t) = sum_k g_k (t P^4)^k (Q^4)^(d - k) = Q^(4d) g(R(s)^4), d = deg g,
+    for R(s) = s P(s^4) / Q(s^4) and t = s^4."""
+    d = g.degree()
+    p2, q2 = p * p, q * q
+    x = _times_t(p2 * p2)
+    y_powers = [_ZI_ONE, q2 * q2]
+    for _ in range(d - 1):
+        y_powers.append(y_powers[-1] * y_powers[1])
+    acc = PolyZi.make([g[d]])
+    for k in range(d - 1, -1, -1):
+        acc = acc * x + y_powers[d - k] * g[k]
+    return acc
+
+
+# Keyed by the primary beta from _check_beta, so associates share one entry;
+# a composite beta adds its cofactors'.  The exact ladder (N(beta) up to 125)
+# leaves 7 entries, and 13 with 13, 13+10i, 17 and -19, so none is evicted.
 @lru_cache(maxsize=64)
 def _lemnatomic_poly(beta: GaussInt) -> PolyZi:
-    """G with Lambda_beta = G(X^4), for primary non-unit beta: P~ divided by
-    G_d for every divisor d other than 1 and beta."""
-    quotient = _torsion_t(beta)
-    for d in divisors_up_to_units(beta)[1:-1]:  # sorted by norm: 1 first, beta last
-        quotient = exact_divide(quotient, _lemnatomic_poly(d))
+    """G with Lambda_beta = G(X^4), for primary non-unit beta.
+
+    A prime beta's G is P~ (_torsion_t).  Otherwise let pi be beta's first
+    prime factor of largest norm q, gamma = beta / pi, d = deg G_gamma and
+    (P, Q) the certified map of pi's first-quadrant associate (a unit does
+    not change R_pi^4).  H = _hom(G_gamma, P, Q) = Q^(4d) G_gamma(R_pi(s)^4)
+    times conj(lc H) is G_beta G_gamma when pi does not divide gamma and
+    G_beta when pi | gamma, as Phi_pn Phi_n = Phi_n(x^p) and Phi_pn = Phi_n(x^p).
+    Q and t P^4 have no common zero, so H(sl(z)^4) = 0 exactly when
+    sl(pi z)^4 is a root of G_gamma, that is when pi z is a primitive
+    gamma-torsion point: when z is a primitive beta-torsion point or, if pi
+    does not divide gamma (pi is then invertible mod gamma), a primitive
+    gamma-torsion point.  These roots are simple and distinct, and there are
+    phi(beta) / 4 (+ phi(gamma) / 4 when pi does not divide gamma) = d q of
+    them, as phi(beta) = phi(gamma) (q - 1) or phi(gamma) q.  That is deg H:
+    only the term k = d reaches degree d (4 deg P + 1), so lc H = lc(P)^(4d).
+
+    Checks, each raising InternalInconsistency or NotDivisible: every prime
+    map is certified (_map), lc H is a unit, the division leaves no
+    remainder, LemnatomicRecord.build's invariants hold, and so does the
+    reduction law H conj(lc H) = G_gamma(Y^q) (mod pi), the power-free form
+    of G_beta = G_gamma^(q - 1) (G_gamma^q when pi | gamma), as c^q = c on
+    Z[i]/(pi).
+    """
+    _, facs = factor(beta)
+    if sum(e for _, e in facs) == 1:
+        return _torsion_t(beta)
+    prime, e = max(facs, key=lambda fe: fe[0].norm)  # the first of largest norm
+    pi, q = prime.value, prime.norm
+    g = _lemnatomic_poly(exact_div(beta, pi))
+    h = _hom(g, *_map(pi * _unit_to_first_quadrant(pi)))
+    lead = h.leading()
+    if not lead.is_unit():
+        raise InternalInconsistency(f"H of beta={beta} at pi={pi} has leading coefficient {lead}")
+    h = h * lead.conjugate()
+    quotient = h if e > 1 else exact_divide(h, g)
+    field = residue_field(prime)
+    g_of_y_q = [ZERO] * (g.degree() * q + 1)
+    g_of_y_q[::q] = g.coeffs
+    if reduce_poly(h, field) != reduce_poly(PolyZi(tuple(g_of_y_q)), field):
+        raise InternalInconsistency(f"Lambda_{beta} breaks the reduction law at pi={pi}")
     return quotient
 
 

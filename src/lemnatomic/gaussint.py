@@ -481,10 +481,11 @@ def _odd_prime_walk(bound: int) -> array:
 
 # -- literal grammar ---------------------------------------------------------
 
+# ASCII digits only: \d would also take other scripts' digits, which int() reads
 _GAUSS_RE = _re.compile(
     r"""^\s*
-        (?P<first>[+-]?\d+|[+-]?\d*i)          # real part, or a lone imaginary part
-        (?P<second>[+-]\d*i)?                  # optional imaginary part
+        (?P<first>[+-]?[0-9]+|[+-]?[0-9]*i)    # real part, or a lone imaginary part
+        (?P<second>[+-][0-9]*i)?               # optional imaginary part
         \s*$""",
     _re.VERBOSE,
 )
@@ -503,20 +504,27 @@ def parse_gauss(text: str) -> GaussInt:
         raise ParseError(f"malformed Gaussian literal {text!r}", 0)
     first, second = m.group("first"), m.group("second")
 
-    def imag_value(part: str) -> int:
-        digits = part[:-1]  # strip the trailing i
+    def value(group: str, digits: str) -> int:
+        try:
+            return int(digits)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            n = len(digits.lstrip("+-"))
+            raise ParseError(f"a part of {n} digits is too long for int()", m.start(group)) from None
+
+    def imag_value(group: str) -> int:
+        digits = m.group(group)[:-1]  # strip the trailing i
         if digits in ("", "+"):
             return 1
         if digits == "-":
             return -1
-        return int(digits)
+        return value(group, digits)
 
     if first.endswith("i"):
         if second is not None:
             raise ParseError(f"two imaginary parts in {text!r}", len(first))
-        return GaussInt(0, imag_value(first))
-    re_part = int(first)
-    im_part = imag_value(second) if second is not None else 0
+        return GaussInt(0, imag_value("first"))
+    re_part = value("first", first)
+    im_part = imag_value("second") if second is not None else 0
     return GaussInt(re_part, im_part)
 
 

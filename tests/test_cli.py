@@ -49,6 +49,17 @@ class TestGaussCommands:
         assert code == 1
         assert "error:" in err
 
+    def test_factor_past_the_int_digit_limit_is_an_error_line(self, capsys):
+        code, out, err = run(capsys, "factor", "1" * (sys.get_int_max_str_digits() or 4300) * 2)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "digits" in err
+
+    def test_non_ascii_digits_are_an_error_line(self, capsys):
+        # 13 in Arabic-Indic digits is not the literal 13
+        code, out, err = run(capsys, "lemnatomic", "\u0661\u0663", "--method", "exact")
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "invalid character" in err
+
     def test_primary(self, capsys):
         code, data, _ = run_json(capsys, "primary", "2+i")
         assert code == 0

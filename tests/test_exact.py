@@ -1,6 +1,6 @@
 """Exact symbolic pipeline: multiplication maps in t = s^4 from the product
-formula and by composition, their certificate, all-torsion polynomials, and
-lemnatomic polynomials by divisor recovery."""
+formula, their certificate, all-torsion polynomials, and lemnatomic
+polynomials, a composite beta's from its cofactor's at a prime map."""
 
 import hashlib
 import math
@@ -11,7 +11,7 @@ from mpmath import mp, mpc, mpf
 
 from conftest import CORPUS_ALL_TORSION, CORPUS_BETAS, gi, sl_raw, sparse_poly
 from lemnatomic import exact
-from lemnatomic.errors import InputError, InternalInconsistency
+from lemnatomic.errors import InputError, InternalInconsistency, NotDivisible
 from lemnatomic.exact import (
     LemnatomicRecord,
     all_torsion_poly,
@@ -24,6 +24,8 @@ from lemnatomic.gaussint import (
     I,
     UNITS,
     GaussInt,
+    _unit_to_first_quadrant,
+    exact_div,
     factor,
     format_gauss,
     is_primary,
@@ -289,9 +291,9 @@ class TestChainVerifier:
     """mult_map certifies every map, in t = s^4, by the first integral
     (sl')^2 = 1 - sl^4 with the initial condition P(0) = beta Q(0) != 0, and
     for odd beta by deg P and Q = unit * t^deg P * P(1/t), for even beta by
-    deg Q.  A map that is not composed comes from a chain of product-formula
-    steps over halves, and each step builds a map that is certified on its
-    own, after its common factors t -/+ 1 are stripped."""
+    deg Q.  Every map comes from a chain of product-formula steps over
+    halves, and each step builds a map that is certified on its own, after
+    its common factors t -/+ 1 are stripped."""
 
     @pytest.fixture
     def cold_memos(self):
@@ -397,12 +399,11 @@ class TestChainVerifier:
     def test_even_beta_runs_the_chain_and_is_certified_in_t(self, b, cold_memos, monkeypatch):
         # 2 is a base case, a chain of no product step
         beta = gi(b)
-        steps, composed = [], []
-        real_product, real_compose = exact._product, exact._compose
+        steps = []
+        real_product = exact._product
         monkeypatch.setattr(exact, "_product", lambda *a: steps.append(a) or real_product(*a))
-        monkeypatch.setattr(exact, "_compose", lambda *a: composed.append(a) or real_compose(*a))
         (n, parity), d = mult_map(beta)
-        assert bool(steps) == (beta.norm() > 4) and not composed
+        assert bool(steps) == (beta.norm() > 4)
         assert parity == 1 and n[1] == beta * d[0]
         p, q = exact._map(beta)
         assert (exact._from_t(p, 1), exact._from_t(q, 0)) == (n, d)
@@ -465,18 +466,36 @@ class TestPackedIdentity:
             assert largest_part_bits(*sides) <= widths[-1] - 1, f"beta={beta}"
 
 
-def conjugate_map(pq):
-    # sl has real Taylor coefficients, so R_conj(pi) has the conjugate ones
-    return tuple(map(conjugate, pq))
+def composite_step(b: str) -> tuple:
+    """(beta, pi, gamma) of the composite step of _lemnatomic_poly at the
+    primary associate beta of b: pi is beta's first prime factor of largest
+    norm and gamma = beta / pi."""
+    beta = primary_normalize(gi(b))[1]
+    prime, _ = max(factor(beta)[1], key=lambda fe: fe[0].norm)
+    return beta, prime.value, exact_div(beta, prime.value)
 
 
-COMPOSE_CORRUPTIONS = {
-    "P times 1+t": lambda outer, inner, pq: (pq[0] * poly([1, 1]), pq[1]),
-    "Q to iQ": lambda outer, inner, pq: (pq[0], pq[1] * I),
-    "conjugate of pi": lambda outer, inner, pq: exact._compose(conjugate_map(outer), inner),
-    "t^k in P_gamma": lambda outer, inner, pq: exact._compose(
-        outer, (inner[0] + PolyZi.make([0] * (inner[0].degree() // 2) + [1]), inner[1])
-    ),
+def first_quadrant(z: GaussInt) -> GaussInt:
+    return z * _unit_to_first_quadrant(z)
+
+
+def warm_step_inputs(pi, gamma) -> None:
+    """Cold memos, then G_gamma and pi's map in them, so that computing
+    Lambda_beta for beta = pi gamma runs its own composite step alone."""
+    clear_memos()
+    exact._lemnatomic_poly(gamma)
+    exact._map(first_quadrant(pi))
+
+
+def plus_halfway(f: PolyZi, offset: GaussInt) -> PolyZi:
+    k = f.degree() // 2
+    return PolyZi.make(f.coeffs[:k] + (f.coeffs[k] + offset,) + f.coeffs[k + 1 :])
+
+
+# Each corrupts the map (P, Q) of pi that the composite step reads
+PRIME_MAP_CORRUPTIONS = {
+    "P times 1+t": lambda p, q: (p * poly([1, 1]), q),
+    "conjugate of pi": lambda p, q: (conjugate(p), conjugate(q)),
 }
 COMPOSITE_CHECKSUMS = {
     "3-6i": FROZEN_CHECKSUMS["3-6i"],
@@ -484,73 +503,119 @@ COMPOSITE_CHECKSUMS = {
     "9": "e5876ebd4a09a52ff8dcffdaa9288b233f059a89893897a1df94c808e9a57737",
     "11-2i": "6aec37ad27db081bfeb3e47050bc490911c631bbda6449b00845810c6802f2af",
 }
+STEP_BETAS = ("9", "3-6i", "11-2i", "-3-4i", "45", "27", "15+6i")
+STEP_OFFSETS = {"+1": "1", "+3i": "3i", "+3": "3"}
 
 
 class TestComposition:
-    """An odd beta with two or more prime factors is R_pi composed with
-    R_gamma, pi its prime factor of smallest norm, certified in t = s^4."""
+    """A composite beta's G is one step from G_gamma, gamma = beta / pi, at
+    the certified map of pi, its prime factor of largest norm: H, the
+    homogenised G_gamma at (t P^4, Q^4), and one exact division by G_gamma
+    when pi does not divide gamma.  Every map, a composite beta's included,
+    comes from the product formula."""
 
     @pytest.fixture
     def cold_memos(self):
         clear_memos()
         yield
-        clear_memos()  # corrupted maps must not outlive the test
+        clear_memos()  # corrupted entries must not outlive the test
 
     @pytest.mark.parametrize("b", ["-3-4i", "9", "3-6i", "11-2i", "-9i", "-7-24i"])
     def test_composite_beta_runs_no_chain_step(self, b, cold_memos, monkeypatch):
+        # with its prime factors' maps in the memo, a composite Lambda_beta
+        # runs no product step and never asks for a map of beta itself
         beta = gi(b)
         _, facs = factor(beta)
         for prime, _ in facs:  # an associate's map is read off the same entry
             exact._map(prime.value)
-        steps = []  # chain steps, one per _product
-        real = exact._product
-        monkeypatch.setattr(exact, "_product", lambda *a: steps.append(a) or real(*a))
-        (n, _), d = mult_map(beta)
+        steps, mapped = [], []
+        real_product, real_map = exact._product, exact._map
+        monkeypatch.setattr(exact, "_product", lambda *a: steps.append(a) or real_product(*a))
+        monkeypatch.setattr(exact, "_map", lambda x: mapped.append(x) or real_map(x))
+        lemnatomic_exact(beta)
         assert steps == []
-        assert n.degree() == beta.norm() and n.leading().is_unit()
-        assert d.leading().re > 0 and d.leading().im >= 0
+        assert mapped and not any(x * u == beta for x in mapped for u in UNITS)
 
     def test_common_factor_is_caught_by_the_degree(self, cold_memos, monkeypatch):
-        # (1+t) P / ((1+t) Q) passes the reversal and the first integral;
-        # only the numerator degree shows the map is not in lowest terms
-        real = exact._compose
-        one_plus_t = poly([1, 1])
+        # (t + 2) P / ((t + 2) Q) for an odd beta passes the reversal and the
+        # first integral, and the reduction strips only t -/+ 1; only the
+        # numerator degree shows the map is not in lowest terms
+        real = exact._product
 
-        def padded(outer, inner):
-            p, q = real(outer, inner)
-            return p * one_plus_t, q * one_plus_t
+        def padded(u, v, delta):
+            p, q = real(u, v, delta)
+            if not (u + v).is_odd():
+                return p, q
+            return p * T_PLUS_2, q * T_PLUS_2
 
-        monkeypatch.setattr(exact, "_compose", padded)
+        monkeypatch.setattr(exact, "_product", padded)
         with pytest.raises(InternalInconsistency, match="numerator degree"):
             mult_map(gi("9"))
 
-    @pytest.mark.parametrize("kind", list(COMPOSE_CORRUPTIONS))
+    @pytest.mark.parametrize("kind", list(PRIME_MAP_CORRUPTIONS))
     def test_corrupted_composition_is_caught_or_harmless(self, kind, cold_memos, monkeypatch):
-        corrupt = COMPOSE_CORRUPTIONS[kind]
-        real = exact._compose
+        corrupt = PRIME_MAP_CORRUPTIONS[kind]
+        real = exact._map
         caught = 0
         for b, checksum in COMPOSITE_CHECKSUMS.items():
-            for step in range(2):  # 11-2i composes twice, the others once
-                calls = []
-
-                def faulty(outer, inner):
-                    calls.append(outer)
-                    result = real(outer, inner)
-                    if len(calls) != step + 1:
-                        return result
-                    with monkeypatch.context() as m:
-                        m.setattr(exact, "_compose", real)
-                        return corrupt(outer, inner, result)
-
-                monkeypatch.setattr(exact, "_compose", faulty)
-                clear_memos()
+            beta, pi, gamma = composite_step(b)
+            warm_step_inputs(pi, gamma)
+            with monkeypatch.context() as m:
+                m.setattr(exact, "_map", lambda x: corrupt(*real(x)) if x == first_quadrant(pi) else real(x))
                 try:
-                    record = lemnatomic_exact(gi(b))
-                except InternalInconsistency:
+                    record = lemnatomic_exact(beta)
+                except (NotDivisible, InternalInconsistency):
                     caught += 1
                     continue
-                assert record.checksum == checksum, f"{kind} at step {step} of {b} went undetected"
+            assert record.checksum == checksum, f"{kind} of {b} went undetected"
         assert caught, f"{kind} was never caught"
+
+    @pytest.mark.parametrize("offset", list(STEP_OFFSETS))
+    @pytest.mark.parametrize("target", ["H", "P_pi", "G_gamma"])
+    def test_corrupted_step_coefficient_is_caught(self, target, offset, cold_memos, monkeypatch):
+        # one coefficient, halfway up, of H, of pi's P or of G_gamma as the
+        # step reads it, off by offset: the step's own checks or build's
+        # invariants reject every such record
+        add = gi(STEP_OFFSETS[offset])
+        real_hom, real_map, real_poly = exact._hom, exact._map, exact._lemnatomic_poly
+        for b in STEP_BETAS:
+            beta, pi, gamma = composite_step(b)
+            warm_step_inputs(pi, gamma)
+
+            def corrupt_map(x):
+                p, q = real_map(x)
+                return (plus_halfway(p, add), q) if x == first_quadrant(pi) else (p, q)
+
+            with monkeypatch.context() as m:
+                if target == "H":
+                    m.setattr(exact, "_hom", lambda *a: plus_halfway(real_hom(*a), add))
+                elif target == "P_pi":
+                    m.setattr(exact, "_map", corrupt_map)
+                else:
+                    m.setattr(
+                        exact,
+                        "_lemnatomic_poly",
+                        lambda x: plus_halfway(real_poly(x), add) if x == gamma else real_poly(x),
+                    )
+                with pytest.raises((NotDivisible, InternalInconsistency)):
+                    lemnatomic_exact(beta)
+
+    def test_conjugate_prime_map_breaks_only_the_reduction_law(self, cold_memos, monkeypatch):
+        # 11-2i = pi gamma with pi = -1+2i and gamma = -3-4i = pi^2: H built at
+        # conj(pi)'s map is G_(conj(pi) gamma) G_gamma, a polynomial that keeps
+        # every invariant build checks; Kronecker's congruence at pi tells
+        beta, pi, gamma = composite_step("11-2i")
+        assert (pi, gamma) == (gi("-1+2i"), gi("-3-4i"))
+        p, q = exact._map(first_quadrant(pi))
+        wrong = exact._hom(exact._lemnatomic_poly(gamma), conjugate(p), conjugate(q))
+        LemnatomicRecord.build(beta, exact._from_t(wrong * wrong.leading().conjugate(), 0), "exact", 0)
+        warm_step_inputs(pi, gamma)
+        real = exact._map
+        monkeypatch.setattr(
+            exact, "_map", lambda x: tuple(map(conjugate, real(x))) if x == first_quadrant(pi) else real(x)
+        )
+        with pytest.raises(InternalInconsistency, match="reduction law"):
+            lemnatomic_exact(beta)
 
 
 class TestDivisors:
@@ -724,9 +789,8 @@ class TestMemos:
         assert calls == []
 
     def test_associate_map_is_read_off_the_first_quadrant_entry(self, monkeypatch):
-        # -9i = (-3) * (3i) = -i * 9: with -3's map in the memo, 3i's is not
-        # built and 9's comes by composition with no product step
-        exact._map(gi("-3"))
+        # -9i = -i * 9: with 9's map in the memo, -9i's runs no product step
+        exact._map(gi("9"))
         steps, certified = [], []
         real_product, real_verify = exact._product, exact._verify_first_integral
         monkeypatch.setattr(exact, "_product", lambda *a: steps.append(a) or real_product(*a))
@@ -737,18 +801,21 @@ class TestMemos:
         assert steps == []
         p9, q9 = exact._map(gi("9"))
         assert (p, q) == (p9 * gi("-i"), q9)
-        assert gi("-9i") in certified  # the associate is certified too
+        assert certified == [gi("-9i")]  # the associate is certified too
 
-    def test_map_of_minus_3_minus_4i_reused_by_11_minus_2i(self, monkeypatch):
-        # 11-2i = (-1+2i) * (-3-4i): both factor maps are in the memo
+    def test_lambda_of_minus_3_minus_4i_reused_by_11_minus_2i(self, monkeypatch):
+        # 11-2i = (-1+2i) * (-3-4i): G of -3-4i and the map of -1+2i's
+        # first-quadrant associate 2+i are in the memos, so 11-2i builds no map
         lemnatomic_exact(gi("-3-4i"))
-        hits = exact._map.cache_info().hits
+        poly_hits, map_info = exact._lemnatomic_poly.cache_info().hits, exact._map.cache_info()
         steps = []
         real = exact._product
         monkeypatch.setattr(exact, "_product", lambda *a: steps.append(a) or real(*a))
         lemnatomic_exact(gi("11-2i"))
         assert steps == []
-        assert exact._map.cache_info().hits >= hits + 2
+        assert exact._lemnatomic_poly.cache_info().hits == poly_hits + 1
+        assert exact._map.cache_info().hits == map_info.hits + 1
+        assert exact._map.cache_info().misses == map_info.misses
 
 
 def test_exact_route_reaches_norm_269():
@@ -765,7 +832,7 @@ def test_exact_route_reaches_norm_269():
 
 
 # Record checksums of the numeric route, which shares no code with the
-# exact route's product formula, composition or certificate
+# exact route's product formula, composite step or certificate
 NUMERIC_CHECKSUMS = {
     "33": "20201a426f4082fa0feb055eda78ed6013554375ac6ee34489da6f01e2e59f5a",
     "45": "f0d8319a79e19f6986736105bb8b15f7c616490439873b7d7c8937f3b046dd8c",
@@ -775,15 +842,16 @@ NUMERIC_CHECKSUMS = {
 
 
 def test_exact_33_by_composition_matches_the_numeric_route():
-    """33 = -3 * -11 (N = 1089) is R_-3 composed with R_-11."""
+    """33 = -3 * -11 (N = 1089): G_-3 homogenised at -11's map, divided by
+    G_-3."""
     assert lemnatomic_exact(gi("33")).checksum == NUMERIC_CHECKSUMS["33"]
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("b", ["45", "-31"])
 def test_exact_matches_the_numeric_route_at_large_norm(b):
-    """45 (N = 2025) composes four prime maps and divides P~ by the G_d of
-    its 10 other divisors, the longest chain in t; -31 (N = 961) is prime,
+    """45 = (-3)^2 (-1+2i)(-1-2i) (N = 2025) takes three composite steps,
+    through 5 and -15, at the maps of -1+2i and of -3 twice; -31 (N = 961) is prime,
     so it comes from the product formula on -15 and -16, each certified."""
     beta = gi(b)
     numeric, _ = lemnatomic_numeric(beta, 256)

@@ -360,6 +360,26 @@ class TestParseFormat:
             parse_gauss(bad)
         assert err.value.position >= 0
 
+    @pytest.mark.parametrize("form, position", [("{}", 0), ("-{}", 0), ("{}i", 0), ("1-{}i", 1)])
+    def test_a_part_past_the_int_digit_limit_is_a_parse_error(self, form, position):
+        # the interpreter refuses to convert longer digit strings to an int;
+        # the limit itself is left as it is
+        limit = sys.get_int_max_str_digits()
+        if not limit:
+            pytest.skip("no int digit limit in this interpreter")
+        digits = "1" * (limit + 1)
+        with pytest.raises(ParseError, match=f"{limit + 1} digits") as err:
+            parse_gauss(form.format(digits))
+        assert err.value.position == position  # where the part, sign included, starts
+        assert sys.get_int_max_str_digits() == limit
+        assert parse_gauss(form.format("1" * limit)) == parse_gauss(form.format(digits[1:]))
+
+    @pytest.mark.parametrize("bad", ["\u0661\u0663", "\uff11\uff13", "3+\u0662i", "\u0967i"])
+    def test_non_ascii_digits_are_rejected(self, bad):
+        # Arabic-Indic, fullwidth and Devanagari digits, which int() would read
+        with pytest.raises(ParseError, match="invalid character"):
+            parse_gauss(bad)
+
 
 class TestExactDiv:
     def test_exact(self):

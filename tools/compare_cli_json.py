@@ -17,10 +17,14 @@ nonzero imaginary parts) and on X^3 - 2; ``primary`` and ``factor`` run on 3i, -
 2+i and 45; ``lemnatomic BETA --method exact`` runs on
 the exact ladder of the benchmark plus 13, 17, -19, 29 (the product of the
 split primes 5 +/- 2i), 33, -31 (a prime whose halves recurse through even
-maps), 19+10i, 15, 21, 27 and 45, whose lemnatomic polynomials divide
-out chains of 8, 4, 4 and 12 divisors in t = X^4, and -43 (N = 1849, a
-prime whose map's certificate packs the widest slots, about 2 s); ``unitgroup``
-runs on the same beta (among them the inert prime power 27 and the mixed 45)
+maps), 19+10i, 15, 21, 27 and 45, which take 2, 1, 2 and 3 composite steps
+from a cofactor's polynomial at a prime map, -43 (N = 1849, a
+prime whose map's certificate packs the widest slots, about 2 s), 63 and 75
+(N = 3969 and 5625, about 9 and 27 s while each composite was one composed
+map), 5+10i = (-1+2i)(-1-2i)^2 (N = 125), one step with a division by the
+cofactor's polynomial and one, at -1-2i, without, and 15+6i, the inert
+prime 3 times a split one (N = 261); ``unitgroup``
+runs on the same beta up to -43 (among them the inert prime power 27 and the mixed 45)
 plus -7, 63 and 125.
 The product formula's unreduced pair can share a factor
 (t - 1)^a (t + 1)^b, which the exact route strips: t^2 - 1 under -19, and
@@ -40,11 +44,11 @@ rational beta, and on -43, accepted at 1024 bits after two escalations
 ``lemnatomic BETA --method exact --cache-dir DIR`` runs twice on -1+2i and
 -3-4i, a miss that writes the cache file and then a hit that reads it, and
 ``lemnatomic -3 --method both --cache-dir DIR`` once.
-All of these print JSON, 180 commands in all.  Seven commands that print
+All of these print JSON, 184 commands in all.  Seven commands that print
 a polynomial also run once in human form, the reports at the norm bound:
 ``lemnatomic -3``, ``scan-splitting``, ``semisplit``, ``prop2-evidence``
 and ``density`` on lemnatomic:-3, ``verify-theorem`` on X^2 - 105, and
-``reduce lemnatomic:-3-4i -7``.  That makes 187 commands.
+``reduce lemnatomic:-3-4i -7``.  That makes 191 commands.
 
 OLD_SRC and NEW_SRC are directories holding the ``lemnatomic`` package (the
 ``src`` directory of two checkouts).  Each command runs in a fresh
@@ -86,6 +90,7 @@ EXACT_BETAS = (
     "19+10i", "15", "21", "27", "45", "-43",
 )
 UNIT_GROUP_BETAS = EXACT_BETAS + ("-7", "63", "125")
+EXACT_COMPOSITES = ("63", "75", "5+10i", "15+6i")
 NUMERIC_BETAS = (
     "-1+2i", "-3", "-3-4i", "3-6i", "9", "-11", "11-2i", "13", "13+10i", "17", "-19", "21", "29", "-31",
     "37", "45", "-43",
@@ -114,7 +119,7 @@ def commands(max_norm: int) -> list:
         out += [[cmd, poly, pi, "--json"] for cmd in ("reduce", "split-test") for poly in SINGLE_POLYS]
         out += [["orbit-check", beta, pi, "--json"] for beta in ORBIT_BETAS]
     out += [[cmd, z, "--json"] for z in NORMALIZE_INPUTS for cmd in ("primary", "factor")]
-    out += [["lemnatomic", beta, "--method", "exact", "--json"] for beta in EXACT_BETAS]
+    out += [["lemnatomic", beta, "--method", "exact", "--json"] for beta in EXACT_BETAS + EXACT_COMPOSITES]
     out += [["unitgroup", beta, "--json"] for beta in UNIT_GROUP_BETAS]
     out += [["lemnatomic", beta, "--method", "numeric", "--json"] for beta in NUMERIC_BETAS]
     out += [["lemnatomic", beta, "--method", "both", "--json"] for beta in ("-3", "-19")]
