@@ -441,20 +441,11 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _escape_gauss_args(argv: list) -> list:
-    """Pad dash-leading Gaussian literals with a space so argparse reads them
-    as positionals (parse_gauss strips the padding)."""
-    out = []
-    for token in argv:
-        if token.startswith("-") and not token.startswith("--"):
-            try:
-                parse_gauss(token)
-            except InputError:
-                out.append(token)
-            else:
-                out.append(" " + token)
-            continue
-        out.append(token)
-    return out
+    """Pad every dash-leading token that is not an option (-h or --name) with
+    a space, so argparse reads it as a positional or an option's value and
+    leaves judging it to the handler: a malformed literal such as -2+x then
+    gets its own ParseError, not argparse's usage error."""
+    return [" " + t if t.startswith("-") and t != "-h" and not t.startswith("--") else t for t in argv]
 
 
 def dispatch(argv: list) -> int:
@@ -462,6 +453,9 @@ def dispatch(argv: list) -> int:
         args = _parser().parse_args(_escape_gauss_args(list(argv)))
     except SystemExit as exc:
         return 0 if not exc.code else 1
+    for name, value in vars(args).items():
+        if isinstance(value, str) and value.startswith(" -"):
+            setattr(args, name, value[1:])  # so a ParseError's position counts from the literal as typed
     try:
         return args.handler(args)
     except InputError as exc:

@@ -50,7 +50,6 @@ __all__ = [
     "PolyFq",
     "residue_field",
     "reduce_poly",
-    "poly_gcd",
     "squarefree",
     "splits_completely",
     "has_root",
@@ -85,12 +84,6 @@ class ResidueField:
 
     def one(self) -> Element:
         return 1 if self.degree == 1 else ONE
-
-    def reduce_gauss(self, z) -> Element:
-        z = as_gauss(z)
-        if self.degree == 1:
-            return (z.re + z.im * self.i_image) % self.p
-        return z % self.p
 
 
 def residue_field(pi) -> ResidueField:
@@ -360,15 +353,6 @@ def _deflate(q: int, terms) -> tuple:
     for j, c in terms:
         g[(j - k) // e] = c
     return k, tuple(g), e
-
-
-def poly_gcd(f: PolyFq, g: PolyFq) -> PolyFq:
-    """Monic gcd via Euclid."""
-    if f.field is not g.field and f.field != g.field:
-        raise InputError("gcd of polynomials over different fields")
-    if f.is_zero() and g.is_zero():
-        raise InputError("gcd(0, 0) is undefined")
-    return PolyFq(field=f.field, coeffs=_gcd(f.field.p, f.coeffs, g.coeffs))
 
 
 def squarefree(f: PolyFq) -> bool:

@@ -133,9 +133,6 @@ class UnitGroup:
     invariant_factors: tuple[int, ...]
     generators: tuple[GaussInt, ...]
 
-    def element_order(self, g: GaussIntLike) -> int:
-        return _order_of(self.ring, g, self.order)
-
 
 def _order_of(ring: ResidueRing, g: GaussIntLike, group_order: int) -> int:
     """The multiplicative order of the invertible class g mod ring.modulus,

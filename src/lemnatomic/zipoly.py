@@ -2,9 +2,10 @@
 
 Dense ascending-coefficient polynomials with GaussInt entries: ring
 arithmetic, formal derivative, evaluation, exact division by a monic
-divisor, a fraction-free resultant/discriminant, the JSON form
-{"coeffs": ["a+bi", ...]}, and to_json, the one encoder that writes every
-report, cache record and CLI payload on top of it.
+divisor, the resultant (by CRT over its images mod primes p = 1 mod 4) and
+the discriminant, the JSON form {"coeffs": ["a+bi", ...]}, and to_json, the
+one encoder that writes every report, cache record and CLI payload on top
+of it.
 
 Products go through one Kronecker product on (re, im) int lists,
 kronecker_mul, which PolyZi.__mul__ wraps; the slot packing, the complex
@@ -20,6 +21,10 @@ from typing import Iterable, Iterator, Union
 
 from .errors import InputError, NotDivisible, ParseError
 from .gaussint import GaussInt, GaussIntLike, GaussPrime, ZERO, ONE, as_gauss, format_gauss, parse_gauss
+from .gaussint import _is_rational_prime, _sqrt_minus_one
+
+# resultant's CRT primes are the primes p = 1 mod 4 taken downward from here
+_CRT_TOP = 1 << 62
 
 
 def _trim(coeffs: list[GaussInt]) -> tuple[GaussInt, ...]:
@@ -218,76 +223,73 @@ def exact_divide(f: PolyZi, g: PolyZi) -> PolyZi:
     return PolyZi(tuple(quotient))
 
 
-def _bareiss_det(matrix: list[list[GaussInt]]) -> GaussInt:
-    """Fraction-free determinant (Bareiss elimination with row pivoting).
-
-    Runs on parallel re/im int rows.  Every division by the previous pivot is
-    exact (Sylvester's identity); it is done inline as a product with the
-    conjugate over the norm, and a nonzero remainder raises InputError.
-    """
-    n = len(matrix)
-    if n == 0:
-        return ONE
-    re = [[c.re for c in row] for row in matrix]
-    im = [[c.im for c in row] for row in matrix]
-    sign = 1
-    ur, ui, norm = 1, 0, 1  # previous pivot and its norm
-    for k in range(n - 1):
-        if not (re[k][k] or im[k][k]):
-            for r in range(k + 1, n):
-                if re[r][k] or im[r][k]:
-                    re[k], re[r] = re[r], re[k]
-                    im[k], im[r] = im[r], im[k]
-                    sign = -sign
-                    break
-            else:
-                return ZERO
-        pr, pi = re[k][k], im[k][k]
-        top_re, top_im = re[k][k + 1 :], im[k][k + 1 :]
-        for i in range(k + 1, n):
-            ar, ai = re[i][k], im[i][k]
-            row_re, row_im = [], []
-            for xr, xi, yr, yi in zip(re[i][k + 1 :], im[i][k + 1 :], top_re, top_im):
-                # t = x * pivot - a * y, then t / prev
-                tr = xr * pr - xi * pi - ar * yr + ai * yi
-                ti = xr * pi + xi * pr - ar * yi - ai * yr
-                qr, rr = divmod(tr * ur + ti * ui, norm)
-                qi, ri = divmod(ti * ur - tr * ui, norm)
-                if rr or ri:
-                    raise InputError(f"{GaussInt(tr, ti)} is not divisible by {GaussInt(ur, ui)} in Z[i]")
-                row_re.append(qr)
-                row_im.append(qi)
-            re[i][k + 1 :], im[i][k + 1 :] = row_re, row_im
-        ur, ui, norm = pr, pi, pr * pr + pi * pi
-    det = GaussInt(re[n - 1][n - 1], im[n - 1][n - 1])
-    return det if sign == 1 else -det
-
-
 def resultant(f: PolyZi, g: PolyZi) -> GaussInt:
-    """Resultant of f and g via the Sylvester determinant, exact over Z[i]."""
+    """Res(f, g) for nonzero f and g over Z[i]: Collins' modular resultant
+    (J. ACM 18, 1971), exact.
+
+    For a prime p = 1 mod 4 with s^2 = -1 mod p, i -> s and i -> -s are the
+    two maps Z[i] -> F_p.  Where neither leading coefficient vanishes under
+    either map, each image of Res(f, g) is the resultant of the images of f
+    and g, r+ and r-, which Euclid over F_p finds; then Re Res = (r+ + r-)/2
+    and Im Res = (r+ - r-)/(2s) mod p.  Primes are taken downward from 2^62,
+    where _is_rational_prime is exact, and combined by CRT until their
+    product M has M^2 > 4 (sum N(f_k))^deg g (sum N(g_k))^deg f: that is
+    four times Hadamard's bound on |Res|^2, so |Re|, |Im| < M/2 and the
+    symmetric residues are the parts themselves.
+    """
     n, m = f.degree(), g.degree()
     if n < 0 or m < 0:
         raise InputError("resultant of the zero polynomial is undefined")
-    if n == 0:
-        return f.coeffs[0] ** m
-    if m == 0:
-        return g.coeffs[0] ** n
-    size = n + m
-    rows: list[list[GaussInt]] = []
-    fc = list(reversed(f.coeffs))
-    gc = list(reversed(g.coeffs))
-    for k in range(m):
-        rows.append([ZERO] * k + fc + [ZERO] * (size - k - n - 1))
-    for k in range(n):
-        rows.append([ZERO] * k + gc + [ZERO] * (size - k - m - 1))
-    return _bareiss_det(rows)
+    bound = 4 * sum(c.norm() for c in f.coeffs) ** m * sum(c.norm() for c in g.coeffs) ** n
+    re = im = 0
+    modulus = 1
+    for p in range(_CRT_TOP - 3, 0, -4):
+        if modulus * modulus > bound:
+            break
+        if not _is_rational_prime(p):
+            continue
+        s = _sqrt_minus_one(p)
+        images = [[[(c.re + t * c.im) % p for c in h.coeffs] for h in (f, g)] for t in (s, p - s)]
+        if not all(a[-1] and b[-1] for a, b in images):
+            continue
+        r_plus, r_minus = (_resultant_mod(a, b, p) for a, b in images)
+        half = (p + 1) // 2  # 1/2 mod p, and 1/(2s) = -s/2
+        inv = pow(modulus, -1, p)
+        re += modulus * (((r_plus + r_minus) * half - re) * inv % p)
+        im += modulus * (((r_minus - r_plus) * half * s - im) * inv % p)
+        modulus *= p
+    return GaussInt(re - modulus if 2 * re > modulus else re, im - modulus if 2 * im > modulus else im)
+
+
+def _resultant_mod(a: list[int], b: list[int], p: int) -> int:
+    """Res(a, b) mod p for ascending coefficient lists over F_p with nonzero
+    leading coefficients, by Euclid: with a = q b + r, deg a = n, deg b = m
+    and deg r = k, Res(a, b) = (-1)^(nm) lc(b)^(n - k) Res(b, r), and
+    Res(a, c) = c^n for a constant c.  Res(a, b) = 0 once r = 0."""
+    res = 1
+    while len(b) > 1:
+        n, m = len(a) - 1, len(b) - 1
+        inv = pow(b[-1], -1, p)
+        r = a[:]
+        while len(r) > m:
+            q = r.pop() * inv % p
+            if q:
+                k = len(r) - m
+                r[k:] = [(x - q * y) % p for x, y in zip(r[k:], b)]
+        while r and not r[-1]:
+            r.pop()
+        if not r:
+            return 0
+        res = res * pow(b[-1], n - len(r) + 1, p) * (-1) ** (n * m) % p
+        a, b = b, r
+    return res * pow(b[0], len(a) - 1, p) % p
 
 
 def discriminant(f: PolyZi) -> GaussInt:
     """disc(f) = (-1)^(n(n-1)/2) * Res(f, f') for monic f of degree n >= 1.
 
     f is deflated first: f = X^k * G(X^d) with G(0) != 0 and d the gcd of
-    the exponents of f / X^k, and the one Sylvester resultant runs on G.
+    the exponents of f / X^k, and the one resultant runs on G.
     For monic F, Res(F, F') is the product of F'(x) over the roots x of F.
 
       k >= 2:  X^2 divides f, so disc(f) = 0.
@@ -301,7 +303,7 @@ def discriminant(f: PolyZi) -> GaussInt:
 
     d = 1 is the plain Res(f, f').  Every lemnatomic polynomial lies in
     Z[i][X^4] with a nonzero constant term, so its G has a quarter of the
-    degree and the Sylvester matrix a sixteenth of the entries.
+    degree, and each Euclid over F_p a sixteenth of the steps.
     """
     if not f.is_monic():
         raise InputError("discriminant requires a monic polynomial")

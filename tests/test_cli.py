@@ -49,6 +49,28 @@ class TestGaussCommands:
         assert code == 1
         assert "error:" in err
 
+    def test_dash_leading_bad_literal_gets_its_own_parse_error(self, capsys):
+        # the handler, not argparse, judges the literal; the position counts
+        # from the literal as typed, not from the padding argparse needs
+        code, out, err = run(capsys, "factor", "-2+x")
+        assert (code, out) == (1, "")
+        assert err == "error: invalid character 'x' in Gaussian literal (at position 3)\n"
+
+    def test_dash_leading_literal_past_the_int_digit_limit_is_an_error_line(self, capsys):
+        digits = "1" * (sys.get_int_max_str_digits() or 4300) * 2
+        code, out, err = run(capsys, "factor", f"-{digits}i")
+        assert (code, out) == (1, "")
+        assert err == f"error: a part of {len(digits)} digits is too long for int() (at position 0)\n"
+
+    def test_dash_leading_literals_and_option_values_still_parse(self, capsys):
+        code, data, _ = run_json(capsys, "factor", "-3-4i")
+        assert (code, data["unit"], data["factors"]) == (0, "1", [["-1+2i", 2]])
+        code, data, _ = run_json(capsys, "primary", "-i")
+        assert (code, data["input"], data["primary"]) == (0, "-i", "1")
+        # a negative bound reaches the handler, which rejects it
+        code, out, err = run(capsys, "primes", "--max-norm", "-5")
+        assert (code, out, err) == (1, "", "error: bound must be at least 2\n")
+
     def test_factor_past_the_int_digit_limit_is_an_error_line(self, capsys):
         code, out, err = run(capsys, "factor", "1" * (sys.get_int_max_str_digits() or 4300) * 2)
         assert (code, out) == (1, "")

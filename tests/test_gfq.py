@@ -18,14 +18,13 @@ from lemnatomic.gfq import (
     _power,
     factor_degrees,
     has_root,
-    poly_gcd,
     reduce_poly,
     residue_field,
     root_status,
     splits_completely,
     squarefree,
 )
-from lemnatomic.residue import class_of, residue_ring, unit_group
+from lemnatomic.residue import _order_of, class_of, residue_ring, unit_group
 from lemnatomic.zipoly import PolyZi, poly
 
 # split primes p = 1 mod 4: small, near the scan bound 3e4, and above 2^61
@@ -114,18 +113,12 @@ class TestGcdSquarefree:
     def test_gcd_example(self):
         f = reduce_poly(poly([-1, 0, 1]), gi("-1+2i"))
         g = reduce_poly(poly([-1, 1]), gi("-1+2i"))
-        got = poly_gcd(f, g)
-        assert got == reduce_poly(poly([-1, 1]), gi("-1+2i"))
+        assert _gcd(f.field.p, f.coeffs, g.coeffs) == reduce_poly(poly([-1, 1]), gi("-1+2i")).coeffs
 
     def test_squarefree_examples(self):
         sq = poly([-1, 1]) * poly([-1, 1])
         assert not squarefree(reduce_poly(sq, gi("-1+2i")))
         assert squarefree(reduce_poly(poly([1, 0, 1]), gi("-1+2i")))
-
-    def test_gcd_both_zero_rejected(self):
-        z = reduce_poly(poly([]), gi("-3"))
-        with pytest.raises(InputError):
-            poly_gcd(z, z)
 
 
 class TestSplitsCompletely:
@@ -357,7 +350,7 @@ class TestPackedKernel:
         for pi in primes_up_to_norm(400):
             if divides(pi.value, beta):
                 continue
-            order = group.element_order(class_of(pi.value, group.ring, "primary"))
+            order = _order_of(group.ring, class_of(pi.value, group.ring, "primary"), group.order)
             assert factor_degrees(reduce_poly(h, pi)) == (order,) * (20 // order), pi
             seen.add((pi.kind, order))
         # the orders reached: every divisor of 20 at split primes, four of them at inert ones
@@ -535,7 +528,7 @@ def squarefree_reference(f):
     d = PolyFq.make(field, [k * c % field.p for k, c in enumerate(f.coeffs)][1:])
     if d.is_zero():
         return f.degree() <= 0
-    return poly_gcd(f, d).degree() == 0
+    return len(_gcd(field.p, f.coeffs, d.coeffs)) == 1
 
 
 def check_against_oracles(f):

@@ -1,6 +1,10 @@
 """Exact Z[i] polynomials: arithmetic, discriminant/resultant, exact division,
-JSON round-trips, the JSON encoder, and the discriminant-vs-squarefree bridge."""
+JSON round-trips, the JSON encoder, and the discriminant-vs-squarefree bridge.
 
+The resultant's independent reference lives here: the Sylvester matrix and
+a Bareiss determinant over Z[i], itself checked against cofactor expansion."""
+
+import hashlib
 from dataclasses import dataclass
 
 import pytest
@@ -8,12 +12,18 @@ import pytest
 from conftest import gi
 from lemnatomic.errors import InputError, NotDivisible, ParseError
 from lemnatomic.exact import lemnatomic_exact
-from lemnatomic.gaussint import GaussInt
+from lemnatomic import zipoly
+from lemnatomic.gaussint import (
+    GaussInt,
+    GaussPrime,
+    _is_rational_prime,
+    _sqrt_minus_one,
+    divides,
+    primes_up_to_norm,
+)
 from lemnatomic.gfq import reduce_poly, squarefree
-from lemnatomic.gaussint import GaussPrime, primes_up_to_norm
 from lemnatomic.zipoly import (
     PolyZi,
-    _bareiss_det,
     discriminant,
     exact_divide,
     from_json_dict,
@@ -251,10 +261,61 @@ class TestDiscriminant:
                 continue
             d = discriminant(f)
             for pi in primes:
-                fbar = reduce_poly(f, pi.value)
-                r = d  # disc in Z[i]; divisibility by pi
-                field = fbar.field
-                assert (field.reduce_gauss(r) == field.zero()) == (not squarefree(fbar))
+                assert divides(pi.value, d) == (not squarefree(reduce_poly(f, pi.value)))
+
+
+def bareiss_det(matrix: list) -> GaussInt:
+    """Fraction-free determinant (Bareiss elimination with row pivoting).
+
+    Runs on parallel re/im int rows.  Every division by the previous pivot is
+    exact (Sylvester's identity); it is done inline as a product with the
+    conjugate over the norm, and the remainder is asserted zero.
+    """
+    n = len(matrix)
+    if n == 0:
+        return GaussInt(1, 0)
+    re = [[c.re for c in row] for row in matrix]
+    im = [[c.im for c in row] for row in matrix]
+    sign = 1
+    ur, ui, norm = 1, 0, 1  # previous pivot and its norm
+    for k in range(n - 1):
+        if not (re[k][k] or im[k][k]):
+            for r in range(k + 1, n):
+                if re[r][k] or im[r][k]:
+                    re[k], re[r] = re[r], re[k]
+                    im[k], im[r] = im[r], im[k]
+                    sign = -sign
+                    break
+            else:
+                return GaussInt(0, 0)
+        pr, pi = re[k][k], im[k][k]
+        top_re, top_im = re[k][k + 1 :], im[k][k + 1 :]
+        for i in range(k + 1, n):
+            ar, ai = re[i][k], im[i][k]
+            row_re, row_im = [], []
+            for xr, xi, yr, yi in zip(re[i][k + 1 :], im[i][k + 1 :], top_re, top_im):
+                # t = x * pivot - a * y, then t / prev
+                tr = xr * pr - xi * pi - ar * yr + ai * yi
+                ti = xr * pi + xi * pr - ar * yi - ai * yr
+                qr, rr = divmod(tr * ur + ti * ui, norm)
+                qi, ri = divmod(ti * ur - tr * ui, norm)
+                assert not (rr or ri), "a Bareiss division left a remainder"
+                row_re.append(qr)
+                row_im.append(qi)
+            re[i][k + 1 :], im[i][k + 1 :] = row_re, row_im
+        ur, ui, norm = pr, pi, pr * pr + pi * pi
+    det = GaussInt(re[n - 1][n - 1], im[n - 1][n - 1])
+    return det if sign == 1 else -det
+
+
+def sylvester_resultant(f: PolyZi, g: PolyZi) -> GaussInt:
+    """Res(f, g) as the determinant of the Sylvester matrix of f and g."""
+    n, m = f.degree(), g.degree()
+    fc, gc = list(reversed(f.coeffs)), list(reversed(g.coeffs))
+    zero = GaussInt(0, 0)
+    rows = [[zero] * k + fc + [zero] * (m - 1 - k) for k in range(m)]
+    rows += [[zero] * k + gc + [zero] * (n - 1 - k) for k in range(n)]
+    return bareiss_det(rows)
 
 
 def sylvester_disc(f: PolyZi) -> GaussInt:
@@ -262,7 +323,7 @@ def sylvester_disc(f: PolyZi) -> GaussInt:
     n = f.degree()
     if n == 1:
         return GaussInt(1, 0)
-    res = resultant(f, f.derivative())
+    res = sylvester_resultant(f, f.derivative())
     return res if (n * (n - 1) // 2) % 2 == 0 else -res
 
 
@@ -271,6 +332,123 @@ def test_disc_of_lambda_minus_11_equals_the_sylvester_value():
     """Lambda_-11 has degree 120: its Sylvester matrix is 239 x 239."""
     h = lemnatomic_exact(gi("-11")).coefficients
     assert discriminant(h) == sylvester_disc(h)
+
+
+def gauss_digest(z: GaussInt) -> str:
+    """The first 16 hex digits of sha256(re + b"," + im), each part as signed
+    little-endian bytes."""
+
+    def signed(n: int) -> bytes:
+        return n.to_bytes((n.bit_length() + 8) // 8, "little", signed=True)
+
+    return hashlib.sha256(signed(z.re) + b"," + signed(z.im)).hexdigest()[:16]
+
+
+# disc(Lambda_beta) as computed by the Sylvester-matrix Bareiss determinant
+# (the resultant before the modular one), frozen as digests
+DISC_DIGESTS = {
+    "-1+2i": "51722436c11f4941",
+    "-3": "a2b56648f90fd671",
+    "-3-4i": "378e11b3b7739c1e",
+    "3-6i": "bbe6e3cca96c0dc1",
+    "9": "524f58687ff64b60",
+    "-11": "79c8f6ec9db4887b",
+    "11-2i": "3711ea85b7192a0a",
+    "13": "ae3d85dcaa25d19e",
+}
+SLOW_DISC_DIGESTS = {
+    "17": "4ffda196f5c1ef58",
+    "13+10i": "1255a125d02c0534",
+    "-19": "c93901167862bd69",
+}
+
+
+@pytest.mark.parametrize("b", DISC_DIGESTS)
+def test_lemnatomic_disc_is_the_frozen_value(b):
+    assert gauss_digest(discriminant(lemnatomic_exact(gi(b)).coefficients)) == DISC_DIGESTS[b]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("b", SLOW_DISC_DIGESTS)
+def test_lemnatomic_disc_is_the_frozen_value_past_degree_250(b):
+    assert gauss_digest(discriminant(lemnatomic_exact(gi(b)).coefficients)) == SLOW_DISC_DIGESTS[b]
+
+
+def rand_big_poly(rng, degree, bits):
+    """A degree-exact polynomial with parts below 2^bits in absolute value."""
+    span = 1 << bits
+    coeffs = [GaussInt(rng.randint(-span, span), rng.randint(-span, span)) for _ in range(degree + 1)]
+    return PolyZi.make(coeffs[:-1] + [coeffs[-1] if not coeffs[-1].is_zero() else GaussInt(1, 1)])
+
+
+class TestResultant:
+    """The modular resultant against the Sylvester reference."""
+
+    def test_random_pairs(self, rng):
+        for _ in range(150):
+            f, g = rand_poly(rng, 7, 9), rand_poly(rng, 7, 9)
+            if not (f.is_zero() or g.is_zero()):
+                assert resultant(f, g) == sylvester_resultant(f, g), (f, g)
+
+    def test_zero_resultant_from_a_common_factor(self, rng):
+        for _ in range(40):
+            f, h = rand_big_poly(rng, rng.randint(1, 5), 6), rand_big_poly(rng, rng.randint(0, 3), 6)
+            assert resultant(f, f * h) == GaussInt(0, 0) == sylvester_resultant(f, f * h)
+            assert resultant(f * h, f) == GaussInt(0, 0)
+
+    def test_nonmonic(self, rng):
+        for _ in range(40):
+            f = rand_big_poly(rng, rng.randint(1, 6), 5) * gi("3-2i")
+            g = rand_big_poly(rng, rng.randint(1, 6), 5)
+            assert not f.is_monic()
+            assert resultant(f, g) == sylvester_resultant(f, g)
+            assert resultant(g, f) == sylvester_resultant(g, f)
+
+    def test_degree_zero(self, rng):
+        c, d = gi("3-7i"), gi("-2+i")
+        assert resultant(poly([c]), poly([d])) == GaussInt(1, 0)
+        for _ in range(20):
+            g = rand_big_poly(rng, rng.randint(1, 6), 8)
+            m = g.degree()
+            assert resultant(poly([c]), g) == c**m == sylvester_resultant(poly([c]), g)
+            assert resultant(g, poly([c])) == c**m == sylvester_resultant(g, poly([c]))
+
+    def test_coefficients_past_two_to_the_ninety(self, rng):
+        for _ in range(20):
+            f, g = rand_big_poly(rng, rng.randint(1, 6), 95), rand_big_poly(rng, rng.randint(1, 6), 95)
+            assert resultant(f, g) == sylvester_resultant(f, g)
+
+    def test_leading_coefficient_divisible_by_many_small_primes(self, rng):
+        lead = GaussInt(1, 0)
+        for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
+            lead = lead * q
+        lead = lead * gi("1+i") ** 5
+        for _ in range(10):
+            f = PolyZi.make(list(rand_big_poly(rng, rng.randint(1, 5), 10).coeffs[:-1]) + [lead])
+            g = rand_big_poly(rng, rng.randint(1, 5), 10)
+            assert resultant(f, g) == sylvester_resultant(f, g)
+
+    def test_a_leading_coefficient_that_vanishes_mod_the_first_prime(self, rng, monkeypatch):
+        # lc = s0 - i vanishes under i -> s0 modulo the first CRT prime p0,
+        # so p0 must be skipped, and the value still equal the reference
+        p0 = next(p for p in range(zipoly._CRT_TOP - 3, 0, -4) if _is_rational_prime(p))
+        s0 = _sqrt_minus_one(p0)
+        used = []
+        real = zipoly._resultant_mod
+        monkeypatch.setattr(zipoly, "_resultant_mod", lambda a, b, p: used.append(p) or real(a, b, p))
+        for _ in range(10):
+            f = PolyZi.make(list(rand_big_poly(rng, rng.randint(1, 5), 10).coeffs[:-1]) + [GaussInt(s0, -1)])
+            g = rand_big_poly(rng, rng.randint(1, 5), 10)
+            assert resultant(f, g) == sylvester_resultant(f, g)
+            assert resultant(g, f) == sylvester_resultant(g, f)
+        assert used and p0 not in used
+        used.clear()
+        resultant(poly([1, 1]), poly([2, 1]))
+        assert used[:2] == [p0, p0]  # the skip is the leading coefficient's doing
+
+    def test_zero_polynomial_rejected(self):
+        with pytest.raises(InputError):
+            resultant(PolyZi(()), poly([1, 1]))
 
 
 def cofactor_det(m):
@@ -289,6 +467,8 @@ def gauss_matrix(rows):
 
 
 class TestBareissDet:
+    """The reference determinant against cofactor expansion."""
+
     def test_matches_cofactor_expansion(self, rng):
         for n in range(7):
             for _ in range(12):
@@ -300,7 +480,7 @@ class TestBareissDet:
                     ]
                     for _ in range(n)
                 ]
-                assert _bareiss_det(m) == cofactor_det(m), m
+                assert bareiss_det(m) == cofactor_det(m), m
 
     def test_zero_pivot_forces_a_row_swap(self):
         # first pivot zero, and after one step the second pivot is zero too
@@ -310,19 +490,19 @@ class TestBareissDet:
             [["1+i", "1+i", 0, 2], ["2", "2", "i", 1], [0, 3, 1, "-i"], [1, 0, "2-i", 0]],
         ):
             m = gauss_matrix(rows)
-            assert _bareiss_det(m) == cofactor_det(m) != GaussInt(0, 0)
+            assert bareiss_det(m) == cofactor_det(m) != GaussInt(0, 0)
 
     def test_singular(self):
         r1 = [gi("1+2i"), gi("-3"), gi("i"), gi("4-i")]
         r2 = [gi("2"), gi("1-i"), gi("5"), gi("-2i")]
         r4 = [gi("7"), gi("0"), gi("1+i"), gi("3")]
         r3 = [gi("1+i") * x + y for x, y in zip(r1, r2)]
-        assert _bareiss_det([r1, r2, r3, r4]) == GaussInt(0, 0)
+        assert bareiss_det([r1, r2, r3, r4]) == GaussInt(0, 0)
         # a zero column ends the elimination early
-        assert _bareiss_det(gauss_matrix([[0, 1], [0, "2+i"]])) == GaussInt(0, 0)
+        assert bareiss_det(gauss_matrix([[0, 1], [0, "2+i"]])) == GaussInt(0, 0)
 
     def test_empty_matrix(self):
-        assert _bareiss_det([]) == GaussInt(1, 0)
+        assert bareiss_det([]) == GaussInt(1, 0)
 
 
 class TestExactDivide:
