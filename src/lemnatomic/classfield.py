@@ -32,6 +32,14 @@ the status of a + bi, so a real h costs one power per rational prime.
 An inert prime -p hands the same entry h's terms reduced to GaussInts mod
 p, its residues in F_{p^2}, and builds no field object either.
 
+Each prime's status depends on that prime alone, so the root scan cuts the
+walk into contiguous ranges, one per CPU the process may run on and each of
+at least _RANGE_FLOOR primes.  Every range but the first runs in a worker
+process forked for that scan, which sends its status bytes back through a
+pipe while the parent works the first range; the bytes are joined in walk
+order, so they do not depend on the number of ranges.  No setting chooses
+the number of workers: it follows from the CPUs and the walk's length.
+
 Class computations default to primary normalization (classes of primes
 taken through their primary associates); raw mode, which reduces the
 first-quadrant associate exactly as written, is exposed for comparison and
@@ -45,6 +53,10 @@ classes' subgroup is one residue._closure (see _class_subgroup).
 
 from __future__ import annotations
 
+import os
+import signal
+import threading
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -237,26 +249,40 @@ def _scan(h: PolyZi, bound: int) -> bytes:
     """root_status of h mod pi for each odd primary prime pi of norm <= bound,
     in walk order, and _SKIP where pi divides disc(h).
 
-    h is monic with a nonzero discriminant.  pi | disc(h) is read as a zero
-    image of disc(h) in Z[i]/(pi).  A split prime a + bi (norm p) is worked
-    on ints alone: i maps to the image the walk stores beside the prime, and
-    only h's nonzero terms are reduced, once listed per scan; a term that
-    vanishes mod p is dropped, and gfq._root_status deflates what is left.
-    The two conjugate primes above p are adjacent in the walk, and a prime
-    whose reduced terms equal those of the split prime worked just before
-    it, of the same p, has the same h mod pi over the same F_p and reuses
-    its status byte: a real h costs one power per rational prime p.
-    An inert prime -p (norm p^2) reads pi | disc(h) as in _sweep and takes
-    the same entry at field degree 2, on the terms reduced to GaussInts mod
-    p.  Memoised on (h, bound), so the splitting and root reports on h share
-    one scan; bytes keep the memo small.
+    h is monic with a nonzero discriminant.  The walk is cut into contiguous
+    ranges, one per CPU this process may run on, each of at least
+    _RANGE_FLOOR primes, and _in_ranges runs _scan_range on each; the bytes
+    are joined in walk order, so they do not depend on the number of ranges.
+    Memoised on (h, bound), so the splitting and root reports on h share one
+    scan; bytes keep the memo small.
     """
     disc = _root_disc(h)
     walk = _odd_prime_walk(bound)
     terms = [(j, c.re, c.im) for j, c in enumerate(h.coeffs) if not c.is_zero()]
+    count = len(walk) // 4
+    ranges = max(1, min(_cpus(), count // _RANGE_FLOOR))
+    cuts = [count * k // ranges for k in range(ranges + 1)]
+    return _in_ranges(lambda lo, hi: _scan_range(disc, terms, walk, lo, hi), cuts)
+
+
+def _scan_range(disc: GaussInt, terms: list, walk, lo: int, hi: int) -> bytes:
+    """_scan's status bytes for the primes lo <= k < hi of the walk.
+
+    pi | disc(h) is read as a zero image of disc(h) in Z[i]/(pi).  A split
+    prime a + bi (norm p) is worked on ints alone: i maps to the image the
+    walk stores beside the prime, and only h's nonzero terms, (j, re, im),
+    are reduced; a term that vanishes mod p is dropped, and
+    gfq._root_status deflates what is left.  The two conjugate primes above
+    p are adjacent in the walk, and a prime whose reduced terms equal those
+    of the split prime worked just before it, of the same p, has the same h
+    mod pi over the same F_p and reuses its status byte: a real h costs one
+    power per rational prime p.  An inert prime -p (norm p^2) reads
+    pi | disc(h) as in _sweep and takes the same entry at field degree 2,
+    on the terms reduced to GaussInts mod p.
+    """
     out = bytearray()
     last_p = last_terms = last = None  # the split prime last worked
-    for a, b, p, i in zip(walk[::4], walk[1::4], walk[2::4], walk[3::4]):
+    for a, b, p, i in zip(*(walk[4 * lo + k : 4 * hi : 4] for k in range(4))):
         if b:
             if (disc.re + disc.im * i) % p:
                 reduced = [(j, c) for j, x, y in terms if (c := (x + y * i) % p)]
@@ -271,6 +297,101 @@ def _scan(h: PolyZi, bound: int) -> bytes:
         else:
             out.append(_SKIP)
     return bytes(out)
+
+
+# -- the root scan's ranges in forked workers ------------------------------------
+
+# Fewest primes in one range of the root scan.  A fork round trip costs about
+# 2.4 ms and a split prime 15 to 45 us (Lambda_-3 to Lambda_-3-4i), so a range
+# of this size is several times its fork, and walks to norm 3000 (430 primes)
+# stay in one range whatever the number of CPUs.
+_RANGE_FLOOR = 1024
+_ORPHAN_CHECK_S = 0.1  # how often a worker looks whether its parent is gone
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _in_ranges(work, cuts: list) -> bytes:
+    """work(cuts[k], cuts[k + 1]) for every k, joined in order.
+
+    Every range but the first runs in a child made by os.fork, which sends
+    its bytes through a pipe and leaves by os._exit; the parent works the
+    first range meanwhile, then reads and reaps the children in order.  The
+    parent forks only where os.fork exists and it runs a single thread, and
+    works a range itself where the fork fails, the child exits non-zero or
+    sends the wrong number of bytes, so an exception raised by work comes
+    out of the parent with its own type.  Children not yet reaped when the
+    parent leaves, by return or by exception, are killed and reaped.
+    """
+    children = {}  # range index -> (pid, read end of its pipe), not yet reaped
+    try:
+        if hasattr(os, "fork") and threading.active_count() == 1:
+            for k in range(1, len(cuts) - 1):
+                try:
+                    children[k] = _fork(work, cuts[k], cuts[k + 1], [fd for _, fd in children.values()])
+                except OSError:
+                    break  # the parent works the ranges left
+        parts = [work(cuts[0], cuts[1])]
+        for k in range(1, len(cuts) - 1):
+            part = None
+            if k in children:
+                pid, fd = children[k]
+                with open(fd, "rb", closefd=False) as pipe:
+                    part = pipe.read()
+                status = os.waitpid(pid, 0)[1]
+                del children[k]
+                os.close(fd)
+                if os.waitstatus_to_exitcode(status) or len(part) != cuts[k + 1] - cuts[k]:
+                    part = None
+            parts.append(work(cuts[k], cuts[k + 1]) if part is None else part)
+        return b"".join(parts)
+    finally:
+        for pid, fd in children.values():
+            os.close(fd)
+            with suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            with suppress(ChildProcessError):
+                os.waitpid(pid, 0)
+
+
+def _fork(work, lo: int, hi: int, inherited: list) -> tuple:
+    """(pid, read end of its pipe) of a child that writes work(lo, hi) to the
+    pipe and exits 0, or exits 1 on any exception or once the parent is
+    gone.  inherited are the read ends of earlier children, which the child
+    closes."""
+    fd, child_fd = os.pipe()
+    parent = os.getpid()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(fd)
+        os.close(child_fd)
+        raise
+    if pid:
+        os.close(child_fd)
+        return pid, fd
+    code = 1
+    try:
+        for other in (fd, *inherited):
+            os.close(other)
+
+        def stop_if_orphaned(*_):
+            if os.getppid() != parent:
+                os._exit(1)
+
+        signal.signal(signal.SIGALRM, stop_if_orphaned)
+        signal.setitimer(signal.ITIMER_REAL, _ORPHAN_CHECK_S, _ORPHAN_CHECK_S)
+        with open(child_fd, "wb") as pipe:
+            pipe.write(work(lo, hi))
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _sweep(h: PolyZi, bound: int, modulus: GaussInt) -> bytes:

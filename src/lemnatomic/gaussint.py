@@ -409,13 +409,21 @@ def factor(z: GaussIntLike) -> tuple[GaussInt, list[tuple[GaussPrime, int]]]:
 
 
 def odd_part(z: GaussIntLike) -> GaussInt:
-    """z with all 1+i factors removed (an odd Gaussian integer, or a unit)."""
+    """z with all 1+i factors removed (an odd Gaussian integer, or a unit).
+
+    (1+i)^2 = 2i, so with v the lesser 2-adic valuation of re and im,
+    z / (1+i)^(2v) = (-i)^v * z / 2^v; one 1+i is left exactly when both
+    parts of z / 2^v are odd.
+    """
     z = as_gauss(z)
     if z.is_zero():
         raise InputError("0 has no odd part")
-    while not z.is_odd():
-        z = exact_div(z, ONE_PLUS_I)
-    return z
+    v = min((x & -x).bit_length() - 1 for x in (z.re, z.im) if x)
+    re, im = z.re >> v, z.im >> v
+    for _ in range(v % 4):
+        re, im = im, -re  # times -i
+    z = GaussInt(re, im)
+    return z if z.is_odd() else exact_div(z, ONE_PLUS_I)
 
 
 def _rational_primes_up_to(bound: int) -> Iterator[int]:

@@ -4,6 +4,8 @@ congruence-obstruction witness search, and density reports."""
 
 import hashlib
 import json
+import os
+import time
 from math import isqrt
 
 import pytest
@@ -29,6 +31,7 @@ from lemnatomic.errors import InputError, InternalInconsistency
 from lemnatomic.exact import lemnatomic_exact
 from lemnatomic.gaussint import (
     GaussInt,
+    _odd_prime_walk,
     canonical_associate,
     divides,
     factor,
@@ -75,6 +78,23 @@ def odd_primaries(bound: int):
     return primes_up_to_norm(bound, odd_only=True)
 
 
+def assert_splitting_law(text: str, bound: int):
+    """The split primes of Lambda_beta are exactly those whose primary value
+    is 1 modulo 2*(1+i)*beta, checked as an iff over the scan, and the primes
+    skipped for dividing the discriminant are exactly beta's primary prime
+    factors."""
+    beta = gi(text)
+    conductor = gi("2") * gi("1+i") * beta
+    report = splitting_primes(lam(text), bound)
+    assert {pi.value for pi in report.skipped} == {pi.value for pi, _ in factor(beta)[1]}
+    split = {pi.value for pi in report.primes}
+    for pi in odd_primaries(bound):
+        if divides(pi.value, beta):
+            continue
+        expected = divides(conductor, pi.value - gi("1"))
+        assert (pi.value in split) == expected, (text, pi.value)
+
+
 class TestSplittingPrimes:
     def test_x_squared_plus_one_splits_everywhere(self):
         report = splitting_primes(X_SQ_PLUS_1, 300)
@@ -86,25 +106,14 @@ class TestSplittingPrimes:
         assert [pi.value for pi in report.primes] == [pi.value for pi in odd_primaries(300)]
 
     def test_lemnatomic_splitting_law(self):
-        # The split primes of Lambda_beta are exactly those whose primary
-        # value is 1 modulo 2*(1+i)*beta, checked as an iff over the scan, and
-        # the primes skipped for dividing the discriminant are exactly beta's
-        # primary prime factors.  Prime, prime-power and composite beta, one
-        # of them (5+2i) not primary.
-        primes = odd_primaries(20000)
+        # Prime, prime-power and composite beta, one of them (5+2i) not primary
         for text in ("-3", "-3-4i", "-1+2i", "3-6i", "9", "-11", "5+2i"):
-            beta = gi(text)
-            conductor = gi("2") * gi("1+i") * beta
-            report = splitting_primes(lam(text), 20000)
-            assert {pi.value for pi in report.skipped} == {
-                pi.value for pi, _ in factor(beta)[1]
-            }
-            split = {pi.value for pi in report.primes}
-            for pi in primes:
-                if divides(pi.value, beta):
-                    continue
-                expected = divides(conductor, pi.value - gi("1"))
-                assert (pi.value in split) == expected, (text, pi.value)
+            assert_splitting_law(text, 20000)
+
+    @pytest.mark.slow
+    def test_lemnatomic_splitting_law_at_norm_a_million(self):
+        # 78 437 primes: the root scan runs in as many ranges as there are CPUs
+        assert_splitting_law("-3-4i", 10**6)
 
     def test_every_listed_prime_actually_splits(self):
         h = lam("-3")
@@ -663,6 +672,203 @@ class TestSharedScan:
             status = root_status(f)
             assert (status == SPLITS) == splits_completely(f), pi
             assert (status >= ROOT) == has_root(f), pi
+
+
+SPLIT_BOUND = 3000  # 430 primes: three ranges of at least SPLIT_FLOOR
+
+
+SPLIT_FLOOR = 100
+
+
+class RangeFailure(Exception):
+    """Raised inside a range of the root scan by the tests below."""
+
+
+@pytest.fixture
+def split_scan(monkeypatch):
+    """Root scans cut into three ranges, two of them in forked children, at
+    norm SPLIT_BOUND on any host; yields the pids the parent forked."""
+    monkeypatch.setattr(classfield, "_RANGE_FLOOR", SPLIT_FLOOR)
+    monkeypatch.setattr(classfield, "_cpus", lambda: 3)
+    forks, real = [], os.fork
+
+    def fork():
+        pid = real()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    classfield._scan.cache_clear()
+    yield forks
+    classfield._scan.cache_clear()
+
+
+def one_range_scan(h, bound):
+    """The root scan as a single range, outside the memo."""
+    disc = classfield._root_disc(h)
+    walk = _odd_prime_walk(bound)
+    terms = [(j, c.re, c.im) for j, c in enumerate(h.coeffs) if not c.is_zero()]
+    return classfield._scan_range(disc, terms, walk, 0, len(walk) // 4)
+
+
+def range_cuts(bound):
+    count = len(_odd_prime_walk(bound)) // 4
+    return [count * k // 3 for k in range(4)]
+
+
+def patch_range(monkeypatch, replace):
+    """Route every range of the root scan through replace(in_child, lo, hi,
+    work), where work() computes the range."""
+    parent, real = os.getpid(), classfield._scan_range
+
+    def wrapped(disc, terms, walk, lo, hi):
+        return replace(os.getpid() != parent, lo, hi, lambda: real(disc, terms, walk, lo, hi))
+
+    monkeypatch.setattr(classfield, "_scan_range", wrapped)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+SPLIT_POLYS = {"-3": lam("-3"), "-3-4i": lam("-3-4i"), "X^8+(4+i)X^4+1": LOSES_X4_AT_1_MINUS_4I}
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the root scan splits only where os.fork exists")
+class TestSplitScan:
+    @pytest.mark.parametrize("name", SPLIT_POLYS)
+    def test_split_scan_is_byte_identical_to_one_range(self, name, split_scan):
+        h = SPLIT_POLYS[name]
+        assert classfield._scan(h, SPLIT_BOUND) == one_range_scan(h, SPLIT_BOUND)
+        assert len(split_scan) == 2
+        assert_no_child_left()
+
+    def test_a_cut_falls_between_conjugate_primes(self):
+        # Lambda_-3 is real: the second range starts at the conjugate of the
+        # prime its first range ends on, so neither reuses the other's power
+        walk = _odd_prime_walk(SPLIT_BOUND)
+        cut = range_cuts(SPLIT_BOUND)[2]
+        assert walk[4 * cut - 2] == walk[4 * cut + 2] and walk[4 * cut + 1]
+
+    def test_one_range_when_two_would_fall_below_the_floor(self, split_scan, monkeypatch):
+        count = len(_odd_prime_walk(SPLIT_BOUND)) // 4
+        monkeypatch.setattr(classfield, "_RANGE_FLOOR", count // 2 + 1)
+        assert classfield._scan(lam("-3"), SPLIT_BOUND) == one_range_scan(lam("-3"), SPLIT_BOUND)
+        assert split_scan == []
+
+    def test_failed_fork_is_scanned_in_the_parent(self, split_scan, monkeypatch):
+        def fork():
+            raise OSError("fork refused")
+
+        monkeypatch.setattr(os, "fork", fork)
+        h = lam("-3-4i")
+        assert classfield._scan(h, SPLIT_BOUND) == one_range_scan(h, SPLIT_BOUND)
+        assert_no_child_left()
+
+    def test_child_exiting_nonzero_is_rescanned_in_the_parent(self, split_scan, monkeypatch):
+        # the child sends as many bytes as its range holds, all wrong, then exits 3
+        parent, real_exit = os.getpid(), os._exit
+        monkeypatch.setattr(os, "_exit", lambda code: real_exit(code if os.getpid() == parent else 3))
+        in_parent = []
+
+        def replace(in_child, lo, hi, work):
+            if in_child:
+                return bytes(hi - lo)
+            in_parent.append(lo)
+            return work()
+
+        h = lam("-3-4i")
+        want = one_range_scan(h, SPLIT_BOUND)
+        patch_range(monkeypatch, replace)
+        assert classfield._scan(h, SPLIT_BOUND) == want
+        assert len(split_scan) == 2 and in_parent == range_cuts(SPLIT_BOUND)[:3]
+        assert_no_child_left()
+
+    def test_child_sending_too_few_bytes_is_rescanned_in_the_parent(self, split_scan, monkeypatch):
+        in_parent = []
+
+        def replace(in_child, lo, hi, work):
+            if in_child:
+                return work()[:-1]
+            in_parent.append(lo)
+            return work()
+
+        h = lam("-3")
+        want = one_range_scan(h, SPLIT_BOUND)
+        patch_range(monkeypatch, replace)
+        assert classfield._scan(h, SPLIT_BOUND) == want
+        assert len(split_scan) == 2 and in_parent == range_cuts(SPLIT_BOUND)[:3]
+        assert_no_child_left()
+
+    def test_exception_in_a_range_keeps_its_type(self, split_scan, monkeypatch):
+        last = range_cuts(SPLIT_BOUND)[2]
+
+        def replace(in_child, lo, hi, work):
+            if lo == last:
+                raise RangeFailure(f"range from {lo}")
+            return work()
+
+        patch_range(monkeypatch, replace)
+        with pytest.raises(RangeFailure, match=f"range from {last}"):
+            classfield._scan(lam("-3-4i"), SPLIT_BOUND)
+        assert len(split_scan) == 2
+        assert_no_child_left()
+
+    def test_interrupted_parent_leaves_no_child(self, split_scan, monkeypatch):
+        def replace(in_child, lo, hi, work):
+            if in_child:
+                time.sleep(30)  # still running when the parent is interrupted
+                return work()
+            raise KeyboardInterrupt
+
+        patch_range(monkeypatch, replace)
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            classfield._scan(lam("-3-4i"), SPLIT_BOUND)
+        assert len(split_scan) == 2
+        assert_no_child_left()
+        assert time.perf_counter() - start < 10
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states under /proc")
+    def test_child_whose_parent_is_gone_stops(self, split_scan, monkeypatch):
+        # a middle process forks the scan's children, sends their pids and
+        # leaves by os._exit, which reaps nothing; the children, asleep in
+        # their ranges, must stop on their own
+        read_end, write_end = os.pipe()
+
+        def replace(in_child, lo, hi, work):
+            if lo:
+                time.sleep(30)
+                return work()
+            os.write(write_end, json.dumps(split_scan).encode("ascii") + b"\n")
+            os._exit(0)
+
+        patch_range(monkeypatch, replace)
+        middle = os.fork()
+        if not middle:
+            try:
+                classfield._scan(lam("-3"), SPLIT_BOUND)
+            finally:
+                os._exit(1)
+        os.close(write_end)
+        with open(read_end, "rb") as pipe:
+            children = json.loads(pipe.readline())  # the children hold the write end too
+        assert os.waitstatus_to_exitcode(os.waitpid(middle, 0)[1]) == 0
+        assert len(children) == 2
+
+        def running(pid):
+            try:
+                with open(f"/proc/{pid}/stat", "rb") as stat:
+                    return stat.read().rsplit(b")", 1)[1].split()[0] != b"Z"
+            except FileNotFoundError:
+                return False
+
+        deadline = time.perf_counter() + 10
+        while any(map(running, children)) and time.perf_counter() < deadline:
+            time.sleep(0.05)
+        assert not any(map(running, children))
 
 
 # SHA-256 of each report's sorted-key JSON on Lambda_{-3-4i} (degree 20) at

@@ -12,7 +12,9 @@ import pytest
 from conftest import gi
 from lemnatomic import gaussint
 from lemnatomic.errors import InputError, NotOdd, ParseError
+from lemnatomic.exact import lemnatomic_exact
 from lemnatomic.gaussint import (
+    ONE_PLUS_I,
     UNITS,
     GaussInt,
     _unit_to_first_quadrant,
@@ -30,6 +32,18 @@ from lemnatomic.gaussint import (
     primary_normalize,
     primes_up_to_norm,
 )
+from lemnatomic.zipoly import discriminant
+
+
+# the exact ladder's beta, N(beta) from 5 to 125
+LADDER = ("-1+2i", "-3", "-3-4i", "3-6i", "9", "-11", "11-2i")
+
+
+def odd_part_reference(z: GaussInt) -> GaussInt:
+    """z with its 1+i factors divided out one at a time."""
+    while not z.is_odd():
+        z = exact_div(z, ONE_PLUS_I)
+    return z
 
 
 def rand_gauss(rng, span=1000):
@@ -248,6 +262,20 @@ class TestFactor:
         # (1+i)^3 * (-3) has odd part -3 up to primary normalization
         z = gi("1+i") * gi("1+i") * gi("1+i") * gi("-3")
         assert primary_normalize(odd_part(z))[1] == gi("-3")
+
+    def test_odd_part_matches_division_one_factor_at_a_time(self, rng):
+        ladder_discs = [discriminant(lemnatomic_exact(gi(b)).coefficients) for b in LADDER]
+        powers = [unit * ONE_PLUS_I**k for k in range(12) for unit in UNITS]
+        shifted = [rand_gauss(rng, 2**40) * 2**rng.randrange(90) * ONE_PLUS_I**rng.randrange(3) for _ in range(300)]
+        cases = [*ladder_discs, *UNITS, *powers, *shifted, *(rand_gauss(rng) for _ in range(300))]
+        for z in cases:
+            if not z.is_zero():
+                assert odd_part(z) == odd_part_reference(z), z
+        assert all(odd_part(z) in UNITS for z in powers)
+
+    def test_odd_part_of_zero_rejected(self):
+        with pytest.raises(InputError):
+            odd_part(0)
 
 
 class TestPrimesUpToNorm:

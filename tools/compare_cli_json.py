@@ -10,7 +10,10 @@ conjugate 1+4i; so do the class reports ``prop2-evidence`` and
 ``verify-theorem`` in both normalizations, and ``verify-prop1`` on -3,
 -3-4i, 3-6i, 9, -11 (degree 120) and 13+10i (degree 268, whose
 discriminant took about 55 s as a Sylvester determinant and takes about
-1 s by the modular resultant); ``primes`` lists the prime walk at the
+1 s by the modular resultant); ``scan-splitting`` also runs on the
+lemnatomic polynomial of -3-4i at norm 10^6 whatever the norm bound (78 437
+primes, about 5 s on one core), so that the root scan is cut into as many
+ranges as the host has CPUs; ``primes`` lists the prime walk at the
 norm bound, with and without ``--include-even``; ``reduce``, ``split-test`` and
 ``orbit-check`` (which runs ``factor_degrees``) run at the split prime -1+2i
 and the inert primes -3 and -7, ``reduce`` and ``split-test`` on the
@@ -46,11 +49,11 @@ rational beta, and on -43, accepted at 1024 bits after two escalations
 ``lemnatomic BETA --method exact --cache-dir DIR`` runs twice on -1+2i and
 -3-4i, a miss that writes the cache file and then a hit that reads it, and
 ``lemnatomic -3 --method both --cache-dir DIR`` once.
-All of these print JSON, 185 commands in all.  Seven commands that print
+All of these print JSON, 186 commands in all.  Seven commands that print
 a polynomial also run once in human form, the reports at the norm bound:
 ``lemnatomic -3``, ``scan-splitting``, ``semisplit``, ``prop2-evidence``
 and ``density`` on lemnatomic:-3, ``verify-theorem`` on X^2 - 105, and
-``reduce lemnatomic:-3-4i -7``.  That makes 192 commands.
+``reduce lemnatomic:-3-4i -7``.  That makes 193 commands.
 
 OLD_SRC and NEW_SRC are directories holding the ``lemnatomic`` package (the
 ``src`` directory of two checkouts).  Each command runs in a fresh
@@ -84,6 +87,7 @@ POLYS = (
     ("coeffs:1,0,0,0,4+i,0,0,0,1", "-3"),  # X^8 + (4+i)X^4 + 1 loses its X^4 term at 1-4i
 )
 PROP1_BETAS = ("-3", "-3-4i", "3-6i", "9", "-11", "13+10i")
+WIDE_SCAN = ("lemnatomic:-3-4i", 10**6)  # a root scan wide enough to use every CPU
 SINGLE_PRIMES = ("-1+2i", "-3", "-7")  # one split prime, two inert ones
 SINGLE_POLYS = ("lemnatomic:-3", "lemnatomic:-3-4i", "coeffs:-2,0,0,1")
 ORBIT_BETAS = ("-1-2i", "5+4i")  # divisible by none of SINGLE_PRIMES
@@ -116,6 +120,7 @@ def commands(max_norm: int) -> list:
             ["density", poly, *bound],
         ]
     out += [["verify-prop1", beta, *bound] for beta in PROP1_BETAS]
+    out += [["scan-splitting", WIDE_SCAN[0], "--max-norm", str(WIDE_SCAN[1]), "--json"]]
     out += [["primes", *bound], ["primes", "--include-even", *bound]]
     for pi in SINGLE_PRIMES:
         out += [[cmd, poly, pi, "--json"] for cmd in ("reduce", "split-test") for poly in SINGLE_POLYS]
