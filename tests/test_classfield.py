@@ -675,8 +675,6 @@ class TestSharedScan:
 
 
 SPLIT_BOUND = 3000  # 430 primes: three ranges of at least SPLIT_FLOOR
-
-
 SPLIT_FLOOR = 100
 
 
