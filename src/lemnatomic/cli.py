@@ -61,11 +61,13 @@ __all__ = ["dispatch", "main"]
 # -- shared plumbing -----------------------------------------------------------
 
 
-def _emit(args, data: dict, human_lines: list) -> None:
+def _emit(args, data: dict, human) -> None:
+    """Print data as JSON under --json, else the lines human() builds, so a
+    command formats its human-readable form only when it is printed."""
     if args.json:
         print(json.dumps({"schema_version": SCHEMA_VERSION, **data}, sort_keys=True))
     else:
-        for line in human_lines:
+        for line in human():
             print(line)
 
 
@@ -108,7 +110,7 @@ def _cmd_primes(args) -> int:
                 "count": len(primes),
             }
         ),
-        [f"{format_gauss(p.value):>12s}  norm={p.norm:<8d} {p.kind}" for p in primes]
+        lambda: [f"{format_gauss(p.value):>12s}  norm={p.norm:<8d} {p.kind}" for p in primes]
         + [f"count: {len(primes)}"],
     )
     return 0
@@ -119,7 +121,7 @@ def _cmd_factor(args) -> int:
     _emit(
         args,
         to_json({"unit": unit, "factors": facs}),
-        [
+        lambda: [
             f"unit: {format_gauss(unit)}",
             "factors: "
             + (" * ".join(f"({format_gauss(p.value)})^{e}" for p, e in facs) or "1"),
@@ -134,7 +136,7 @@ def _cmd_primary(args) -> int:
     _emit(
         args,
         to_json({"input": z, "unit": unit, "primary": primary}),
-        [f"primary associate: {format_gauss(primary)}", f"unit applied: {format_gauss(unit)}"],
+        lambda: [f"primary associate: {format_gauss(primary)}", f"unit applied: {format_gauss(unit)}"],
     )
     return 0
 
@@ -151,7 +153,7 @@ def _cmd_unitgroup(args) -> int:
                 "generators": group.generators,
             }
         ),
-        [
+        lambda: [
             f"modulus: {format_gauss(group.ring.modulus)}",
             f"order: {group.order}",
             f"invariant factors: {list(group.invariant_factors)}",
@@ -193,20 +195,25 @@ def _cmd_lemnatomic(args) -> int:
                 file=sys.stderr,
             )
     data = {**to_json(record), "cached": cached}
-    human = [
-        f"beta: {format_gauss(record.beta)} (primary)",
-        f"degree: {record.degree}",
-        f"polynomial: {record.coefficients}",
-        "coefficients: " + ", ".join(format_gauss(c) for c in record.coefficients.coeffs),
-        f"method: {record.method}",
-        f"precision bits: {record.precision_bits}",
-        f"checksum: {record.checksum}",
-    ]
     if args.method == "both":
         data["pipelines_agree"] = True
-        human.append("pipelines agree: true")
-    if cached:
-        human.append("cached: true")
+
+    def human() -> list:
+        lines = [
+            f"beta: {format_gauss(record.beta)} (primary)",
+            f"degree: {record.degree}",
+            f"polynomial: {record.coefficients}",
+            "coefficients: " + ", ".join(format_gauss(c) for c in record.coefficients.coeffs),
+            f"method: {record.method}",
+            f"precision bits: {record.precision_bits}",
+            f"checksum: {record.checksum}",
+        ]
+        if args.method == "both":
+            lines.append("pipelines agree: true")
+        if cached:
+            lines.append("cached: true")
+        return lines
+
     _emit(args, data, human)
     return 0
 
@@ -226,7 +233,7 @@ def _cmd_reduce(args) -> int:
                 "coeffs": [_fq_coeff_json(c) for c in reduced.coeffs],
             }
         ),
-        [
+        lambda: [
             f"prime: {format_gauss(field.pi.value)} (q = {field.size})",
             f"reduction: {reduced}",
         ],
@@ -241,7 +248,7 @@ def _cmd_split_test(args) -> int:
     _emit(
         args,
         to_json({"prime": pi, "splits_completely": result}),
-        [f"splits completely mod {format_gauss(pi)}: {str(result).lower()}"],
+        lambda: [f"splits completely mod {format_gauss(pi)}: {str(result).lower()}"],
     )
     return 0
 
@@ -251,7 +258,7 @@ def _cmd_scan_splitting(args) -> int:
     _emit(
         args,
         report.to_json_dict(),
-        [
+        lambda: [
             f"polynomial: {report.poly}",
             f"bound: {report.bound}",
             f"splitting primes ({len(report.primes)}): "
@@ -269,7 +276,7 @@ def _cmd_semisplit(args) -> int:
     _emit(
         args,
         to_json({"poly": poly, "bound": args.max_norm, "primes": hits, "count": len(hits)}),
-        [
+        lambda: [
             f"polynomial: {poly}",
             f"semi-split primes ({len(hits)}): " + ", ".join(format_gauss(p.value) for p in hits),
         ],
@@ -282,7 +289,7 @@ def _cmd_verify_prop1(args) -> int:
     _emit(
         args,
         report.to_json_dict(),
-        [
+        lambda: [
             f"beta: {format_gauss(report.beta)}",
             f"primes checked: {report.checked}",
             f"failures: {[format_gauss(p.value) for p in report.failures] or 'none'}",
@@ -299,7 +306,7 @@ def _cmd_prop2(args) -> int:
     _emit(
         args,
         report.to_json_dict(),
-        [
+        lambda: [
             f"field polynomial: {report.poly}",
             f"beta: {format_gauss(report.beta)}",
             f"normalization: {report.normalization}",
@@ -319,18 +326,21 @@ def _cmd_verify_theorem(args) -> int:
         norm_cap=args.norm_cap,
         normalization=args.normalization,
     )
-    human = [
-        f"polynomial: {report.poly}",
-        f"discriminant: {format_gauss(report.disc)}",
-        f"candidates: {len(report.candidates)}",
-    ]
-    for c in report.candidates:
-        human.append(
-            f"  beta {format_gauss(c.beta):>10s}: subgroup {c.subgroup_order} of "
-            f"{c.group_order} -> witness: {str(c.witness).lower()}"
-        )
-    human.append(f"witnesses: {[format_gauss(c.beta) for c in report.witnesses] or 'none'}")
-    human.append(f"notes: {report.notes}")
+
+    def human() -> list:
+        return [
+            f"polynomial: {report.poly}",
+            f"discriminant: {format_gauss(report.disc)}",
+            f"candidates: {len(report.candidates)}",
+            *(
+                f"  beta {format_gauss(c.beta):>10s}: subgroup {c.subgroup_order} of "
+                f"{c.group_order} -> witness: {str(c.witness).lower()}"
+                for c in report.candidates
+            ),
+            f"witnesses: {[format_gauss(c.beta) for c in report.witnesses] or 'none'}",
+            f"notes: {report.notes}",
+        ]
+
     _emit(args, report.to_json_dict(), human)
     return 0
 
@@ -340,7 +350,7 @@ def _cmd_density(args) -> int:
     _emit(
         args,
         report.to_json_dict(),
-        [
+        lambda: [
             f"polynomial: {report.poly}",
             f"splitting primes: {report.count_p} of {report.count_all_odd}",
             f"ratio: {report.ratio:.6f} (heuristic 1/deg = {report.expected:.6f})",
@@ -356,7 +366,7 @@ def _cmd_orbit_check(args) -> int:
     _emit(
         args,
         to_json({"beta": beta, "pi": pi, "holds": holds}),
-        [f"orbit law for beta={format_gauss(beta)}, pi={format_gauss(pi)}: {str(holds).lower()}"],
+        lambda: [f"orbit law for beta={format_gauss(beta)}, pi={format_gauss(pi)}: {str(holds).lower()}"],
     )
     return 0 if holds else 2
 

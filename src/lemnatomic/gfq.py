@@ -12,27 +12,58 @@ pow(z, -1, p)), so equality is structural and hashing is free.
 The internal helpers take p and polynomials as coefficient lists,
 ascending, whose coefficients bring their own arithmetic: one Euclid for
 gcd and squarefree, updating the remainder in place slot by slot, one long
-division, and the same deflation and root tests serve both fields.  Only
-powers modulo f part them, by the coefficients' type: over F_p a
-square-and-multiply on Kronecker-packed ints (_PackedModulus), whose slots
-are wide enough that the low ones are taken mod p only after every other
-squaring; over F_{p^2} a square-and-multiply on (re, im) int lists, each
-product one zipoly.kronecker_mul reduced mod p and f.  The root scan passes p, the
-nonzero terms (j, c) of h mod pi and the field degree straight to
+division, and the same root tests serve both fields.  Powers modulo a monic
+f of degree n run on one packed kernel, _power, for both fields: a
+square-and-multiply on a single Kronecker-packed int.  The root scan passes
+p, the nonzero terms (j, c) of h mod pi and the field degree straight to
 _root_status, the entry under root_status, so a prime costs it no
-GaussPrime, ResidueField or PolyFq, and no work on the zero coefficients.
+GaussPrime, ResidueField or PolyFq, no work on the zero coefficients, and,
+at a split prime, nothing but int arithmetic on plain locals.
+
+The packed kernel.  A polynomial of degree < n is one int, coefficient k
+in slot k.  A product is one big-int multiply; its high slots are folded
+back from the top down: the value read off slot n + k, taken mod p, is
+cleared by adding it times the packed row X^k * (X^n mod f), a shift of
+one row computed per call, and the high slots are dropped once all are
+read.  A multiply by X is a shift of the square before the fold.
+
+Over F_p a slot is w bits.  The high slots are read mod p at every fold,
+but the n low slots are taken mod p only after every other fold, and once
+at the end.  From slots below p, a product slot is a sum of at most n
+products below p^2, and the fold adds at most n row terms h * c, each
+below p^2 too: the slot leaves the fold at most L = 2n(p - 1)^2.  One more
+fold from slots at most L, a square or a multiply by a base with slots
+below p, leaves a slot at most n*L^2 + n(p - 1)^2.  w is the bit length of
+that bound, so no slot ever carries into the next, whatever the size of p.
+
+Over F_{p^2} = F_p[i] a slot is three sub-slots of w bits, for 1, i and
+i^2, and x + yi packs as x + (y << w); the product of two such slots puts
+the i^2 terms in the third sub-slot.  After each product one masked fold
+turns i^2 into -1: with H the third sub-slots of the product, it adds
+O - H - (H >> 2w), where O holds in every first sub-slot the offset c, the
+least multiple of p at least n(p - 1)^2.  c is 0 in F_p, and it keeps the
+first sub-slot from going negative, as H's sub-slots are at most
+n(p - 1)^2.  A high slot h0 + h1*i, each part read mod p, then folds in as
+h0 * row + h1 * (i * row), i * row packed beside row: a row has no i^2
+part, so the fold adds to the first two sub-slots alone.  F_{p^2} takes
+its low sub-slots mod p at every step.  So from sub-slots below p a
+product's are at most n(p - 1)^2, 2n(p - 1)^2 and n(p - 1)^2; after the
+i^2 fold the first is at most n(p - 1)^2 + c; the row fold adds at most n
+terms, each at most 2(p - 1)^2, to each.  The first sub-slot ends at most
+3n(p - 1)^2 + c and the second at most 4n(p - 1)^2, which is no more, as
+c >= n(p - 1)^2: w is the bit length of 3n(p - 1)^2 + c.
 
 root_status, the root scan's test, first writes f as X^k * g(X^e)
 with g(0) != 0 and e = gcd(d, q - 1), d the gcd of the exponents of f's
-nonzero terms (_deflate, which reads those terms alone), and then works on
-g.  root_status reads complete splitting and the existence of a root off
-one power Y^((q-1)/e) mod g, so a scan that needs both pays for one power
+nonzero terms (read off those terms alone), and then works on g.
+root_status reads complete splitting and the existence of a root off one
+power Y^((q-1)/e) mod g, so a scan that needs both pays for one power
 modulo g per prime.  Complex
 multiplication (sl(iz) = i*sl(z)) puts every lemnatomic polynomial in
 Z[i][X^4], and q = 1 mod 4 at every odd prime, so there 4 divides e and g
 has at most a quarter of the degree.  splits_completely, has_root,
-squarefree and factor_degrees work on f itself: they are the single-prime
-predicates the scans are checked against.
+squarefree and factor_degrees work on f itself, on the same kernel: they
+are the single-prime predicates the scans are checked against.
 """
 
 from __future__ import annotations
@@ -43,7 +74,7 @@ from operator import lshift
 
 from .errors import InputError, InternalInconsistency
 from .gaussint import I, ONE, ZERO, GaussInt, GaussPrime, _make_prime, as_gauss, is_prime
-from .zipoly import PolyZi, kronecker_mul
+from .zipoly import PolyZi
 
 __all__ = [
     "ResidueField",
@@ -175,18 +206,19 @@ def _trim(cs: list) -> list:
 
 def _monic(p: int, a: tuple) -> tuple:
     inv = pow(a[-1], -1, p)
-    return tuple(c * inv % p for c in a)
+    return tuple([c * inv % p for c in a])
 
 
 def _gcd(p: int, a: tuple, b: tuple) -> tuple:
-    """Monic gcd by Euclid; a and b trimmed, reduced mod p, not both zero.
+    """A gcd by Euclid, not made monic (_monic does that where it is kept);
+    a and b trimmed, reduced mod p, not both zero.
 
     The divisor is never rescaled: each quotient coefficient carries its
-    leading inverse instead, and only the result is made monic.  The
-    remainder is updated in place, one slot at a time.
+    leading inverse instead.  The remainder is updated in place, one slot at
+    a time.
     """
     a, b = list(a), list(b)
-    while b:
+    while len(b) > 1:
         inv = pow(b[-1], -1, p)
         db = len(b) - 1
         while len(a) > db:
@@ -195,8 +227,10 @@ def _gcd(p: int, a: tuple, b: tuple) -> tuple:
                 s = len(a) - db
                 for j in range(db):
                     a[s + j] = (a[s + j] - q * b[j]) % p
-        a, b = b, _trim(a)
-    return _monic(p, a)
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, a
+    return tuple(b or a)  # a nonzero constant b divides a
 
 
 def _divmod(p: int, a: tuple, b: tuple) -> tuple:
@@ -217,142 +251,89 @@ def _divmod(p: int, a: tuple, b: tuple) -> tuple:
     return tuple(_trim(quotient[::-1])), tuple(_trim(a))
 
 
-class _PackedModulus:
-    """Arithmetic modulo a monic f of degree n >= 1 over F_p, Kronecker-packed.
-
-    A polynomial of degree < n is one int holding coefficient k in bits
-    [k*w, (k+1)*w), so a product is one big-int multiply.  Its high slots
-    are folded back from the top down: the value h read off slot n + k
-    (mod p) is cleared by adding h times the k-th packed row
-    X^k * (X^n mod f), a shift of one row computed once per (f, p).  A
-    multiply by X is a shift of the product before the fold, so there is one
-    row for each of the slots n .. 2n - 1.
-
-    The high slots are read mod p at every fold, but the n low slots are
-    taken mod p only after every other fold, and once at the end.  From
-    slots below p, a product slot is a sum of at most n products below p^2,
-    and the fold adds at most n row terms h * c, each below p^2 too: the
-    slot leaves the fold at most L = 2n(p - 1)^2.  One more fold from slots
-    at most L, a square or a multiply by a base with slots below p, leaves a
-    slot at most n*L^2 + n(p - 1)^2.  w is the bit length of that bound, so
-    no slot ever carries into the next, whatever the size of p; the slots
-    are taken mod p before the next fold.
-    """
-
-    __slots__ = ("p", "n", "width", "mask", "low", "slots", "rows")
-
-    def __init__(self, p: int, f: tuple):
-        n = len(f) - 1
-        lazy = 2 * n * (p - 1) ** 2
-        w = (n * lazy * lazy + n * (p - 1) ** 2).bit_length()
-        self.p, self.n, self.width = p, n, w
-        self.mask = (1 << w) - 1
-        self.low = (1 << (n * w)) - 1
-        self.slots = range(0, n * w, w)
-        tail = sum(map(lshift, [-c % p for c in f[:-1]], self.slots))  # X^n mod f
-        self.rows = [(k * w, tail << ((k - n) * w)) for k in range(2 * n - 1, n - 1, -1)]
-
-    def pow_mod(self, a: tuple, e: int) -> tuple:
-        """a^e mod f by square-and-multiply from the top bit of e.
-
-        a is reduced mod f, or is X.  For a = X the multiply is a shift of
-        the square, and the leading bits of e whose value stays below n give
-        the starting monomial without any product.  Each step is one
-        product: S squares, X squares and shifts, M multiplies by a.
-        """
-        bits, w = format(e, "b"), self.width
-        if a == (0, 1):
-            j = min(len(bits), (self.n - 1).bit_length())
-            if e >> (len(bits) - j) >= self.n:
-                j -= 1
-            x, base = 1 << ((e >> (len(bits) - j)) * w), None
-            steps = bits[j:].replace("0", "S").replace("1", "X")
-        else:
-            x, base = 1, sum(map(lshift, a, self.slots))
-            steps = bits.replace("0", "S").replace("1", "SM")
-        p, mask, low, slots = self.p, self.mask, self.low, self.slots
-        rows = self.rows
-        product_rows = rows[1:]  # slot 2n - 1 is filled only by the shift
-        lazy = False  # the low slots of x are not yet taken mod p
-        for step in steps:
-            if step == "X":
-                x = x * x << w
-                folds = rows
-            else:
-                x *= x if step == "S" else base
-                folds = product_rows
-            for s, row in folds:
-                x += (x >> s & mask) % p * row
-            x &= low
-            if lazy:
-                x = sum([((x >> s & mask) % p) << s for s in slots])
-            lazy = not lazy
-        return tuple(_trim([(x >> s & mask) % p for s in slots]))
-
-
 def _power(p: int, f: tuple, e: int, a: tuple | None = None) -> tuple:
-    """a^e mod monic f of degree n >= 1, with a = X by default, a reduced mod f.
+    """a^e mod monic f of degree n >= 1, with a = X by default, a reduced mod
+    f: the one packed kernel (module docstring, with the slot widths and
+    their proof), over F_p for int coefficients and over F_{p^2} for GaussInt
+    ones.  Returns the result's coefficients, trimmed.
 
-    Int coefficients run on _PackedModulus.  GaussInt coefficients run a
-    square-and-multiply from the top bit of e on (re, im) int lists of n
-    slots: each product is one zipoly.kronecker_mul, and a multiply by X a
-    shift, reduced mod f by a long division, which needs no inverse as f is
-    monic.  A slot is taken mod p
-    when it is read as a quotient coefficient or kept as a result, not at
-    each update.
+    A square-and-multiply from the top bit of e on one packed int.  For a = X
+    the multiply is a shift of the square, and the leading bits of e whose
+    value stays below n give the starting monomial without any product.
+    Each step is one product: 0 squares, 1 squares and shifts (a = X), M
+    multiplies by a.
     """
-    if type(f[-1]) is int:
-        return _PackedModulus(p, f).pow_mod((0, 1) if a is None else a, e)
     n = len(f) - 1
-    f_re, f_im = [c.re for c in f[:-1]], [c.im for c in f[:-1]]
+    wide = type(f[-1]) is not int  # F_{p^2}
+    sq = (p - 1) ** 2
+    if wide:
+        offset = -(-n * sq // p) * p  # the least multiple of p >= n(p - 1)^2
+        w = (3 * n * sq + offset).bit_length()
+        width = 3 * w
+        slots = range(0, n * width, width)
+        # X^n mod f and i * (X^n mod f), a coefficient re + im*i packed as re + (im << w)
+        tail = sum(map(lshift, [-c.re % p | -c.im % p << w for c in f[:-1]], slots))
+        i_tail = sum(map(lshift, [c.im % p | -c.re % p << w for c in f[:-1]], slots))
+        rows = [
+            (k * width + j, t << (k - n) * width)
+            for k in range(2 * n - 1, n - 1, -1)
+            for j, t in ((0, tail), (w, i_tail))
+        ]
+        ones = sum(1 << s for s in range(0, 2 * n * width, width))
+        i_squared, offsets = ((1 << w) - 1 << 2 * w) * ones, offset * ones
+        reduced = [s + j for s in slots for j in (0, w)]
+        product_rows = rows[2:]
+    else:
+        folded = 2 * n * sq  # L: a slot after one fold from reduced slots
+        w = width = (n * folded * folded + n * sq).bit_length()
+        reduced = slots = range(0, n * w, w)
+        tail = sum(map(lshift, [-c % p for c in f[:-1]], slots))  # X^n mod f
+        rows = [(k * w, tail << (k - n) * w) for k in range(2 * n - 1, n - 1, -1)]
+        product_rows = rows[1:]  # slot 2n - 1 is filled only by the shift
+    mask, low = (1 << w) - 1, (1 << n * width) - 1
+    bits = format(e, "b")
+    if a is None:
+        j = min(len(bits), (n - 1).bit_length())
+        if e >> (len(bits) - j) >= n:
+            j -= 1
+        x, base = 1 << (e >> (len(bits) - j)) * width, None
+        steps = bits[j:]
+    else:
+        x, base = 1, sum(map(lshift, [c.re | c.im << w for c in a] if wide else a, slots))
+        steps = bits.replace("1", "0M")
+    lazy = False  # the low slots of x are not yet taken mod p
+    for step in steps:
+        if step == "1":
+            x = x * x << width
+            folds = rows
+        else:
+            x *= x if step == "0" else base
+            folds = product_rows
+        if wide:  # i^2 = -1, and every step taken mod p
+            high = x & i_squared
+            x += offsets - high - (high >> 2 * w)
+            lazy = True
+        for s, row in folds:
+            x += (x >> s & mask) % p * row
+        x &= low
+        if lazy:
+            x = sum([((x >> s & mask) % p) << s for s in reduced])
+        lazy = not lazy
+    if wide:
+        out = [GaussInt((x >> s & mask) % p, (x >> s + w & mask) % p) for s in slots]
+    else:
+        out = [(x >> s & mask) % p for s in slots]
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
 
-    def mod_f(re: list, im: list) -> tuple:
-        for k in range(len(re) - 1, n - 1, -1):
-            q_re, q_im = re[k] % p, im[k] % p  # slots s .. k less q * X^s * f
-            if q_re or q_im:
-                s = k - n
-                for j in range(n):
-                    re[s + j] -= q_re * f_re[j] - q_im * f_im[j]
-                    im[s + j] -= q_re * f_im[j] + q_im * f_re[j]
-        pad = [0] * (n - len(re))
-        return [x % p for x in re[:n]] + pad, [y % p for y in im[:n]] + pad
 
-    base = mod_f([0, 1], [0, 0]) if a is None else mod_f([c.re for c in a], [c.im for c in a])
-    x = base if e else mod_f([1], [0])
-    for bit in format(e, "b")[1:]:
-        x = mod_f(*kronecker_mul(x, x))
-        if bit == "1":  # a multiply by X is a shift
-            x = mod_f([0] + x[0], [0] + x[1]) if a is None else mod_f(*kronecker_mul(x, base))
-    return tuple(_trim([GaussInt(re, im) for re, im in zip(*x)]))
-
-
-def _minus_x(p: int, a: tuple, k: int = 1) -> tuple:
-    """a - X^k.  A short a is padded with int zeros, which GaussInt
+def _minus_x(p: int, a: tuple) -> tuple:
+    """a - X.  A short a is padded with int zeros, which GaussInt
     arithmetic takes as well: the result is only tested or fed to a gcd."""
-    out = list(a) + [0] * (k + 1 - len(a))
-    out[k] = (out[k] - 1) % p
+    out = list(a) + [0] * (2 - len(a))
+    out[1] = (out[1] - 1) % p
     return tuple(_trim(out))
-
-
-def _deflate(q: int, terms) -> tuple:
-    """(k, g, e) with f = X^k * g(X^e) and g(0) != 0, for nonzero f over F_q
-    given by its nonzero terms (j, c), exponents j ascending.
-
-    e = gcd(d, q - 1), where d is the gcd of the exponents of the terms of
-    f / X^k, so a term c*X^j is g's coefficient (j - k) / e.  As e divides
-    q - 1, X -> X^e maps F_q^* e-to-1 onto the e-th powers, which are the y
-    with y^((q-1)/e) = 1, and p does not divide e: a root y of g of
-    multiplicity m gives e roots of f of multiplicity m if y is an e-th
-    power, none otherwise.  So f / X^k has a root iff g has one with
-    y^((q-1)/e) = 1, and splits into distinct linear factors iff
-    Y^((q-1)/e) = 1 (mod g).
-    """
-    k = terms[0][0]
-    e = gcd(q - 1, *[j - k for j, _ in terms])
-    g = [0 * terms[0][1]] * ((terms[-1][0] - k) // e + 1)  # zeros of the coefficients' type
-    for j, c in terms:
-        g[(j - k) // e] = c
-    return k, tuple(g), e
 
 
 def squarefree(f: PolyFq) -> bool:
@@ -399,10 +380,10 @@ NO_ROOT, ROOT, SPLITS = 0, 1, 2
 def root_status(f: PolyFq) -> int:
     """NO_ROOT, ROOT or SPLITS for monic f of degree >= 1, from one power.
 
-    With f = X^k * g(X^e) (_deflate) and r = Y^((q-1)/e) mod g: a double root
-    at 0 (k > 1) rules splitting out; otherwise f splits into distinct linear
-    factors iff g is constant (f = X) or r = 1, and f has a root iff k = 1 or
-    deg gcd(g, r - 1) >= 1.
+    With f = X^k * g(X^e) and r = Y^((q-1)/e) mod g (_root_status): a double
+    root at 0 (k > 1) rules splitting out; otherwise f splits into distinct
+    linear factors iff g is constant (f = X) or r = 1, and f has a root iff
+    k = 1 or deg gcd(g, r - 1) >= 1.
     The gcd runs only when f has neither a root at 0 nor a split.
     """
     if f.degree() < 1 or not f.is_monic():
@@ -413,17 +394,35 @@ def root_status(f: PolyFq) -> int:
 
 def _root_status(p: int, terms, degree: int = 1) -> int:
     """root_status on the nonzero terms (j, c) of a monic f of degree >= 1
-    over F_q, q = p^degree, exponents ascending: the root scan's entry."""
-    q = p**degree
-    k, g, e = _deflate(q, terms)
+    over F_q, q = p^degree, exponents ascending: the root scan's entry.
+
+    f is deflated first: f = X^k * g(X^e) with g(0) != 0 and e = gcd(d,
+    q - 1), where d is the gcd of the exponents of the terms of f / X^k, so
+    a term c*X^j is g's coefficient (j - k) / e.  As e divides q - 1,
+    X -> X^e maps F_q^* e-to-1 onto the e-th powers, which are the y with
+    y^((q-1)/e) = 1, and p does not divide e: a root y of g of multiplicity
+    m gives e roots of f of multiplicity m if y is an e-th power, none
+    otherwise.  So f / X^k has a root iff g has one with y^((q-1)/e) = 1,
+    and splits into distinct linear factors iff Y^((q-1)/e) = 1 (mod g).
+    """
+    k = terms[0][0]
     if k > 1:
         return ROOT
+    q = p**degree
+    e = gcd(q - 1, *[j - k for j, _ in terms])
+    g = [0 * terms[0][1]] * ((terms[-1][0] - k) // e + 1)  # zeros of the coefficients' type
+    for j, c in terms:
+        g[(j - k) // e] = c
     if len(g) == 1:
         return SPLITS  # f = X
-    r = _minus_x(p, _power(p, g, (q - 1) // e), 0)  # Y^((q-1)/e) - 1 mod g
-    if not r:
+    r = _power(p, g, (q - 1) // e)
+    if r == (g[-1],):  # r = 1, g being monic
         return SPLITS
-    return ROOT if k or len(_gcd(p, g, r)) > 1 else NO_ROOT
+    if k:
+        return ROOT
+    if len(r) < 2:
+        return NO_ROOT  # r - 1 is a nonzero constant
+    return ROOT if len(_gcd(p, g, [(r[0] - 1) % p, *r[1:]])) > 1 else NO_ROOT
 
 
 def factor_degrees(f: PolyFq) -> tuple:
@@ -449,7 +448,7 @@ def factor_degrees(f: PolyFq) -> tuple:
             degrees.append(len(rem) - 1)
             break
         h = _power(p, rem, F.size, h)
-        g = _gcd(p, rem, _minus_x(p, h))
+        g = _monic(p, _gcd(p, rem, _minus_x(p, h)))
         if len(g) > 1:
             degrees.extend([d] * ((len(g) - 1) // d))
             rem, inexact = _divmod(p, rem, g)  # monic, as rem and g are

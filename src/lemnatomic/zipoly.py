@@ -16,6 +16,7 @@ the exact route's certificate, which compares packed values directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from math import gcd
 from typing import Iterable, Iterator, Union
 
@@ -232,10 +233,11 @@ def resultant(f: PolyZi, g: PolyZi) -> GaussInt:
     either map, each image of Res(f, g) is the resultant of the images of f
     and g, r+ and r-, which Euclid over F_p finds; then Re Res = (r+ + r-)/2
     and Im Res = (r+ - r-)/(2s) mod p.  Primes are taken downward from 2^62,
-    where _is_rational_prime is exact, and combined by CRT until their
-    product M has M^2 > 4 (sum N(f_k))^deg g (sum N(g_k))^deg f: that is
-    four times Hadamard's bound on |Res|^2, so |Re|, |Im| < M/2 and the
-    symmetric residues are the parts themselves.
+    where _is_rational_prime is exact (_crt_prime finds each once per
+    process), and combined by CRT until their product M has
+    M^2 > 4 (sum N(f_k))^deg g (sum N(g_k))^deg f: that is four times
+    Hadamard's bound on |Res|^2, so |Re|, |Im| < M/2 and the symmetric
+    residues are the parts themselves.
     """
     n, m = f.degree(), g.degree()
     if n < 0 or m < 0:
@@ -243,12 +245,10 @@ def resultant(f: PolyZi, g: PolyZi) -> GaussInt:
     bound = 4 * sum(c.norm() for c in f.coeffs) ** m * sum(c.norm() for c in g.coeffs) ** n
     re = im = 0
     modulus = 1
-    for p in range(_CRT_TOP - 3, 0, -4):
-        if modulus * modulus > bound:
-            break
-        if not _is_rational_prime(p):
-            continue
-        s = _sqrt_minus_one(p)
+    k = 0
+    while modulus * modulus <= bound:
+        p, s = _crt_prime(k)
+        k += 1
         images = [[[(c.re + t * c.im) % p for c in h.coeffs] for h in (f, g)] for t in (s, p - s)]
         if not all(a[-1] and b[-1] for a, b in images):
             continue
@@ -259,6 +259,20 @@ def resultant(f: PolyZi, g: PolyZi) -> GaussInt:
         im += modulus * (((r_minus - r_plus) * half * s - im) * inv % p)
         modulus *= p
     return GaussInt(re - modulus if 2 * re > modulus else re, im - modulus if 2 * im > modulus else im)
+
+
+@lru_cache(maxsize=1024)
+def _crt_prime(k: int) -> tuple:
+    """(p, s) for the k-th prime p = 1 mod 4 below 2^62, downward, with
+    s^2 = -1 mod p: resultant's CRT primes, found once per process.
+
+    resultant asks for k = 0, 1, 2, ... in turn, so the search for the k-th
+    starts below the (k-1)-th, which the memo holds.
+    """
+    p = _crt_prime(k - 1)[0] - 4 if k else _CRT_TOP - 3
+    while not _is_rational_prime(p):
+        p -= 4
+    return p, _sqrt_minus_one(p)
 
 
 def _resultant_mod(a: list[int], b: list[int], p: int) -> int:

@@ -7,6 +7,7 @@ computations against these literals, never the other way around.
 """
 
 import random
+from math import gcd
 
 import pytest
 from mpmath import mp
@@ -72,6 +73,19 @@ CORPUS_ALL_TORSION = {
 }
 
 CORPUS_BETAS = tuple(gi(b) for b in CORPUS_LEMNATOMIC)
+
+
+def deflate(q: int, terms) -> tuple:
+    """(k, g, e) with f = X^k * g(X^e), g(0) != 0 and e = gcd(d, q - 1), d the
+    gcd of the exponents of f / X^k, for nonzero f over F_q given by its
+    nonzero terms (j, c), exponents ascending: the deflation gfq._root_status
+    runs before its power, as a tuple the tests can compare."""
+    k = terms[0][0]
+    e = gcd(q - 1, *[j - k for j, _ in terms])
+    g = [0 * terms[0][1]] * ((terms[-1][0] - k) // e + 1)
+    for j, c in terms:
+        g[(j - k) // e] = c
+    return k, tuple(g), e
 
 
 @pytest.fixture

@@ -10,7 +10,7 @@ from math import isqrt
 
 import pytest
 
-from conftest import gi
+from conftest import deflate, gi
 from lemnatomic import classfield, gfq
 from lemnatomic.classfield import (
     DensityReport,
@@ -639,7 +639,7 @@ class TestSharedScan:
         cases = (("1-4i", (0, (1, 1), 8), SPLITS), ("1+4i", (0, (1, 8, 1), 4), NO_ROOT))
         for pi, deflated, status in cases:
             f = reduce_poly(h, gi(pi))
-            assert gfq._deflate(17, [(j, c) for j, c in enumerate(f.coeffs) if c]) == deflated
+            assert deflate(17, [(j, c) for j, c in enumerate(f.coeffs) if c]) == deflated
             assert root_status(f) == status
         primes = odd_primaries(3000)
         scan = classfield._scan(h, 3000)

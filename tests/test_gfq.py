@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import gi
+from conftest import deflate, gi
 from lemnatomic.errors import InputError
 from lemnatomic.exact import lemnatomic_exact
 from lemnatomic.gaussint import GaussInt, _split_prime_above, as_gauss, divides, primes_up_to_norm
@@ -11,10 +11,9 @@ from lemnatomic.gfq import (
     ROOT,
     SPLITS,
     PolyFq,
-    _deflate,
     _divmod,
     _gcd,
-    _PackedModulus,
+    _monic,
     _power,
     factor_degrees,
     has_root,
@@ -113,7 +112,8 @@ class TestGcdSquarefree:
     def test_gcd_example(self):
         f = reduce_poly(poly([-1, 0, 1]), gi("-1+2i"))
         g = reduce_poly(poly([-1, 1]), gi("-1+2i"))
-        assert _gcd(f.field.p, f.coeffs, g.coeffs) == reduce_poly(poly([-1, 1]), gi("-1+2i")).coeffs
+        p = f.field.p
+        assert _monic(p, _gcd(p, f.coeffs, g.coeffs)) == reduce_poly(poly([-1, 1]), gi("-1+2i")).coeffs
 
     def test_squarefree_examples(self):
         sq = poly([-1, 1]) * poly([-1, 1])
@@ -254,9 +254,8 @@ class TestPackedKernel:
     def test_x_power_matches_schoolbook(self, rng, p):
         for degree in range(1, 21):
             f = rand_monic(rng, p, degree)
-            kernel = _PackedModulus(p, f)
             for e in (0, 1, degree - 1, degree, 2 * degree, p, rng.randrange(p * p)):
-                assert kernel.pow_mod((0, 1), e) == ref_pow_mod((0, 1), e, f, p), (p, f, e)
+                assert _power(p, f, e) == ref_pow_mod((0, 1), e, f, p), (p, f, e)
 
     @pytest.mark.parametrize("p", SMALL_SPLIT + MID_SPLIT + BIG_SPLIT)
     def test_general_base_matches_schoolbook(self, rng, p):
@@ -264,7 +263,7 @@ class TestPackedKernel:
             f = rand_monic(rng, p, degree)
             a = ref_mod(tuple(rng.randrange(p) for _ in range(degree)), f, p)
             for e in (0, 1, 2, p):
-                assert _PackedModulus(p, f).pow_mod(a, e) == ref_pow_mod(a, e, f, p), (p, f, a, e)
+                assert _power(p, f, e, a) == ref_pow_mod(a, e, f, p), (p, f, a, e)
 
     @pytest.mark.parametrize("p", SMALL_SPLIT + MID_SPLIT + BIG_SPLIT)
     def test_slots_at_their_largest(self, p):
@@ -274,7 +273,7 @@ class TestPackedKernel:
             f = (1,) * (degree + 1)
             a = (p - 1,) * degree
             for e in (2, 3, p):
-                assert _PackedModulus(p, f).pow_mod(a, e) == ref_pow_mod(a, e, f, p), (p, degree, e)
+                assert _power(p, f, e, a) == ref_pow_mod(a, e, f, p), (p, degree, e)
 
     @pytest.mark.parametrize("p", (5, 13, 30013, 2**31 - 1, 2**61 - 1))
     def test_lazy_slots_at_their_largest_over_runs_of_ones(self, rng, p):
@@ -284,15 +283,14 @@ class TestPackedKernel:
         # low slots unnormalised at either parity of the step count
         for n in range(1, 25):
             f = (1,) * (n + 1)
-            kernel = _PackedModulus(p, f)
-            for a in ((0, 1), (p - 1,) * n, ref_mod(tuple(rng.randrange(p) for _ in range(n)), f, p)):
+            for a in (None, (p - 1,) * n, ref_mod(tuple(rng.randrange(p) for _ in range(n)), f, p)):
                 for e in (2**20 - 1, (2**13 - 1) << 11 | 2**9 - 1):
-                    assert kernel.pow_mod(a, e) == ref_pow_mod(a, e, f, p), (p, n, a, e)
+                    want = ref_pow_mod((0, 1) if a is None else a, e, f, p)
+                    assert _power(p, f, e, a) == want, (p, n, a, e)
 
     def test_f_equal_to_x(self):
-        kernel = _PackedModulus(13, (0, 1))
-        assert kernel.pow_mod((0, 1), 0) == (1,)
-        assert kernel.pow_mod((0, 1), 13) == ()
+        assert _power(13, (0, 1), 0) == (1,)
+        assert _power(13, (0, 1), 13) == ()
         f = reduce_poly(poly([0, 1]), gi("3+2i"))
         assert splits_completely(f) and has_root(f) and factor_degrees(f) == (1,)
 
@@ -301,14 +299,14 @@ class TestPackedKernel:
         for _ in range(5):
             c, e = rng.randrange(p), rng.randrange(p)
             # X = c mod X - c
-            assert _PackedModulus(p, (-c % p, 1)).pow_mod((0, 1), e) == ref_mod((pow(c, e, p),), (-c % p, 1), p)
-        assert _PackedModulus(p, (0, 1)).pow_mod((0, 1), 0) == (1,)
+            assert _power(p, (-c % p, 1), e) == ref_mod((pow(c, e, p),), (-c % p, 1), p)
+        assert _power(p, (0, 1), 0) == (1,)
 
     def test_degree_at_least_p(self, rng):
         field = residue_field(gi("-1+2i"))  # F_5
         for _ in range(20):
             f = PolyFq.make(field, rand_monic(rng, 5, 20))
-            assert _PackedModulus(5, f.coeffs).pow_mod((0, 1), 5) == (0, 0, 0, 0, 0, 1)
+            assert _power(5, f.coeffs, 5) == (0, 0, 0, 0, 0, 1)
             assert not splits_completely(f)
             assert has_root(f) == bool(brute_roots(f))
         every_root_four_times = planted(field, list(range(5)) * 4)
@@ -358,6 +356,49 @@ class TestPackedKernel:
         assert {order for kind, order in seen if kind == "inert"} == {4, 5, 10, 20}
 
 
+# -- the same kernel over F_{p^2}, against the schoolbook on GaussInts -----------
+#
+# ref_mul, ref_mod and ref_pow_mod take GaussInt coefficients as they are, with
+# GaussInt arithmetic; lift() compares across their int zeros.
+
+# inert primes p = 3 mod 4: small ones, 2^31 - 1, and the least one above 2^61
+INERT_P = (3, 7, 11, 19, 43, 163, 2**31 - 1, 2**61 + 15)
+
+
+def rand_gauss(rng, p, count):
+    return tuple(GaussInt(rng.randrange(p), rng.randrange(p)) for _ in range(count))
+
+
+class TestPackedKernelOverFp2:
+    @pytest.mark.parametrize("p", INERT_P)
+    def test_x_and_a_random_base_match_schoolbook(self, rng, p):
+        # the schoolbook's cost grows with the degree squared and the
+        # exponent's bits: a small p takes a random e < p^2 at every other
+        # degree, the two large ones e = p at every third
+        small = p < 2**16
+        for degree in range(1, 21, 2 if small else 3):
+            f = rand_gauss(rng, p, degree) + (GaussInt(1, 0),)
+            a = ref_mod(rand_gauss(rng, p, degree), f, p)
+            for e in (0, 1, 2, degree, rng.randrange(p * p) if small else p):
+                assert _power(p, f, e) == lift(ref_pow_mod((0, 1), e, f, p)), (p, f, e)
+                assert _power(p, f, e, a) == lift(ref_pow_mod(a, e, f, p)), (p, f, a, e)
+
+    @pytest.mark.parametrize("p", INERT_P)
+    def test_sub_slots_at_their_largest(self, p):
+        # every coefficient (p - 1) + (p - 1)i in f and in the base a: a^2
+        # fills the i and i^2 sub-slots of its middle slot to 2n(p - 1)^2 and
+        # n(p - 1)^2, which the offset must cover, and the rows of
+        # X^n mod f = 1 + i and of i(1 + i) = -1 + i add to both sub-slots
+        top = GaussInt(p - 1, p - 1)
+        for degree in range(1, 21):
+            f = (top,) * degree + (GaussInt(1, 0),)
+            a = (top,) * degree
+            for e in (2, 3):
+                assert _power(p, f, e, a) == lift(ref_pow_mod(a, e, f, p)), (p, degree, e)
+            for e in (2 * degree, 2 * degree + 1):
+                assert _power(p, f, e) == lift(ref_pow_mod((0, 1), e, f, p)), (p, degree, e)
+
+
 # -- split-prime gcd against a schoolbook Euclid -----------------------------------
 
 
@@ -395,8 +436,7 @@ class TestIntGcd:
             b = rand_fp_poly(rng, p, rng.randrange(0, 12))
             common = rand_fp_poly(rng, p, rng.randrange(0, 4))
             for x, y in ((a, b), (ref_mul(a, common, p), ref_mul(b, common, p))):
-                assert _gcd(p, x, y) == ref_gcd(x, y, p), (p, x, y)
-                assert _gcd(p, x, y)[-1] == 1
+                assert _monic(p, _gcd(p, x, y)) == ref_gcd(x, y, p), (p, x, y)
 
     @pytest.mark.parametrize("p", (3, 5, 13, 30011, 2**31 - 1, 2**61 - 1))
     def test_sparse_inputs_of_degree_0_to_30(self, rng, p):
@@ -410,19 +450,19 @@ class TestIntGcd:
                 a, b = sparse(degree), sparse(rng.randrange(31))
                 common = sparse(rng.randrange(4))
                 for x, y in ((a, b), (b, a), (ref_mul(a, common, p), ref_mul(b, common, p))):
-                    assert _gcd(p, x, y) == ref_gcd(x, y, p), (p, x, y)
+                    assert _monic(p, _gcd(p, x, y)) == ref_gcd(x, y, p), (p, x, y)
 
     @pytest.mark.parametrize("p", SMALL_SPLIT + BIG_SPLIT)
     def test_equal_degrees_and_divisors(self, rng, p):
         for degree in range(0, 10):
             a, b = rand_fp_poly(rng, p, degree), rand_fp_poly(rng, p, degree)
-            assert _gcd(p, a, b) == ref_gcd(a, b, p), (p, a, b)
+            assert _monic(p, _gcd(p, a, b)) == ref_gcd(a, b, p), (p, a, b)
             multiple = ref_mul(a, rand_fp_poly(rng, p, rng.randrange(0, 5)), p)
             monic_a = ref_gcd(a, (), p)
             # one argument divides the other, in either order, and gcd(a, 0)
-            assert _gcd(p, multiple, a) == monic_a
-            assert _gcd(p, a, multiple) == monic_a
-            assert _gcd(p, a, ()) == _gcd(p, (), a) == monic_a
+            assert _monic(p, _gcd(p, multiple, a)) == monic_a
+            assert _monic(p, _gcd(p, a, multiple)) == monic_a
+            assert _monic(p, _gcd(p, a, ())) == _monic(p, _gcd(p, (), a)) == monic_a
 
 
 # -- the Gaussian power and the shared division against the schoolbook -----------
@@ -518,7 +558,7 @@ def rand_deflation_g(field, rng, zero_root=False):
 
 
 def nonzero_terms(f):
-    """The terms (j, c) of f with c != 0, the form _deflate reads."""
+    """The terms (j, c) of f with c != 0, the form deflate and _root_status read."""
     return [(j, c) for j, c in enumerate(f.coeffs) if c]
 
 
@@ -552,7 +592,7 @@ class TestDeflation:
                 if len(g) < 2:
                     continue
                 f = inflate(field, g, e)
-                k, h, e_found = _deflate(field.size, nonzero_terms(f))
+                k, h, e_found = deflate(field.size, nonzero_terms(f))
                 # f = X^k * h(X^e_found), h(0) != 0, e_found | q - 1
                 assert h[0] != field.zero() and (field.size - 1) % e_found == 0
                 assert f == PolyFq.make(field, [field.zero()] * k + list(inflate(field, h, e_found).coeffs))
@@ -578,7 +618,7 @@ class TestDeflation:
         zero, one = field.zero(), field.one()
         c = next(c for c in elements if not brute_roots(PolyFq.make(field, (-c % field.p, zero, one))))
         f = PolyFq.make(field, (zero, -c % field.p, zero, one))
-        assert _deflate(field.size, nonzero_terms(f))[:2] == (1, (-c % field.p, one))
+        assert deflate(field.size, nonzero_terms(f))[:2] == (1, (-c % field.p, one))
         assert check_against_oracles(f) == ROOT
 
     def test_coefficients_vanishing_mod_pi_raise_d(self, rng):
@@ -590,7 +630,7 @@ class TestDeflation:
                 h = PolyZi.make([b, pi, 0, 0, a, pi, 0, 0, 1])
                 f = reduce_poly(h, pi)
                 assert f.degree() == 8 and f.coeffs[1] == f.coeffs[5] == field.zero()
-                k, g, e = _deflate(field.size, nonzero_terms(f))
+                k, g, e = deflate(field.size, nonzero_terms(f))
                 if k == 0:
                     assert e in (4, 8) and len(g) == 8 // e + 1
                 check_against_oracles(f)
@@ -607,7 +647,7 @@ class TestDeflation:
             if len(g) < 2 or g[0] == field.zero():
                 continue
             f = inflate(field, g, e)
-            assert _deflate(field.size, nonzero_terms(f))[2] == e_found
+            assert deflate(field.size, nonzero_terms(f))[2] == e_found
             check_against_oracles(f)
 
     def test_inert_nine_with_e_three(self, rng):
@@ -617,7 +657,7 @@ class TestDeflation:
             if len(g) < 2 or g[0] == field.zero():
                 continue
             f = inflate(field, g, 3)
-            assert _deflate(field.size, nonzero_terms(f))[2] == 1
+            assert deflate(field.size, nonzero_terms(f))[2] == 1
             check_against_oracles(f)
 
     def test_linear_g_quartic_lemnatomic(self):
@@ -627,7 +667,7 @@ class TestDeflation:
         statuses = set()
         for pi in primes_up_to_norm(400):
             f = reduce_poly(h, pi)
-            k, g, e = _deflate(f.field.size, nonzero_terms(f))
+            k, g, e = deflate(f.field.size, nonzero_terms(f))
             if k:
                 assert divides(pi.value, gi("-1+2i"))
                 continue

@@ -450,6 +450,18 @@ class TestResultant:
         with pytest.raises(InputError):
             resultant(PolyZi(()), poly([1, 1]))
 
+    def test_a_second_call_searches_for_no_prime(self, rng, monkeypatch):
+        # the CRT primes come from one memo: the first call may search for
+        # them, a second call of the same size finds every one there
+        tested = []
+        real = zipoly._is_rational_prime
+        monkeypatch.setattr(zipoly, "_is_rational_prime", lambda n: tested.append(n) or real(n))
+        f, g = rand_big_poly(rng, 6, 40), rand_big_poly(rng, 5, 40)
+        first = resultant(f, g)
+        tested.clear()
+        assert resultant(f, g) == first == sylvester_resultant(f, g)
+        assert tested == []
+
 
 def cofactor_det(m):
     """Determinant by expansion along the first row."""

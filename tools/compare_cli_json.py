@@ -18,7 +18,10 @@ norm bound, with and without ``--include-even``; ``reduce``, ``split-test`` and
 ``orbit-check`` (which runs ``factor_degrees``) run at the split prime -1+2i
 and the inert primes -3 and -7, ``reduce`` and ``split-test`` on the
 lemnatomic polynomials of -3 and -3-4i (whose residues at -3 and -7 have
-nonzero imaginary parts) and on X^3 - 2; ``primary`` and ``factor`` run on 3i, -7,
+nonzero imaginary parts) and on X^3 - 2; the widest F_{p^2} slots come from
+``split-test`` on the lemnatomic polynomial of -3-4i and ``orbit-check`` on
+-3-4i at the inert prime -2147483647 (p = 2^31 - 1), and ``reduce`` and
+``split-test`` on that polynomial at -163; ``primary`` and ``factor`` run on 3i, -7,
 2+i and 45; ``lemnatomic BETA --method exact`` runs on
 the exact ladder of the benchmark plus 13, 17, -19, 29 (the product of the
 split primes 5 +/- 2i), 33, -31 (a prime whose halves recurse through even
@@ -49,11 +52,11 @@ rational beta, and on -43, accepted at 1024 bits after two escalations
 ``lemnatomic BETA --method exact --cache-dir DIR`` runs twice on -1+2i and
 -3-4i, a miss that writes the cache file and then a hit that reads it, and
 ``lemnatomic -3 --method both --cache-dir DIR`` once.
-All of these print JSON, 186 commands in all.  Seven commands that print
+All of these print JSON, 190 commands in all.  Seven commands that print
 a polynomial also run once in human form, the reports at the norm bound:
 ``lemnatomic -3``, ``scan-splitting``, ``semisplit``, ``prop2-evidence``
 and ``density`` on lemnatomic:-3, ``verify-theorem`` on X^2 - 105, and
-``reduce lemnatomic:-3-4i -7``.  That makes 193 commands.
+``reduce lemnatomic:-3-4i -7``.  That makes 197 commands.
 
 OLD_SRC and NEW_SRC are directories holding the ``lemnatomic`` package (the
 ``src`` directory of two checkouts).  Each command runs in a fresh
@@ -91,6 +94,7 @@ WIDE_SCAN = ("lemnatomic:-3-4i", 10**6)  # a root scan wide enough to use every 
 SINGLE_PRIMES = ("-1+2i", "-3", "-7")  # one split prime, two inert ones
 SINGLE_POLYS = ("lemnatomic:-3", "lemnatomic:-3-4i", "coeffs:-2,0,0,1")
 ORBIT_BETAS = ("-1-2i", "5+4i")  # divisible by none of SINGLE_PRIMES
+WIDE_INERT = ("lemnatomic:-3-4i", "-3-4i", "-2147483647", "-163")  # poly, beta, p = 2^31 - 1, p = 163
 EXACT_BETAS = (
     "-1+2i", "-3", "-3-4i", "3-6i", "9", "-11", "11-2i", "13", "17", "-19", "29", "33", "-31",
     "19+10i", "15", "21", "27", "45", "-43",
@@ -125,6 +129,13 @@ def commands(max_norm: int) -> list:
     for pi in SINGLE_PRIMES:
         out += [[cmd, poly, pi, "--json"] for cmd in ("reduce", "split-test") for poly in SINGLE_POLYS]
         out += [["orbit-check", beta, pi, "--json"] for beta in ORBIT_BETAS]
+    poly, beta, widest, small = WIDE_INERT
+    out += [
+        ["split-test", poly, widest, "--json"],
+        ["orbit-check", beta, widest, "--json"],
+        ["reduce", poly, small, "--json"],
+        ["split-test", poly, small, "--json"],
+    ]
     out += [[cmd, z, "--json"] for z in NORMALIZE_INPUTS for cmd in ("primary", "factor")]
     out += [["lemnatomic", beta, "--method", "exact", "--json"] for beta in EXACT_BETAS + EXACT_COMPOSITES]
     out += [["unitgroup", beta, "--json"] for beta in UNIT_GROUP_BETAS]
