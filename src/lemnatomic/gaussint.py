@@ -9,12 +9,19 @@ congruent to 1 mod (1+i)^3), prime enumeration by norm, and the `a+bi`
 literal grammar used across the CLI and JSON layers.
 
 The prime walk behind the enumeration (_odd_prime_walk) stores, next to
-each split prime, the image of i in its residue field F_p, which
-Cornacchia's square root of -1 mod p already gives, so a scan over the
-walk reduces mod a split prime without a modular inverse.
+each split prime, the image of i in its residue field F_p, which it reads
+off the lattice point p = x^2 + y^2 with one modular inverse per rational
+prime, so a scan over the walk reduces mod a split prime without an inverse
+of its own.
 
-All values are immutable and all operations are pure, so everything here is
-safe for concurrent use.
+All values are immutable by convention, and all operations are pure, so
+everything here is safe for concurrent use.  GaussInt and GaussPrime are
+slotted dataclasses that are not frozen: a frozen dataclass's __init__
+stores each field through object.__setattr__, which more than doubles the
+cost of building one, and the scans build one or more per prime.  Their
+hash is still the hash of the field tuple.  No module of the package
+assigns or deletes a field of either; an AST test in tests/test_gaussint.py
+guards that.
 """
 
 from __future__ import annotations
@@ -24,14 +31,13 @@ from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd as _int_gcd, isqrt
-from typing import Iterator
 
 from .errors import InputError, NotOdd, ParseError
 
 _TRIAL_BOUND = 1_000_000  # trial division covers every norm <= _TRIAL_BOUND**2
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class GaussInt:
     """A Gaussian integer re + im*i with arbitrary-size components."""
 
@@ -304,17 +310,15 @@ def _sqrt_minus_one(p: int) -> int:
     raise AssertionError("unreachable: nonresidues exist for every odd prime")
 
 
-def _split_prime_above(p: int, s: int | None = None) -> GaussInt:
+def _split_prime_above(p: int) -> GaussInt:
     """The Gaussian prime above a rational prime p = 1 mod 4 that divides
-    s + i, as its first-quadrant associate; s is a square root of -1 mod p,
-    _sqrt_minus_one(p) unless given.
+    s + i, as its first-quadrant associate, for s = _sqrt_minus_one(p).
 
     Cornacchia: Euclid on (p, s), stopped at the first remainder a < sqrt(p),
     gives p = a^2 + b^2.  a + bi divides s + i iff a = s*b (mod p); otherwise
     its conjugate does, whose first-quadrant associate is b + ai.
     """
-    if s is None:
-        s = _sqrt_minus_one(p)
+    s = _sqrt_minus_one(p)
     x, a, root = p, s, isqrt(p)
     while a > root:
         x, a = a, x % a
@@ -333,7 +337,7 @@ def _primary_parts(x: int, y: int) -> tuple[int, int]:
 # -- Gaussian primality and factorization -----------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class GaussPrime:
     """A Gaussian prime: primary-normalized value (1+i for the ramified one),
     its norm, and its splitting kind over the rational prime below it."""
@@ -426,18 +430,15 @@ def odd_part(z: GaussIntLike) -> GaussInt:
     return z if z.is_odd() else exact_div(z, ONE_PLUS_I)
 
 
-def _rational_primes_up_to(bound: int) -> Iterator[int]:
-    """Sieve of Eratosthenes."""
-    if bound < 2:
-        return
+def _rational_sieve(bound: int) -> bytearray:
+    """Sieve of Eratosthenes: entry n is 1 exactly when n is a rational prime,
+    for 0 <= n <= bound."""
     sieve = bytearray([1]) * (bound + 1)
     sieve[0] = sieve[1] = 0
     for p in range(2, isqrt(bound) + 1):
         if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    for p in range(2, bound + 1):
-        if sieve[p]:
-            yield p
+            sieve[p * p :: p] = bytearray(len(range(p * p, bound + 1, p)))
+    return sieve
 
 
 def primes_up_to_norm(bound: int, odd_only: bool = True) -> list[GaussPrime]:
@@ -461,11 +462,15 @@ def _odd_prime_walk(bound: int) -> array:
     """re, im, norm and the image of i of each odd primary prime with norm
     <= bound, in scan order.
 
-    The image of i is the residue i takes in Z[i]/(pi) = F_p at a split
-    prime, so a + bi = 0 there reads a + b*image = 0 (mod p).  Cornacchia's
-    s = sqrt(-1) mod p gives it with no inverse: the prime dividing s + i
-    sends i to p - s, its conjugate, which divides s - i, sends i to s.  An
-    inert prime stores 0 there; its residue field is F_p[i].
+    Every rational prime p = 1 (mod 4) is x^2 + y^2 for exactly one pair of
+    positive integers with x odd and y even, so the walk visits those lattice
+    points and keeps the p the sieve marks prime.  The primary primes above p
+    are a + yi and a - yi, with a = x when x + y = 1 (mod 4) and a = -x
+    otherwise.  The image of i is the residue i takes in Z[i]/(pi) = F_p at a
+    split prime, so a + bi = 0 there reads a + b*image = 0 (mod p): a + yi
+    and a - yi send i to -a/y and a/y, one modular inverse per p and no
+    square root of -1.  An inert prime -q, for q = 3 (mod 4) with q^2 <=
+    bound, stores 0 there; its residue field is F_q[i].
 
     Kept flat in one int array: a memo of thousands of live GaussPrime
     objects pins small allocations all over the heap, and repeated scans
@@ -473,18 +478,21 @@ def _odd_prime_walk(bound: int) -> array:
     """
     if bound < 2:
         raise InputError("bound must be at least 2")
-    keys = []
-    for p in _rational_primes_up_to(bound):
-        if p % 4 == 1:
-            s = _sqrt_minus_one(p)
-            pi = _split_prime_above(p, s)
-            # the conjugate of a primary prime is primary; pi = a + bi divides s + i
-            a, b = _primary_parts(pi.re, pi.im)
-            keys += [(p, a, -b, p - s), (p, a, b, s)]
-        elif p % 4 == 3 and p * p <= bound:
-            keys.append((p * p, -p, 0, 0))  # -p = 1 (mod 4)
+    sieve = _rational_sieve(bound)
+    keys = []  # (p, a, y, a/y mod p) for the pair a +/- yi, (q^2, -q, 0, 0) for -q
+    for x in range(1, isqrt(bound) + 1, 2):
+        for y in range(2, isqrt(bound - x * x) + 1, 2):
+            p = x * x + y * y
+            if sieve[p]:
+                a = x if (x + y) % 4 == 1 else -x
+                keys.append((p, a, y, a * pow(y, -1, p) % p))
+    # -q = 1 (mod 4) is primary
+    keys += [(q * q, -q, 0, 0) for q in range(3, isqrt(bound) + 1, 4) if sieve[q]]
     keys.sort()
-    return array("q", [x for norm, re, neg_im, image in keys for x in (re, -neg_im, norm, image)])
+    walk = array("q")
+    for norm, a, b, t in keys:
+        walk.extend((a, b, norm, norm - t, a, -b, norm, t) if b else (a, 0, norm, 0))
+    return walk
 
 
 # -- literal grammar ---------------------------------------------------------

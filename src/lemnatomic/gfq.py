@@ -35,6 +35,11 @@ below p^2 too: the slot leaves the fold at most L = 2n(p - 1)^2.  One more
 fold from slots at most L, a square or a multiply by a base with slots
 below p, leaves a slot at most n*L^2 + n(p - 1)^2.  w is the bit length of
 that bound, so no slot ever carries into the next, whatever the size of p.
+The width rests on this proof, not on a test: on the hardest inputs the
+tests use (f = X^n + ... + 1, so every slot of X^n mod f is p - 1, and a
+base X or one with every coefficient p - 1) the largest slot reaches a
+quarter of the bound, more than 2x slack, so a width one bit short would
+not carry on them either.
 
 Over F_{p^2} = F_p[i] a slot is three sub-slots of w bits, for 1, i and
 i^2, and x + yi packs as x + (y << w); the product of two such slots puts

@@ -2,10 +2,13 @@
 normalization, parsing. Examples are fixed oracles; property tests run on a
 seeded RNG so failures reproduce."""
 
+import ast
 import gc
+import hashlib
 import importlib.util
 import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +20,7 @@ from lemnatomic.gaussint import (
     ONE_PLUS_I,
     UNITS,
     GaussInt,
+    GaussPrime,
     _unit_to_first_quadrant,
     canonical_associate,
     divides,
@@ -78,6 +82,74 @@ class TestRingArithmetic:
         for _ in range(100):
             z = rand_gauss(rng)
             assert (z.norm() == 0) == (z == GaussInt(0, 0))
+
+
+# every field of GaussInt and GaussPrime
+VALUE_FIELDS = {"re", "im", "value", "norm", "kind"}
+
+
+def field_writes(tree):
+    """(line, code) of each store or delete of an attribute named like a
+    value field: an assignment, augmented assignment or del, or a setattr,
+    delattr or __setattr__ call with that name as a literal."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            if node.attr in VALUE_FIELDS:
+                yield node.lineno, ast.unparse(node)
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            names = [arg.value for arg in node.args[1:2] if isinstance(arg, ast.Constant)]
+            if name in ("setattr", "delattr", "__setattr__", "__delattr__") and VALUE_FIELDS & set(names):
+                yield node.lineno, ast.unparse(node)
+
+
+class TestValueSemantics:
+    """GaussInt and GaussPrime are slotted dataclasses that are not frozen,
+    so construction skips object.__setattr__; they keep the frozen classes'
+    hash, equality and repr, and stay immutable by convention."""
+
+    def test_hash_is_the_hash_of_the_fields(self, rng):
+        for _ in range(100):
+            z = rand_gauss(rng, span=10**30)
+            assert hash(z) == hash((z.re, z.im))
+        for prime in primes_up_to_norm(200, odd_only=False):
+            assert hash(prime) == hash((prime.value, prime.norm, prime.kind))
+
+    def test_equality_is_type_strict(self):
+        assert GaussInt(1, 0) != 1 and GaussInt(0, 0) != 0 and GaussInt(3, 4) != (3, 4)
+        assert GaussInt(3, 4) == GaussInt(3, 4) and len({GaussInt(3, 4), GaussInt(3, 4)}) == 1
+        for prime in primes_up_to_norm(50, odd_only=False):
+            assert prime != prime.value and prime.value != prime
+            assert prime == GaussPrime(prime.value, prime.norm, prime.kind)
+        assert GaussPrime(GaussInt(-3, 0), 9, "inert") != GaussPrime(GaussInt(-3, 0), 9, "split")
+
+    def test_repr_and_str(self):
+        assert repr(GaussInt(3, -4)) == "GaussInt(3, -4)" and str(GaussInt(3, -4)) == "3-4i"
+        prime = primes_up_to_norm(5)[0]
+        assert repr(prime) == "GaussPrime(value=GaussInt(-1, 2), norm=5, kind='split')"
+        assert str(prime) == "-1+2i"
+
+    def test_no_module_writes_a_value_field(self):
+        """Stands in for the FrozenInstanceError of a frozen dataclass: no
+        module of the package assigns, augments or deletes a field named
+        like one of GaussInt's or GaussPrime's, on any object."""
+        package = Path(gaussint.__file__).parent
+        sources = sorted(package.glob("*.py"))
+        assert len(sources) > 5
+        writes = {path.name: list(field_writes(ast.parse(path.read_text(encoding="utf-8")))) for path in sources}
+        assert {name: found for name, found in writes.items() if found} == {}
+
+    @pytest.mark.parametrize(
+        "code",
+        ["z.re = 1", "z.im += 1", "del p.kind", "a, p.norm = 1, 2", "setattr(z, 're', 1)",
+         "object.__setattr__(p, 'value', z)", "delattr(z, 'im')"],
+    )
+    def test_the_guard_sees_each_kind_of_write(self, code):
+        assert len(list(field_writes(ast.parse(code)))) == 1
+
+    def test_the_guard_ignores_reads_and_other_fields(self):
+        code = "x = z.re + p.norm\nargs.max_norm = 3\nsetattr(args, name, 1)\nself.position = 0"
+        assert list(field_writes(ast.parse(code))) == []
 
 
 class TestModularArithmetic:
@@ -361,6 +433,17 @@ class TestOddPrimeWalk:
             pi = gaussint._split_prime_above(p)
             assert pi == gauss_gcd(GaussInt(p, 0), GaussInt(s, 1)), p
             assert pi.norm() == p and pi.re > 0 and pi.im > 0
+
+
+# ",".join of the walk's ints to norm 10^6 (313 748 ints), ASCII, frozen
+# from the walk that found each split prime by Cornacchia's square root of -1
+ODD_PRIME_WALK_SHA256 = "97f7f2dcf8c2d5ee07b72a67b580aaddcc335b5933091d626e4c1cdd5c5a6698"
+
+
+def test_odd_prime_walk_to_a_million_is_byte_identical():
+    walk = gaussint._odd_prime_walk.__wrapped__(10**6)  # not the memo, which a test may have filled
+    assert len(walk) == 313748
+    assert hashlib.sha256(",".join(map(str, walk)).encode("ascii")).hexdigest() == ODD_PRIME_WALK_SHA256
 
 
 class TestParseFormat:

@@ -265,15 +265,18 @@ class TestPackedKernel:
             for e in (0, 1, 2, p):
                 assert _power(p, f, e, a) == ref_pow_mod(a, e, f, p), (p, f, a, e)
 
-    @pytest.mark.parametrize("p", SMALL_SPLIT + MID_SPLIT + BIG_SPLIT)
+    @pytest.mark.parametrize("p", SMALL_SPLIT + MID_SPLIT + BIG_SPLIT + (2**31 - 1, 2**61 - 1))
     def test_slots_at_their_largest(self, p):
-        # every coefficient p - 1 in the base and in X^n mod f drives the
-        # products and the folded rows towards the (2n - 1)(p - 1)^2 bound
+        # every coefficient p - 1 in X^n mod f, and in the base unless it is
+        # X, drives the products and the folded rows towards the
+        # (2n - 1)(p - 1)^2 bound; on these inputs the largest lazy slot
+        # reaches a quarter of the width bound n*L^2 + n(p - 1)^2, at n = 1
         for degree in range(1, 21):
             f = (1,) * (degree + 1)
-            a = (p - 1,) * degree
-            for e in (2, 3, p):
-                assert _power(p, f, e, a) == ref_pow_mod(a, e, f, p), (p, degree, e)
+            for a in (None, (p - 1,) * degree):
+                for e in (2, 3, (p - 1) // 2, p - 1, p):
+                    want = ref_pow_mod((0, 1) if a is None else a, e, f, p)
+                    assert _power(p, f, e, a) == want, (p, degree, a, e)
 
     @pytest.mark.parametrize("p", (5, 13, 30013, 2**31 - 1, 2**61 - 1))
     def test_lazy_slots_at_their_largest_over_runs_of_ones(self, rng, p):

@@ -14,7 +14,8 @@ discriminant took about 55 s as a Sylvester determinant and takes about
 lemnatomic polynomial of -3-4i at norm 10^6 whatever the norm bound (78 437
 primes, about 5 s on one core), so that the root scan is cut into as many
 ranges as the host has CPUs; ``primes`` lists the prime walk at the
-norm bound, with and without ``--include-even``; ``reduce``, ``split-test`` and
+norm bound, with and without ``--include-even``, and at norm 10^6, so that
+the walk and its GaussPrime list are compared at scale; ``reduce``, ``split-test`` and
 ``orbit-check`` (which runs ``factor_degrees``) run at the split prime -1+2i
 and the inert primes -3 and -7, ``reduce`` and ``split-test`` on the
 lemnatomic polynomials of -3 and -3-4i (whose residues at -3 and -7 have
@@ -52,11 +53,11 @@ rational beta, and on -43, accepted at 1024 bits after two escalations
 ``lemnatomic BETA --method exact --cache-dir DIR`` runs twice on -1+2i and
 -3-4i, a miss that writes the cache file and then a hit that reads it, and
 ``lemnatomic -3 --method both --cache-dir DIR`` once.
-All of these print JSON, 190 commands in all.  Seven commands that print
+All of these print JSON, 191 commands in all.  Seven commands that print
 a polynomial also run once in human form, the reports at the norm bound:
 ``lemnatomic -3``, ``scan-splitting``, ``semisplit``, ``prop2-evidence``
 and ``density`` on lemnatomic:-3, ``verify-theorem`` on X^2 - 105, and
-``reduce lemnatomic:-3-4i -7``.  That makes 197 commands.
+``reduce lemnatomic:-3-4i -7``.  That makes 198 commands.
 
 OLD_SRC and NEW_SRC are directories holding the ``lemnatomic`` package (the
 ``src`` directory of two checkouts).  Each command runs in a fresh
@@ -126,6 +127,7 @@ def commands(max_norm: int) -> list:
     out += [["verify-prop1", beta, *bound] for beta in PROP1_BETAS]
     out += [["scan-splitting", WIDE_SCAN[0], "--max-norm", str(WIDE_SCAN[1]), "--json"]]
     out += [["primes", *bound], ["primes", "--include-even", *bound]]
+    out += [["primes", "--max-norm", str(WIDE_SCAN[1]), "--json"]]
     for pi in SINGLE_PRIMES:
         out += [[cmd, poly, pi, "--json"] for cmd in ("reduce", "split-test") for poly in SINGLE_POLYS]
         out += [["orbit-check", beta, pi, "--json"] for beta in ORBIT_BETAS]
